@@ -1,38 +1,53 @@
 """Weighted partial MaxSAT encoding of a belief graph and an exact solver.
 
-The solver is branch-and-bound with unit propagation on hard clauses and
-dynamic decomposition: once the undecided clauses fall apart into
-variable-disjoint components, each component is solved independently and
-the results are summed.  A bitmask brute-force enumerator serves as the
-independent reference oracle, and a WCNF-style text export lets
-third-party solvers cross-check instances.
+The solver is bucket elimination (Dechter, "Bucket elimination: a unifying
+framework for reasoning", AIJ 1999) over a greedy min-fill variable order.
+Each clause becomes a cost table over its variables, where a violated hard
+clause costs infinity.  Eliminating a variable adds up the tables that
+mention it and minimizes it out, which leaves one table over its remaining
+neighbours; walking the eliminated variables back in reverse order then
+recovers the optimal assignment.  Time and memory grow as 2**width, where
+the width is the number of neighbours a variable has when it is eliminated.
+Belief graphs are nearly trees, so the width stays small; an instance whose
+width exceeds MAX_WIDTH raises SolverLimitError instead of being
+approximated.  The exhaustive reference the tests compare against lives in
+tests/reference_solver.py.
 
 Tie-breaking among equal-cost optima is deterministic: the flip pattern
 (flipped = 1, kept = 0, read along the variable order) is minimized
 lexicographically, so earlier variables prefer keeping their initial
-label.  This order decomposes over variable-disjoint components, which
-keeps decomposition exact.  Cost comparisons use absolute epsilon 1e-9.
+label.  Tables hold (cost, flips) pairs, where flips is an integer with bit
+n-1-pos set for each flipped variable at position pos, so comparing the
+integers compares the patterns.  Both parts add up over disjoint sets of
+variables, which keeps elimination exact.  Cost comparisons use absolute
+epsilon 1e-9.  The reported cost is summed over the clauses in their order
+from the final assignment, so it does not depend on the elimination order.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .model import HARD, Assignment, BeliefGraph, Clause, StatementId
+from .model import HARD, BeliefGraph, Clause, StatementId
 
 EPSILON = 1e-9
 DEFAULT_MAX_VARIABLES = 2000
-BRUTE_FORCE_MAX_VARIABLES = 22
+# A bucket's table has 2**(MAX_WIDTH + 1) rows; at 16 that is 131072 rows,
+# a few megabytes.  Belief graphs measure width 3 to 7.
+MAX_WIDTH = 16
+
+# A cost table (scope, costs, flips) over variable positions: row r assigns
+# scope[j] the value of bit j of r.
+_Table = tuple[tuple[int, ...], list[float], list[int]]
 
 
 class SolverLimitError(RuntimeError):
-    """Instance exceeds the configured variable limit; no silent approximation."""
+    """Instance exceeds the variable or width limit; no silent approximation."""
 
 
 class SolveStatus(Enum):
@@ -100,6 +115,12 @@ class WeightedClauseSet:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Optimal assignment and its cost.
+
+    ``nodes_explored`` counts the table rows evaluated while eliminating
+    variables.
+    """
+
     assignment: dict[StatementId, bool]
     optimal_cost: float
     status: SolveStatus
@@ -136,314 +157,136 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     )
 
 
-def _lex_key(positions: Iterable[int]) -> tuple[int, ...]:
-    """Order key for the flip-pattern tie-break.
+def _min_fill_order(neighbours: dict[int, set[int]]) -> list[int]:
+    """Greedy min-fill elimination order of the interaction graph.
 
-    Comparing flip patterns lexicographically (kept = 0 before flipped = 1,
-    scanning along the variable order) is the same as comparing the sorted
-    flip positions negated: a pattern is smaller when, at the first
-    position where the two differ, it keeps the initial label.
+    Repeatedly eliminates the variable whose neighbours need the fewest
+    added edges to become a clique, ties going to the smaller position,
+    and joins those neighbours into a clique.  Consumes ``neighbours``.
+    Raises SolverLimitError once a variable would be eliminated with more
+    than MAX_WIDTH neighbours.
     """
-    return tuple(-p for p in sorted(positions))
+
+    def fill(v: int) -> int:
+        around = neighbours[v]
+        return sum(1 for a, b in combinations(around, 2) if b not in neighbours[a])
+
+    score = {v: fill(v) for v in neighbours}
+    heap = [(f, v) for v, f in score.items()]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        f, v = heapq.heappop(heap)
+        if score.get(v) != f:
+            continue  # stale entry: v was eliminated or rescored
+        del score[v]
+        around = neighbours.pop(v)
+        if len(around) > MAX_WIDTH:
+            raise SolverLimitError(
+                f"elimination width {len(around)} exceeds the limit of {MAX_WIDTH}"
+            )
+        order.append(v)
+        for a in around:
+            neighbours[a].discard(v)
+            neighbours[a].update(b for b in around if b != a)
+        # Fill counts change for the neighbours and for anything adjacent
+        # to two of them, which the new edges may have joined.
+        affected = set(around)
+        for a in around:
+            affected |= neighbours[a]
+        for u in affected:
+            score[u] = fill(u)
+            heapq.heappush(heap, (score[u], u))
+    return order
 
 
-class _BranchAndBound:
-    def __init__(self, cs: WeightedClauseSet):
-        # Only variables that occur in clauses are searched; free variables
-        # keep their initial labels, which is optimal and flip-minimal.
-        active = sorted(
-            {var for c in cs.clauses for var, _ in c.literals},
-            key=cs.variable_order.index,
-        )
-        self.order = active
-        self.index = {var: i for i, var in enumerate(active)}
-        self.init = [bool(cs.initial_labels[var]) for var in active]
-        self.lits: list[list[tuple[int, bool]]] = []
-        self.weights: list[float] = []
-        self.hard: list[bool] = []
-        self.occ: list[list[int]] = [[] for _ in active]
-        for ci, clause in enumerate(cs.clauses):
-            self.lits.append([(self.index[var], pol) for var, pol in clause.literals])
-            self.weights.append(clause.weight)
-            self.hard.append(clause.is_hard)
-            for var, _ in clause.literals:
-                self.occ[self.index[var]].append(ci)
-        n = len(active)
-        self.value: list[bool | None] = [None] * n
-        self.sat_count = [0] * len(self.lits)
-        self.unassigned = [len(l) for l in self.lits]
-        self.cost = 0.0
-        self.flips: list[int] = []
-        self.trail: list[int] = []
-        self.nodes = 0
-        # Component results cached by their undecided-clause signature, so
-        # chain-shaped subproblems are solved once instead of per branch.
-        self.memo: dict[
-            frozenset[tuple[int, tuple[int, ...]]],
-            tuple[float, tuple[int, ...], dict[int, bool]] | None,
-        ] = {}
+def _projection(scope: Sequence[int], bit: Mapping[int, int], width: int) -> list[int]:
+    """Row of a table over ``scope`` for each row of a ``width``-bit table.
 
-    def _assign(self, vi: int, val: bool) -> bool:
-        """Assign and update clause state; False on hard-clause conflict."""
-        self.value[vi] = val
-        self.trail.append(vi)
-        if val != self.init[vi]:
-            self.flips.append(vi)
-        ok = True
-        for ci in self.occ[vi]:
-            self.unassigned[ci] -= 1
-            if any(v == vi and p == val for v, p in self.lits[ci]):
-                self.sat_count[ci] += 1
-            if self.sat_count[ci] == 0 and self.unassigned[ci] == 0:
-                if self.hard[ci]:
-                    ok = False
-                else:
-                    self.cost += self.weights[ci]
-        return ok
-
-    def _undo_to(self, trail_mark: int, flip_mark: int) -> None:
-        while len(self.trail) > trail_mark:
-            vi = self.trail.pop()
-            val = self.value[vi]
-            for ci in self.occ[vi]:
-                if self.sat_count[ci] == 0 and self.unassigned[ci] == 0 and not self.hard[ci]:
-                    self.cost -= self.weights[ci]
-                self.unassigned[ci] += 1
-                if any(v == vi and p == val for v, p in self.lits[ci]):
-                    self.sat_count[ci] -= 1
-            self.value[vi] = None
-        del self.flips[flip_mark:]
-
-    def _propagate(self) -> bool:
-        """Unit-propagate hard clauses until fixpoint; False on conflict."""
-        changed = True
-        while changed:
-            changed = False
-            for ci, is_hard in enumerate(self.hard):
-                if not is_hard or self.sat_count[ci] > 0:
-                    continue
-                if self.unassigned[ci] == 0:
-                    return False
-                if self.unassigned[ci] == 1:
-                    vi, pol = next(
-                        (v, p) for v, p in self.lits[ci] if self.value[v] is None
-                    )
-                    if not self._assign(vi, pol):
-                        return False
-                    changed = True
-        return True
-
-    # A partial solution is (cost, flip positions, variable values); _better
-    # implements the documented cost-then-flip-pattern order.
-
-    @staticmethod
-    def _better(
-        a: tuple[float, tuple[int, ...], dict[int, bool]],
-        b: tuple[float, tuple[int, ...], dict[int, bool]],
-    ) -> bool:
-        if a[0] < b[0] - EPSILON:
-            return True
-        if a[0] > b[0] + EPSILON:
-            return False
-        return _lex_key(a[1]) < _lex_key(b[1])
-
-    def _solve_subset(
-        self, clause_ids: Sequence[int]
-    ) -> tuple[float, tuple[int, ...], dict[int, bool]] | None:
-        """Best completion of the still-undecided clauses among clause_ids.
-
-        Splits them into variable-disjoint components and solves each
-        independently; variables not touching any undecided clause keep
-        their initial labels at zero extra cost.
-        """
-        undecided = [
-            ci
-            for ci in clause_ids
-            if self.sat_count[ci] == 0 and self.unassigned[ci] > 0
-        ]
-        if not undecided:
-            return 0.0, (), {}
-
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for ci in undecided:
-            free = [v for v, _ in self.lits[ci] if self.value[v] is None]
-            for v in free:
-                parent.setdefault(v, v)
-            root = find(free[0])
-            for v in free[1:]:
-                parent[find(v)] = root
-
-        components: dict[int, list[int]] = {}
-        for ci in undecided:
-            v = next(v for v, _ in self.lits[ci] if self.value[v] is None)
-            components.setdefault(find(v), []).append(ci)
-
-        total_cost = 0.0
-        positions: list[int] = []
-        values: dict[int, bool] = {}
-        for root in sorted(components):
-            result = self._solve_component(components[root])
-            if result is None:
-                return None
-            total_cost += result[0]
-            positions.extend(result[1])
-            values.update(result[2])
-        return total_cost, tuple(sorted(positions)), values
-
-    def _solve_component(
-        self, clause_ids: list[int]
-    ) -> tuple[float, tuple[int, ...], dict[int, bool]] | None:
-        """Branch on the component's busiest free variable.
-
-        Picking the variable shared by the most undecided clauses splits the
-        component quickly, which is what makes decomposition and the memo
-        effective; the choice does not affect the result because both values
-        are explored and compared under the documented order.
-        """
-        self.nodes += 1
-        signature = frozenset(
-            (ci, tuple(v for v, _ in self.lits[ci] if self.value[v] is None))
-            for ci in clause_ids
-        )
-        if signature in self.memo:
-            return self.memo[signature]
-        degree: dict[int, int] = {}
-        for ci in clause_ids:
-            for v, _ in self.lits[ci]:
-                if self.value[v] is None:
-                    degree[v] = degree.get(v, 0) + 1
-        vi = max(degree, key=lambda v: (degree[v], -v))
-        best: tuple[float, tuple[int, ...], dict[int, bool]] | None = None
-        for val in (self.init[vi], not self.init[vi]):
-            trail_mark = len(self.trail)
-            flip_mark = len(self.flips)
-            cost_mark = self.cost
-            if self._assign(vi, val) and self._propagate():
-                local = self.cost - cost_mark
-                if best is None or local <= best[0] + EPSILON:
-                    sub = self._solve_subset(clause_ids)
-                    if sub is not None:
-                        candidate = (
-                            local + sub[0],
-                            tuple(sorted(self.flips[flip_mark:] + list(sub[1]))),
-                            {
-                                v: self.value[v]  # type: ignore[dict-item]
-                                for v in self.trail[trail_mark:]
-                            }
-                            | sub[2],
-                        )
-                        if best is None or self._better(candidate, best):
-                            best = candidate
-            self._undo_to(trail_mark, flip_mark)
-            # A zero-cost, zero-flip completion cannot be beaten.
-            if best is not None and best[0] == 0.0 and not best[1]:
-                break
-        self.memo[signature] = best
-        return best
-
-    def run(self) -> tuple[SolveStatus, float, list[bool] | None, int]:
-        if not self._propagate():
-            return SolveStatus.INFEASIBLE, math.inf, None, 1
-        result = self._solve_subset(range(len(self.lits)))
-        if result is None:
-            return SolveStatus.INFEASIBLE, math.inf, None, self.nodes
-        values = [
-            result[2].get(vi, self.value[vi] if self.value[vi] is not None else self.init[vi])
-            for vi in range(len(self.order))
-        ]
-        return SolveStatus.OPTIMAL, self.cost + result[0], values, self.nodes
+    ``bit`` maps each variable to its bit in the wider table's row number;
+    variable ``scope[j]`` is bit j of the narrower table's row number.
+    """
+    step = {bit[v]: 1 << j for j, v in enumerate(scope)}
+    rows = [0]
+    for b in range(width):
+        s = step.get(b, 0)
+        rows += [r + s for r in rows]
+    return rows
 
 
 def solve(cs: WeightedClauseSet, max_variables: int = DEFAULT_MAX_VARIABLES) -> SolveResult:
     """Exact minimum-cost assignment over all variables; deterministic."""
-    if len(cs.variable_order) > max_variables:
-        raise SolverLimitError(
-            f"{len(cs.variable_order)} variables exceeds the limit of {max_variables}"
-        )
-    depth_needed = 4 * len(cs.variable_order) + 200
-    if sys.getrecursionlimit() < depth_needed:
-        sys.setrecursionlimit(depth_needed)
-    search = _BranchAndBound(cs)
-    status, cost, values, nodes = search.run()
-    if status is SolveStatus.INFEASIBLE:
-        return SolveResult({}, math.inf, status, nodes)
-    assignment = {var: bool(cs.initial_labels[var]) for var in cs.variable_order}
-    for vi, var in enumerate(search.order):
-        assignment[var] = values[vi]
-    return SolveResult(assignment, cost, status, nodes)
-
-
-def brute_force_solve(
-    cs: WeightedClauseSet, max_variables: int = BRUTE_FORCE_MAX_VARIABLES
-) -> SolveResult:
-    """Exhaustive reference enumeration, independent of the search path."""
-    order = cs.variable_order
-    n = len(order)
+    n = len(cs.variable_order)
     if n > max_variables:
-        raise SolverLimitError(
-            f"{n} variables exceeds the brute-force limit of {max_variables}"
-        )
-    index = {var: i for i, var in enumerate(order)}
-    init_bits = 0
-    for var, i in index.items():
-        if cs.initial_labels[var]:
-            init_bits |= 1 << i
+        raise SolverLimitError(f"{n} variables exceeds the limit of {max_variables}")
+    position = {var: i for i, var in enumerate(cs.variable_order)}
+    value = [bool(cs.initial_labels[var]) for var in cs.variable_order]
 
-    m = np.arange(1 << n, dtype=np.uint32)
-    costs = np.zeros(1 << n, dtype=np.float64)
-    feasible = np.ones(1 << n, dtype=bool)
-    full = np.uint32((1 << n) - 1)
+    tables: list[_Table] = []
+    neighbours: dict[int, set[int]] = {}
     for clause in cs.clauses:
-        pos_mask = np.uint32(0)
-        neg_mask = np.uint32(0)
-        for var, pol in clause.literals:
-            bit = np.uint32(1 << index[var])
-            if pol:
-                pos_mask |= bit
-            else:
-                neg_mask |= bit
-        satisfied = ((m & pos_mask) != 0) | ((~m & full & neg_mask) != 0)
-        if clause.is_hard:
-            feasible &= satisfied
-        else:
-            costs += np.where(satisfied, 0.0, clause.weight)
+        scope = tuple(position[var] for var, _ in clause.literals)
+        costs = [0.0] * (1 << len(scope))
+        violated = sum(1 << j for j, (_, pol) in enumerate(clause.literals) if not pol)
+        costs[violated] = clause.weight
+        tables.append((scope, costs, [0] * len(costs)))
+        for v in scope:
+            neighbours.setdefault(v, set()).update(u for u in scope if u != v)
 
-    if not feasible.any():
-        return SolveResult({}, math.inf, SolveStatus.INFEASIBLE, 1 << n)
-    costs[~feasible] = np.inf
-    best_cost = costs.min()
-    candidates = np.nonzero(costs <= best_cost + EPSILON)[0]
+    # Variables in no clause are absent here and keep their initial labels,
+    # which is optimal and flip-minimal.
+    order = _min_fill_order(neighbours)
+    rank = {v: r for r, v in enumerate(order)}
+    buckets: list[list[_Table]] = [[] for _ in order]
+    for table in tables:
+        buckets[min(rank[v] for v in table[0])].append(table)
 
-    def key(mask: int) -> tuple[int, ...]:
-        flips = int(mask) ^ init_bits
-        return _lex_key(i for i in range(n) if flips >> i & 1)
+    # (variable, remaining scope, whether to flip it for each scope row)
+    eliminated: list[tuple[int, tuple[int, ...], list[bool]]] = []
+    nodes = 0
+    for x, bucket in zip(order, buckets):
+        others = {v for t in bucket for v in t[0] if v != x}
+        scope = tuple(sorted(others, key=rank.__getitem__))
+        bit = {v: j + 1 for j, v in enumerate(scope)}
+        bit[x] = 0
+        size = 2 << len(scope)
+        nodes += size
+        costs = [0.0] * size
+        flips = [0] * size
+        for t_scope, t_costs, t_flips in bucket:
+            rows = _projection(t_scope, bit, len(scope) + 1)
+            costs = [c + t_costs[r] for c, r in zip(costs, rows)]
+            flips = [f + t_flips[r] for f, r in zip(flips, rows)]
 
-    winner = int(min(candidates, key=key))
-    assignment = {var: bool(winner >> index[var] & 1) for var in order}
-    return SolveResult(assignment, float(costs[winner]), SolveStatus.OPTIMAL, 1 << n)
+        keep = int(value[x])  # bit 0 of a row is x's value
+        x_flip = 1 << (n - 1 - x)
+        best_costs: list[float] = []
+        best_flips: list[int] = []
+        flip_x: list[bool] = []
+        for r in range(0, size, 2):
+            kept_cost, kept_flips = costs[r + keep], flips[r + keep]
+            flip_cost, flip_flips = costs[r + 1 - keep], flips[r + 1 - keep] + x_flip
+            better = flip_cost < kept_cost - EPSILON or (
+                flip_cost <= kept_cost + EPSILON and flip_flips < kept_flips
+            )
+            best_costs.append(flip_cost if better else kept_cost)
+            best_flips.append(flip_flips if better else kept_flips)
+            flip_x.append(better)
+        eliminated.append((x, scope, flip_x))
+        # A table over no variables is a constant and changes no choice.
+        if scope:
+            buckets[rank[scope[0]]].append((scope, best_costs, best_flips))
 
+    for x, scope, flip_x in reversed(eliminated):
+        row = sum(1 << j for j, v in enumerate(scope) if value[v])
+        if flip_x[row]:
+            value[x] = not value[x]
 
-def write_wcnf(cs: WeightedClauseSet, scale: int = 10**6) -> str:
-    """WCNF-style text: header with counts and hard-weight sentinel, then
-    one zero-terminated clause per line with the (integer-scaled) weight first."""
-    order = cs.variable_order
-    number = {var: i + 1 for i, var in enumerate(order)}
-    soft_total = sum(
-        max(1, round(c.weight * scale)) for c in cs.clauses if not c.is_hard
-    )
-    top = soft_total + 1
-    lines = [f"p wcnf {len(order)} {len(cs.clauses)} {top}"]
+    assignment = dict(zip(cs.variable_order, value))
+    cost = 0.0
     for clause in cs.clauses:
-        weight = top if clause.is_hard else max(1, round(clause.weight * scale))
-        lits = " ".join(
-            str(number[var] if pol else -number[var]) for var, pol in clause.literals
-        )
-        lines.append(f"{weight} {lits} 0")
-    return "\n".join(lines) + "\n"
+        if not any(assignment[var] == pol for var, pol in clause.literals):
+            cost += clause.weight
+    if math.isinf(cost):
+        return SolveResult({}, math.inf, SolveStatus.INFEASIBLE, nodes)
+    return SolveResult(assignment, cost, SolveStatus.OPTIMAL, nodes)

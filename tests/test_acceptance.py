@@ -20,7 +20,6 @@ from beliefgraph import (
     RuleType,
     SolveStatus,
     ablate,
-    brute_force_solve,
     calibrate_rule,
     calibrate_statement,
     consistency,
@@ -39,6 +38,7 @@ from beliefgraph import (
 from beliefgraph.cli import EXIT_OK, main
 from beliefgraph.synthetic import random_clause_set, synthetic_graph
 from conftest import TRACE_PREMISES, TRACE_SCORES
+from reference_solver import brute_force_solve
 
 
 @contextmanager

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -444,3 +448,18 @@ class TestRemoteOracle:
         finally:
             server.shutdown()
             thread.join()
+
+
+class TestDependencies:
+    def test_cli_import_leaves_numpy_out(self):
+        import beliefgraph
+
+        src = str(Path(beliefgraph.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        code = "import sys, beliefgraph.cli; print('numpy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

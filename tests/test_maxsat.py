@@ -1,4 +1,6 @@
 import math
+import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,14 @@ from beliefgraph import (
     StatementNode,
     WeightedClause,
     WeightedClauseSet,
-    brute_force_solve,
     encode,
+    reason,
     solve,
     total_cost,
-    write_wcnf,
 )
-from beliefgraph.synthetic import random_clause_set
+from beliefgraph.maxsat import MAX_WIDTH
+from beliefgraph.synthetic import random_clause_set, synthetic_graph
+from reference_solver import brute_force_solve
 
 
 def unit(var, pol, weight):
@@ -136,6 +139,23 @@ class TestSolve:
         assert first.assignment == second.assignment
         assert first.optimal_cost == second.optimal_cost
 
+    def test_width_limit(self):
+        # Every pair shares a clause, so the first variable eliminated has
+        # MAX_WIDTH + 1 neighbours.
+        clauses = [
+            WeightedClause(((a, False), (b, False)), 0.5)
+            for a, b in combinations(range(MAX_WIDTH + 2), 2)
+        ]
+        with pytest.raises(SolverLimitError):
+            solve(cs_of(clauses))
+
+    def test_recursion_limit_untouched(self):
+        before = sys.getrecursionlimit()
+        graph = synthetic_graph(3, target_statements=3000, target_rules=700)
+        assert len(graph.statements) > 1000
+        solve(encode(graph))
+        assert sys.getrecursionlimit() == before
+
     def test_free_variables_keep_initial_labels(self):
         clauses = [unit(0, True, 0.5)]
         cs = WeightedClauseSet.from_clauses(
@@ -196,6 +216,13 @@ class TestProperties:
         rule_free = total_cost(giraffe_graph, result.assignment)
         assert rule_free == pytest.approx(result.optimal_cost, abs=1e-9)
 
+    def test_optimal_cost_is_exact_total_cost(self):
+        # Summed in clause order, which is the order total_cost sums in.
+        for seed in range(100):
+            graph = synthetic_graph(seed)
+            outcome = reason(graph)
+            assert outcome.optimal_cost == total_cost(graph, outcome.final_assignment), seed
+
     def test_adding_soft_clause_never_decreases_cost(self):
         for seed in range(10):
             cs = random_clause_set(seed)
@@ -232,27 +259,3 @@ class TestProperties:
         if fast.status is SolveStatus.OPTIMAL:
             assert fast.optimal_cost == pytest.approx(slow.optimal_cost, abs=1e-9)
             assert fast.assignment == slow.assignment
-
-
-class TestWcnfExport:
-    def test_format(self):
-        clauses = [
-            unit(0, True, 0.5),
-            WeightedClause(((0, False), (1, True)), HARD),
-        ]
-        cs = WeightedClauseSet.from_clauses(clauses, {0: True, 1: True},
-                                            variable_order=(0, 1))
-        text = write_wcnf(cs)
-        lines = text.strip().splitlines()
-        assert lines[0] == "p wcnf 2 2 500001"
-        assert lines[1] == "500000 1 0"
-        assert lines[2] == "500001 -1 2 0"
-
-    def test_bit_exact_and_stable(self):
-        cs = random_clause_set(3)
-        assert write_wcnf(cs) == write_wcnf(cs)
-
-    def test_tiny_weights_rounded_up(self):
-        cs = WeightedClauseSet.from_clauses([unit(0, True, 1e-9)], {0: True})
-        lines = write_wcnf(cs).strip().splitlines()
-        assert lines[1].startswith("1 ")

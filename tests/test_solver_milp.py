@@ -1,0 +1,145 @@
+"""Optimality of ``solve`` above the brute-force limit, checked against a MILP.
+
+Each instance is encoded as a 0/1 integer program and solved exactly with
+HiGHS through ``scipy.optimize.milp``:
+
+- one binary x_v per variable (1 = true);
+- for each soft clause a binary z_c with z_c + sum(literals) >= 1, where a
+  positive literal is x_v and a negative one is 1 - x_v;
+- each hard clause as sum(literals) >= 1;
+- minimize sum(w_c * z_c).
+
+Only the optimal cost is compared.  The tie-break between equal-cost optima
+is checked against the brute-force reference by acceptance criterion 01.
+"""
+
+import random
+
+import numpy as np
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
+
+from beliefgraph import (
+    CalibrationConfig,
+    HypothesisSet,
+    MockOracle,
+    SolveStatus,
+    encode,
+    generate_graph,
+    solve,
+)
+from beliefgraph.construction import NEGATION_PREFIX, entailment_key
+from beliefgraph.synthetic import synthetic_graph
+
+# HiGHS stops once its absolute optimality gap is at most 1e-6 (its default
+# mip_abs_gap, which scipy does not expose), so its optimum may exceed the
+# true one by that much.  Float summation order adds about 1e-13.  Fixed
+# here once; do not loosen it.
+COST_TOLERANCE = 1e-6
+
+MILP_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE}
+
+
+def milp_optimum(cs):
+    """(status, optimal cost) of the clause set as a 0/1 MILP."""
+    index = {var: i for i, var in enumerate(cs.variable_order)}
+    rows, cols, values, lower, weights = [], [], [], [], []
+    for r, clause in enumerate(cs.clauses):
+        negatives = 0
+        for var, pol in clause.literals:
+            rows.append(r)
+            cols.append(index[var])
+            values.append(1.0 if pol else -1.0)
+            negatives += not pol
+        if not clause.is_hard:
+            rows.append(r)
+            cols.append(len(index) + len(weights))
+            values.append(1.0)
+            weights.append(clause.weight)
+        lower.append(1.0 - negatives)
+    size = len(index) + len(weights)
+    matrix = sparse.csr_array((values, (rows, cols)), shape=(len(cs.clauses), size))
+    objective = np.concatenate([np.zeros(len(index)), weights])
+    result = milp(
+        objective,
+        constraints=LinearConstraint(matrix, lower, np.inf),
+        integrality=np.ones(size),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    status = MILP_STATUS[result.status]
+    return status, result.fun if status is SolveStatus.OPTIMAL else None
+
+
+def assert_matches_milp(cs, case):
+    ours = solve(cs)
+    status, cost = milp_optimum(cs)
+    assert ours.status is status, case
+    if status is SolveStatus.OPTIMAL:
+        assert abs(ours.optimal_cost - cost) <= COST_TOLERANCE, (
+            f"{case}: solve {ours.optimal_cost!r}, milp {cost!r}"
+        )
+
+
+def shared_premise_questions(seed, questions=10, vocabulary=40):
+    """MockOracle whose questions draw premises from one shared vocabulary.
+
+    Facts entail each other, so construction reaches the same statements
+    from several hypotheses and the graphs have more cycles than
+    ``synthetic_graph``'s trees.
+    """
+    rng = random.Random(seed)
+    facts = [f"shared fact {k}" for k in range(vocabulary)]
+    premises, scores, entailments = {}, {}, {}
+
+    def add(text, believed, width):
+        s = rng.uniform(0.55, 0.98) if believed else rng.uniform(0.02, 0.45)
+        scores[text] = round(s, 4)
+        negated = 1.0 - s + rng.uniform(-0.1, 0.1)
+        scores[NEGATION_PREFIX + text] = round(min(0.99, max(0.01, negated)), 4)
+        chosen = [p for p in rng.sample(facts, width) if p != text]
+        premises[text] = chosen
+        entailments[entailment_key(chosen, text)] = round(rng.uniform(0.5, 0.99), 4)
+
+    for fact in facts:
+        add(fact, rng.random() < 0.8, rng.randint(1, 2))
+    hypothesis_sets = []
+    for q in range(questions):
+        options = tuple(f"question {q} option {j} holds" for j in range(4))
+        for option in options:
+            add(option, rng.random() < 0.4, 2)
+        hypothesis_sets.append(HypothesisSet(options))
+    oracle = MockOracle(
+        premises=premises, statement_scores=scores, entailment_scores=entailments
+    )
+    return oracle, hypothesis_sets
+
+
+def test_acceptance_graphs():
+    for seed in range(100):
+        assert_matches_milp(encode(synthetic_graph(seed)), f"synthetic_graph({seed})")
+
+
+def test_scaled_graphs():
+    graph = synthetic_graph(3, target_statements=3000, target_rules=700)
+    assert len(graph.statements) > 1000
+    assert_matches_milp(encode(graph), "synthetic_graph(3, 3000, 700)")
+    for seed in range(10):
+        graph = synthetic_graph(seed, target_statements=1200, target_rules=300)
+        assert_matches_milp(encode(graph), f"synthetic_graph({seed}, 1200, 300)")
+
+
+def test_construction_graphs():
+    cfg = CalibrationConfig(d_max=5)
+    for seed in range(3):
+        oracle, hypothesis_sets = shared_premise_questions(seed)
+        for q, hypotheses in enumerate(hypothesis_sets):
+            graph = generate_graph(hypotheses, oracle, cfg)
+            assert_matches_milp(encode(graph), f"oracle {seed} question {q}")
+
+
+def test_infeasible_status():
+    graph = synthetic_graph(0)
+    cs = encode(graph, {h: False for h in graph.hypotheses})
+    assert_matches_milp(cs, "every hypothesis pinned false")
+    assert solve(cs).status is SolveStatus.INFEASIBLE
