@@ -46,7 +46,7 @@ def _make_oracle(spec: str, cache_dir: Path | None = None) -> BeliefOracle:
     if kind == "mock" and rest:
         return load_mock_oracle(rest)
     if kind == "remote" and rest:
-        cache = cache_dir / "oracle_cache.json" if cache_dir else None
+        cache = cache_dir / "oracle_cache.jsonl" if cache_dir else None
         return RemoteOracle(rest, cache_path=cache)
     raise InputError(f"oracle spec must be mock:<path> or remote:<url>, got {spec!r}")
 

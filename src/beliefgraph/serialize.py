@@ -70,6 +70,14 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _bool(mapping: dict, key: str, where: str, default: bool | None = None) -> bool:
+    """A JSON true/false field; anything else is an InputError, never coerced."""
+    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
+    if not isinstance(value, bool):
+        raise InputError(f"{where}: field {key!r} must be true or false, got {value!r}")
+    return value
+
+
 def document_to_graph(document: dict) -> BeliefGraph:
     if not isinstance(document, dict):
         raise InputError("document root must be an object")
@@ -83,13 +91,15 @@ def document_to_graph(document: dict) -> BeliefGraph:
             node = StatementNode(
                 id=int(_require(entry, "id", where)),
                 text=str(_require(entry, "text", where)),
-                label=bool(_require(entry, "label", where)),
+                label=_bool(entry, "label", where),
                 confidence=float(_require(entry, "confidence", where)),
                 depth=int(entry.get("depth", 0)),
-                is_hypothesis=bool(entry.get("is_hypothesis", False)),
+                is_hypothesis=_bool(entry, "is_hypothesis", where, False),
                 is_negation_of=entry.get("negation_of"),
                 raw_score=entry.get("raw_score"),
             )
+        except InputError:
+            raise
         except (TypeError, ValueError) as exc:
             raise InputError(f"{where}: {exc}") from exc
         statements[node.id] = node
@@ -98,7 +108,7 @@ def document_to_graph(document: dict) -> BeliefGraph:
         where = f"rules[{i}]"
         try:
             rule_type = RuleType(_require(entry, "type", where))
-            hard = bool(entry.get("hard", False))
+            hard = _bool(entry, "hard", where, False)
             confidence = math.inf if hard else float(_require(entry, "confidence", where))
             rules.append(
                 RuleNode(
@@ -110,6 +120,8 @@ def document_to_graph(document: dict) -> BeliefGraph:
                     raw_score=float(entry.get("raw_score", 1.0)),
                 )
             )
+        except InputError:
+            raise
         except (TypeError, ValueError) as exc:
             raise InputError(f"{where}: {exc}") from exc
     hypotheses = tuple(int(h) for h in _require(document, "hypotheses", "document"))

@@ -23,6 +23,7 @@ from beliefgraph import (
 from beliefgraph.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_ORACLE, main
 from beliefgraph.oracle_client import OracleTransportError
 from beliefgraph.serialize import InputError, dumps
+from beliefgraph.synthetic import synthetic_graph
 from conftest import TRACE_PREMISES, TRACE_SCORES
 
 
@@ -328,6 +329,15 @@ class TestRoundTrip:
         with pytest.raises(InputError, match=r"statements\[0\].*confidence"):
             document_to_graph(doc)
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    @pytest.mark.parametrize("field", ["label", "is_hypothesis", "hard"])
+    def test_boolean_fields_are_strict(self, field, value):
+        doc = graph_to_document(synthetic_graph(0))
+        entry = doc["rules" if field == "hard" else "statements"][0]
+        entry[field] = value
+        with pytest.raises(InputError, match=rf"\[0\]: field '{field}' must be true or false"):
+            document_to_graph(doc)
+
     def test_wrong_schema_version(self):
         with pytest.raises(InputError, match="schema_version"):
             document_to_graph({"schema_version": 2})
@@ -365,6 +375,7 @@ def trace_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 
@@ -407,6 +418,66 @@ class TestRemoteOracle:
         second_doc = json.loads((workdir / "remote.json").read_text())
         assert second_doc["statements"] == first_doc["statements"]
         assert second_doc["rules"] == first_doc["rules"]
+
+    def test_corrupt_cache_is_oracle_error(self, workdir, trace_server, capsys):
+        (workdir / "oracle_cache.jsonl").write_text('["k",{}]\nxx{"broken\n["j",{}]\n')
+        code = main(
+            [
+                "build-graph",
+                str(workdir / "question.json"),
+                "--oracle",
+                f"remote:{trace_server}",
+                "-o",
+                str(workdir / "remote.json"),
+            ]
+        )
+        assert code == EXIT_ORACLE
+        assert "oracle_cache.jsonl: line 2" in capsys.readouterr().err
+
+    def test_workers_share_one_client(self, tmp_path, trace_server, monkeypatch):
+        questions = [
+            {"question_id": f"q{i}", "hypotheses": hypotheses}
+            for i, hypotheses in enumerate(
+                [
+                    ["Alpha is a mammal.", "Alpha is a reptile."],
+                    ["Alpha is warm blooded.", "Alpha is cold blooded."],
+                    ["Alpha has fur.", "Alpha is a reptile."],
+                    ["Alpha is a mammal.", "Alpha regulates its temperature."],
+                    ["Beta is a bird.", "Beta is a fish.", "Alpha has fur."],
+                    ["Alpha is cold blooded.", "Beta is a bird."],
+                ]
+            )
+        ]
+        (tmp_path / "many.json").write_text(json.dumps(questions))
+
+        def build(run, oracle, workers):
+            # Without -o the cache file goes to the working directory.
+            (tmp_path / run).mkdir(exist_ok=True)
+            monkeypatch.chdir(tmp_path / run)
+            code = main(
+                [
+                    "build-graph",
+                    str(tmp_path / "many.json"),
+                    "--oracle",
+                    f"remote:{oracle}",
+                    "--out-dir",
+                    "graphs",
+                    "--workers",
+                    str(workers),
+                ]
+            )
+            assert code == EXIT_OK
+            docs = [
+                json.loads((tmp_path / run / "graphs" / f"q{i}.json").read_text())
+                for i in range(len(questions))
+            ]
+            return [(doc["statements"], doc["rules"]) for doc in docs]
+
+        serial = build("serial", trace_server, 1)
+        assert build("parallel", trace_server, 4) == serial
+        # The cache written by four threads is complete: a rerun is answered
+        # from it alone.
+        assert build("parallel", "http://127.0.0.1:9/", 4) == serial
 
     def test_call_counter_and_cache_hits(self, trace_server, tmp_path):
         oracle = RemoteOracle(trace_server, cache_path=tmp_path / "cache.json")
@@ -457,9 +528,12 @@ class TestDependencies:
         src = str(Path(beliefgraph.__file__).resolve().parents[1])
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         env = dict(os.environ, PYTHONPATH=path)
-        code = "import sys, beliefgraph.cli; print('numpy' in sys.modules)"
+        code = (
+            "import sys, beliefgraph.cli; "
+            "print([m for m in ('numpy', 'requests', 'urllib3') if m in sys.modules])"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"

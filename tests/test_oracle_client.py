@@ -1,0 +1,253 @@
+"""RemoteOracle transport and cache mechanics against loopback stubs."""
+
+import json
+import socket
+import sys
+import threading
+from contextlib import closing, contextmanager
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+
+import pytest
+
+from beliefgraph import oracle_client
+from beliefgraph.oracle_client import (
+    OracleDecodeError,
+    OracleTransportError,
+    RemoteOracle,
+)
+
+DEAD_ENDPOINT = "http://127.0.0.1:9/"
+
+
+def _score(statement: str) -> float:
+    """Stub answer for "fact <n>": distinct per statement."""
+    return int(statement.rsplit(" ", 1)[1]) / 1000
+
+
+class _CountingServer(ThreadingHTTPServer):
+    """Threaded HTTP/1.1 stub that counts the connections it accepts."""
+
+    daemon_threads = True
+
+    def __init__(self, handler):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.connections = 0
+        self.requests = 0
+
+    def verify_request(self, request, client_address):
+        self.connections += 1
+        return True
+
+
+class _ScoreHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; without this each response
+    # waits out the client's delayed ACK.
+    disable_nagle_algorithm = True
+    # Statuses to answer before answering 200; consumed one per request.
+    statuses: list = []
+    close_after_response = False
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.requests += 1
+        status = self.statuses.pop(0) if self.statuses else 200
+        body = json.dumps({"score": _score(request["statement"])}).encode()
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        # Close without announcing it, as a server timing out an idle
+        # keep-alive connection does.
+        self.close_connection = self.close_after_response
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def serve(handler=_ScoreHandler):
+    server = _CountingServer(handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}/"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def _record(statement: str) -> bytes:
+    """One cache line as the client writes it."""
+    key = json.dumps({"op": "score_statement", "statement": statement}, sort_keys=True)
+    return (json.dumps([key, {"score": _score(statement)}], separators=(",", ":"))
+            + "\n").encode()
+
+
+class TestCacheFile:
+    def test_each_miss_appends_one_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with serve() as (_, url), closing(RemoteOracle(url, cache_path=path)) as oracle:
+            before = b""
+            for i in range(12):
+                oracle.score_statement(f"fact {i}")
+                after = path.read_bytes()
+                # Earlier bytes are never rewritten; the file grows by
+                # exactly this miss's line.
+                assert after[: len(before)] == before
+                assert after[len(before):] == _record(f"fact {i}")
+                before = after
+            oracle.score_statement("fact 3")  # a hit appends nothing
+            assert path.read_bytes() == before
+        assert len(before) == sum(len(_record(f"fact {i}")) for i in range(12))
+
+    def test_torn_last_line_is_dropped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        complete = _record("fact 1") + _record("fact 2")
+        path.write_bytes(complete + _record("fact 3")[:-9])
+        oracle = RemoteOracle(DEAD_ENDPOINT, cache_path=path, backoff=0.01)
+        assert oracle.score_statement("fact 1") == 0.001
+        assert oracle.score_statement("fact 2") == 0.002
+        assert oracle.calls == 0
+        assert path.read_bytes() == complete
+        with pytest.raises(OracleTransportError):
+            oracle.score_statement("fact 3")
+
+    @pytest.mark.parametrize("bad", [b'xx{"broken', b'{"k": 1}', b'["k"]', b""])
+    def test_corrupt_middle_line_names_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(_record("fact 1") + bad + b"\n" + _record("fact 2"))
+        with pytest.raises(OracleDecodeError, match=rf"cache\.jsonl: line 2\b"):
+            RemoteOracle(DEAD_ENDPOINT, cache_path=path)
+
+    def test_single_document_cache_is_rejected_untouched(self, tmp_path):
+        path = tmp_path / "oracle_cache.json"
+        key = json.dumps({"op": "score_statement", "statement": "fact 1"}, sort_keys=True)
+        path.write_text(json.dumps({key: {"score": 0.001}}, sort_keys=True, indent=1))
+        before = path.read_bytes()
+        with pytest.raises(OracleDecodeError, match="line 1"):
+            RemoteOracle(DEAD_ENDPOINT, cache_path=path)
+        assert path.read_bytes() == before
+
+    def test_shared_by_threads(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        threads_n, per_thread = 8, 25
+        errors = []
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with serve() as (server, url), closing(RemoteOracle(url, cache_path=path)) as oracle:
+
+                def work(t):
+                    try:
+                        for i in range(per_thread):
+                            oracle.score_statement(f"fact {t * per_thread + i}")
+                    except Exception as exc:  # surfaced by the assert below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=work, args=(t,)) for t in range(threads_n)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert server.connections <= threads_n
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert errors == []
+        total = threads_n * per_thread
+        assert oracle.calls == total
+        data = path.read_bytes()
+        assert data.endswith(b"\n")
+        assert sorted(data.splitlines(keepends=True)) == sorted(
+            _record(f"fact {i}") for i in range(total)
+        )
+        fresh = RemoteOracle(DEAD_ENDPOINT, cache_path=path)
+        assert [fresh.score_statement(f"fact {i}") for i in range(total)] == [
+            i / 1000 for i in range(total)
+        ]
+        assert fresh.calls == 0
+
+
+class TestTransport:
+    def test_misses_share_one_keep_alive_connection(self):
+        with serve() as (server, url), closing(RemoteOracle(url)) as oracle:
+            for i in range(50):
+                assert oracle.score_statement(f"fact {i}") == i / 1000
+            assert server.connections == 1
+            assert oracle.calls == 50
+
+    def test_idle_close_resent_without_backoff(self, monkeypatch):
+        class Closing(_ScoreHandler):
+            close_after_response = True
+
+        sleeps = []
+        monkeypatch.setattr(oracle_client.time, "sleep", sleeps.append)
+        with serve(Closing) as (server, url), closing(RemoteOracle(url)) as oracle:
+            for i in range(20):
+                assert oracle.score_statement(f"fact {i}") == i / 1000
+            assert server.requests == 20
+        assert sleeps == []
+        assert oracle.calls == 20
+
+    def test_server_error_retried_client_error_raised(self):
+        class Flaky(_ScoreHandler):
+            statuses = [503, 500, 200, 404]
+
+        with serve(Flaky) as (server, url), closing(RemoteOracle(url, backoff=0.01)) as oracle:
+            assert oracle.score_statement("fact 7") == 0.007
+            assert oracle.calls == 3
+            with pytest.raises(OracleTransportError, match="unexpected status 404"):
+                oracle.score_statement("fact 8")
+            assert oracle.calls == 4
+            assert server.connections == 1
+
+    def test_non_object_root_raises_decode_error(self):
+        class ListRoot(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                body = b"[1, 2]"
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        with serve(ListRoot) as (_, url), closing(RemoteOracle(url)) as oracle:
+            with pytest.raises(OracleDecodeError, match="root must be an object"):
+                oracle.score_statement("fact 1")
+
+    def test_timeout_applies_to_reads(self):
+        # The kernel completes the handshake on a listening socket, but
+        # nothing ever answers.
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(8)
+            oracle = RemoteOracle(
+                f"http://127.0.0.1:{listener.getsockname()[1]}/", timeout=0.2, backoff=0.01
+            )
+            with pytest.raises(OracleTransportError, match="timed out"):
+                oracle.score_statement("fact 1")
+            assert oracle.calls == oracle_client.MAX_ATTEMPTS
+
+    def test_scheme(self):
+        with pytest.raises(OracleTransportError, match="http: or https:"):
+            RemoteOracle("ftp://127.0.0.1/")
+        # https: speaks TLS, which a plain-HTTP server cannot answer.
+        server = HTTPServer(("127.0.0.1", 0), _ScoreHandler)
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        try:
+            oracle = RemoteOracle(
+                f"https://127.0.0.1:{server.server_address[1]}/", timeout=5, backoff=0.01
+            )
+            with pytest.raises(OracleTransportError):
+                oracle.score_statement("fact 1")
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
