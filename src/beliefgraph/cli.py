@@ -7,7 +7,6 @@ Exit codes: 0 ok, 2 input error, 3 oracle error, 4 infeasible, 5 internal.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -32,6 +31,7 @@ from .serialize import (
     load_graph,
     load_mock_oracle,
     outcome_to_document,
+    read_json,
 )
 
 EXIT_OK = 0
@@ -52,27 +52,26 @@ def _make_oracle(spec: str, cache_dir: Path | None = None) -> BeliefOracle:
 
 
 def _load_questions(path: str) -> list[HypothesisSet]:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    raw = read_json(path)
     entries = raw if isinstance(raw, list) else [raw]
     questions = []
     for i, entry in enumerate(entries):
+        where = f"{path}: question [{i}]"
         if not isinstance(entry, dict) or "hypotheses" not in entry:
-            raise InputError(f"{path}: question [{i}] must be an object with 'hypotheses'")
+            raise InputError(f"{where} must be an object with 'hypotheses'")
+        hypotheses = entry["hypotheses"]
+        if not isinstance(hypotheses, list) or not all(isinstance(h, str) for h in hypotheses):
+            raise InputError(f"{where}: 'hypotheses' must be a list of strings")
+        gold_index = entry.get("gold_index")
+        if isinstance(gold_index, bool) or not isinstance(gold_index, (int, type(None))):
+            raise InputError(f"{where}: 'gold_index' must be an integer or null")
+        question_id = entry.get("question_id")
+        if not isinstance(question_id, (str, type(None))):
+            raise InputError(f"{where}: 'question_id' must be a string or null")
         try:
-            questions.append(
-                HypothesisSet(
-                    hypotheses=tuple(str(h) for h in entry["hypotheses"]),
-                    gold_index=entry.get("gold_index"),
-                    question_id=entry.get("question_id"),
-                )
-            )
+            questions.append(HypothesisSet(tuple(hypotheses), gold_index, question_id))
         except ValueError as exc:
-            raise InputError(f"{path}: question [{i}]: {exc}") from exc
+            raise InputError(f"{where}: {exc}") from exc
     return questions
 
 
@@ -88,10 +87,10 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, {"d_max": args.d_max})
     questions = _load_questions(args.input)
     out = Path(args.output) if args.output else None
-    oracle = _make_oracle(args.oracle, cache_dir=out.parent if out else Path("."))
     provenance = _provenance(args, cfg)
 
     if len(questions) == 1 and out is not None:
+        oracle = _make_oracle(args.oracle, cache_dir=out.parent)
         graph = generate_graph(questions[0], oracle, cfg)
         out.write_text(dumps(graph_to_document(graph, provenance)))
         print(f"wrote {out}: {len(graph.statements)} statements, {len(graph.rules)} rules")
@@ -101,6 +100,7 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
         raise InputError("multiple questions require --out-dir")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    oracle = _make_oracle(args.oracle, cache_dir=out_dir)
 
     def build(pair):
         index, question = pair

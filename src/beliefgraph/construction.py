@@ -154,27 +154,6 @@ class _Builder:
         self.ids: dict[str, StatementId] = {}
         self.rules: list[RuleNode] = []
         self.xor_pairs: set[frozenset[StatementId]] = set()
-        self._score_cache: dict[str, float] = {}
-        self._premise_cache: dict[str, list[str]] = {}
-        self._negation_cache: dict[str, str] = {}
-
-    def _score(self, text: str) -> float:
-        canon = canonicalize(text)
-        if canon not in self._score_cache:
-            self._score_cache[canon] = float(self.oracle.score_statement(text))
-        return self._score_cache[canon]
-
-    def _premises(self, text: str) -> list[str]:
-        canon = canonicalize(text)
-        if canon not in self._premise_cache:
-            self._premise_cache[canon] = list(self.oracle.generate_premises(text))
-        return self._premise_cache[canon]
-
-    def _negate(self, text: str) -> str:
-        canon = canonicalize(text)
-        if canon not in self._negation_cache:
-            self._negation_cache[canon] = self.oracle.negate(text)
-        return self._negation_cache[canon]
 
     def next_rule_id(self) -> str:
         return f"r{len(self.rules)}"
@@ -189,7 +168,7 @@ class _Builder:
                 statements_built=len(self.nodes),
                 rules_built=len(self.rules),
             )
-        s_d = self._score(text)
+        s_d = float(self.oracle.score_statement(text))
         label, raw_conf = label_from_score(s_d)
         sid = len(self.nodes)
         self.ids[canon] = sid
@@ -202,7 +181,7 @@ class _Builder:
             raw_score=s_d,
         )
         if depth < self.cfg.d_max:
-            premises = [p for p in self._premises(text) if canonicalize(p) != canon]
+            premises = [p for p in self.oracle.generate_premises(text) if canonicalize(p) != canon]
             if premises:
                 premise_ids = tuple(dict.fromkeys(self.extend(p, depth + 1) for p in premises))
                 premise_ids = tuple(p for p in premise_ids if p != sid)
@@ -218,8 +197,7 @@ class _Builder:
                             raw_score=s_e,
                         )
                     )
-            neg_text = self._negate(text)
-            neg_id = self.extend(neg_text, depth + 1)
+            neg_id = self.extend(self.oracle.negate(text), depth + 1)
             if neg_id != sid:
                 neg_node = self.nodes[neg_id]
                 if neg_node.is_negation_of is None and neg_node.id != sid:
@@ -227,7 +205,7 @@ class _Builder:
                 pair = frozenset((sid, neg_id))
                 if pair not in self.xor_pairs:
                     self.xor_pairs.add(pair)
-                    if xor_admissible(self._score(text), self._score(neg_text), self.cfg):
+                    if xor_admissible(s_d, neg_node.raw_score, self.cfg):
                         self.rules.append(
                             RuleNode(
                                 id=self.next_rule_id(),

@@ -2,8 +2,8 @@
 
 A belief graph is a bipartite factor graph: statement nodes carry a
 true/false label and a confidence, rule nodes are disjunctive constraints
-over statements.  All cost arithmetic stays in negative-log space; weights
-are computed only on demand so large graphs never underflow.
+over statements.  All cost arithmetic stays in negative-log space, so
+large graphs never underflow.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from typing import Iterable, Mapping
 # Hard constraints carry an infinite confidence marker instead of a large
 # finite weight, so solver correctness never depends on a magic constant.
 HARD = math.inf
-
-# Total cost of an assignment that violates a hard constraint.
-INFEASIBLE_COST = math.inf
 
 
 class RuleType(Enum):
@@ -128,6 +125,10 @@ class BeliefGraph:
     def __post_init__(self) -> None:
         if not self.hypotheses:
             raise ValueError("belief graph needs at least one hypothesis")
+        if list(self.statements) != [node.id for node in self.statements.values()]:
+            raise ValueError("each statement must be keyed by its own id")
+        if len({rule.id for rule in self.rules}) != len(self.rules):
+            raise ValueError("rule ids must be unique")
         for h in self.hypotheses:
             if h not in self.statements:
                 raise ValueError(f"hypothesis {h} has no statement node")
@@ -181,7 +182,7 @@ def rule_cost(rule: RuleNode, assignment: Assignment) -> float:
 
 
 def total_cost(graph: BeliefGraph, assignment: Assignment) -> float:
-    """Summed statement and rule costs; INFEASIBLE_COST if a hard rule is violated."""
+    """Summed statement and rule costs; infinite if a hard rule is violated."""
     cost = 0.0
     for sid, node in graph.statements.items():
         if sid not in assignment:
@@ -190,11 +191,3 @@ def total_cost(graph: BeliefGraph, assignment: Assignment) -> float:
     for rule in graph.rules:
         cost += rule_cost(rule, assignment)
     return cost
-
-
-def assignment_weight(graph: BeliefGraph, assignment: Assignment) -> float:
-    """exp(-total cost); 0.0 for infeasible assignments."""
-    cost = total_cost(graph, assignment)
-    if math.isinf(cost):
-        return 0.0
-    return math.exp(-cost)

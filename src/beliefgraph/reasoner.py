@@ -109,11 +109,6 @@ def reason(
     )
 
 
-def predict(outcome: ReasoningOutcome) -> frozenset[StatementId]:
-    """Hypotheses believed true after reasoning."""
-    return outcome.predictions
-
-
 def extract_explanation(outcome: ReasoningOutcome, root: StatementId) -> ExplanationSubgraph:
     """Supporting subgraph for a hypothesis believed true in the updated graph."""
     if not outcome.final_assignment.get(root, False):

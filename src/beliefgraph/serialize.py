@@ -21,6 +21,16 @@ class InputError(ValueError):
     """Malformed input document; the message names the offending location."""
 
 
+def read_json(path: str | Path) -> Any:
+    """Parse a JSON file; an unreadable, non-UTF-8 or malformed file is an InputError."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def dumps(document: dict) -> str:
     """Canonical serialization: stable key order, two-space indent."""
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
@@ -78,6 +88,24 @@ def _bool(mapping: dict, key: str, where: str, default: bool | None = None) -> b
     return value
 
 
+def _id(value: Any, key: str, where: str) -> int:
+    """A statement id: a JSON integer, never a bool, a float or a string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{where}: field {key!r} must hold integer ids, got {value!r}")
+    return value
+
+
+def _list(mapping: dict, key: str, where: str, default: list | None = None) -> list:
+    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
+    if not isinstance(value, list):
+        raise InputError(f"{where}: field {key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _ids(mapping: dict, key: str, where: str, default: list | None = None) -> tuple[int, ...]:
+    return tuple(_id(v, key, where) for v in _list(mapping, key, where, default))
+
+
 def document_to_graph(document: dict) -> BeliefGraph:
     if not isinstance(document, dict):
         raise InputError("document root must be an object")
@@ -85,26 +113,31 @@ def document_to_graph(document: dict) -> BeliefGraph:
     if version != SCHEMA_VERSION:
         raise InputError(f"document: unsupported schema_version {version!r}")
     statements: dict[int, StatementNode] = {}
-    for i, entry in enumerate(_require(document, "statements", "document")):
+    for i, entry in enumerate(_list(document, "statements", "document")):
         where = f"statements[{i}]"
         try:
             node = StatementNode(
-                id=int(_require(entry, "id", where)),
+                id=_id(_require(entry, "id", where), "id", where),
                 text=str(_require(entry, "text", where)),
                 label=_bool(entry, "label", where),
                 confidence=float(_require(entry, "confidence", where)),
                 depth=int(entry.get("depth", 0)),
                 is_hypothesis=_bool(entry, "is_hypothesis", where, False),
-                is_negation_of=entry.get("negation_of"),
+                is_negation_of=(
+                    None if entry.get("negation_of") is None
+                    else _id(entry["negation_of"], "negation_of", where)
+                ),
                 raw_score=entry.get("raw_score"),
             )
         except InputError:
             raise
         except (TypeError, ValueError) as exc:
             raise InputError(f"{where}: {exc}") from exc
+        if node.id in statements:
+            raise InputError(f"{where}: duplicate statement id {node.id}")
         statements[node.id] = node
     rules = []
-    for i, entry in enumerate(_require(document, "rules", "document")):
+    for i, entry in enumerate(_list(document, "rules", "document")):
         where = f"rules[{i}]"
         try:
             rule_type = RuleType(_require(entry, "type", where))
@@ -114,8 +147,8 @@ def document_to_graph(document: dict) -> BeliefGraph:
                 RuleNode(
                     id=str(_require(entry, "id", where)),
                     rule_type=rule_type,
-                    premise_ids=tuple(int(p) for p in entry.get("premises", [])),
-                    hypothesis_ids=tuple(int(h) for h in _require(entry, "hypotheses", where)),
+                    premise_ids=_ids(entry, "premises", where, []),
+                    hypothesis_ids=_ids(entry, "hypotheses", where),
                     confidence=confidence,
                     raw_score=float(entry.get("raw_score", 1.0)),
                 )
@@ -124,7 +157,7 @@ def document_to_graph(document: dict) -> BeliefGraph:
             raise
         except (TypeError, ValueError) as exc:
             raise InputError(f"{where}: {exc}") from exc
-    hypotheses = tuple(int(h) for h in _require(document, "hypotheses", "document"))
+    hypotheses = _ids(document, "hypotheses", "document")
     try:
         return BeliefGraph(statements, tuple(rules), hypotheses)
     except ValueError as exc:
@@ -136,13 +169,7 @@ def save_graph(graph: BeliefGraph, path: str | Path, provenance: dict | None = N
 
 
 def load_graph(path: str | Path) -> BeliefGraph:
-    try:
-        document = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    return document_to_graph(document)
+    return document_to_graph(read_json(path))
 
 
 def outcome_to_document(outcome: ReasoningOutcome, summary: dict | None = None) -> dict:
@@ -167,26 +194,15 @@ def outcome_to_document(outcome: ReasoningOutcome, summary: dict | None = None) 
 
 # -- configuration ------------------------------------------------------------
 
-def config_to_dict(cfg: CalibrationConfig) -> dict:
-    return asdict(cfg)
-
-
 def config_digest(cfg: CalibrationConfig) -> str:
-    payload = json.dumps(config_to_dict(cfg), sort_keys=True)
+    payload = json.dumps(asdict(cfg), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> CalibrationConfig:
     values: dict = {}
     if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise InputError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
-            ) from exc
-        except OSError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise InputError(f"{path}: config root must be an object")
         known = set(CalibrationConfig.__dataclass_fields__)
@@ -207,20 +223,22 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Calib
 def load_mock_oracle(path: str | Path) -> MockOracle:
     """Fixture file with four tables: premises, statement_scores,
     entailment_scores, negations (plus optional default scores)."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise InputError(f"{path}: fixture root must be an object")
+    tables = {
+        name: raw.get(name, {})
+        for name in ("premises", "statement_scores", "entailment_scores", "negations")
+    }
+    for name, table in tables.items():
+        if not isinstance(table, dict):
+            raise InputError(f"{path}: {name!r} must be an object")
+    for key, premises in tables["premises"].items():
+        if not isinstance(premises, list) or not all(isinstance(p, str) for p in premises):
+            raise InputError(f"{path}: premises of {key!r} must be a list of strings")
     try:
         return MockOracle(
-            premises=raw.get("premises", {}),
-            statement_scores=raw.get("statement_scores", {}),
-            entailment_scores=raw.get("entailment_scores", {}),
-            negations=raw.get("negations", {}),
+            **tables,
             default_score=float(raw.get("default_score", 0.5)),
             default_entailment_score=float(raw.get("default_entailment_score", 0.85)),
         )

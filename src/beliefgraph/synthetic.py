@@ -4,6 +4,7 @@ random weighted clause sets.  All randomness is seed-controlled."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from .model import HARD, BeliefGraph, RuleNode, RuleType, StatementNode
 from .maxsat import WeightedClause, WeightedClauseSet
@@ -54,11 +55,7 @@ def synthetic_graph(
         # premises true, conclusion forced false.
         violated = rng.random() < 0.25
         if violated and statements[conclusion].label:
-            node = statements[conclusion]
-            statements[conclusion] = StatementNode(
-                id=node.id, text=node.text, label=False, confidence=node.confidence,
-                depth=node.depth, is_hypothesis=node.is_hypothesis,
-            )
+            statements[conclusion] = replace(statements[conclusion], label=False)
         rules.append(
             RuleNode(
                 id=f"r{len(rules)}",
@@ -75,11 +72,10 @@ def synthetic_graph(
     for _ in range(min(10, (n_statements - len(statements)) // 2)):
         base = rng.choice(interior)
         neg = add_statement(statements[base].depth + 1, label=None)
-        node = statements[neg]
-        statements[neg] = StatementNode(
-            id=node.id, text=node.text,
+        statements[neg] = replace(
+            statements[neg],
             label=statements[base].label if rng.random() < 0.5 else not statements[base].label,
-            confidence=node.confidence, depth=node.depth, is_negation_of=base,
+            is_negation_of=base,
         )
         rules.append(
             RuleNode(
@@ -114,29 +110,14 @@ def synthetic_graph(
                 )
             )
 
-    graph = BeliefGraph(statements, tuple(rules), tuple(hyp_ids))
-
     # Guarantee at least one initial violation: force the first entailment
     # rule's conclusion false with all premises true.
-    first = next(r for r in graph.rules if r.rule_type is RuleType.ENTAILMENT)
-    assignment = graph.initial_assignment()
-    if all(assignment[p] for p in first.premise_ids) and not assignment[first.hypothesis_ids[0]]:
-        return graph
-    fixed = dict(graph.statements)
+    first = next(r for r in rules if r.rule_type is RuleType.ENTAILMENT)
     for sid in first.premise_ids:
-        node = fixed[sid]
-        fixed[sid] = StatementNode(
-            id=node.id, text=node.text, label=True, confidence=node.confidence,
-            depth=node.depth, is_hypothesis=node.is_hypothesis,
-            is_negation_of=node.is_negation_of,
-        )
-    node = fixed[first.hypothesis_ids[0]]
-    fixed[node.id] = StatementNode(
-        id=node.id, text=node.text, label=False, confidence=node.confidence,
-        depth=node.depth, is_hypothesis=node.is_hypothesis,
-        is_negation_of=node.is_negation_of,
-    )
-    return BeliefGraph(fixed, graph.rules, graph.hypotheses)
+        statements[sid] = replace(statements[sid], label=True)
+    conclusion = first.hypothesis_ids[0]
+    statements[conclusion] = replace(statements[conclusion], label=False)
+    return BeliefGraph(statements, tuple(rules), tuple(hyp_ids))
 
 
 def random_clause_set(

@@ -170,6 +170,61 @@ class TestBuildGraph:
         code = run_build(workdir, "cfg.json", ("--config", str(workdir / "config.json")))
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "name, document",
+        [
+            ("question.json", dict(QUESTION, hypotheses="ab")),
+            ("question.json", dict(QUESTION, hypotheses=["Alpha is a mammal.", 5])),
+            ("question.json", dict(QUESTION, gold_index="1")),
+            ("question.json", dict(QUESTION, gold_index=True)),
+            ("question.json", dict(QUESTION, question_id=5)),
+            ("oracle.json", dict(ORACLE_FIXTURE, premises=[])),
+            ("oracle.json", dict(ORACLE_FIXTURE, negations=3)),
+            ("oracle.json", dict(ORACLE_FIXTURE, premises={"alpha is a mammal": "xyz"})),
+        ],
+        ids=[
+            "hypotheses-string",
+            "hypothesis-not-string",
+            "gold-index-string",
+            "gold-index-bool",
+            "question-id-int",
+            "premises-table-list",
+            "negations-table-int",
+            "premise-value-string",
+        ],
+    )
+    def test_mistyped_question_or_fixture_is_input_error(self, workdir, capsys, name, document):
+        (workdir / name).write_text(json.dumps(document))
+        assert run_build(workdir) == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
+
+
+def _graph_argv(workdir, path):
+    return ["reason", str(path)]
+
+
+def _question_argv(workdir, path):
+    return ["build-graph", str(path), "--oracle", f"mock:{workdir / 'oracle.json'}",
+            "-o", str(workdir / "out.json")]
+
+
+def _config_argv(workdir, path):
+    return ["build-graph", str(workdir / "question.json"), "--oracle",
+            f"mock:{workdir / 'oracle.json'}", "--config", str(path),
+            "-o", str(workdir / "out.json")]
+
+
+def _fixture_argv(workdir, path):
+    return ["build-graph", str(workdir / "question.json"), "--oracle", f"mock:{path}",
+            "-o", str(workdir / "out.json")]
+
+
+@pytest.mark.parametrize("argv", [_graph_argv, _question_argv, _config_argv, _fixture_argv])
+def test_non_utf8_input_file_is_input_error(workdir, capsys, argv):
+    (workdir / "latin1.json").write_bytes(b'{"a": "\xff"}')
+    assert main(argv(workdir, workdir / "latin1.json")) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
 
 class TestReason:
     def test_reason_fixture_graph(self, workdir, giraffe_graph, capsys):
@@ -229,6 +284,36 @@ class TestReason:
     def test_malformed_graph_document(self, workdir):
         (workdir / "g.json").write_text(json.dumps({"schema_version": 99}))
         assert main(["reason", str(workdir / "g.json")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc.update(statements=5),
+            lambda doc: doc.update(rules=7),
+            lambda doc: doc.update(hypotheses=["x"]),
+            lambda doc: doc.update(hypotheses=[0, True]),
+            lambda doc: doc["statements"].append(dict(doc["statements"][0], text="twin")),
+            lambda doc: doc["rules"][1].update(id="r0"),
+            lambda doc: doc["rules"][0].update(premises=[3.0, 4]),
+            lambda doc: doc["statements"][2].update(negation_of="zz"),
+        ],
+        ids=[
+            "statements-not-a-list",
+            "rules-not-a-list",
+            "hypothesis-id-string",
+            "hypothesis-id-bool",
+            "duplicate-statement-id",
+            "duplicate-rule-id",
+            "premise-id-float",
+            "negation-of-string",
+        ],
+    )
+    def test_mistyped_graph_document_is_input_error(self, workdir, giraffe_graph, capsys, corrupt):
+        doc = graph_to_document(giraffe_graph)
+        corrupt(doc)
+        (workdir / "g.json").write_text(json.dumps(doc))
+        assert main(["reason", str(workdir / "g.json")]) == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
 
 
 class TestResolve:
@@ -434,7 +519,7 @@ class TestRemoteOracle:
         assert code == EXIT_ORACLE
         assert "oracle_cache.jsonl: line 2" in capsys.readouterr().err
 
-    def test_workers_share_one_client(self, tmp_path, trace_server, monkeypatch):
+    def test_workers_share_one_client(self, tmp_path, trace_server):
         questions = [
             {"question_id": f"q{i}", "hypotheses": hypotheses}
             for i, hypotheses in enumerate(
@@ -451,9 +536,7 @@ class TestRemoteOracle:
         (tmp_path / "many.json").write_text(json.dumps(questions))
 
         def build(run, oracle, workers):
-            # Without -o the cache file goes to the working directory.
-            (tmp_path / run).mkdir(exist_ok=True)
-            monkeypatch.chdir(tmp_path / run)
+            graphs = tmp_path / run / "graphs"
             code = main(
                 [
                     "build-graph",
@@ -461,14 +544,16 @@ class TestRemoteOracle:
                     "--oracle",
                     f"remote:{oracle}",
                     "--out-dir",
-                    "graphs",
+                    str(graphs),
                     "--workers",
                     str(workers),
                 ]
             )
             assert code == EXIT_OK
+            # Without -o the cache file goes beside the graphs.
+            assert (graphs / "oracle_cache.jsonl").exists()
             docs = [
-                json.loads((tmp_path / run / "graphs" / f"q{i}.json").read_text())
+                json.loads((graphs / f"q{i}.json").read_text())
                 for i in range(len(questions))
             ]
             return [(doc["statements"], doc["rules"]) for doc in docs]

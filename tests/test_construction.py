@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from beliefgraph import (
@@ -9,7 +11,9 @@ from beliefgraph import (
     canonicalize,
     generate_graph,
 )
+from beliefgraph.construction import entailment_key
 from beliefgraph.serialize import graph_to_document
+from conftest import TRACE_PREMISES, TRACE_SCORES
 
 
 def rule_counts(graph):
@@ -211,3 +215,77 @@ class TestFailureModes:
 
         with pytest.raises(ConstructionError):
             generate_graph(HypothesisSet(("a", "b")), Broken(), CalibrationConfig(d_max=2))
+
+
+class CountingOracle:
+    """Forwards every query to an oracle and counts it by kind and canonical text."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.counts = {
+            kind: Counter()
+            for kind in ("score_statement", "generate_premises", "negate", "score_entailment")
+        }
+
+    def score_statement(self, statement):
+        self.counts["score_statement"][canonicalize(statement)] += 1
+        return self.oracle.score_statement(statement)
+
+    def generate_premises(self, statement):
+        self.counts["generate_premises"][canonicalize(statement)] += 1
+        return self.oracle.generate_premises(statement)
+
+    def negate(self, statement):
+        self.counts["negate"][canonicalize(statement)] += 1
+        return self.oracle.negate(statement)
+
+    def score_entailment(self, premises, hypothesis):
+        self.counts["score_entailment"][entailment_key(premises, hypothesis)] += 1
+        return self.oracle.score_entailment(premises, hypothesis)
+
+
+SHARED_PREMISE_ORACLE = MockOracle(
+    premises={
+        "a": ["shared fact", "only for a"],
+        "b": ["shared fact", "only for b", "b"],
+        "c": ["only for b", "deep fact", "link 1"],
+        "shared fact": ["deep fact", "a"],
+        "only for a": ["deep fact", "shared fact"],
+        "deep fact": ["shared fact", "it is not the case that only for a"],
+        # A chain that reaches past d_max.
+        **{f"link {k}": [f"link {k + 1}", "shared fact"] for k in range(1, 6)},
+    },
+    statement_scores={"a": 0.9, "b": 0.1, "c": 0.6, "shared fact": 0.8, "deep fact": 0.3},
+    negations={"only for b": "nothing is only for b"},
+)
+
+
+class TestOracleTraffic:
+    """Construction sends each distinct statement to the oracle once."""
+
+    @pytest.mark.parametrize(
+        "oracle, hypotheses, d_max, totals",
+        [
+            (
+                MockOracle(premises=TRACE_PREMISES, statement_scores=TRACE_SCORES),
+                ("Alpha is a mammal.", "Alpha is a reptile."),
+                2,
+                (11, 7, 7, 3),
+            ),
+            (SHARED_PREMISE_ORACLE, ("A", "B", "C"), 5, (24, 22, 22, 10)),
+        ],
+        ids=["trace", "shared-premises"],
+    )
+    def test_each_statement_queried_once(self, oracle, hypotheses, d_max, totals):
+        counting = CountingOracle(oracle)
+        g = generate_graph(HypothesisSet(hypotheses), counting, CalibrationConfig(d_max=d_max))
+        scored = counting.counts["score_statement"]
+        assert scored == Counter(canonicalize(s.text) for s in g.statements.values())
+        assert set(scored.values()) == {1}
+        for kind in ("generate_premises", "negate"):
+            assert set(counting.counts[kind].values()) <= {1}
+            assert set(counting.counts[kind]) <= set(scored)
+        assert tuple(
+            sum(counting.counts[kind].values())
+            for kind in ("score_statement", "generate_premises", "negate", "score_entailment")
+        ) == totals

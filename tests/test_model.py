@@ -10,7 +10,6 @@ from beliefgraph import (
     RuleNode,
     RuleType,
     StatementNode,
-    assignment_weight,
     rule_cost,
     rule_satisfied,
     statement_cost,
@@ -108,20 +107,9 @@ class TestTotalCost:
         assert total_cost(g, {0: True, 1: False}) == pytest.approx(0.6)
         assert total_cost(g, {0: False, 1: True}) == pytest.approx(0.9)
 
-    def test_weight_matches_cost(self):
+    def test_infeasible_assignment_costs_inf(self):
         g = hard_xor_graph()
-        a = {0: True, 1: False}
-        assert assignment_weight(g, a) == pytest.approx(math.exp(-0.6), rel=1e-12)
-        assert assignment_weight(g, {0: True, 1: True}) == pytest.approx(
-            math.exp(-5.0 - 0.0), rel=1e-12
-        )
-
-    def test_infeasible_weight_is_zero(self):
-        g = hard_xor_graph()
-        assert assignment_weight(g, {0: False, 1: False}) == 0.0
-
-    def test_weight_examples(self):
-        assert math.exp(-0.6) == pytest.approx(0.5488116360940264)
+        assert total_cost(g, {0: False, 1: False}) == math.inf
 
     @given(st.data())
     def test_weight_is_exp_of_cost_and_order_invariant(self, data):
@@ -140,7 +128,6 @@ class TestTotalCost:
         g = BeliefGraph(statements, tuple(rules), (0,))
         a = {i: data.draw(st.booleans()) for i in range(n)}
         cost = total_cost(g, a)
-        assert assignment_weight(g, a) == pytest.approx(math.exp(-cost), rel=1e-12)
         shuffled = BeliefGraph(
             dict(reversed(list(statements.items()))), tuple(reversed(rules)), (0,)
         )
@@ -172,3 +159,13 @@ class TestGraphInvariants:
     def test_mc_hard_requires_hard_marker(self):
         with pytest.raises(ValueError):
             RuleNode("r", RuleType.MC_HARD, (), (0, 1), 0.9)
+
+    def test_statement_key_must_match_id(self):
+        with pytest.raises(ValueError, match="keyed by its own id"):
+            BeliefGraph({0: node(1)}, (), (0,))
+
+    def test_rule_ids_must_be_unique(self):
+        statements = {0: node(0), 1: node(1)}
+        rules = (entailment("r", (0,), 1, 0.8), entailment("r", (1,), 0, 0.8))
+        with pytest.raises(ValueError, match="rule ids must be unique"):
+            BeliefGraph(statements, rules, (0,))

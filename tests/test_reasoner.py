@@ -9,7 +9,6 @@ from beliefgraph import (
     StatementNode,
     consistency,
     extract_explanation,
-    predict,
     reason,
     resolve_interactive,
     total_cost,
@@ -22,13 +21,13 @@ class TestReason:
         outcome = reason(giraffe_graph)
         assert outcome.flipped == {1}
         assert outcome.discarded_rules == frozenset()
-        assert predict(outcome) == {0}
+        assert outcome.predictions == {0}
 
     def test_supported_belief_flipped_true(self, flip_to_true_graph):
         outcome = reason(flip_to_true_graph)
         assert outcome.flipped == {0}
         assert outcome.final_assignment[0] is True
-        assert predict(outcome) == {0}
+        assert outcome.predictions == {0}
 
     def test_weakest_premise_flipped(self, weakest_premise_graph):
         outcome = reason(weakest_premise_graph)
@@ -110,7 +109,7 @@ class TestReason:
             for r in giraffe_graph.rules
         )
         scaled = BeliefGraph(statements, rules, giraffe_graph.hypotheses)
-        assert predict(reason(scaled)) == predict(base)
+        assert reason(scaled).predictions == base.predictions
 
 
 def reason_infeasible_graph():
@@ -126,7 +125,7 @@ def reason_infeasible_graph():
 
 class TestPredict:
     def test_singleton(self, giraffe_graph):
-        assert predict(reason(giraffe_graph)) == {0}
+        assert reason(giraffe_graph).predictions == {0}
 
     def test_multiple_true_hypotheses_all_returned(self):
         # Strong beliefs override the soft pairwise exclusion.
@@ -136,7 +135,7 @@ class TestPredict:
         }
         rules = (RuleNode("mc", RuleType.MC_PAIRWISE, (), (0, 1), 0.3),)
         g = BeliefGraph(statements, rules, (0, 1))
-        assert predict(reason(g)) == {0, 1}
+        assert reason(g).predictions == {0, 1}
 
     def test_ablated_mc_can_leave_empty_prediction(self):
         statements = {
@@ -144,7 +143,7 @@ class TestPredict:
             1: StatementNode(1, "b", False, 0.9, is_hypothesis=True),
         }
         g = BeliefGraph(statements, (), (0, 1))
-        assert predict(reason(g)) == frozenset()
+        assert reason(g).predictions == frozenset()
 
 
 class TestExplanations:
@@ -206,7 +205,7 @@ class TestInteractiveResolution:
         outcome = resolve_interactive(cylinder_graph, always_yes)
         assert asked == ["a graduated cylinder is used to measure liquids"]
         assert outcome.discarded_rules == frozenset()
-        assert predict(outcome) == {1}
+        assert outcome.predictions == {1}
 
     def test_no_conflicts_no_queries(self, giraffe_graph):
         asked = []
