@@ -1,7 +1,8 @@
 """Command-line surface: graph building, reasoning, interactive resolution,
 and DOT export.
 
-Exit codes: 0 ok, 2 input error, 3 oracle error, 4 infeasible, 5 internal.
+Exit codes: 0 ok, 2 input error (including a graph beyond the solver's
+limits), 3 oracle error, 4 infeasible, 5 internal.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .construction import (
     generate_graph,
 )
 from .dot import to_dot
+from .maxsat import SolverLimitError
 from .metrics import ABLATABLE, ablate, consistency
 from .oracle_client import OracleDecodeError, OracleTransportError, RemoteOracle
 from .reasoner import ReasoningError, reason, resolve_interactive
@@ -238,6 +240,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except SolverLimitError as exc:
+        print(f"input error: graph exceeds the solver's limits: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConstructionError, OracleTransportError, OracleDecodeError) as exc:
         print(f"oracle error: {exc}", file=sys.stderr)

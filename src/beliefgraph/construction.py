@@ -29,7 +29,7 @@ from .model import (
     StatementNode,
 )
 
-DEFAULT_MAX_STATEMENTS = 2000
+MAX_STATEMENTS = 2000
 
 _WS = re.compile(r"\s+")
 
@@ -146,10 +146,9 @@ class HypothesisSet:
 
 
 class _Builder:
-    def __init__(self, oracle: BeliefOracle, cfg: CalibrationConfig, max_statements: int):
+    def __init__(self, oracle: BeliefOracle, cfg: CalibrationConfig):
         self.oracle = oracle
         self.cfg = cfg
-        self.max_statements = max_statements
         self.nodes: dict[StatementId, StatementNode] = {}
         self.ids: dict[str, StatementId] = {}
         self.rules: list[RuleNode] = []
@@ -162,9 +161,9 @@ class _Builder:
         canon = canonicalize(text)
         if canon in self.ids:
             return self.ids[canon]
-        if len(self.nodes) >= self.max_statements:
+        if len(self.nodes) >= MAX_STATEMENTS:
             raise ConstructionError(
-                f"statement budget of {self.max_statements} exhausted",
+                f"statement budget of {MAX_STATEMENTS} exhausted",
                 statements_built=len(self.nodes),
                 rules_built=len(self.rules),
             )
@@ -223,7 +222,6 @@ def generate_graph(
     hypothesis_set: HypothesisSet,
     oracle: BeliefOracle,
     cfg: CalibrationConfig | None = None,
-    max_statements: int = DEFAULT_MAX_STATEMENTS,
 ) -> BeliefGraph:
     """Build the belief graph for a hypothesis set.
 
@@ -232,7 +230,7 @@ def generate_graph(
     are added over the hypothesis set, and boundary damping runs last.
     """
     cfg = cfg or CalibrationConfig()
-    builder = _Builder(oracle, cfg, max_statements)
+    builder = _Builder(oracle, cfg)
     hyp_ids: list[StatementId] = []
     try:
         for h in hypothesis_set.hypotheses:

@@ -1,7 +1,7 @@
 """Weighted partial MaxSAT encoding of a belief graph and an exact solver.
 
 The solver is bucket elimination (Dechter, "Bucket elimination: a unifying
-framework for reasoning", AIJ 1999) over a greedy min-fill variable order.
+framework for reasoning", AIJ 1999) over a greedy min-degree variable order.
 Each clause becomes a cost table over its variables, where a violated hard
 clause costs infinity.  Eliminating a variable adds up the tables that
 mention it and minimizes it out, which leaves one table over its remaining
@@ -30,15 +30,17 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import HARD, BeliefGraph, Clause, StatementId
 
 EPSILON = 1e-9
-DEFAULT_MAX_VARIABLES = 2000
+# The flip integers grow to one bit per variable, so the variable count
+# bounds memory as well as time.
+MAX_VARIABLES = 2000
 # A bucket's table has 2**(MAX_WIDTH + 1) rows; at 16 that is 131072 rows,
-# a few megabytes.  Belief graphs measure width 3 to 7.
+# a few megabytes.  Under the min-degree order, synthetic graphs of up to
+# 1000 statements measure width 3 and construction graphs 3 to 8.
 MAX_WIDTH = 16
 
 # A cost table (scope, costs, flips) over variable positions: row r assigns
@@ -86,31 +88,9 @@ class WeightedClauseSet:
             for var, _ in clause.literals:
                 if var not in in_order:
                     raise ValueError(f"variable {var} missing from variable order")
-
-    @property
-    def variables(self) -> frozenset[StatementId]:
-        return frozenset(self.variable_order)
-
-    @classmethod
-    def from_clauses(
-        cls,
-        clauses: Iterable[WeightedClause],
-        initial_labels: Mapping[StatementId, bool] | None = None,
-        variable_order: Sequence[StatementId] | None = None,
-    ) -> "WeightedClauseSet":
-        clauses = tuple(clauses)
-        variables = {var for c in clauses for var, _ in c.literals}
-        labels = dict(initial_labels or {})
-        for var in variables:
-            labels.setdefault(var, True)
-        if variable_order is None:
-            unit_weight: dict[StatementId, float] = {}
-            for c in clauses:
-                if len(c.literals) == 1 and not c.is_hard:
-                    var = c.literals[0][0]
-                    unit_weight[var] = unit_weight.get(var, 0.0) + c.weight
-            variable_order = sorted(variables, key=lambda v: (-unit_weight.get(v, 0.0), v))
-        return cls(clauses, tuple(variable_order), labels)
+        for var in self.variable_order:
+            if var not in self.initial_labels:
+                raise ValueError(f"variable {var} has no initial label")
 
 
 @dataclass(frozen=True)
@@ -131,55 +111,46 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     """Translate the MPE objective over a belief graph into weighted MaxSAT.
 
     One soft unit clause per statement asserts its initial label at weight
-    equal to its confidence (zero-confidence statements add no clause);
-    each rule contributes its clause(s) at the rule's confidence.  Pins
-    become hard unit clauses.
+    equal to its confidence; each rule contributes its clause(s) at the
+    rule's confidence.  Zero-confidence statements and rules add no clause.
+    Pins become hard unit clauses.
     """
     clauses: list[WeightedClause] = []
     for sid, node in graph.statements.items():
         if node.confidence > 0.0:
             clauses.append(WeightedClause(((sid, node.label),), node.confidence))
     for rule in graph.rules:
-        for clause in rule.clauses():
-            clauses.append(WeightedClause(clause, rule.confidence))
+        if rule.confidence > 0.0:
+            for clause in rule.clauses():
+                clauses.append(WeightedClause(clause, rule.confidence))
     if pins:
         for sid, value in pins.items():
             clauses.append(WeightedClause(((sid, bool(value)),), HARD))
 
-    # Hypotheses branch first, then descending belief confidence.
+    # The order decides ties: hypotheses first, then descending confidence.
     rest = sorted(
         (sid for sid in graph.statements if sid not in graph.hypotheses),
         key=lambda sid: (-graph.statements[sid].confidence, sid),
     )
     order = tuple(graph.hypotheses) + tuple(rest)
-    return WeightedClauseSet.from_clauses(
-        clauses, graph.initial_assignment(), variable_order=order
-    )
+    return WeightedClauseSet(tuple(clauses), order, graph.initial_assignment())
 
 
-def _min_fill_order(neighbours: dict[int, set[int]]) -> list[int]:
-    """Greedy min-fill elimination order of the interaction graph.
+def _min_degree_order(neighbours: dict[int, set[int]]) -> list[int]:
+    """Greedy min-degree elimination order of the interaction graph.
 
-    Repeatedly eliminates the variable whose neighbours need the fewest
-    added edges to become a clique, ties going to the smaller position,
-    and joins those neighbours into a clique.  Consumes ``neighbours``.
-    Raises SolverLimitError once a variable would be eliminated with more
-    than MAX_WIDTH neighbours.
+    Repeatedly eliminates the variable with the fewest neighbours, ties
+    going to the smaller position, and joins those neighbours into a
+    clique.  Consumes ``neighbours``.  Raises SolverLimitError once a
+    variable would be eliminated with more than MAX_WIDTH neighbours.
     """
-
-    def fill(v: int) -> int:
-        around = neighbours[v]
-        return sum(1 for a, b in combinations(around, 2) if b not in neighbours[a])
-
-    score = {v: fill(v) for v in neighbours}
-    heap = [(f, v) for v, f in score.items()]
+    heap = [(len(around), v) for v, around in neighbours.items()]
     heapq.heapify(heap)
     order: list[int] = []
     while heap:
-        f, v = heapq.heappop(heap)
-        if score.get(v) != f:
-            continue  # stale entry: v was eliminated or rescored
-        del score[v]
+        degree, v = heapq.heappop(heap)
+        if v not in neighbours or len(neighbours[v]) != degree:
+            continue  # stale entry: v was eliminated or its degree changed
         around = neighbours.pop(v)
         if len(around) > MAX_WIDTH:
             raise SolverLimitError(
@@ -189,14 +160,7 @@ def _min_fill_order(neighbours: dict[int, set[int]]) -> list[int]:
         for a in around:
             neighbours[a].discard(v)
             neighbours[a].update(b for b in around if b != a)
-        # Fill counts change for the neighbours and for anything adjacent
-        # to two of them, which the new edges may have joined.
-        affected = set(around)
-        for a in around:
-            affected |= neighbours[a]
-        for u in affected:
-            score[u] = fill(u)
-            heapq.heappush(heap, (score[u], u))
+            heapq.heappush(heap, (len(neighbours[a]), a))
     return order
 
 
@@ -214,11 +178,11 @@ def _projection(scope: Sequence[int], bit: Mapping[int, int], width: int) -> lis
     return rows
 
 
-def solve(cs: WeightedClauseSet, max_variables: int = DEFAULT_MAX_VARIABLES) -> SolveResult:
+def solve(cs: WeightedClauseSet) -> SolveResult:
     """Exact minimum-cost assignment over all variables; deterministic."""
     n = len(cs.variable_order)
-    if n > max_variables:
-        raise SolverLimitError(f"{n} variables exceeds the limit of {max_variables}")
+    if n > MAX_VARIABLES:
+        raise SolverLimitError(f"{n} variables exceeds the limit of {MAX_VARIABLES}")
     position = {var: i for i, var in enumerate(cs.variable_order)}
     value = [bool(cs.initial_labels[var]) for var in cs.variable_order]
 
@@ -235,7 +199,7 @@ def solve(cs: WeightedClauseSet, max_variables: int = DEFAULT_MAX_VARIABLES) -> 
 
     # Variables in no clause are absent here and keep their initial labels,
     # which is optimal and flip-minimal.
-    order = _min_fill_order(neighbours)
+    order = _min_degree_order(neighbours)
     rank = {v: r for r, v in enumerate(order)}
     buckets: list[list[_Table]] = [[] for _ in order]
     for table in tables:

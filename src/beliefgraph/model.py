@@ -76,8 +76,9 @@ class RuleNode:
     def __post_init__(self) -> None:
         if not self.hypothesis_ids:
             raise ValueError(f"rule {self.id}: hypothesis_ids must be non-empty")
-        if set(self.premise_ids) & set(self.hypothesis_ids):
-            raise ValueError(f"rule {self.id}: premises and hypotheses overlap")
+        ids = self.premise_ids + self.hypothesis_ids
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"rule {self.id}: premises and hypotheses repeat a statement")
         if self.rule_type is RuleType.MC_HARD:
             if self.confidence != HARD:
                 raise ValueError(f"rule {self.id}: MC_HARD must have HARD confidence")
@@ -125,6 +126,8 @@ class BeliefGraph:
     def __post_init__(self) -> None:
         if not self.hypotheses:
             raise ValueError("belief graph needs at least one hypothesis")
+        if len(set(self.hypotheses)) != len(self.hypotheses):
+            raise ValueError("hypothesis ids must be unique")
         if list(self.statements) != [node.id for node in self.statements.values()]:
             raise ValueError("each statement must be keyed by its own id")
         if len({rule.id for rule in self.rules}) != len(self.rules):

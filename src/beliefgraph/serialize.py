@@ -27,7 +27,7 @@ def read_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: non-UTF-8 bytes, an oversized integer
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -88,11 +88,35 @@ def _bool(mapping: dict, key: str, where: str, default: bool | None = None) -> b
     return value
 
 
-def _id(value: Any, key: str, where: str) -> int:
-    """A statement id: a JSON integer, never a bool, a float or a string."""
+def _int(value: Any, key: str, where: str) -> int:
+    """A JSON integer, never a bool, a float or a string."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{where}: field {key!r} must hold integer ids, got {value!r}")
+        raise InputError(f"{where}: field {key!r} must hold integers, got {value!r}")
     return value
+
+
+def _number(value: Any, key: str, where: str) -> float:
+    """A finite JSON number, never a bool or a string; integers become floats."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise InputError(f"{where}: field {key!r} must be a finite number, got {value!r}")
+
+
+def _str(value: Any, key: str, where: str) -> str:
+    """A JSON string that UTF-8 can encode: no lone surrogate escapes, which
+    could not be printed or written back."""
+    if isinstance(value, str):
+        try:
+            value.encode()
+            return value
+        except UnicodeEncodeError:
+            pass
+    raise InputError(f"{where}: field {key!r} must be a UTF-8 string, got {value!r}")
 
 
 def _list(mapping: dict, key: str, where: str, default: list | None = None) -> list:
@@ -102,32 +126,35 @@ def _list(mapping: dict, key: str, where: str, default: list | None = None) -> l
     return value
 
 
-def _ids(mapping: dict, key: str, where: str, default: list | None = None) -> tuple[int, ...]:
-    return tuple(_id(v, key, where) for v in _list(mapping, key, where, default))
+def _ints(mapping: dict, key: str, where: str, default: list | None = None) -> tuple[int, ...]:
+    return tuple(_int(v, key, where) for v in _list(mapping, key, where, default))
 
 
 def document_to_graph(document: dict) -> BeliefGraph:
     if not isinstance(document, dict):
         raise InputError("document root must be an object")
-    version = _require(document, "schema_version", "document")
+    version = _int(_require(document, "schema_version", "document"), "schema_version", "document")
     if version != SCHEMA_VERSION:
         raise InputError(f"document: unsupported schema_version {version!r}")
     statements: dict[int, StatementNode] = {}
     for i, entry in enumerate(_list(document, "statements", "document")):
         where = f"statements[{i}]"
+        if not isinstance(entry, dict):
+            raise InputError(f"{where} must be an object")
         try:
+            negation_of = entry.get("negation_of")
+            raw_score = entry.get("raw_score")
             node = StatementNode(
-                id=_id(_require(entry, "id", where), "id", where),
-                text=str(_require(entry, "text", where)),
+                id=_int(_require(entry, "id", where), "id", where),
+                text=_str(_require(entry, "text", where), "text", where),
                 label=_bool(entry, "label", where),
-                confidence=float(_require(entry, "confidence", where)),
-                depth=int(entry.get("depth", 0)),
+                confidence=_number(_require(entry, "confidence", where), "confidence", where),
+                depth=_int(entry.get("depth", 0), "depth", where),
                 is_hypothesis=_bool(entry, "is_hypothesis", where, False),
                 is_negation_of=(
-                    None if entry.get("negation_of") is None
-                    else _id(entry["negation_of"], "negation_of", where)
+                    None if negation_of is None else _int(negation_of, "negation_of", where)
                 ),
-                raw_score=entry.get("raw_score"),
+                raw_score=None if raw_score is None else _number(raw_score, "raw_score", where),
             )
         except InputError:
             raise
@@ -139,25 +166,31 @@ def document_to_graph(document: dict) -> BeliefGraph:
     rules = []
     for i, entry in enumerate(_list(document, "rules", "document")):
         where = f"rules[{i}]"
+        if not isinstance(entry, dict):
+            raise InputError(f"{where} must be an object")
         try:
             rule_type = RuleType(_require(entry, "type", where))
-            hard = _bool(entry, "hard", where, False)
-            confidence = math.inf if hard else float(_require(entry, "confidence", where))
+            if _bool(entry, "hard", where, False):
+                if entry.get("confidence") is not None:
+                    raise InputError(f"{where}: a hard rule's 'confidence' must be null")
+                confidence = math.inf
+            else:
+                confidence = _number(_require(entry, "confidence", where), "confidence", where)
             rules.append(
                 RuleNode(
-                    id=str(_require(entry, "id", where)),
+                    id=_str(_require(entry, "id", where), "id", where),
                     rule_type=rule_type,
-                    premise_ids=_ids(entry, "premises", where, []),
-                    hypothesis_ids=_ids(entry, "hypotheses", where),
+                    premise_ids=_ints(entry, "premises", where, []),
+                    hypothesis_ids=_ints(entry, "hypotheses", where),
                     confidence=confidence,
-                    raw_score=float(entry.get("raw_score", 1.0)),
+                    raw_score=_number(entry.get("raw_score", 1.0), "raw_score", where),
                 )
             )
         except InputError:
             raise
         except (TypeError, ValueError) as exc:
             raise InputError(f"{where}: {exc}") from exc
-    hypotheses = _ids(document, "hypotheses", "document")
+    hypotheses = _ints(document, "hypotheses", "document")
     try:
         return BeliefGraph(statements, tuple(rules), hypotheses)
     except ValueError as exc:
@@ -236,11 +269,18 @@ def load_mock_oracle(path: str | Path) -> MockOracle:
     for key, premises in tables["premises"].items():
         if not isinstance(premises, list) or not all(isinstance(p, str) for p in premises):
             raise InputError(f"{path}: premises of {key!r} must be a list of strings")
+    where = str(path)
+    for name in ("statement_scores", "entailment_scores"):
+        tables[name] = {k: _number(v, k, f"{where}: {name}") for k, v in tables[name].items()}
+    for key, negation in tables["negations"].items():
+        _str(negation, key, f"{where}: negations")
     try:
         return MockOracle(
             **tables,
-            default_score=float(raw.get("default_score", 0.5)),
-            default_entailment_score=float(raw.get("default_entailment_score", 0.85)),
+            default_score=_number(raw.get("default_score", 0.5), "default_score", where),
+            default_entailment_score=_number(
+                raw.get("default_entailment_score", 0.85), "default_entailment_score", where
+            ),
         )
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc

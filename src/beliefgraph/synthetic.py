@@ -1,5 +1,7 @@
-"""Seeded synthetic fixtures: belief graphs with known violations and
-random weighted clause sets.  All randomness is seed-controlled."""
+"""Seeded synthetic belief graphs with known violations.
+
+All randomness is seed-controlled.  The benchmark and the tests build their
+solver workloads from these graphs."""
 
 from __future__ import annotations
 
@@ -7,8 +9,6 @@ import random
 from dataclasses import replace
 
 from .model import HARD, BeliefGraph, RuleNode, RuleType, StatementNode
-from .maxsat import WeightedClause, WeightedClauseSet
-
 
 def synthetic_graph(
     seed: int,
@@ -119,31 +119,3 @@ def synthetic_graph(
     statements[conclusion] = replace(statements[conclusion], label=False)
     return BeliefGraph(statements, tuple(rules), tuple(hyp_ids))
 
-
-def random_clause_set(
-    seed: int,
-    min_variables: int = 8,
-    max_variables: int = 18,
-) -> WeightedClauseSet:
-    """A random mixed hard/soft instance for solver cross-checking."""
-    rng = random.Random(seed)
-    n = rng.randint(min_variables, max_variables)
-    variables = list(range(n))
-    initial = {v: rng.random() < 0.5 for v in variables}
-    clauses: list[WeightedClause] = []
-    for v in variables:
-        if rng.random() < 0.8:
-            clauses.append(
-                WeightedClause(((v, initial[v]),), round(rng.uniform(0.05, 1.0), 3))
-            )
-    for _ in range(rng.randint(n // 2, 2 * n)):
-        width = rng.randint(2, min(4, n))
-        chosen = rng.sample(variables, width)
-        literals = tuple((v, rng.random() < 0.5) for v in chosen)
-        clauses.append(WeightedClause(literals, round(rng.uniform(0.05, 1.2), 3)))
-    for _ in range(rng.randint(0, 2)):
-        width = rng.randint(2, min(4, n))
-        chosen = rng.sample(variables, width)
-        literals = tuple((v, rng.random() < 0.5) for v in chosen)
-        clauses.append(WeightedClause(literals, HARD))
-    return WeightedClauseSet.from_clauses(clauses, initial, variable_order=variables)

@@ -1,4 +1,5 @@
-"""Exhaustive reference solver the tests check ``beliefgraph.solve`` against.
+"""Exhaustive reference solver the tests check ``beliefgraph.solve`` against,
+and the random clause sets they check it on.
 
 It enumerates every assignment with numpy bitmasks, so it shares no search
 logic with the solver and is limited to small instances.
@@ -7,6 +8,7 @@ logic with the solver and is limited to small instances.
 from __future__ import annotations
 
 import math
+import random
 from typing import Iterable
 
 import numpy as np
@@ -16,8 +18,10 @@ from beliefgraph.maxsat import (
     SolveResult,
     SolverLimitError,
     SolveStatus,
+    WeightedClause,
     WeightedClauseSet,
 )
+from beliefgraph.model import HARD
 
 BRUTE_FORCE_MAX_VARIABLES = 22
 
@@ -81,3 +85,32 @@ def brute_force_solve(
     winner = int(min(candidates, key=key))
     assignment = {var: bool(winner >> index[var] & 1) for var in order}
     return SolveResult(assignment, float(costs[winner]), SolveStatus.OPTIMAL, 1 << n)
+
+
+def random_clause_set(
+    seed: int,
+    min_variables: int = 8,
+    max_variables: int = 18,
+) -> WeightedClauseSet:
+    """A random mixed hard/soft instance for solver cross-checking."""
+    rng = random.Random(seed)
+    n = rng.randint(min_variables, max_variables)
+    variables = list(range(n))
+    initial = {v: rng.random() < 0.5 for v in variables}
+    clauses: list[WeightedClause] = []
+    for v in variables:
+        if rng.random() < 0.8:
+            clauses.append(
+                WeightedClause(((v, initial[v]),), round(rng.uniform(0.05, 1.0), 3))
+            )
+    for _ in range(rng.randint(n // 2, 2 * n)):
+        width = rng.randint(2, min(4, n))
+        chosen = rng.sample(variables, width)
+        literals = tuple((v, rng.random() < 0.5) for v in chosen)
+        clauses.append(WeightedClause(literals, round(rng.uniform(0.05, 1.2), 3)))
+    for _ in range(rng.randint(0, 2)):
+        width = rng.randint(2, min(4, n))
+        chosen = rng.sample(variables, width)
+        literals = tuple((v, rng.random() < 0.5) for v in chosen)
+        clauses.append(WeightedClause(literals, HARD))
+    return WeightedClauseSet(tuple(clauses), tuple(variables), initial)

@@ -36,9 +36,9 @@ from beliefgraph import (
     total_cost,
 )
 from beliefgraph.cli import EXIT_OK, main
-from beliefgraph.synthetic import random_clause_set, synthetic_graph
+from beliefgraph.synthetic import synthetic_graph
 from conftest import TRACE_PREMISES, TRACE_SCORES
-from reference_solver import brute_force_solve
+from reference_solver import brute_force_solve, random_clause_set
 
 
 @contextmanager

@@ -7,6 +7,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from beliefgraph import (
     HARD,
@@ -20,7 +22,14 @@ from beliefgraph import (
     load_graph,
     save_graph,
 )
-from beliefgraph.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_ORACLE, main
+from beliefgraph.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_INPUT,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_ORACLE,
+    main,
+)
 from beliefgraph.oracle_client import OracleTransportError
 from beliefgraph.serialize import InputError, dumps
 from beliefgraph.synthetic import synthetic_graph
@@ -181,6 +190,12 @@ class TestBuildGraph:
             ("oracle.json", dict(ORACLE_FIXTURE, premises=[])),
             ("oracle.json", dict(ORACLE_FIXTURE, negations=3)),
             ("oracle.json", dict(ORACLE_FIXTURE, premises={"alpha is a mammal": "xyz"})),
+            ("oracle.json", dict(ORACLE_FIXTURE, statement_scores={"alpha is a mammal": "0.9"})),
+            ("oracle.json", dict(ORACLE_FIXTURE, statement_scores={"alpha is a mammal": True})),
+            ("oracle.json", dict(ORACLE_FIXTURE, entailment_scores={"x": "0.9"})),
+            ("oracle.json", dict(ORACLE_FIXTURE, negations={"alpha is a mammal": 5})),
+            ("oracle.json", dict(ORACLE_FIXTURE, default_score=True)),
+            ("oracle.json", dict(ORACLE_FIXTURE, default_entailment_score="0.85")),
         ],
         ids=[
             "hypotheses-string",
@@ -191,6 +206,12 @@ class TestBuildGraph:
             "premises-table-list",
             "negations-table-int",
             "premise-value-string",
+            "score-string",
+            "score-bool",
+            "entailment-score-string",
+            "negation-int",
+            "default-score-bool",
+            "default-entailment-score-string",
         ],
     )
     def test_mistyped_question_or_fixture_is_input_error(self, workdir, capsys, name, document):
@@ -296,6 +317,19 @@ class TestReason:
             lambda doc: doc["rules"][1].update(id="r0"),
             lambda doc: doc["rules"][0].update(premises=[3.0, 4]),
             lambda doc: doc["statements"][2].update(negation_of="zz"),
+            lambda doc: doc["rules"][0].update(premises=[4, 4]),
+            lambda doc: doc["rules"][1].update(hypotheses=[2, 2]),
+            lambda doc: doc["statements"][2].update(depth=1.7),
+            lambda doc: doc["statements"][0].update(text=42),
+            lambda doc: doc["statements"][0].update(raw_score="high"),
+            lambda doc: doc["statements"][0].update(confidence=True),
+            lambda doc: doc["statements"][0].update(confidence="0.5"),
+            lambda doc: doc["rules"][0].update(id=5),
+            lambda doc: doc["rules"][0].update(raw_score="0.9"),
+            lambda doc: doc["rules"][0].update(confidence=True),
+            lambda doc: doc["rules"][2].update(confidence=0.5),
+            lambda doc: doc.update(schema_version=1.0),
+            lambda doc: doc.update(hypotheses=[0, 0]),
         ],
         ids=[
             "statements-not-a-list",
@@ -306,6 +340,19 @@ class TestReason:
             "duplicate-rule-id",
             "premise-id-float",
             "negation-of-string",
+            "premise-repeated",
+            "xor-hypothesis-repeated",
+            "depth-float",
+            "text-int",
+            "raw-score-string",
+            "confidence-bool",
+            "confidence-string",
+            "rule-id-int",
+            "rule-raw-score-string",
+            "rule-confidence-bool",
+            "hard-rule-confidence-number",
+            "schema-version-float",
+            "hypothesis-repeated",
         ],
     )
     def test_mistyped_graph_document_is_input_error(self, workdir, giraffe_graph, capsys, corrupt):
@@ -314,6 +361,109 @@ class TestReason:
         (workdir / "g.json").write_text(json.dumps(doc))
         assert main(["reason", str(workdir / "g.json")]) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
+
+    def test_oversized_integer_is_input_error(self, workdir, capsys):
+        (workdir / "g.json").write_text('{"schema_version": ' + "9" * 5000 + "}")
+        assert main(["reason", str(workdir / "g.json")]) == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
+
+
+def _wide_rule_document():
+    """One entailment rule with 17 premises: elimination width 17."""
+    statements = [{"id": k, "text": f"s{k}", "label": True, "confidence": 0.5}
+                  for k in range(18)]
+    rule = {"id": "r0", "type": "entailment", "premises": list(range(1, 18)),
+            "hypotheses": [0], "confidence": 0.9}
+    return {"schema_version": 1, "hypotheses": [0], "statements": statements, "rules": [rule]}
+
+
+def _many_statements_document():
+    """2100 statements, above the solver's variable limit."""
+    statements = [{"id": k, "text": f"s{k}", "label": True, "confidence": 0.5}
+                  for k in range(2100)]
+    return {"schema_version": 1, "hypotheses": [0], "statements": statements, "rules": []}
+
+
+@pytest.mark.parametrize("command", ["reason", "resolve"])
+@pytest.mark.parametrize(
+    "document, limit",
+    [(_wide_rule_document, "limit of 16"), (_many_statements_document, "limit of 2000")],
+    ids=["width-17", "2100-statements"],
+)
+def test_graph_beyond_solver_limits_is_input_error(
+    workdir, capsys, monkeypatch, command, document, limit
+):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    (workdir / "g.json").write_text(json.dumps(document()))
+    assert main([command, str(workdir / "g.json")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error" in err and limit in err
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 5)
+    | st.integers()
+    | st.floats(0.0, 1.0)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["xor", "entailment", "mc_hard", "r1", "\ud800"])
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+STATEMENT_FIELDS = ("id", "text", "label", "confidence", "raw_score", "depth",
+                    "is_hypothesis", "negation_of")
+RULE_FIELDS = ("id", "type", "premises", "hypotheses", "raw_score", "hard", "confidence")
+FIELDS = st.one_of(
+    st.tuples(st.sampled_from(["schema_version", "hypotheses", "statements", "rules"])),
+    st.tuples(st.just("statements"), st.integers(0, 4), st.sampled_from(STATEMENT_FIELDS)),
+    st.tuples(st.just("rules"), st.integers(0, 3), st.sampled_from(RULE_FIELDS)),
+)
+
+
+def holds(sent, back):
+    """Whether ``back`` is ``sent`` with the same JSON types, except that an
+    integer may come back as the float nearest to it."""
+    if isinstance(sent, bool) or isinstance(back, bool):
+        return sent is back
+    if isinstance(sent, int) and isinstance(back, float):
+        return back == float(sent)
+    if type(sent) is not type(back):
+        return False
+    if isinstance(sent, list):
+        return len(sent) == len(back) and all(map(holds, sent, back))
+    if isinstance(sent, dict):
+        return sent.keys() == back.keys() and all(holds(v, back[k]) for k, v in sent.items())
+    return sent == back
+
+
+# The fixture graph and the working directory are only read, or rewritten
+# whole, by each example, so sharing them across examples is safe.
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=FIELDS, value=JSON_VALUES)
+def test_graph_document_field_is_literal_or_rejected(workdir, giraffe_graph, field, value):
+    doc = graph_to_document(giraffe_graph)
+    *path, key = field
+    entry = doc
+    for step in path:
+        entry = entry[step]
+    entry[key] = value
+    text = json.dumps(doc)
+    try:
+        graph = document_to_graph(json.loads(text))
+    except InputError:
+        pass
+    else:
+        back = graph_to_document(graph)
+        doc["statements"].sort(key=lambda statement: statement["id"])
+        assert holds(dict(doc, provenance={}), back)
+    (workdir / "g.json").write_text(text)
+    assert main(["reason", str(workdir / "g.json")]) != EXIT_INTERNAL
 
 
 class TestResolve:

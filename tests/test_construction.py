@@ -11,6 +11,7 @@ from beliefgraph import (
     canonicalize,
     generate_graph,
 )
+from beliefgraph import construction
 from beliefgraph.construction import entailment_key
 from beliefgraph.serialize import graph_to_document
 from conftest import TRACE_PREMISES, TRACE_SCORES
@@ -177,8 +178,9 @@ class TestReachabilityInvariant:
 
 
 class TestFailureModes:
-    def test_statement_budget(self):
+    def test_statement_budget(self, monkeypatch):
         # A pathological oracle chain is cut off by the budget.
+        monkeypatch.setattr(construction, "MAX_STATEMENTS", 50)
         class Chain:
             def generate_premises(self, s):
                 return [s + " x", s + " y"]
@@ -193,10 +195,7 @@ class TestFailureModes:
                 return "not " + s if not s.startswith("not ") else s[4:]
 
         with pytest.raises(ConstructionError) as err:
-            generate_graph(
-                HypothesisSet(("a", "b")), Chain(), CalibrationConfig(d_max=5),
-                max_statements=50,
-            )
+            generate_graph(HypothesisSet(("a", "b")), Chain(), CalibrationConfig(d_max=5))
         assert err.value.statements_built >= 50
 
     def test_oracle_failure_wrapped(self):

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -21,9 +22,10 @@ from beliefgraph import (
     solve,
     total_cost,
 )
+from beliefgraph import maxsat
 from beliefgraph.maxsat import MAX_WIDTH
-from beliefgraph.synthetic import random_clause_set, synthetic_graph
-from reference_solver import brute_force_solve
+from beliefgraph.synthetic import synthetic_graph
+from reference_solver import brute_force_solve, random_clause_set
 
 
 def unit(var, pol, weight):
@@ -31,7 +33,10 @@ def unit(var, pol, weight):
 
 
 def cs_of(clauses, initial=None):
-    return WeightedClauseSet.from_clauses(clauses, initial)
+    order = tuple(sorted({var for c in clauses for var, _ in c.literals}))
+    labels = {var: True for var in order}
+    labels.update(initial or {})
+    return WeightedClauseSet(tuple(clauses), order, labels)
 
 
 class TestClauseValidation:
@@ -50,6 +55,10 @@ class TestClauseValidation:
     def test_unknown_variable_in_order_rejected(self):
         with pytest.raises(ValueError):
             WeightedClauseSet((unit(0, True, 1.0),), (1,), {1: True})
+
+    def test_variable_without_initial_label_rejected(self):
+        with pytest.raises(ValueError, match="initial label"):
+            WeightedClauseSet((unit(0, True, 1.0),), (0, 1), {0: True})
 
 
 class TestEncoding:
@@ -127,10 +136,18 @@ class TestSolve:
         assert result.assignment[0] is True
         assert result.optimal_cost == pytest.approx(0.4)
 
-    def test_variable_limit(self):
+    def test_zero_confidence_rule_adds_no_clause(self, giraffe_graph):
+        rules = tuple(replace(r, confidence=0.0) if r.id == "r1" else r
+                      for r in giraffe_graph.rules)
+        graph = BeliefGraph(giraffe_graph.statements, rules, giraffe_graph.hypotheses)
+        assert len(encode(graph).clauses) == len(encode(giraffe_graph).clauses) - 2
+        assert solve(encode(graph)).optimal_cost == pytest.approx(0.55)  # flip statement 1
+
+    def test_variable_limit(self, monkeypatch):
+        monkeypatch.setattr(maxsat, "MAX_VARIABLES", 5)
         clauses = [unit(v, True, 0.5) for v in range(10)]
         with pytest.raises(SolverLimitError):
-            solve(cs_of(clauses), max_variables=5)
+            solve(cs_of(clauses))
 
     def test_deterministic_assignment(self):
         cs = random_clause_set(7)
@@ -158,9 +175,7 @@ class TestSolve:
 
     def test_free_variables_keep_initial_labels(self):
         clauses = [unit(0, True, 0.5)]
-        cs = WeightedClauseSet.from_clauses(
-            clauses, {0: True, 5: False}, variable_order=(0, 5)
-        )
+        cs = WeightedClauseSet(tuple(clauses), (0, 5), {0: True, 5: False})
         result = solve(cs)
         assert result.assignment == {0: True, 5: False}
 
