@@ -13,15 +13,10 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .calibration import CalibrationConfig
-from .construction import (
-    BeliefOracle,
-    ConstructionError,
-    HypothesisSet,
-    generate_graph,
-)
+from .construction import BeliefOracle, ConstructionError, generate_graph
 from .dot import to_dot
 from .maxsat import SolverLimitError
-from .metrics import ABLATABLE, ablate, consistency
+from .metrics import ABLATABLE, ablate, summarize
 from .oracle_client import OracleDecodeError, OracleTransportError, RemoteOracle
 from .reasoner import ReasoningError, reason, resolve_interactive
 from .serialize import (
@@ -32,8 +27,8 @@ from .serialize import (
     load_config,
     load_graph,
     load_mock_oracle,
+    load_questions,
     outcome_to_document,
-    read_json,
 )
 
 EXIT_OK = 0
@@ -53,30 +48,6 @@ def _make_oracle(spec: str, cache_dir: Path | None = None) -> BeliefOracle:
     raise InputError(f"oracle spec must be mock:<path> or remote:<url>, got {spec!r}")
 
 
-def _load_questions(path: str) -> list[HypothesisSet]:
-    raw = read_json(path)
-    entries = raw if isinstance(raw, list) else [raw]
-    questions = []
-    for i, entry in enumerate(entries):
-        where = f"{path}: question [{i}]"
-        if not isinstance(entry, dict) or "hypotheses" not in entry:
-            raise InputError(f"{where} must be an object with 'hypotheses'")
-        hypotheses = entry["hypotheses"]
-        if not isinstance(hypotheses, list) or not all(isinstance(h, str) for h in hypotheses):
-            raise InputError(f"{where}: 'hypotheses' must be a list of strings")
-        gold_index = entry.get("gold_index")
-        if isinstance(gold_index, bool) or not isinstance(gold_index, (int, type(None))):
-            raise InputError(f"{where}: 'gold_index' must be an integer or null")
-        question_id = entry.get("question_id")
-        if not isinstance(question_id, (str, type(None))):
-            raise InputError(f"{where}: 'question_id' must be a string or null")
-        try:
-            questions.append(HypothesisSet(tuple(hypotheses), gold_index, question_id))
-        except ValueError as exc:
-            raise InputError(f"{where}: {exc}") from exc
-    return questions
-
-
 def _provenance(args: argparse.Namespace, cfg: CalibrationConfig) -> dict:
     return {
         "oracle": args.oracle,
@@ -87,7 +58,7 @@ def _provenance(args: argparse.Namespace, cfg: CalibrationConfig) -> dict:
 
 def _cmd_build_graph(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, {"d_max": args.d_max})
-    questions = _load_questions(args.input)
+    questions = load_questions(args.input)
     out = Path(args.output) if args.output else None
     provenance = _provenance(args, cfg)
 
@@ -118,20 +89,11 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _summarize(graph, full_graph, outcome) -> dict:
-    before = consistency(full_graph)
-    after = consistency(full_graph, outcome.final_assignment)
-    return {
-        "tau_before": before.tau,
-        "tau_after": after.tau,
-        "self_consistency_before": before.self_consistency,
-        "self_consistency_after": after.self_consistency,
-        "flips": len(outcome.flipped),
-        "discarded_rules": len(outcome.discarded_rules),
-    }
-
-
-def _print_summary(graph, outcome, summary: dict) -> None:
+def _report(graph, outcome, output: str | None) -> None:
+    """Write the outcome document when asked, and print the summary."""
+    summary = summarize(graph, outcome)
+    if output:
+        Path(output).write_text(dumps(outcome_to_document(outcome, summary)))
     print(f"tau before reasoning:  {summary['tau_before']:.4f}")
     print(f"tau after reasoning:   {summary['tau_after']:.4f}")
     print(f"{summary['flips']} flips, {summary['discarded_rules']} rules discarded")
@@ -146,14 +108,11 @@ def _cmd_reason(args: argparse.Namespace) -> int:
     full_graph = load_graph(args.graph)
     graph = ablate(full_graph, args.ablate) if args.ablate else full_graph
     outcome = reason(graph)
-    summary = _summarize(graph, full_graph, outcome)
-    if args.output:
-        Path(args.output).write_text(dumps(outcome_to_document(outcome, summary)))
     if args.export_dot:
         Path(args.export_dot).write_text(
             to_dot(full_graph, outcome.final_assignment, outcome.discarded_rules)
         )
-    _print_summary(full_graph, outcome, summary)
+    _report(full_graph, outcome, args.output)
     return EXIT_OK
 
 
@@ -175,10 +134,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     if stream_closed:
         print("warning: input stream closed, falling back to plain reasoning",
               file=sys.stderr)
-    summary = _summarize(full_graph, full_graph, outcome)
-    if args.output:
-        Path(args.output).write_text(dumps(outcome_to_document(outcome, summary)))
-    _print_summary(full_graph, outcome, summary)
+    _report(full_graph, outcome, args.output)
     if outcome.discarded_rules:
         print(f"note: {len(outcome.discarded_rules)} conflicts remain")
     return EXIT_OK

@@ -84,13 +84,22 @@ def entailment_key(premises: Sequence[str], hypothesis: str) -> str:
     return " && ".join(canonicalize(p) for p in premises) + " => " + canonicalize(hypothesis)
 
 
+def _canonical_entailment_key(key: str) -> str:
+    """``key`` rebuilt with `entailment_key` from its " => " and " && " parts."""
+    premises, arrow, hypothesis = key.partition(" => ")
+    if not arrow:
+        raise ValueError(f"entailment key {key!r} has no ' => '")
+    return entailment_key(premises.split(" && ") if premises else [], hypothesis)
+
+
 @dataclass
 class MockOracle:
     """Deterministic table-driven oracle for desk-scale runs and tests.
 
     Unknown statements score ``default_score``, unknown premise queries
     return no premises, and unknown negations toggle a fixed prefix (an
-    involution under canonicalization).
+    involution under canonicalization).  Table keys are canonicalized, each
+    statement of an ``entailment_scores`` key ``"p1 && p2 => h"`` on its own.
     """
 
     premises: dict[str, list[str]] = field(default_factory=dict)
@@ -105,7 +114,9 @@ class MockOracle:
         self.statement_scores = {
             canonicalize(k): float(v) for k, v in self.statement_scores.items()
         }
-        self.entailment_scores = {k: float(v) for k, v in self.entailment_scores.items()}
+        self.entailment_scores = {
+            _canonical_entailment_key(k): float(v) for k, v in self.entailment_scores.items()
+        }
         self.negations = {canonicalize(k): v for k, v in self.negations.items()}
 
     def generate_premises(self, statement: str) -> list[str]:

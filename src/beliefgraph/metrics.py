@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .calibration import CalibrationConfig
 from .construction import BeliefOracle, HypothesisSet, generate_graph
 from .model import Assignment, BeliefGraph, RuleType
-from .reasoner import reason
+from .reasoner import ReasoningOutcome, reason
 
 # Rule-type groups addressable in ablations; "mc" covers both MC rule kinds.
 ABLATABLE = {
@@ -54,6 +54,23 @@ def consistency(
     return ConsistencyReport(applicable, violated, tau, 1.0 - tau)
 
 
+def summarize(graph: BeliefGraph, outcome: ReasoningOutcome) -> dict:
+    """Consistency of ``graph`` before and after reasoning, and the repair's size.
+
+    "After" takes the final assignment on ``graph`` itself: the outcome's
+    updated graph keeps only the rules that assignment satisfies."""
+    before = consistency(graph)
+    after = consistency(graph, outcome.final_assignment)
+    return {
+        "tau_before": before.tau,
+        "tau_after": after.tau,
+        "self_consistency_before": before.self_consistency,
+        "self_consistency_after": after.self_consistency,
+        "flips": len(outcome.flipped),
+        "discarded_rules": len(outcome.discarded_rules),
+    }
+
+
 def mc_accuracy(predicted: Iterable[int], gold: int, num_options: int) -> float:
     """1 for the right singleton, 1/N for N answers including gold,
     1/k for no prediction, 0 otherwise."""
@@ -82,8 +99,7 @@ def ablate(graph: BeliefGraph, masked: Iterable[str]) -> BeliefGraph:
     if not masked:
         raise ValueError("mask at least one rule group")
     types = {t for name in masked for t in ABLATABLE[name]}
-    kept = tuple(r for r in graph.rules if r.rule_type not in types)
-    return BeliefGraph(dict(graph.statements), kept, graph.hypotheses)
+    return graph.without_rules(r.id for r in graph.rules if r.rule_type in types)
 
 
 @dataclass(frozen=True)
@@ -105,16 +121,6 @@ class DatasetReport:
     consistency_after: float
     accuracy_before: float | None
     accuracy_after: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "questions": len(self.records),
-            "failures": [list(f) for f in self.failures],
-            "consistency_before": self.consistency_before,
-            "consistency_after": self.consistency_after,
-            "accuracy_before": self.accuracy_before,
-            "accuracy_after": self.accuracy_after,
-        }
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -158,9 +164,8 @@ def _evaluate_question(
     question: HypothesisSet, oracle: BeliefOracle, cfg: CalibrationConfig | None
 ) -> QuestionRecord:
     graph = generate_graph(question, oracle, cfg)
-    before = consistency(graph).self_consistency
     outcome = reason(graph)
-    after = consistency(outcome.updated_graph).self_consistency
+    summary = summarize(graph, outcome)
 
     accuracy_before = accuracy_after = None
     if question.gold_index is not None:
@@ -174,10 +179,10 @@ def _evaluate_question(
         accuracy_after = mc_accuracy(predicted, question.gold_index, k)
     return QuestionRecord(
         question_id=question.question_id,
-        consistency_before=before,
-        consistency_after=after,
+        consistency_before=summary["self_consistency_before"],
+        consistency_after=summary["self_consistency_after"],
         accuracy_before=accuracy_before,
         accuracy_after=accuracy_after,
-        flips=len(outcome.flipped),
-        discarded_rules=len(outcome.discarded_rules),
+        flips=summary["flips"],
+        discarded_rules=summary["discarded_rules"],
     )

@@ -150,11 +150,11 @@ class BeliefGraph:
         raise KeyError(rule_id)
 
     def with_labels(self, assignment: Assignment) -> "BeliefGraph":
-        """A copy of the graph with statement labels replaced by the assignment."""
-        statements = {
-            sid: replace(node, label=bool(assignment[sid]))
-            for sid, node in self.statements.items()
-        }
+        """A copy of the graph with the assignment's labels; unchanged nodes are kept."""
+        statements = {}
+        for sid, node in self.statements.items():
+            label = bool(assignment[sid])
+            statements[sid] = node if node.label is label else replace(node, label=label)
         return BeliefGraph(statements, self.rules, self.hypotheses)
 
     def without_rules(self, rule_ids: Iterable[str]) -> "BeliefGraph":

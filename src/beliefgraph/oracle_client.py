@@ -207,29 +207,27 @@ class RemoteOracle:
         return document
 
     @staticmethod
-    def _field(document: dict, key: str, kind: type):
-        if key not in document:
-            raise OracleDecodeError(f"oracle response missing {key!r}")
-        value = document[key]
-        try:
-            return kind(value)
-        except (TypeError, ValueError) as exc:
-            raise OracleDecodeError(f"oracle field {key!r}: {exc}") from exc
+    def _field(document: dict, key: str, kind: type | tuple[type, ...], expected: str):
+        """A response field of the JSON type ``kind``; nothing is coerced."""
+        value = document.get(key)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise OracleDecodeError(f"oracle field {key!r} must be {expected}, got {value!r}")
+        return value
 
     def generate_premises(self, statement: str) -> list[str]:
         document = self._request(
             {"op": "generate_premises", "statement": canonicalize(statement)}
         )
-        premises = self._field(document, "premises", list)
+        premises = self._field(document, "premises", list, "a list of strings")
         if not all(isinstance(p, str) for p in premises):
             raise OracleDecodeError("premises must be a list of strings")
-        return premises
+        return list(premises)
 
     def score_statement(self, statement: str) -> float:
         document = self._request(
             {"op": "score_statement", "statement": canonicalize(statement)}
         )
-        return self._field(document, "score", float)
+        return float(self._field(document, "score", (int, float), "a number"))
 
     def score_entailment(self, premises: Sequence[str], hypothesis: str) -> float:
         document = self._request(
@@ -239,8 +237,8 @@ class RemoteOracle:
                 "hypothesis": canonicalize(hypothesis),
             }
         )
-        return self._field(document, "score", float)
+        return float(self._field(document, "score", (int, float), "a number"))
 
     def negate(self, statement: str) -> str:
         document = self._request({"op": "negate", "statement": canonicalize(statement)})
-        return self._field(document, "statement", str)
+        return self._field(document, "statement", str, "a string")

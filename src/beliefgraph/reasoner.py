@@ -11,13 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .maxsat import SolveStatus, encode, solve
-from .model import (
-    Assignment,
-    BeliefGraph,
-    RuleType,
-    StatementId,
-    rule_satisfied,
-)
+from .model import BeliefGraph, RuleNode, RuleType, StatementId, rule_satisfied
 
 DEFAULT_QUERY_BUDGET = 5
 
@@ -49,33 +43,37 @@ class ReasoningOutcome:
     optimal_cost: float = 0.0
 
 
-def _explain(updated: BeliefGraph, root: StatementId) -> ExplanationSubgraph:
-    assignment = updated.initial_assignment()
+def _supports(updated: BeliefGraph) -> dict[StatementId, list[RuleNode]]:
+    """Conclusion id -> the entailment rules concluding it whose premises are
+    all believed in the updated graph, in rule order."""
+    supports: dict[StatementId, list[RuleNode]] = {}
+    for rule in updated.rules:
+        if rule.rule_type is RuleType.ENTAILMENT and all(
+            updated.statements[p].label for p in rule.premise_ids
+        ):
+            supports.setdefault(rule.hypothesis_ids[0], []).append(rule)
+    return supports
+
+
+def _explain(
+    supports: Mapping[StatementId, list[RuleNode]], root: StatementId
+) -> ExplanationSubgraph:
+    """Breadth-first walk from the root through ``supports``.  Each statement
+    enters the frontier once and each rule has one conclusion: no rule repeats."""
     statements = {root}
-    rules: list[str] = []
-    support: dict[StatementId, list[str]] = {}
+    support: dict[StatementId, tuple[str, ...]] = {}
     frontier = [root]
-    while frontier:
-        sid = frontier.pop(0)
-        for rule in updated.rules:
-            if rule.rule_type is not RuleType.ENTAILMENT:
-                continue
-            if sid not in rule.hypothesis_ids or rule.id in rules:
-                continue
-            if not all(assignment[p] for p in rule.premise_ids):
-                continue
-            rules.append(rule.id)
-            support.setdefault(sid, []).append(rule.id)
+    for sid in frontier:
+        if sid not in supports:
+            continue
+        support[sid] = tuple(rule.id for rule in supports[sid])
+        for rule in supports[sid]:
             for p in rule.premise_ids:
                 if p not in statements:
                     statements.add(p)
                     frontier.append(p)
-    return ExplanationSubgraph(
-        root=root,
-        statement_ids=frozenset(statements),
-        rule_ids=tuple(rules),
-        support={sid: tuple(ids) for sid, ids in support.items()},
-    )
+    rule_ids = tuple(rule_id for ids in support.values() for rule_id in ids)
+    return ExplanationSubgraph(root, frozenset(statements), rule_ids, support)
 
 
 def reason(
@@ -96,7 +94,8 @@ def reason(
     )
     updated = graph.with_labels(assignment).without_rules(discarded)
     predictions = frozenset(h for h in graph.hypotheses if assignment[h])
-    explanations = {h: _explain(updated, h) for h in sorted(predictions)}
+    supports = _supports(updated)
+    explanations = {h: _explain(supports, h) for h in sorted(predictions)}
     return ReasoningOutcome(
         initial_graph=graph,
         final_assignment=dict(assignment),
@@ -115,7 +114,7 @@ def extract_explanation(outcome: ReasoningOutcome, root: StatementId) -> Explana
         raise ValueError(f"statement {root} is not believed true after reasoning")
     if root in outcome.explanation_roots:
         return outcome.explanation_roots[root]
-    return _explain(outcome.updated_graph, root)
+    return _explain(_supports(outcome.updated_graph), root)
 
 
 def resolve_interactive(
@@ -138,8 +137,9 @@ def resolve_interactive(
     while outcome.discarded_rules and queries < budget:
         involved = {
             sid
-            for rule_id in outcome.discarded_rules
-            for sid in graph.rule_by_id(rule_id).statement_ids()
+            for rule in graph.rules
+            if rule.id in outcome.discarded_rules
+            for sid in rule.statement_ids()
             if sid not in pins
         }
         if not involved:

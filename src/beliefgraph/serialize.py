@@ -1,4 +1,4 @@
-"""Versioned JSON documents for graphs, outcomes, configs, and oracle fixtures."""
+"""JSON documents: versioned graphs and outcomes, configs, question files, oracle fixtures."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Any
 
 from .calibration import CalibrationConfig
-from .construction import MockOracle
+from .construction import HypothesisSet, MockOracle
 from .model import BeliefGraph, RuleNode, RuleType, StatementNode
 from .reasoner import ReasoningOutcome
 
@@ -119,6 +119,12 @@ def _str(value: Any, key: str, where: str) -> str:
     raise InputError(f"{where}: field {key!r} must be a UTF-8 string, got {value!r}")
 
 
+def _optional(read, mapping: dict, key: str, where: str) -> Any:
+    """``read`` applied to a field that may be absent or null (then None)."""
+    value = mapping.get(key)
+    return None if value is None else read(value, key, where)
+
+
 def _list(mapping: dict, key: str, where: str, default: list | None = None) -> list:
     value = _require(mapping, key, where) if default is None else mapping.get(key, default)
     if not isinstance(value, list):
@@ -136,25 +142,23 @@ def document_to_graph(document: dict) -> BeliefGraph:
     version = _int(_require(document, "schema_version", "document"), "schema_version", "document")
     if version != SCHEMA_VERSION:
         raise InputError(f"document: unsupported schema_version {version!r}")
+    hypotheses = _ints(document, "hypotheses", "document")
     statements: dict[int, StatementNode] = {}
     for i, entry in enumerate(_list(document, "statements", "document")):
         where = f"statements[{i}]"
         if not isinstance(entry, dict):
             raise InputError(f"{where} must be an object")
         try:
-            negation_of = entry.get("negation_of")
-            raw_score = entry.get("raw_score")
+            sid = _int(_require(entry, "id", where), "id", where)
             node = StatementNode(
-                id=_int(_require(entry, "id", where), "id", where),
+                id=sid,
                 text=_str(_require(entry, "text", where), "text", where),
                 label=_bool(entry, "label", where),
                 confidence=_number(_require(entry, "confidence", where), "confidence", where),
                 depth=_int(entry.get("depth", 0), "depth", where),
-                is_hypothesis=_bool(entry, "is_hypothesis", where, False),
-                is_negation_of=(
-                    None if negation_of is None else _int(negation_of, "negation_of", where)
-                ),
-                raw_score=None if raw_score is None else _number(raw_score, "raw_score", where),
+                is_hypothesis=_bool(entry, "is_hypothesis", where, sid in hypotheses),
+                is_negation_of=_optional(_int, entry, "negation_of", where),
+                raw_score=_optional(_number, entry, "raw_score", where),
             )
         except InputError:
             raise
@@ -162,7 +166,12 @@ def document_to_graph(document: dict) -> BeliefGraph:
             raise InputError(f"{where}: {exc}") from exc
         if node.id in statements:
             raise InputError(f"{where}: duplicate statement id {node.id}")
+        if node.is_hypothesis is not (node.id in hypotheses):
+            raise InputError(f"{where}: 'is_hypothesis' disagrees with 'hypotheses'")
         statements[node.id] = node
+    for i, node in enumerate(statements.values()):
+        if node.is_negation_of is not None and node.is_negation_of not in statements:
+            raise InputError(f"statements[{i}]: no statement {node.is_negation_of} to negate")
     rules = []
     for i, entry in enumerate(_list(document, "rules", "document")):
         where = f"rules[{i}]"
@@ -190,7 +199,6 @@ def document_to_graph(document: dict) -> BeliefGraph:
             raise
         except (TypeError, ValueError) as exc:
             raise InputError(f"{where}: {exc}") from exc
-    hypotheses = _ints(document, "hypotheses", "document")
     try:
         return BeliefGraph(statements, tuple(rules), hypotheses)
     except ValueError as exc:
@@ -203,6 +211,24 @@ def save_graph(graph: BeliefGraph, path: str | Path, provenance: dict | None = N
 
 def load_graph(path: str | Path) -> BeliefGraph:
     return document_to_graph(read_json(path))
+
+
+def load_questions(path: str | Path) -> list[HypothesisSet]:
+    """A question file: one question object or a list of them."""
+    raw = read_json(path)
+    questions = []
+    for i, entry in enumerate(raw if isinstance(raw, list) else [raw]):
+        where = f"{path}: question [{i}]"
+        if not isinstance(entry, dict):
+            raise InputError(f"{where} must be an object")
+        hypotheses = tuple(_str(h, "hypotheses", where) for h in _list(entry, "hypotheses", where))
+        gold_index = _optional(_int, entry, "gold_index", where)
+        question_id = _optional(_str, entry, "question_id", where)
+        try:
+            questions.append(HypothesisSet(hypotheses, gold_index, question_id))
+        except ValueError as exc:
+            raise InputError(f"{where}: {exc}") from exc
+    return questions
 
 
 def outcome_to_document(outcome: ReasoningOutcome, summary: dict | None = None) -> dict:
@@ -238,10 +264,12 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Calib
         raw = read_json(path)
         if not isinstance(raw, dict):
             raise InputError(f"{path}: config root must be an object")
-        known = set(CalibrationConfig.__dataclass_fields__)
-        unknown = set(raw) - known
+        unknown = set(raw) - set(CalibrationConfig.__dataclass_fields__)
         if unknown:
             raise InputError(f"{path}: unknown config keys {sorted(unknown)}")
+        # Checked, not converted: an accepted value keeps its config digest.
+        for key, value in raw.items():
+            (_int if key == "d_max" else _number)(value, key, str(path))
         values.update(raw)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from beliefgraph import (
     HARD,
     BeliefGraph,
+    CalibrationConfig,
     RemoteOracle,
     RuleNode,
     RuleType,
@@ -31,7 +32,7 @@ from beliefgraph.cli import (
     main,
 )
 from beliefgraph.oracle_client import OracleTransportError
-from beliefgraph.serialize import InputError, dumps
+from beliefgraph.serialize import InputError, config_digest, dumps
 from beliefgraph.synthetic import synthetic_graph
 from conftest import TRACE_PREMISES, TRACE_SCORES
 
@@ -180,6 +181,24 @@ class TestBuildGraph:
         assert code == EXIT_INPUT
 
     @pytest.mark.parametrize(
+        "config",
+        [{"d_max": 2.5}, {"d_max": True}, {"d_max": "2"}, {"beta": True}, {"k": "9"}],
+    )
+    def test_mistyped_config_is_input_error(self, workdir, capsys, config):
+        (workdir / "config.json").write_text(json.dumps(config))
+        code = run_build(workdir, "cfg.json", ("--config", str(workdir / "config.json")))
+        assert code == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
+
+    def test_config_values_pass_through(self, workdir):
+        """An integer in a float field is not converted, so it keeps its digest."""
+        (workdir / "config.json").write_text(json.dumps({"k": 9, "beta": 1, "d_max": 1}))
+        assert run_build(workdir, "cfg.json", ("--config", str(workdir / "config.json"))) == 0
+        doc = json.loads((workdir / "cfg.json").read_text())
+        expected = config_digest(CalibrationConfig(k=9, beta=1, d_max=1))
+        assert doc["provenance"]["config_digest"] == expected
+
+    @pytest.mark.parametrize(
         "name, document",
         [
             ("question.json", dict(QUESTION, hypotheses="ab")),
@@ -187,12 +206,15 @@ class TestBuildGraph:
             ("question.json", dict(QUESTION, gold_index="1")),
             ("question.json", dict(QUESTION, gold_index=True)),
             ("question.json", dict(QUESTION, question_id=5)),
+            ("question.json", dict(QUESTION, hypotheses=["Alpha is a mammal.", "beta \ud800 x"])),
+            ("question.json", dict(QUESTION, question_id="q \ud800")),
             ("oracle.json", dict(ORACLE_FIXTURE, premises=[])),
             ("oracle.json", dict(ORACLE_FIXTURE, negations=3)),
             ("oracle.json", dict(ORACLE_FIXTURE, premises={"alpha is a mammal": "xyz"})),
             ("oracle.json", dict(ORACLE_FIXTURE, statement_scores={"alpha is a mammal": "0.9"})),
             ("oracle.json", dict(ORACLE_FIXTURE, statement_scores={"alpha is a mammal": True})),
             ("oracle.json", dict(ORACLE_FIXTURE, entailment_scores={"x": "0.9"})),
+            ("oracle.json", dict(ORACLE_FIXTURE, entailment_scores={"x": 0.9})),
             ("oracle.json", dict(ORACLE_FIXTURE, negations={"alpha is a mammal": 5})),
             ("oracle.json", dict(ORACLE_FIXTURE, default_score=True)),
             ("oracle.json", dict(ORACLE_FIXTURE, default_entailment_score="0.85")),
@@ -203,12 +225,15 @@ class TestBuildGraph:
             "gold-index-string",
             "gold-index-bool",
             "question-id-int",
+            "hypothesis-lone-surrogate",
+            "question-id-lone-surrogate",
             "premises-table-list",
             "negations-table-int",
             "premise-value-string",
             "score-string",
             "score-bool",
             "entailment-score-string",
+            "entailment-key-without-arrow",
             "negation-int",
             "default-score-bool",
             "default-entailment-score-string",
@@ -330,6 +355,9 @@ class TestReason:
             lambda doc: doc["rules"][2].update(confidence=0.5),
             lambda doc: doc.update(schema_version=1.0),
             lambda doc: doc.update(hypotheses=[0, 0]),
+            lambda doc: doc["statements"][2].update(negation_of=99),
+            lambda doc: doc["statements"][3].update(is_hypothesis=True),
+            lambda doc: doc["statements"][1].update(is_hypothesis=False),
         ],
         ids=[
             "statements-not-a-list",
@@ -353,6 +381,9 @@ class TestReason:
             "hard-rule-confidence-number",
             "schema-version-float",
             "hypothesis-repeated",
+            "negation-of-unknown-statement",
+            "is-hypothesis-not-listed",
+            "listed-hypothesis-not-marked",
         ],
     )
     def test_mistyped_graph_document_is_input_error(self, workdir, giraffe_graph, capsys, corrupt):

@@ -40,6 +40,28 @@ class TestCanonicalize:
             canonicalize("   ")
 
 
+class TestMockOracle:
+    def test_entailment_keys_are_canonicalized(self):
+        oracle = MockOracle(
+            entailment_scores={
+                "Alpha is a mammal. => Alpha breathes.": 0.3,
+                "Alpha  has FUR && alpha is warm blooded. => alpha is a mammal": 0.6,
+            }
+        )
+        assert oracle.score_entailment(["alpha is a mammal"], "Alpha breathes") == 0.3
+        assert oracle.score_entailment(
+            ["Alpha has fur.", "Alpha is warm blooded."], "Alpha is a mammal."
+        ) == 0.6
+        assert oracle.entailment_scores == {
+            entailment_key(["alpha is a mammal"], "alpha breathes"): 0.3,
+            entailment_key(["alpha has fur", "alpha is warm blooded"], "alpha is a mammal"): 0.6,
+        }
+
+    def test_entailment_key_without_arrow_rejected(self):
+        with pytest.raises(ValueError, match="' => '"):
+            MockOracle(entailment_scores={"alpha breathes": 0.3})
+
+
 class TestHypothesisSet:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from beliefgraph import (
     ablate,
     consistency,
     evaluate_dataset,
+    generate_graph,
     mc_accuracy,
     reason,
 )
@@ -148,6 +149,13 @@ class TestAblate:
         assert post_hoc({"xor"}) < post_hoc({"mc"})
 
 
+def consistency_after(question, oracle):
+    """Self-consistency of the original graph under the post-reasoning
+    beliefs, computed without `evaluate_dataset`."""
+    graph = generate_graph(question, oracle)
+    return consistency(graph, reason(graph).final_assignment).self_consistency
+
+
 class TestEvaluateDataset:
     def oracle(self):
         return MockOracle(premises=TRACE_PREMISES, statement_scores=TRACE_SCORES)
@@ -163,8 +171,32 @@ class TestEvaluateDataset:
         assert record.question_id == "q1"
         assert record.accuracy_before == 1.0
         assert record.accuracy_after == 1.0
-        assert report.consistency_after == 1.0
+        assert report.consistency_after == consistency_after(question, self.oracle())
         assert report.failures == ()
+
+    def test_consistency_after_keeps_discarded_rules(self):
+        """A weak entailment rule is discarded, so the repair leaves it
+        violated; "after" is measured on the original graph, not on the
+        updated graph that no longer holds the rule."""
+        oracle = MockOracle(
+            premises={"alpha is a reptile": ["alpha lays eggs"]},
+            statement_scores={
+                "alpha is a mammal": 0.9,
+                "alpha is a reptile": 0.1,
+                "alpha lays eggs": 0.95,
+            },
+            entailment_scores={"alpha lays eggs => alpha is a reptile": 0.6},
+        )
+        questions = [
+            HypothesisSet(("Alpha is a mammal.", "Alpha is a reptile."), 0, "weak rule"),
+            HypothesisSet(("Alpha is a mammal.", "Alpha is a bird."), 0, "consistent"),
+        ]
+        report = evaluate_dataset(questions, oracle)
+        expected = [consistency_after(q, oracle) for q in questions]
+        assert expected[0] < 1.0
+        assert [r.consistency_after for r in report.records] == expected
+        assert report.consistency_after == sum(expected) / len(expected)
+        assert report.records[0].discarded_rules == 1
 
     def test_unscored_question_skips_accuracy(self):
         question = HypothesisSet(("Alpha is a mammal.", "Alpha is a reptile."))

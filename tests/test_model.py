@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from beliefgraph import (
     total_cost,
 )
 from beliefgraph.model import EvaluationError
+from beliefgraph.synthetic import synthetic_graph
 
 
 def node(sid, label=True, confidence=0.9):
@@ -169,3 +171,19 @@ class TestGraphInvariants:
         rules = (entailment("r", (0,), 1, 0.8), entailment("r", (1,), 0, 0.8))
         with pytest.raises(ValueError, match="rule ids must be unique"):
             BeliefGraph(statements, rules, (0,))
+
+
+class TestWithLabels:
+    def test_unflipped_nodes_are_kept(self):
+        g = synthetic_graph(0)
+        assignment = g.initial_assignment()
+        flipped = set(list(assignment)[::3])
+        for sid in flipped:
+            assignment[sid] = not assignment[sid]
+        relabelled = g.with_labels(assignment)
+        assert relabelled.rules == g.rules and relabelled.hypotheses == g.hypotheses
+        for sid, node in g.statements.items():
+            if sid in flipped:
+                assert relabelled.statements[sid] == replace(node, label=assignment[sid])
+            else:
+                assert relabelled.statements[sid] is node

@@ -221,6 +221,40 @@ class TestTransport:
             with pytest.raises(OracleDecodeError, match="root must be an object"):
                 oracle.score_statement("fact 1")
 
+    @pytest.mark.parametrize(
+        "query, document",
+        [
+            ("negate", {"statement": None}),
+            ("negate", {"statement": 5}),
+            ("generate_premises", {"premises": "ab"}),
+            ("generate_premises", {"premises": {"x": 1}}),
+            ("generate_premises", {"premises": ["a", 5]}),
+            ("score_statement", {"score": "0.9"}),
+            ("score_statement", {"score": True}),
+            ("score_statement", {}),
+            ("score_entailment", {"score": "0.9"}),
+        ],
+    )
+    def test_mistyped_field_raises_decode_error(self, query, document):
+        class Fixed(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                body = json.dumps(document).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        with serve(Fixed) as (_, url), closing(RemoteOracle(url)) as oracle:
+            ask = getattr(oracle, query)
+            with pytest.raises(OracleDecodeError):
+                ask(["fact 1"], "fact 2") if query == "score_entailment" else ask("fact 1")
+
     def test_timeout_applies_to_reads(self):
         # The kernel completes the handshake on a listening socket, but
         # nothing ever answers.
