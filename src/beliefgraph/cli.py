@@ -18,7 +18,7 @@ from .dot import to_dot
 from .maxsat import SolverLimitError
 from .metrics import ABLATABLE, ablate, summarize
 from .oracle_client import OracleDecodeError, OracleTransportError, RemoteOracle
-from .reasoner import ReasoningError, reason, resolve_interactive
+from .reasoner import DEFAULT_QUERY_BUDGET, ReasoningError, reason, resolve_interactive
 from .serialize import (
     InputError,
     config_digest,
@@ -38,13 +38,12 @@ EXIT_INFEASIBLE = 4
 EXIT_INTERNAL = 5
 
 
-def _make_oracle(spec: str, cache_dir: Path | None = None) -> BeliefOracle:
+def _make_oracle(spec: str, cache_dir: Path) -> BeliefOracle:
     kind, _, rest = spec.partition(":")
     if kind == "mock" and rest:
         return load_mock_oracle(rest)
     if kind == "remote" and rest:
-        cache = cache_dir / "oracle_cache.jsonl" if cache_dir else None
-        return RemoteOracle(rest, cache_path=cache)
+        return RemoteOracle(rest, cache_path=cache_dir / "oracle_cache.jsonl")
     raise InputError(f"oracle spec must be mock:<path> or remote:<url>, got {spec!r}")
 
 
@@ -52,7 +51,7 @@ def _provenance(args: argparse.Namespace, cfg: CalibrationConfig) -> dict:
     return {
         "oracle": args.oracle,
         "config_digest": config_digest(cfg),
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
     }
 
 
@@ -72,21 +71,35 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     if args.out_dir is None:
         raise InputError("multiple questions require --out-dir")
     out_dir = Path(args.out_dir)
+    paths = [out_dir / f"{name}.json" for name in _output_names(questions)]
     out_dir.mkdir(parents=True, exist_ok=True)
     oracle = _make_oracle(args.oracle, cache_dir=out_dir)
 
-    def build(pair):
-        index, question = pair
+    def build(question, path):
         graph = generate_graph(question, oracle, cfg)
-        name = question.question_id or f"question_{index:04d}"
-        path = out_dir / f"{name}.json"
         path.write_text(dumps(graph_to_document(graph, provenance)))
         return path
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        for path in pool.map(build, enumerate(questions)):
+        for path in pool.map(build, questions, paths):
             print(f"wrote {path}")
     return EXIT_OK
+
+
+def _output_names(questions) -> list[str]:
+    """Each question's output file name without ``.json``: its ``question_id``,
+    else ``question_<index>``.  A name must be a plain file name of its own."""
+    names = []
+    for index, question in enumerate(questions):
+        name = question.question_id
+        if name is None:
+            name = f"question_{index:04d}"
+        elif name in ("", "..") or "\0" in name or Path(name).name != name:
+            raise InputError(f"question [{index}]: question_id {name!r} is not a file name")
+        if name in names:
+            raise InputError(f"question [{index}]: a second question is named {name!r}")
+        names.append(name)
+    return names
 
 
 def _report(graph, outcome, output: str | None) -> None:
@@ -178,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", help="interactively pin beliefs to resolve conflicts")
     p.add_argument("graph", help="graph document path")
     p.add_argument("-o", "--output", help="outcome document output path")
-    p.add_argument("--budget", type=int, default=5, help="max user queries")
+    p.add_argument("--budget", type=int, default=DEFAULT_QUERY_BUDGET, help="max user queries")
     p.set_defaults(func=_cmd_resolve)
 
     p = sub.add_parser("export-dot", help="render a graph document as DOT")

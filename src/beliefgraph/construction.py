@@ -8,6 +8,7 @@ XOR pairs, and the multiple-choice constraints over the hypothesis set.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field, replace
 from typing import Protocol, Sequence, runtime_checkable
@@ -229,6 +230,20 @@ class _Builder:
         return sid
 
 
+def multiple_choice_rules(
+    hypothesis_ids: Sequence[StatementId], first: int, cfg: CalibrationConfig
+) -> list[RuleNode]:
+    """The multiple-choice constraints over a hypothesis set, with ids from
+    ``r<first>`` on: one hard at-least-one rule, then a soft exclusion per pair."""
+    rules = [RuleNode(f"r{first}", RuleType.MC_HARD, (), tuple(hypothesis_ids), HARD)]
+    confidence = calibrate_rule(1.0, RuleType.MC_PAIRWISE, cfg)
+    for pair in itertools.combinations(hypothesis_ids, 2):
+        rules.append(
+            RuleNode(f"r{first + len(rules)}", RuleType.MC_PAIRWISE, (), pair, confidence)
+        )
+    return rules
+
+
 def generate_graph(
     hypothesis_set: HypothesisSet,
     oracle: BeliefOracle,
@@ -255,30 +270,6 @@ def generate_graph(
             rules_built=len(builder.rules),
         ) from exc
 
-    for sid in hyp_ids:
-        builder.nodes[sid] = replace(builder.nodes[sid], is_hypothesis=True)
-
-    builder.rules.append(
-        RuleNode(
-            id=builder.next_rule_id(),
-            rule_type=RuleType.MC_HARD,
-            premise_ids=(),
-            hypothesis_ids=tuple(hyp_ids),
-            confidence=HARD,
-        )
-    )
-    for i in range(len(hyp_ids)):
-        for j in range(i + 1, len(hyp_ids)):
-            builder.rules.append(
-                RuleNode(
-                    id=builder.next_rule_id(),
-                    rule_type=RuleType.MC_PAIRWISE,
-                    premise_ids=(),
-                    hypothesis_ids=(hyp_ids[i], hyp_ids[j]),
-                    confidence=calibrate_rule(1.0, RuleType.MC_PAIRWISE, cfg),
-                    raw_score=1.0,
-                )
-            )
-
+    builder.rules.extend(multiple_choice_rules(hyp_ids, len(builder.rules), cfg))
     graph = BeliefGraph(dict(builder.nodes), tuple(builder.rules), tuple(hyp_ids))
     return apply_boundary_damping(graph, cfg)

@@ -7,9 +7,9 @@ discarded rules dashed.
 
 from __future__ import annotations
 
-from typing import Collection, Mapping
+from typing import Collection
 
-from .model import Assignment, BeliefGraph, RuleType, rule_satisfied
+from .model import Assignment, BeliefGraph, rule_satisfied
 
 
 def _quote(text: str) -> str:
@@ -23,6 +23,7 @@ def to_dot(
 ) -> str:
     a = assignment if assignment is not None else graph.initial_assignment()
     discarded = set(discarded)
+    hypotheses = set(graph.hypotheses)
     lines = [
         "digraph belief_graph {",
         "  rankdir=BT;",
@@ -33,7 +34,7 @@ def to_dot(
         fill = "white" if a[sid] else "grey80"
         shape = "ellipse"
         attrs = [f"label={_quote(node.text)}", f"fillcolor={fill}", f"shape={shape}"]
-        if node.is_hypothesis:
+        if sid in hypotheses:
             attrs.append("penwidth=2")
         lines.append(f"  s{sid} [{', '.join(attrs)}];")
     for rule in graph.rules:

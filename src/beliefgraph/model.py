@@ -9,7 +9,7 @@ large graphs never underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -44,7 +44,6 @@ class StatementNode:
     label: bool
     confidence: float
     depth: int = 0
-    is_hypothesis: bool = False
     is_negation_of: StatementId | None = None
     raw_score: float | None = None
 
@@ -117,7 +116,8 @@ class RuleNode:
 
 @dataclass(frozen=True, eq=True)
 class BeliefGraph:
-    """Bipartite factor graph of statement and rule nodes, with designated hypotheses."""
+    """Bipartite factor graph of statement and rule nodes; ``hypotheses`` alone
+    marks the answer candidates."""
 
     statements: dict[StatementId, StatementNode]
     rules: tuple[RuleNode, ...]
@@ -128,8 +128,12 @@ class BeliefGraph:
             raise ValueError("belief graph needs at least one hypothesis")
         if len(set(self.hypotheses)) != len(self.hypotheses):
             raise ValueError("hypothesis ids must be unique")
-        if list(self.statements) != [node.id for node in self.statements.values()]:
-            raise ValueError("each statement must be keyed by its own id")
+        for sid, node in self.statements.items():
+            if node.id != sid:
+                raise ValueError("each statement must be keyed by its own id")
+            negated = node.is_negation_of
+            if negated is not None and negated not in self.statements:
+                raise ValueError(f"statement {sid} negates unknown statement {negated}")
         if len({rule.id for rule in self.rules}) != len(self.rules):
             raise ValueError("rule ids must be unique")
         for h in self.hypotheses:

@@ -214,6 +214,14 @@ class RemoteOracle:
             raise OracleDecodeError(f"oracle field {key!r} must be {expected}, got {value!r}")
         return value
 
+    @classmethod
+    def _score(cls, document: dict) -> float:
+        """The ``score`` field as a float; an integer too large for one is malformed."""
+        try:
+            return float(cls._field(document, "score", (int, float), "a number"))
+        except OverflowError as exc:
+            raise OracleDecodeError("oracle field 'score' is too large for a float") from exc
+
     def generate_premises(self, statement: str) -> list[str]:
         document = self._request(
             {"op": "generate_premises", "statement": canonicalize(statement)}
@@ -227,7 +235,7 @@ class RemoteOracle:
         document = self._request(
             {"op": "score_statement", "statement": canonicalize(statement)}
         )
-        return float(self._field(document, "score", (int, float), "a number"))
+        return self._score(document)
 
     def score_entailment(self, premises: Sequence[str], hypothesis: str) -> float:
         document = self._request(
@@ -237,7 +245,7 @@ class RemoteOracle:
                 "hypothesis": canonicalize(hypothesis),
             }
         )
-        return float(self._field(document, "score", (int, float), "a number"))
+        return self._score(document)
 
     def negate(self, statement: str) -> str:
         document = self._request({"op": "negate", "statement": canonicalize(statement)})

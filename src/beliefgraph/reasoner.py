@@ -26,14 +26,17 @@ class ExplanationSubgraph:
 
     root: StatementId
     statement_ids: frozenset[StatementId]
-    rule_ids: tuple[str, ...]
     # conclusion id -> ids of included rules concluding it
     support: dict[StatementId, tuple[str, ...]] = field(default_factory=dict)
+
+    @property
+    def rule_ids(self) -> tuple[str, ...]:
+        """The included rules, grouped by conclusion in breadth-first order."""
+        return tuple(rule_id for ids in self.support.values() for rule_id in ids)
 
 
 @dataclass(frozen=True)
 class ReasoningOutcome:
-    initial_graph: BeliefGraph
     final_assignment: dict[StatementId, bool]
     flipped: frozenset[StatementId]
     discarded_rules: frozenset[str]
@@ -72,8 +75,7 @@ def _explain(
                 if p not in statements:
                     statements.add(p)
                     frontier.append(p)
-    rule_ids = tuple(rule_id for ids in support.values() for rule_id in ids)
-    return ExplanationSubgraph(root, frozenset(statements), rule_ids, support)
+    return ExplanationSubgraph(root, frozenset(statements), support)
 
 
 def reason(
@@ -97,7 +99,6 @@ def reason(
     supports = _supports(updated)
     explanations = {h: _explain(supports, h) for h in sorted(predictions)}
     return ReasoningOutcome(
-        initial_graph=graph,
         final_assignment=dict(assignment),
         flipped=flipped,
         discarded_rules=discarded,

@@ -11,7 +11,7 @@ from typing import Any
 
 from .calibration import CalibrationConfig
 from .construction import HypothesisSet, MockOracle
-from .model import BeliefGraph, RuleNode, RuleType, StatementNode
+from .model import HARD, BeliefGraph, RuleNode, RuleType, StatementNode
 from .reasoner import ReasoningOutcome
 
 SCHEMA_VERSION = 1
@@ -37,6 +37,7 @@ def dumps(document: dict) -> str:
 
 
 def graph_to_document(graph: BeliefGraph, provenance: dict | None = None) -> dict:
+    hypotheses = set(graph.hypotheses)
     statements = []
     for sid in sorted(graph.statements):
         node = graph.statements[sid]
@@ -48,7 +49,7 @@ def graph_to_document(graph: BeliefGraph, provenance: dict | None = None) -> dic
                 "confidence": node.confidence,
                 "raw_score": node.raw_score,
                 "depth": node.depth,
-                "is_hypothesis": node.is_hypothesis,
+                "is_hypothesis": node.id in hypotheses,
                 "negation_of": node.is_negation_of,
             }
         )
@@ -149,14 +150,12 @@ def document_to_graph(document: dict) -> BeliefGraph:
         if not isinstance(entry, dict):
             raise InputError(f"{where} must be an object")
         try:
-            sid = _int(_require(entry, "id", where), "id", where)
             node = StatementNode(
-                id=sid,
+                id=_int(_require(entry, "id", where), "id", where),
                 text=_str(_require(entry, "text", where), "text", where),
                 label=_bool(entry, "label", where),
                 confidence=_number(_require(entry, "confidence", where), "confidence", where),
                 depth=_int(entry.get("depth", 0), "depth", where),
-                is_hypothesis=_bool(entry, "is_hypothesis", where, sid in hypotheses),
                 is_negation_of=_optional(_int, entry, "negation_of", where),
                 raw_score=_optional(_number, entry, "raw_score", where),
             )
@@ -166,12 +165,10 @@ def document_to_graph(document: dict) -> BeliefGraph:
             raise InputError(f"{where}: {exc}") from exc
         if node.id in statements:
             raise InputError(f"{where}: duplicate statement id {node.id}")
-        if node.is_hypothesis is not (node.id in hypotheses):
+        listed = node.id in hypotheses
+        if _bool(entry, "is_hypothesis", where, listed) is not listed:
             raise InputError(f"{where}: 'is_hypothesis' disagrees with 'hypotheses'")
         statements[node.id] = node
-    for i, node in enumerate(statements.values()):
-        if node.is_negation_of is not None and node.is_negation_of not in statements:
-            raise InputError(f"statements[{i}]: no statement {node.is_negation_of} to negate")
     rules = []
     for i, entry in enumerate(_list(document, "rules", "document")):
         where = f"rules[{i}]"
@@ -182,7 +179,7 @@ def document_to_graph(document: dict) -> BeliefGraph:
             if _bool(entry, "hard", where, False):
                 if entry.get("confidence") is not None:
                     raise InputError(f"{where}: a hard rule's 'confidence' must be null")
-                confidence = math.inf
+                confidence = HARD
             else:
                 confidence = _number(_require(entry, "confidence", where), "confidence", where)
             rules.append(
@@ -294,10 +291,10 @@ def load_mock_oracle(path: str | Path) -> MockOracle:
     for name, table in tables.items():
         if not isinstance(table, dict):
             raise InputError(f"{path}: {name!r} must be an object")
-    for key, premises in tables["premises"].items():
-        if not isinstance(premises, list) or not all(isinstance(p, str) for p in premises):
-            raise InputError(f"{path}: premises of {key!r} must be a list of strings")
     where = str(path)
+    for key in tables["premises"]:
+        for premise in _list(tables["premises"], key, f"{where}: premises"):
+            _str(premise, key, f"{where}: premises")
     for name in ("statement_scores", "entailment_scores"):
         tables[name] = {k: _number(v, k, f"{where}: {name}") for k, v in tables[name].items()}
     for key, negation in tables["negations"].items():

@@ -8,7 +8,10 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from .model import HARD, BeliefGraph, RuleNode, RuleType, StatementNode
+from .calibration import CalibrationConfig
+from .construction import multiple_choice_rules
+from .model import BeliefGraph, RuleNode, RuleType, StatementNode
+
 
 def synthetic_graph(
     seed: int,
@@ -29,7 +32,7 @@ def synthetic_graph(
     def conf() -> float:
         return round(rng.uniform(0.05, 0.99), 3)
 
-    def add_statement(depth: int, label: bool | None = None, hyp: bool = False) -> int:
+    def add_statement(depth: int, label: bool | None = None) -> int:
         sid = len(statements)
         statements[sid] = StatementNode(
             id=sid,
@@ -37,11 +40,10 @@ def synthetic_graph(
             label=rng.random() < 0.8 if label is None else label,
             confidence=conf(),
             depth=depth,
-            is_hypothesis=hyp,
         )
         return sid
 
-    hyp_ids = [add_statement(0, hyp=True) for _ in range(n_hypotheses)]
+    hyp_ids = [add_statement(0) for _ in range(n_hypotheses)]
     interior = list(hyp_ids)
 
     n_pairwise = n_hypotheses * (n_hypotheses - 1) // 2
@@ -88,27 +90,7 @@ def synthetic_graph(
             )
         )
 
-    rules.append(
-        RuleNode(
-            id=f"r{len(rules)}",
-            rule_type=RuleType.MC_HARD,
-            premise_ids=(),
-            hypothesis_ids=tuple(hyp_ids),
-            confidence=HARD,
-        )
-    )
-    for i in range(n_hypotheses):
-        for j in range(i + 1, n_hypotheses):
-            rules.append(
-                RuleNode(
-                    id=f"r{len(rules)}",
-                    rule_type=RuleType.MC_PAIRWISE,
-                    premise_ids=(),
-                    hypothesis_ids=(hyp_ids[i], hyp_ids[j]),
-                    confidence=0.98,
-                    raw_score=1.0,
-                )
-            )
+    rules.extend(multiple_choice_rules(hyp_ids, len(rules), CalibrationConfig()))
 
     # Guarantee at least one initial violation: force the first entailment
     # rule's conclusion false with all premises true.

@@ -30,7 +30,6 @@ def make_graph(statements, rules, hypotheses):
             label=label,
             confidence=confidence,
             depth=extra.get("depth", 0),
-            is_hypothesis=extra.get("hyp", False),
             is_negation_of=extra.get("neg_of"),
             raw_score=extra.get("raw"),
         )
@@ -52,8 +51,8 @@ def giraffe_graph():
     """Two-option question where an XOR conflict flips the wrong answer away."""
     return make_graph(
         statements=[
-            (0, "giraffes give live birth", True, 0.8, {"hyp": True}),
-            (1, "spiders give live birth", True, 0.55, {"hyp": True}),
+            (0, "giraffes give live birth", True, 0.8, {}),
+            (1, "spiders give live birth", True, 0.55, {}),
             (2, "spiders do not give live birth", True, 0.9, {"neg_of": 1, "depth": 1}),
             (3, "a giraffe is a mammal", True, 0.9, {"depth": 1}),
             (4, "mammals give live birth", True, 0.95, {"depth": 1}),
@@ -74,8 +73,8 @@ def flip_to_true_graph():
     cheapest repair flips it to true."""
     return make_graph(
         statements=[
-            (0, "the supported option holds", False, 0.4, {"hyp": True}),
-            (1, "the other option holds", False, 0.7, {"hyp": True}),
+            (0, "the supported option holds", False, 0.4, {}),
+            (1, "the other option holds", False, 0.7, {}),
             (2, "first supporting fact", True, 0.9, {"depth": 1}),
             (3, "second supporting fact", True, 0.9, {"depth": 1}),
             (4, "the alternative is ruled out", True, 0.8, {"depth": 1}),
@@ -95,10 +94,10 @@ def weakest_premise_graph():
     """A violated rule repaired by disbelieving its weakest premise."""
     return make_graph(
         statements=[
-            (0, "the disbelieved option holds", False, 0.9, {"hyp": True}),
+            (0, "the disbelieved option holds", False, 0.9, {}),
             (1, "a strong premise", True, 0.9, {"depth": 1}),
             (2, "a weak premise", True, 0.3, {"depth": 1}),
-            (3, "the believed option holds", True, 0.8, {"hyp": True}),
+            (3, "the believed option holds", True, 0.8, {}),
         ],
         rules=[
             ("r0", RuleType.ENTAILMENT, (1, 2), (0,), 0.9),
@@ -116,8 +115,8 @@ def bad_rule_graph():
         statements=[
             (0, "a firmly held premise", True, 0.95, {"depth": 1}),
             (1, "another firmly held premise", True, 0.95, {"depth": 1}),
-            (2, "the conclusion the rule pushes", False, 0.95, {"hyp": True}),
-            (3, "the accepted option", True, 0.9, {"hyp": True}),
+            (2, "the conclusion the rule pushes", False, 0.95, {}),
+            (3, "the accepted option", True, 0.9, {}),
         ],
         rules=[
             ("r0", RuleType.ENTAILMENT, (0, 1), (2,), 0.2),
@@ -133,8 +132,8 @@ def cylinder_graph():
     """A weak wrong belief causes a rule discard that a user verdict repairs."""
     return make_graph(
         statements=[
-            (0, "nitrogen would be measured in a graduated cylinder", False, 0.9, {"hyp": True}),
-            (1, "perfume would be measured in a graduated cylinder", False, 0.6, {"hyp": True}),
+            (0, "nitrogen would be measured in a graduated cylinder", False, 0.9, {}),
+            (1, "perfume would be measured in a graduated cylinder", False, 0.6, {}),
             (2, "a graduated cylinder is used to measure liquids", False, 0.2, {"depth": 1}),
             (3, "perfume is a liquid", True, 0.9, {"depth": 1}),
         ],
@@ -154,8 +153,8 @@ def xor_essential_graph():
     contradiction in place while masking MC does not."""
     return make_graph(
         statements=[
-            (0, "the chosen option holds", True, 0.8, {"hyp": True}),
-            (1, "the rejected option holds", False, 0.9, {"hyp": True}),
+            (0, "the chosen option holds", True, 0.8, {}),
+            (1, "the rejected option holds", False, 0.9, {}),
             (2, "the chosen option does not hold", True, 0.6, {"neg_of": 0, "depth": 1}),
         ],
         rules=[

@@ -115,6 +115,38 @@ class TestBuildGraph:
         b = (workdir / "graphs" / "q_b.json").read_text()
         assert json.loads(a)["statements"] == json.loads(b)["statements"]
 
+    @pytest.mark.parametrize(
+        "question_ids",
+        [
+            ["../escaped", "q_b"],
+            ["q", "q"],
+            ["question_0001", None],
+            ["", "q_b"],
+            ["..", "q_b"],
+            ["q_a", "sub/q_b"],
+            ["q_a", "q\0b"],
+        ],
+        ids=["parent-path", "repeated", "default-name-taken", "empty", "dot-dot", "subdirectory",
+             "nul"],
+    )
+    def test_out_dir_names_are_distinct_file_names(self, workdir, capsys, question_ids):
+        questions = [dict(QUESTION, question_id=qid) for qid in question_ids]
+        (workdir / "many.json").write_text(json.dumps(questions))
+        code = main(
+            [
+                "build-graph",
+                str(workdir / "many.json"),
+                "--oracle",
+                f"mock:{workdir / 'oracle.json'}",
+                "--out-dir",
+                str(workdir / "graphs"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
+        assert not (workdir / "graphs").exists()
+        assert not (workdir / "escaped.json").exists()
+
     def test_multi_question_without_out_dir_is_input_error(self, workdir):
         (workdir / "many.json").write_text(json.dumps([QUESTION, QUESTION]))
         code = main(
@@ -211,6 +243,7 @@ class TestBuildGraph:
             ("oracle.json", dict(ORACLE_FIXTURE, premises=[])),
             ("oracle.json", dict(ORACLE_FIXTURE, negations=3)),
             ("oracle.json", dict(ORACLE_FIXTURE, premises={"alpha is a mammal": "xyz"})),
+            ("oracle.json", dict(ORACLE_FIXTURE, premises={"alpha is a mammal": ["p \ud800 q"]})),
             ("oracle.json", dict(ORACLE_FIXTURE, statement_scores={"alpha is a mammal": "0.9"})),
             ("oracle.json", dict(ORACLE_FIXTURE, statement_scores={"alpha is a mammal": True})),
             ("oracle.json", dict(ORACLE_FIXTURE, entailment_scores={"x": "0.9"})),
@@ -230,6 +263,7 @@ class TestBuildGraph:
             "premises-table-list",
             "negations-table-int",
             "premise-value-string",
+            "premise-lone-surrogate",
             "score-string",
             "score-bool",
             "entailment-score-string",
@@ -533,8 +567,8 @@ class TestResolve:
         # A weak rule ties the two hypotheses together; saying "no" to both
         # contradicts the hard at-least-one constraint.
         statements = {
-            0: StatementNode(0, "option a", False, 0.9, is_hypothesis=True),
-            1: StatementNode(1, "option b", True, 0.9, is_hypothesis=True),
+            0: StatementNode(0, "option a", False, 0.9),
+            1: StatementNode(1, "option b", True, 0.9),
         }
         rules = (
             RuleNode("r0", RuleType.ENTAILMENT, (1,), (0,), 0.15),
@@ -584,6 +618,14 @@ class TestRoundTrip:
             assert back.rules == g.rules
             assert back.hypotheses == g.hypotheses
             assert graph_to_document(back) == doc
+
+    def test_hypotheses_are_marked_by_the_graph_alone(self):
+        statements = {sid: StatementNode(sid, f"option {sid}", sid == 0, 0.9) for sid in range(3)}
+        rules = (RuleNode("r0", RuleType.MC_HARD, (), (0, 1), HARD),)
+        g = BeliefGraph(statements, rules, (0, 1))
+        doc = graph_to_document(g)
+        assert [s["is_hypothesis"] for s in doc["statements"]] == [True, True, False]
+        assert document_to_graph(doc) == g
 
     def test_missing_field_error_names_location(self):
         doc = {

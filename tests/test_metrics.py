@@ -21,10 +21,10 @@ from conftest import TRACE_PREMISES, TRACE_SCORES
 def two_rule_graph():
     """Two applicable entailment clauses, exactly one violated."""
     statements = {
-        0: StatementNode(0, "violated conclusion", False, 0.9, is_hypothesis=True),
+        0: StatementNode(0, "violated conclusion", False, 0.9),
         1: StatementNode(1, "premise one", True, 0.9),
         2: StatementNode(2, "premise two", True, 0.9),
-        3: StatementNode(3, "satisfied conclusion", True, 0.9, is_hypothesis=True),
+        3: StatementNode(3, "satisfied conclusion", True, 0.9),
     }
     rules = (
         RuleNode("bad", RuleType.ENTAILMENT, (1,), (0,), 0.8),
@@ -52,7 +52,7 @@ class TestConsistency:
         assert report.tau == 0.0
 
     def test_no_applicable_clauses_tau_zero(self):
-        statements = {0: StatementNode(0, "alone", True, 0.9, is_hypothesis=True)}
+        statements = {0: StatementNode(0, "alone", True, 0.9)}
         g = BeliefGraph(statements, (), (0,))
         report = consistency(g)
         assert report.applicable_rules == 0

@@ -233,6 +233,8 @@ class TestTransport:
             ("score_statement", {"score": True}),
             ("score_statement", {}),
             ("score_entailment", {"score": "0.9"}),
+            ("score_statement", {"score": 10**400}),
+            ("score_entailment", {"score": 10**400}),
         ],
     )
     def test_mistyped_field_raises_decode_error(self, query, document):

@@ -61,7 +61,7 @@ class TestReason:
 
     def test_consistent_graph_is_fixpoint(self):
         statements = {
-            0: StatementNode(0, "a", True, 0.9, is_hypothesis=True),
+            0: StatementNode(0, "a", True, 0.9),
             1: StatementNode(1, "b", True, 0.8),
         }
         rules = (RuleNode("r", RuleType.ENTAILMENT, (1,), (0,), 0.7),)
@@ -85,8 +85,7 @@ class TestReason:
                 sid: StatementNode(
                     id=n.id, text=n.text, label=n.label,
                     confidence=min(1.0, n.confidence * scale) if scale < 1 else n.confidence,
-                    depth=n.depth, is_hypothesis=n.is_hypothesis,
-                    is_negation_of=n.is_negation_of,
+                    depth=n.depth, is_negation_of=n.is_negation_of,
                 )
                 for sid, n in giraffe_graph.statements.items()
             }
@@ -96,8 +95,7 @@ class TestReason:
         statements = {
             sid: StatementNode(
                 id=n.id, text=n.text, label=n.label, confidence=n.confidence * half,
-                depth=n.depth, is_hypothesis=n.is_hypothesis,
-                is_negation_of=n.is_negation_of,
+                depth=n.depth, is_negation_of=n.is_negation_of,
             )
             for sid, n in giraffe_graph.statements.items()
         }
@@ -114,8 +112,8 @@ class TestReason:
 
 def reason_infeasible_graph():
     statements = {
-        0: StatementNode(0, "a", True, 0.9, is_hypothesis=True),
-        1: StatementNode(1, "b", True, 0.9, is_hypothesis=True),
+        0: StatementNode(0, "a", True, 0.9),
+        1: StatementNode(1, "b", True, 0.9),
     }
     rules = (
         RuleNode("mc", RuleType.MC_HARD, (), (0, 1), HARD),
@@ -130,8 +128,8 @@ class TestPredict:
     def test_multiple_true_hypotheses_all_returned(self):
         # Strong beliefs override the soft pairwise exclusion.
         statements = {
-            0: StatementNode(0, "a", True, 0.99, is_hypothesis=True),
-            1: StatementNode(1, "b", True, 0.99, is_hypothesis=True),
+            0: StatementNode(0, "a", True, 0.99),
+            1: StatementNode(1, "b", True, 0.99),
         }
         rules = (RuleNode("mc", RuleType.MC_PAIRWISE, (), (0, 1), 0.3),)
         g = BeliefGraph(statements, rules, (0, 1))
@@ -139,8 +137,8 @@ class TestPredict:
 
     def test_ablated_mc_can_leave_empty_prediction(self):
         statements = {
-            0: StatementNode(0, "a", False, 0.9, is_hypothesis=True),
-            1: StatementNode(1, "b", False, 0.9, is_hypothesis=True),
+            0: StatementNode(0, "a", False, 0.9),
+            1: StatementNode(1, "b", False, 0.9),
         }
         g = BeliefGraph(statements, (), (0, 1))
         assert reason(g).predictions == frozenset()
@@ -170,7 +168,7 @@ class TestExplanations:
 
     def test_diamond_support_includes_both_rules(self):
         statements = {
-            0: StatementNode(0, "goal", True, 0.9, is_hypothesis=True),
+            0: StatementNode(0, "goal", True, 0.9),
             1: StatementNode(1, "left", True, 0.9),
             2: StatementNode(2, "right", True, 0.9),
         }
