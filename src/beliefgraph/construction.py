@@ -46,10 +46,10 @@ class ConstructionError(RuntimeError):
 
 def canonicalize(text: str) -> str:
     """Lowercased, whitespace-collapsed, terminal-period-stripped node identity."""
-    if not text or not text.strip():
-        raise ValueError("cannot canonicalize empty text")
-    canon = _WS.sub(" ", text.strip()).lower()
-    return canon.rstrip(".").rstrip()
+    canon = _WS.sub(" ", text.strip()).lower().rstrip(".").rstrip()
+    if not canon:
+        raise ValueError(f"cannot canonicalize {text!r}: nothing but spaces and periods")
+    return canon
 
 
 @runtime_checkable

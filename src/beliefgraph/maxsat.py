@@ -2,16 +2,17 @@
 
 The solver is bucket elimination (Dechter, "Bucket elimination: a unifying
 framework for reasoning", AIJ 1999) over a greedy min-degree variable order.
-Each clause becomes a cost table over its variables, where a violated hard
-clause costs infinity.  Eliminating a variable adds up the tables that
-mention it and minimizes it out, which leaves one table over its remaining
-neighbours; walking the eliminated variables back in reverse order then
-recovers the optimal assignment.  Time and memory grow as 2**width, where
-the width is the number of neighbours a variable has when it is eliminated.
-Belief graphs are nearly trees, so the width stays small; an instance whose
-width exceeds MAX_WIDTH raises SolverLimitError instead of being
-approximated.  The exhaustive reference the tests compare against lives in
-tests/reference_solver.py.
+Unit clauses add up to one pair of costs per variable, [cost if false, cost
+if true]; each wider clause becomes a cost table over its variables.  A
+violated hard clause costs infinity.  Eliminating a variable starts from its
+unit costs, adds the tables that mention it and minimizes it out, which
+leaves one table over its remaining neighbours; walking the eliminated
+variables back in reverse order then recovers the optimal assignment.  Time
+and memory grow as 2**width, where the width is the number of neighbours a
+variable has when it is eliminated.  Belief graphs are nearly trees, so the
+width stays small; an instance whose width exceeds MAX_WIDTH raises
+SolverLimitError instead of being approximated.  The exhaustive reference
+the tests compare against lives in tests/reference_solver.py.
 
 Tie-breaking among equal-cost optima is deterministic: the flip pattern
 (flipped = 1, kept = 0, read along the variable order) is minimized
@@ -44,8 +45,9 @@ MAX_VARIABLES = 2000
 MAX_WIDTH = 16
 
 # A cost table (scope, costs, flips) over variable positions: row r assigns
-# scope[j] the value of bit j of r.
-_Table = tuple[tuple[int, ...], list[float], list[int]]
+# scope[j] the value of bit j of r.  A clause's table flips nothing, so its
+# flips are None.
+_Table = tuple[tuple[int, ...], list[float], list[int] | None]
 
 
 class SolverLimitError(RuntimeError):
@@ -98,13 +100,15 @@ class SolveResult:
     """Optimal assignment and its cost.
 
     ``nodes_explored`` counts the table rows evaluated while eliminating
-    variables.
+    variables; ``width`` is the largest number of neighbours a variable had
+    when it was eliminated.
     """
 
     assignment: dict[StatementId, bool]
     optimal_cost: float
     status: SolveStatus
     nodes_explored: int = 0
+    width: int = 0
 
 
 def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -> WeightedClauseSet:
@@ -164,13 +168,13 @@ def _min_degree_order(neighbours: dict[int, set[int]]) -> list[int]:
     return order
 
 
-def _projection(scope: Sequence[int], bit: Mapping[int, int], width: int) -> list[int]:
-    """Row of a table over ``scope`` for each row of a ``width``-bit table.
+def _projection(bits: Sequence[int], width: int) -> list[int]:
+    """Row of a narrower table for each row of a ``width``-bit table.
 
-    ``bit`` maps each variable to its bit in the wider table's row number;
-    variable ``scope[j]`` is bit j of the narrower table's row number.
+    Bit j of the narrower table's row number is bit ``bits[j]`` of the
+    wider table's row number.
     """
-    step = {bit[v]: 1 << j for j, v in enumerate(scope)}
+    step = {b: 1 << j for j, b in enumerate(bits)}
     rows = [0]
     for b in range(width):
         s = step.get(b, 0)
@@ -186,14 +190,25 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
     position = {var: i for i, var in enumerate(cs.variable_order)}
     value = [bool(cs.initial_labels[var]) for var in cs.variable_order]
 
+    # unit[v] = [cost if v is false, cost if v is true], summed in clause
+    # order over v's unit clauses.
+    unit: dict[int, list[float]] = {}
     tables: list[_Table] = []
     neighbours: dict[int, set[int]] = {}
     for clause in cs.clauses:
+        if len(clause.literals) == 1:
+            ((var, pol),) = clause.literals
+            v = position[var]
+            if v not in unit:
+                unit[v] = [0.0, 0.0]
+                neighbours.setdefault(v, set())
+            unit[v][not pol] += clause.weight
+            continue
         scope = tuple(position[var] for var, _ in clause.literals)
         costs = [0.0] * (1 << len(scope))
         violated = sum(1 << j for j, (_, pol) in enumerate(clause.literals) if not pol)
         costs[violated] = clause.weight
-        tables.append((scope, costs, [0] * len(costs)))
+        tables.append((scope, costs, None))
         for v in scope:
             neighbours.setdefault(v, set()).update(u for u in scope if u != v)
 
@@ -205,9 +220,12 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
     for table in tables:
         buckets[min(rank[v] for v in table[0])].append(table)
 
+    # (bit positions of a table's scope, width) -> _projection of them
+    projections: dict[tuple[tuple[int, ...], int], list[int]] = {}
     # (variable, remaining scope, whether to flip it for each scope row)
     eliminated: list[tuple[int, tuple[int, ...], list[bool]]] = []
     nodes = 0
+    width = 0
     for x, bucket in zip(order, buckets):
         others = {v for t in bucket for v in t[0] if v != x}
         scope = tuple(sorted(others, key=rank.__getitem__))
@@ -215,12 +233,21 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
         bit[x] = 0
         size = 2 << len(scope)
         nodes += size
-        costs = [0.0] * size
+        width = max(width, len(scope))
+        # Rows alternate x false, x true.  encode puts a statement's soft
+        # unit clause before its rule clauses and its pin, which adds 0 or
+        # infinity, after them; so starting from the unit costs gives the
+        # same sums as one table per unit clause would.
+        costs = unit.get(x, [0.0, 0.0]) * (size >> 1)
         flips = [0] * size
         for t_scope, t_costs, t_flips in bucket:
-            rows = _projection(t_scope, bit, len(scope) + 1)
+            key = (tuple(bit[v] for v in t_scope), len(scope) + 1)
+            rows = projections.get(key)
+            if rows is None:
+                rows = projections[key] = _projection(*key)
             costs = [c + t_costs[r] for c, r in zip(costs, rows)]
-            flips = [f + t_flips[r] for f, r in zip(flips, rows)]
+            if t_flips is not None:
+                flips = [f + t_flips[r] for f, r in zip(flips, rows)]
 
         keep = int(value[x])  # bit 0 of a row is x's value
         x_flip = 1 << (n - 1 - x)
@@ -252,5 +279,5 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
         if not any(assignment[var] == pol for var, pol in clause.literals):
             cost += clause.weight
     if math.isinf(cost):
-        return SolveResult({}, math.inf, SolveStatus.INFEASIBLE, nodes)
-    return SolveResult(assignment, cost, SolveStatus.OPTIMAL, nodes)
+        return SolveResult({}, math.inf, SolveStatus.INFEASIBLE, nodes, width)
+    return SolveResult(assignment, cost, SolveStatus.OPTIMAL, nodes, width)

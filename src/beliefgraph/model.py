@@ -155,16 +155,23 @@ class BeliefGraph:
 
     def with_labels(self, assignment: Assignment) -> "BeliefGraph":
         """A copy of the graph with the assignment's labels; unchanged nodes are kept."""
-        statements = {}
-        for sid, node in self.statements.items():
-            label = bool(assignment[sid])
-            statements[sid] = node if node.label is label else replace(node, label=label)
-        return BeliefGraph(statements, self.rules, self.hypotheses)
+        return BeliefGraph(_relabel(self.statements, assignment), self.rules, self.hypotheses)
 
     def without_rules(self, rule_ids: Iterable[str]) -> "BeliefGraph":
         dropped = set(rule_ids)
         kept = tuple(r for r in self.rules if r.id not in dropped)
         return BeliefGraph(dict(self.statements), kept, self.hypotheses)
+
+
+def _relabel(
+    statements: Mapping[StatementId, StatementNode], assignment: Assignment
+) -> dict[StatementId, StatementNode]:
+    """``statements`` with the assignment's labels; unchanged nodes are kept."""
+    relabelled = {}
+    for sid, node in statements.items():
+        label = bool(assignment[sid])
+        relabelled[sid] = node if node.label is label else replace(node, label=label)
+    return relabelled
 
 
 def statement_cost(node: StatementNode, assigned: bool) -> float:

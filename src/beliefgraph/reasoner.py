@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .maxsat import SolveStatus, encode, solve
-from .model import BeliefGraph, RuleNode, RuleType, StatementId, rule_satisfied
+from .model import BeliefGraph, RuleNode, RuleType, StatementId, _relabel, rule_satisfied
 
 DEFAULT_QUERY_BUDGET = 5
 
@@ -94,7 +94,8 @@ def reason(
         for rule in graph.rules
         if not rule.is_hard and not rule_satisfied(rule, assignment)
     )
-    updated = graph.with_labels(assignment).without_rules(discarded)
+    kept = tuple(rule for rule in graph.rules if rule.id not in discarded)
+    updated = BeliefGraph(_relabel(graph.statements, assignment), kept, graph.hypotheses)
     predictions = frozenset(h for h in graph.hypotheses if assignment[h])
     supports = _supports(updated)
     explanations = {h: _explain(supports, h) for h in sorted(predictions)}

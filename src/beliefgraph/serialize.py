@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Any
 
 from .calibration import CalibrationConfig
-from .construction import HypothesisSet, MockOracle
+from .construction import HypothesisSet, MockOracle, canonicalize
 from .model import HARD, BeliefGraph, RuleNode, RuleType, StatementNode
 from .reasoner import ReasoningOutcome
 
@@ -118,6 +118,16 @@ def _str(value: Any, key: str, where: str) -> str:
         except UnicodeEncodeError:
             pass
     raise InputError(f"{where}: field {key!r} must be a UTF-8 string, got {value!r}")
+
+
+def _statement(value: Any, key: str, where: str) -> str:
+    """A `_str` that `canonicalize` accepts: more than spaces and periods."""
+    text = _str(value, key, where)
+    try:
+        canonicalize(text)
+    except ValueError as exc:
+        raise InputError(f"{where}: field {key!r}: {exc}") from exc
+    return text
 
 
 def _optional(read, mapping: dict, key: str, where: str) -> Any:
@@ -294,11 +304,11 @@ def load_mock_oracle(path: str | Path) -> MockOracle:
     where = str(path)
     for key in tables["premises"]:
         for premise in _list(tables["premises"], key, f"{where}: premises"):
-            _str(premise, key, f"{where}: premises")
+            _statement(premise, key, f"{where}: premises")
     for name in ("statement_scores", "entailment_scores"):
         tables[name] = {k: _number(v, k, f"{where}: {name}") for k, v in tables[name].items()}
     for key, negation in tables["negations"].items():
-        _str(negation, key, f"{where}: negations")
+        _statement(negation, key, f"{where}: negations")
     try:
         return MockOracle(
             **tables,

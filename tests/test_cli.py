@@ -244,11 +244,14 @@ class TestBuildGraph:
             ("oracle.json", dict(ORACLE_FIXTURE, negations=3)),
             ("oracle.json", dict(ORACLE_FIXTURE, premises={"alpha is a mammal": "xyz"})),
             ("oracle.json", dict(ORACLE_FIXTURE, premises={"alpha is a mammal": ["p \ud800 q"]})),
+            ("oracle.json", dict(ORACLE_FIXTURE, premises={"alpha is a mammal": ["  "]})),
+            ("oracle.json", dict(ORACLE_FIXTURE, premises={"alpha is a mammal": ["."]})),
             ("oracle.json", dict(ORACLE_FIXTURE, statement_scores={"alpha is a mammal": "0.9"})),
             ("oracle.json", dict(ORACLE_FIXTURE, statement_scores={"alpha is a mammal": True})),
             ("oracle.json", dict(ORACLE_FIXTURE, entailment_scores={"x": "0.9"})),
             ("oracle.json", dict(ORACLE_FIXTURE, entailment_scores={"x": 0.9})),
             ("oracle.json", dict(ORACLE_FIXTURE, negations={"alpha is a mammal": 5})),
+            ("oracle.json", dict(ORACLE_FIXTURE, negations={"alpha is a mammal": ""})),
             ("oracle.json", dict(ORACLE_FIXTURE, default_score=True)),
             ("oracle.json", dict(ORACLE_FIXTURE, default_entailment_score="0.85")),
         ],
@@ -264,11 +267,14 @@ class TestBuildGraph:
             "negations-table-int",
             "premise-value-string",
             "premise-lone-surrogate",
+            "premise-blank",
+            "premise-only-period",
             "score-string",
             "score-bool",
             "entailment-score-string",
             "entailment-key-without-arrow",
             "negation-int",
+            "negation-blank",
             "default-score-bool",
             "default-entailment-score-string",
         ],

@@ -39,6 +39,11 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize("   ")
 
+    @pytest.mark.parametrize("text", [".", " .. "])
+    def test_nothing_but_periods_rejected(self, text):
+        with pytest.raises(ValueError):
+            canonicalize(text)
+
 
 class TestMockOracle:
     def test_entailment_keys_are_canonicalized(self):

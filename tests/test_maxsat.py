@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from dataclasses import replace
 from itertools import combinations
@@ -30,6 +31,29 @@ from reference_solver import brute_force_solve, random_clause_set
 
 def unit(var, pol, weight):
     return WeightedClause(((var, pol),), weight)
+
+
+def unit_edge_clause_set(seed):
+    """Up to 12 variables with many unit clauses: several per variable, soft
+    and HARD, either polarity against the initial label, shuffled in among
+    the wider clauses."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    variables = list(range(n))
+    initial = {v: rng.random() < 0.5 for v in variables}
+
+    def weight():
+        return HARD if rng.random() < 0.1 else round(rng.uniform(0.05, 1.2), 2)
+
+    clauses = [unit(rng.choice(variables), rng.random() < 0.5, weight())
+               for _ in range(rng.randint(1, 3 * n))]
+    if n > 1:
+        for _ in range(rng.randint(0, 2 * n)):
+            chosen = rng.sample(variables, rng.randint(2, min(4, n)))
+            literals = tuple((v, rng.random() < 0.5) for v in chosen)
+            clauses.append(WeightedClause(literals, weight()))
+    rng.shuffle(clauses)
+    return WeightedClauseSet(tuple(clauses), tuple(variables), initial)
 
 
 def cs_of(clauses, initial=None):
@@ -173,6 +197,14 @@ class TestSolve:
         solve(encode(graph))
         assert sys.getrecursionlimit() == before
 
+    def test_nodes_explored_pinned(self):
+        assert solve(encode(synthetic_graph(0))).nodes_explored == 1270
+
+    def test_width(self):
+        assert 1 <= solve(encode(synthetic_graph(0))).width <= 3
+        units = [unit(0, True, 0.5), unit(0, False, 0.7), unit(1, False, HARD)]
+        assert solve(cs_of(units)).width == 0
+
     def test_free_variables_keep_initial_labels(self):
         clauses = [unit(0, True, 0.5)]
         cs = WeightedClauseSet(tuple(clauses), (0, 5), {0: True, 5: False})
@@ -223,6 +255,17 @@ class TestBruteForce:
             if fast.status is SolveStatus.OPTIMAL:
                 assert fast.optimal_cost == pytest.approx(slow.optimal_cost, abs=1e-9)
                 assert fast.assignment == slow.assignment
+
+
+    def test_matches_solve_on_unit_edge_cases(self):
+        for seed in range(3000):
+            cs = unit_edge_clause_set(seed)
+            fast = solve(cs)
+            slow = brute_force_solve(cs)
+            assert fast.status == slow.status, seed
+            if fast.status is SolveStatus.OPTIMAL:
+                assert fast.optimal_cost == pytest.approx(slow.optimal_cost, abs=1e-9), seed
+                assert fast.assignment == slow.assignment, seed
 
 
 class TestProperties:

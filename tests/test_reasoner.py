@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from beliefgraph import (
@@ -13,7 +15,14 @@ from beliefgraph import (
     resolve_interactive,
     total_cost,
 )
+from beliefgraph.metrics import summarize
+from beliefgraph.serialize import dumps, outcome_to_document
 from beliefgraph.synthetic import synthetic_graph
+
+# sha256 of the outcome documents, with summaries, of synthetic_graph seeds
+# 0-99 and synthetic_graph(0, 3, 3000, 700).  A change that moves any byte
+# of an outcome must update it and say why in CHANGES.md.
+OUTCOME_DIGEST = "00a7ccd387d7b70036f545aa8f4a2959b1a4e1f5e6ed709c32579a11b546253c"
 
 
 class TestReason:
@@ -241,3 +250,13 @@ class TestSyntheticGraphs:
             assert total_cost(g, outcome.final_assignment) <= total_cost(
                 g, g.initial_assignment()
             )
+
+    def test_outcome_documents_unchanged(self):
+        graphs = [synthetic_graph(seed) for seed in range(100)]
+        graphs.append(synthetic_graph(0, 3, 3000, 700))
+        digest = hashlib.sha256()
+        for graph in graphs:
+            outcome = reason(graph)
+            document = outcome_to_document(outcome, summarize(graph, outcome))
+            digest.update(dumps(document).encode())
+        assert digest.hexdigest() == OUTCOME_DIGEST
