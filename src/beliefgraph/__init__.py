@@ -1,124 +1,98 @@
-"""Belief-graph construction and exact MaxSAT-based belief revision."""
+"""Belief-graph construction and exact MaxSAT-based belief revision.
 
-from .calibration import (
-    CalibrationConfig,
-    apply_boundary_damping,
-    calibrate_rule,
-    calibrate_statement,
-    label_from_score,
-    xor_admissible,
-)
-from .construction import (
-    BeliefOracle,
-    ConstructionError,
-    HypothesisSet,
-    MockOracle,
-    canonicalize,
-    generate_graph,
-)
-from .maxsat import (
-    SolveResult,
-    SolveStatus,
-    SolverLimitError,
-    WeightedClause,
-    WeightedClauseSet,
-    encode,
-    solve,
-)
-from .metrics import (
-    ConsistencyReport,
-    DatasetReport,
-    ablate,
-    consistency,
-    evaluate_dataset,
-    mc_accuracy,
-)
-from .model import (
-    HARD,
-    Assignment,
-    BeliefGraph,
-    RuleNode,
-    RuleType,
-    StatementNode,
-    rule_cost,
-    rule_satisfied,
-    statement_cost,
-    total_cost,
-)
-from .oracle_client import (
-    OracleDecodeError,
-    OracleTransportError,
-    RemoteOracle,
-)
-from .reasoner import (
-    ExplanationSubgraph,
-    ReasoningError,
-    ReasoningOutcome,
-    extract_explanation,
-    reason,
-    resolve_interactive,
-)
-from .serialize import (
-    SCHEMA_VERSION,
-    InputError,
-    document_to_graph,
-    dumps,
-    graph_to_document,
-    load_graph,
-    save_graph,
-)
+Public names are imported from their submodule on first access (PEP 562),
+so ``import beliefgraph`` loads no submodule, and a CLI command that never
+queries an oracle never imports the oracle transport.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HARD",
-    "Assignment",
-    "BeliefGraph",
-    "BeliefOracle",
-    "CalibrationConfig",
-    "ConsistencyReport",
-    "ConstructionError",
-    "DatasetReport",
-    "ExplanationSubgraph",
-    "HypothesisSet",
-    "InputError",
-    "MockOracle",
-    "OracleDecodeError",
-    "OracleTransportError",
-    "ReasoningError",
-    "ReasoningOutcome",
-    "RemoteOracle",
-    "RuleNode",
-    "RuleType",
-    "SCHEMA_VERSION",
-    "SolveResult",
-    "SolveStatus",
-    "SolverLimitError",
-    "StatementNode",
-    "WeightedClause",
-    "WeightedClauseSet",
-    "ablate",
-    "apply_boundary_damping",
-    "calibrate_rule",
-    "calibrate_statement",
-    "canonicalize",
-    "consistency",
-    "document_to_graph",
-    "dumps",
-    "encode",
-    "evaluate_dataset",
-    "extract_explanation",
-    "generate_graph",
-    "label_from_score",
-    "load_graph",
-    "mc_accuracy",
-    "reason",
-    "resolve_interactive",
-    "rule_cost",
-    "rule_satisfied",
-    "save_graph",
-    "solve",
-    "statement_cost",
-    "total_cost",
-    "xor_admissible",
-]
+_SUBMODULE_EXPORTS = {
+    "calibration": (
+        "CalibrationConfig",
+        "apply_boundary_damping",
+        "calibrate_rule",
+        "calibrate_statement",
+        "label_from_score",
+        "xor_admissible",
+    ),
+    "construction": (
+        "BeliefOracle",
+        "HypothesisSet",
+        "MockOracle",
+        "canonicalize",
+        "generate_graph",
+    ),
+    "errors": (
+        "ConstructionError",
+        "InputError",
+        "OracleDecodeError",
+        "OracleTransportError",
+        "ReasoningError",
+        "SolverLimitError",
+    ),
+    "maxsat": (
+        "SolveResult",
+        "SolveStatus",
+        "WeightedClause",
+        "WeightedClauseSet",
+        "encode",
+        "solve",
+    ),
+    "metrics": (
+        "ConsistencyReport",
+        "DatasetReport",
+        "ablate",
+        "consistency",
+        "evaluate_dataset",
+        "mc_accuracy",
+    ),
+    "model": (
+        "HARD",
+        "Assignment",
+        "BeliefGraph",
+        "RuleNode",
+        "RuleType",
+        "StatementNode",
+        "rule_cost",
+        "rule_satisfied",
+        "statement_cost",
+        "total_cost",
+    ),
+    "oracle_client": ("RemoteOracle",),
+    "reasoner": (
+        "ExplanationSubgraph",
+        "ReasoningOutcome",
+        "extract_explanation",
+        "reason",
+        "resolve_interactive",
+    ),
+    "serialize": (
+        "SCHEMA_VERSION",
+        "document_to_graph",
+        "dumps",
+        "graph_to_document",
+        "load_graph",
+        "save_graph",
+    ),
+}
+
+# Public name -> the submodule that defines it.
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

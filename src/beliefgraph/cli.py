@@ -3,24 +3,30 @@ and DOT export.
 
 Exit codes: 0 ok, 2 input error (including a graph beyond the solver's
 limits), 3 oracle error, 4 infeasible, 5 internal.
+
+A command imports only what it uses: `reason`, `resolve` and `export-dot`
+never load graph construction or the oracle transport.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .calibration import CalibrationConfig
-from .construction import BeliefOracle, ConstructionError, generate_graph
 from .dot import to_dot
-from .maxsat import SolverLimitError
-from .metrics import ABLATABLE, ablate, summarize
-from .oracle_client import OracleDecodeError, OracleTransportError, RemoteOracle
-from .reasoner import DEFAULT_QUERY_BUDGET, ReasoningError, reason, resolve_interactive
-from .serialize import (
+from .errors import (
+    ConstructionError,
     InputError,
+    OracleDecodeError,
+    OracleTransportError,
+    ReasoningError,
+    SolverLimitError,
+)
+from .metrics import ABLATABLE, ablate, summarize
+from .reasoner import DEFAULT_QUERY_BUDGET, reason, resolve_interactive
+from .serialize import (
     config_digest,
     dumps,
     graph_to_document,
@@ -30,6 +36,10 @@ from .serialize import (
     load_questions,
     outcome_to_document,
 )
+
+if TYPE_CHECKING:
+    from .calibration import CalibrationConfig
+    from .construction import BeliefOracle
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -43,6 +53,8 @@ def _make_oracle(spec: str, cache_dir: Path) -> BeliefOracle:
     if kind == "mock" and rest:
         return load_mock_oracle(rest)
     if kind == "remote" and rest:
+        from .oracle_client import RemoteOracle
+
         return RemoteOracle(rest, cache_path=cache_dir / "oracle_cache.jsonl")
     raise InputError(f"oracle spec must be mock:<path> or remote:<url>, got {spec!r}")
 
@@ -56,6 +68,10 @@ def _provenance(args: argparse.Namespace, cfg: CalibrationConfig) -> dict:
 
 
 def _cmd_build_graph(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise InputError(f"--workers must be at least 1, got {args.workers}")
+    from .construction import generate_graph
+
     cfg = load_config(args.config, {"d_max": args.d_max})
     questions = load_questions(args.input)
     out = Path(args.output) if args.output else None
@@ -79,6 +95,8 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
         graph = generate_graph(question, oracle, cfg)
         path.write_text(dumps(graph_to_document(graph, provenance)))
         return path
+
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         for path in pool.map(build, questions, paths):
@@ -130,6 +148,8 @@ def _cmd_reason(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
+    if args.budget < 0:
+        raise InputError(f"--budget must not be negative, got {args.budget}")
     full_graph = load_graph(args.graph)
 
     stream_closed = False
@@ -219,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     except ReasoningError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

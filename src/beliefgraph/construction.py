@@ -21,6 +21,7 @@ from .calibration import (
     label_from_score,
     xor_admissible,
 )
+from .errors import ConstructionError
 from .model import (
     HARD,
     BeliefGraph,
@@ -33,15 +34,6 @@ from .model import (
 MAX_STATEMENTS = 2000
 
 _WS = re.compile(r"\s+")
-
-
-class ConstructionError(RuntimeError):
-    """Graph construction failed; carries how far it got."""
-
-    def __init__(self, message: str, statements_built: int = 0, rules_built: int = 0):
-        super().__init__(message)
-        self.statements_built = statements_built
-        self.rules_built = rules_built
 
 
 def canonicalize(text: str) -> str:

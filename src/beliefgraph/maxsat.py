@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
+from .errors import SolverLimitError
 from .model import HARD, BeliefGraph, Clause, StatementId
 
 EPSILON = 1e-9
@@ -48,10 +49,6 @@ MAX_WIDTH = 16
 # scope[j] the value of bit j of r.  A clause's table flips nothing, so its
 # flips are None.
 _Table = tuple[tuple[int, ...], list[float], list[int] | None]
-
-
-class SolverLimitError(RuntimeError):
-    """Instance exceeds the variable or width limit; no silent approximation."""
 
 
 class SolveStatus(Enum):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .calibration import CalibrationConfig
-from .construction import BeliefOracle, HypothesisSet, generate_graph
 from .model import Assignment, BeliefGraph, RuleType
 from .reasoner import ReasoningOutcome, reason
+
+if TYPE_CHECKING:
+    from .calibration import CalibrationConfig
+    from .construction import BeliefOracle, HypothesisSet
 
 # Rule-type groups addressable in ablations; "mc" covers both MC rule kinds.
 ABLATABLE = {
@@ -163,6 +165,8 @@ def evaluate_dataset(
 def _evaluate_question(
     question: HypothesisSet, oracle: BeliefOracle, cfg: CalibrationConfig | None
 ) -> QuestionRecord:
+    from .construction import generate_graph
+
     graph = generate_graph(question, oracle, cfg)
     outcome = reason(graph)
     summary = summarize(graph, outcome)

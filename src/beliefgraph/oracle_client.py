@@ -36,6 +36,7 @@ from typing import Sequence
 from urllib.parse import urlsplit
 
 from .construction import canonicalize
+from .errors import OracleDecodeError, OracleTransportError
 
 MAX_ATTEMPTS = 3
 BACKOFF_SECONDS = 0.2
@@ -45,14 +46,6 @@ _CONNECTION_CLASSES = {
     "http": http.client.HTTPConnection,
     "https": http.client.HTTPSConnection,
 }
-
-
-class OracleTransportError(RuntimeError):
-    """The oracle endpoint could not be reached or kept failing."""
-
-
-class OracleDecodeError(RuntimeError):
-    """The oracle endpoint or the cache file held a malformed document."""
 
 
 def _load_cache(path: Path) -> dict[str, dict]:

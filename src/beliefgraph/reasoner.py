@@ -10,14 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from .errors import ReasoningError
 from .maxsat import SolveStatus, encode, solve
 from .model import BeliefGraph, RuleNode, RuleType, StatementId, _relabel, rule_satisfied
 
 DEFAULT_QUERY_BUDGET = 5
-
-
-class ReasoningError(RuntimeError):
-    """The MaxSAT instance was infeasible (conflicting hard constraints)."""
 
 
 @dataclass(frozen=True)

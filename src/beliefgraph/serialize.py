@@ -2,23 +2,23 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .calibration import CalibrationConfig
-from .construction import HypothesisSet, MockOracle, canonicalize
+from .errors import InputError
 from .model import HARD, BeliefGraph, RuleNode, RuleType, StatementNode
-from .reasoner import ReasoningOutcome
+
+# Construction and calibration are imported by the loaders that need them,
+# so reading and writing graph and outcome documents does not load them.
+if TYPE_CHECKING:
+    from .calibration import CalibrationConfig
+    from .construction import HypothesisSet, MockOracle
+    from .reasoner import ReasoningOutcome
 
 SCHEMA_VERSION = 1
-
-
-class InputError(ValueError):
-    """Malformed input document; the message names the offending location."""
 
 
 def read_json(path: str | Path) -> Any:
@@ -122,6 +122,8 @@ def _str(value: Any, key: str, where: str) -> str:
 
 def _statement(value: Any, key: str, where: str) -> str:
     """A `_str` that `canonicalize` accepts: more than spaces and periods."""
+    from .construction import canonicalize
+
     text = _str(value, key, where)
     try:
         canonicalize(text)
@@ -222,6 +224,8 @@ def load_graph(path: str | Path) -> BeliefGraph:
 
 def load_questions(path: str | Path) -> list[HypothesisSet]:
     """A question file: one question object or a list of them."""
+    from .construction import HypothesisSet
+
     raw = read_json(path)
     questions = []
     for i, entry in enumerate(raw if isinstance(raw, list) else [raw]):
@@ -261,11 +265,15 @@ def outcome_to_document(outcome: ReasoningOutcome, summary: dict | None = None) 
 # -- configuration ------------------------------------------------------------
 
 def config_digest(cfg: CalibrationConfig) -> str:
+    import hashlib
+
     payload = json.dumps(asdict(cfg), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> CalibrationConfig:
+    from .calibration import CalibrationConfig
+
     values: dict = {}
     if path is not None:
         raw = read_json(path)
@@ -291,6 +299,8 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Calib
 def load_mock_oracle(path: str | Path) -> MockOracle:
     """Fixture file with four tables: premises, statement_scores,
     entailment_scores, negations (plus optional default scores)."""
+    from .construction import MockOracle
+
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise InputError(f"{path}: fixture root must be an object")

@@ -1,4 +1,4 @@
-"""Shared hand-built graph fixtures.
+"""Shared hand-built graph fixtures, and a fresh-interpreter runner.
 
 The flip/discard expectations for each fixture were derived with the
 brute-force enumerator before being frozen here; the tests re-check them
@@ -7,8 +7,14 @@ against it.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import beliefgraph
 from beliefgraph import (
     HARD,
     BeliefGraph,
@@ -19,6 +25,19 @@ from beliefgraph import (
     RuleType,
     StatementNode,
 )
+
+
+def run_python(code: str, stdin: str = "") -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package; return its standard output."""
+    src = str(Path(beliefgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, input=stdin, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def make_graph(statements, rules, hypotheses):

@@ -1,10 +1,6 @@
 import json
-import os
-import subprocess
-import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,6 +19,7 @@ from beliefgraph import (
     load_graph,
     save_graph,
 )
+from beliefgraph import cli, errors
 from beliefgraph.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -34,7 +31,7 @@ from beliefgraph.cli import (
 from beliefgraph.oracle_client import OracleTransportError
 from beliefgraph.serialize import InputError, config_digest, dumps
 from beliefgraph.synthetic import synthetic_graph
-from conftest import TRACE_PREMISES, TRACE_SCORES
+from conftest import TRACE_PREMISES, TRACE_SCORES, run_python
 
 
 ORACLE_FIXTURE = {
@@ -146,6 +143,25 @@ class TestBuildGraph:
         assert "input error" in capsys.readouterr().err
         assert not (workdir / "graphs").exists()
         assert not (workdir / "escaped.json").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_input_error(self, workdir, capsys, workers):
+        (workdir / "many.json").write_text(json.dumps([QUESTION, dict(QUESTION, question_id="b")]))
+        code = main(
+            [
+                "build-graph",
+                str(workdir / "many.json"),
+                "--oracle",
+                f"mock:{workdir / 'oracle.json'}",
+                "--out-dir",
+                str(workdir / "graphs"),
+                "--workers",
+                workers,
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: --workers")
+        assert not (workdir / "graphs").exists()
 
     def test_multi_question_without_out_dir_is_input_error(self, workdir):
         (workdir / "many.json").write_text(json.dumps([QUESTION, QUESTION]))
@@ -585,6 +601,21 @@ class TestResolve:
         code = main(["resolve", str(workdir / "g.json")])
         assert code == EXIT_INFEASIBLE
 
+    def test_negative_budget_is_input_error(self, workdir, cylinder_graph, capsys, monkeypatch):
+        import io
+
+        save_graph(cylinder_graph, workdir / "g.json")
+        monkeypatch.setattr("sys.stdin", io.StringIO("y\n"))
+        code = main(
+            ["resolve", str(workdir / "g.json"), "--budget", "-3",
+             "-o", str(workdir / "out.json")]
+        )
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: --budget")
+        assert captured.out == ""
+        assert not (workdir / "out.json").exists()
+
 
 class TestExportDot:
     def test_stdout(self, workdir, giraffe_graph, capsys):
@@ -835,19 +866,91 @@ class TestRemoteOracle:
             thread.join()
 
 
-class TestDependencies:
-    def test_cli_import_leaves_numpy_out(self):
-        import beliefgraph
+EXIT_CASES = [
+    (errors.InputError("x"), EXIT_INPUT, "input error: x"),
+    (errors.SolverLimitError("x"), EXIT_INPUT, "input error: graph exceeds the solver's limits: x"),
+    (errors.ConstructionError("x"), EXIT_ORACLE, "oracle error: x"),
+    (errors.OracleTransportError("x"), EXIT_ORACLE, "oracle error: x"),
+    (errors.OracleDecodeError("x"), EXIT_ORACLE, "oracle error: x"),
+    (errors.ReasoningError("x"), EXIT_INFEASIBLE, "infeasible: x"),
+    (RuntimeError("x"), EXIT_INTERNAL, "internal error: x"),
+]
 
-        src = str(Path(beliefgraph.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONPATH=path)
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "exc, code, message", EXIT_CASES, ids=[type(e).__name__ for e, _, _ in EXIT_CASES]
+    )
+    def test_error_maps_to_exit_code(self, monkeypatch, capsys, exc, code, message):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_export_dot", fail)
+        assert main(["export-dot", "unused.json"]) == code
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_construction_error_before_construction_is_imported(self):
+        out = run_python(
+            "import json, sys\n"
+            "from beliefgraph import cli, errors\n"
+            "def fail(args):\n"
+            "    raise errors.ConstructionError('x')\n"
+            "cli._cmd_reason = fail\n"
+            "code = cli.main(['reason', 'unused.json'])\n"
+            "print(json.dumps([code, 'beliefgraph.construction' in sys.modules]))\n"
+        )
+        assert json.loads(out) == [EXIT_ORACLE, False]
+
+
+class TestDependencies:
+    # Loaded by graph construction or the oracle transport only.
+    CONSTRUCTION_SIDE = [
+        "http.client", "ssl", "email.parser", "concurrent.futures", "hashlib",
+        "beliefgraph.construction", "beliefgraph.calibration", "beliefgraph.oracle_client",
+        "beliefgraph.synthetic",
+    ]
+    TRANSPORT = ["http.client", "ssl", "concurrent.futures"]
+
+    def test_cli_import_leaves_numpy_out(self, workdir, giraffe_graph):
+        save_graph(giraffe_graph, workdir / "g.json")
+        g, o, d = (str(workdir / name) for name in ("g.json", "o.json", "g.dot"))
+        # Each step reports the modules it added to those present at start-up.
         code = (
-            "import sys, beliefgraph.cli; "
-            "print([m for m in ('numpy', 'requests', 'urllib3') if m in sys.modules])"
+            "import json, sys\n"
+            "start = set(sys.modules)\n"
+            "def added(): return sorted(set(sys.modules) - start)\n"
+            "from beliefgraph.cli import main\n"
+            "steps = {'import': added()}\n"
+            f"assert main(['reason', {g!r}, '-o', {o!r}, '--export-dot', {d!r}]) == 0\n"
+            "steps['reason'] = added()\n"
+            f"assert main(['export-dot', {g!r}]) == 0\n"
+            "steps['export-dot'] = added()\n"
+            f"assert main(['resolve', {g!r}]) == 0\n"
+            "steps['resolve'] = added()\n"
+            "print(json.dumps(steps))\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        lines = run_python(code, stdin="y\n" * 10).splitlines()
+        steps = json.loads(lines[-1])
+        assert list(steps) == ["import", "reason", "export-dot", "resolve"]
+        unwanted = self.CONSTRUCTION_SIDE + ["numpy", "requests", "urllib3"]
+        for step, modules in steps.items():
+            assert [m for m in unwanted if m in modules] == [], step
+
+    def test_build_graph_with_mock_oracle_leaves_transport_out(self, workdir):
+        code = (
+            "import json, sys\n"
+            "start = set(sys.modules)\n"
+            "from beliefgraph.cli import main\n"
+            f"assert main(['build-graph', {str(workdir / 'question.json')!r},\n"
+            f"      '--oracle', {'mock:' + str(workdir / 'oracle.json')!r},\n"
+            f"      '-o', {str(workdir / 'graph.json')!r}]) == 0\n"
+            "built = sorted(set(sys.modules) - start)\n"
+            "from beliefgraph import RemoteOracle\n"
+            "print(json.dumps([built, sorted(set(sys.modules) - start)]))\n"
         )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        built, after = json.loads(run_python(code).splitlines()[-1])
+        assert (workdir / "graph.json").exists()
+        assert "beliefgraph.construction" in built
+        assert [m for m in self.TRANSPORT if m in built] == []
+        # Positive control: the names still import the transport on demand.
+        assert "beliefgraph.oracle_client" in after and "http.client" in after

@@ -1,0 +1,65 @@
+"""The package's public surface: every exported name, served lazily."""
+
+import importlib
+import json
+import pkgutil
+
+import pytest
+
+import beliefgraph
+from beliefgraph import errors
+from conftest import run_python
+
+SUBMODULES = [
+    importlib.import_module(f"beliefgraph.{info.name}")
+    for info in pkgutil.iter_modules(beliefgraph.__path__)
+]
+
+
+@pytest.mark.parametrize("name", beliefgraph.__all__)
+def test_export_is_the_submodule_object(name):
+    exported = getattr(beliefgraph, name)
+    defining = [m for m in SUBMODULES if getattr(m, name, None) is not None]
+    assert defining, f"no submodule defines {name}"
+    for module in defining:
+        assert getattr(module, name) is exported, module.__name__
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("serialize", "InputError"),
+        ("maxsat", "SolverLimitError"),
+        ("construction", "ConstructionError"),
+        ("oracle_client", "OracleTransportError"),
+        ("oracle_client", "OracleDecodeError"),
+        ("reasoner", "ReasoningError"),
+    ],
+)
+def test_error_classes_keep_their_old_homes(module, name):
+    assert getattr(importlib.import_module(f"beliefgraph.{module}"), name) is getattr(errors, name)
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from beliefgraph import *", namespace)
+    assert set(beliefgraph.__all__) <= set(namespace)
+
+
+def test_unknown_attribute_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        beliefgraph.no_such_name
+    assert not hasattr(beliefgraph, "no_such_name")
+
+
+def test_fresh_import_loads_no_submodule():
+    out = run_python(
+        "import json, sys, beliefgraph\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('beliefgraph.'))\n"
+        "listed = set(beliefgraph.__all__) | {'__version__'} <= set(dir(beliefgraph))\n"
+        "beliefgraph.reason\n"
+        "stored = 'reason' in vars(beliefgraph)\n"
+        "from beliefgraph import construction\n"
+        "print(json.dumps([loaded, listed, stored, construction.__name__]))\n"
+    )
+    assert json.loads(out) == [[], True, True, "beliefgraph.construction"]
