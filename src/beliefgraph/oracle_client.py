@@ -7,17 +7,24 @@ Wire protocol: POST a JSON object to the endpoint, one of
     {"op": "score_entailment",  "premises": [...], "hypothesis": ...} -> {"score": ...}
     {"op": "negate",            "statement": ...} -> {"statement": ...}
 
-Transport is stdlib `http.client` over `http:` or `https:`, with one
-keep-alive connection per thread.  Proxy environment variables
-(`HTTP_PROXY`, `HTTPS_PROXY`) are not honoured.  A query makes up to
-`MAX_ATTEMPTS` attempts, with exponential backoff between them; a request
-sent on a kept-alive connection that the server closed while idle is
-re-sent once on a fresh connection, without a pause and without using up
-an attempt.
+Transport is a minimal HTTP/1.1 client on `socket` (and `ssl` for
+`https:`), with one keep-alive connection per thread.  Each request goes
+out in a single write: the request line, `Host`, `Content-Type`,
+`Accept-Encoding: identity`, `Content-Length` and the body.  A response is
+read by `Content-Length`, by chunked transfer coding or to the end of the
+stream; interim 1xx responses are skipped, and `Connection: close` (or
+HTTP/1.0 without keep-alive) ends the connection, so the next query
+reconnects.  A malformed or truncated response is a failed attempt.  Proxy
+environment variables (`HTTP_PROXY`, `HTTPS_PROXY`) are not honoured.  A
+query makes up to `MAX_ATTEMPTS` attempts, with exponential backoff between
+them; a request sent on a kept-alive connection that the server closed
+while idle is re-sent once on a fresh connection, without a pause and
+without using up an attempt.
 
 The cache is a JSONL file keyed by the canonicalized request: each miss
-appends one ``[key, document]`` line in a single write, and nothing ever
-rewrites the file, so repeated runs never re-query the backend.  On load a
+appends one ``[key, document]`` line in a single write, to a handle opened
+on the first miss and kept until `close`, and nothing ever rewrites the
+file, so repeated runs never re-query the backend.  On load a
 torn last line (one with no terminating newline, left by an interrupted
 append) is dropped and cut off; any other malformed line raises
 `OracleDecodeError`.  One lock guards the writes to the in-memory cache,
@@ -27,8 +34,9 @@ shared by threads; the HTTP round trip runs outside the lock.
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
+import socket
 import threading
 import time
 from pathlib import Path
@@ -41,11 +49,112 @@ from .errors import OracleDecodeError, OracleTransportError
 MAX_ATTEMPTS = 3
 BACKOFF_SECONDS = 0.2
 
-_HEADERS = {"Content-Type": "application/json"}
-_CONNECTION_CLASSES = {
-    "http": http.client.HTTPConnection,
-    "https": http.client.HTTPSConnection,
-}
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_STATUS_LINE = re.compile(rb"HTTP/1\.([01]) (\d{3})(?: [^\r\n]*)?\r?\n")
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
+_LINE_BREAKS = (b"\r\n", b"\n")
+
+
+class _BadResponse(Exception):
+    """A response that breaks HTTP/1.1 framing or a size cap."""
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection; it connects on first use."""
+
+    def __init__(self, address: tuple[str, int], tls_host: str | None, timeout: float):
+        self.address, self.tls_host, self.timeout = address, tls_host, timeout
+        self.sock: socket.socket | None = None
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.file.close()
+            self.sock.close()
+            self.sock = None
+
+    def post(self, request: bytes) -> tuple[int, bytes]:
+        """Send a complete request in one write; return the status and body."""
+        if self.sock is None:
+            sock = socket.create_connection(self.address, self.timeout)
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                if self.tls_host is not None:
+                    import ssl
+
+                    context = ssl.create_default_context()
+                    sock = context.wrap_socket(sock, server_hostname=self.tls_host)
+            except BaseException:
+                sock.close()
+                raise
+            self.sock, self.file = sock, sock.makefile("rb")
+        self.sock.sendall(request)
+        status = 100
+        while status < 200:  # a 1xx is interim; the final response follows
+            line = self._line()
+            if not line:
+                raise ConnectionResetError("oracle closed the connection without a response")
+            match = _STATUS_LINE.fullmatch(line)
+            if match is None:
+                raise _BadResponse(f"bad status line {line[:80]!r}")
+            status, headers = int(match[2]), self._headers()
+        tokens = {t.strip() for t in headers.get(b"connection", b"").lower().split(b",")}
+        close = b"close" in tokens or (match[1] == b"0" and b"keep-alive" not in tokens)
+        if status in (204, 304):
+            body = b""
+        elif headers.get(b"transfer-encoding", b"").lower().endswith(b"chunked"):
+            body = self._chunked()
+        elif b"content-length" in headers:
+            length = headers[b"content-length"]
+            if not length.isdigit():
+                raise _BadResponse(f"bad Content-Length {length[:80]!r}")
+            body = self._read(int(length))
+        else:
+            body, close = self.file.read(), True
+        if close:
+            self.close()
+        return status, body
+
+    def _line(self) -> bytes:
+        line = self.file.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _BadResponse(f"response line longer than {_MAX_LINE} bytes")
+        return line
+
+    def _read(self, size: int) -> bytes:
+        data = self.file.read(size)
+        if len(data) < size:
+            raise _BadResponse(f"response truncated after {len(data)} of {size} bytes")
+        return data
+
+    def _headers(self) -> dict[bytes, bytes]:
+        """Header fields by lowercased name; a repeated field is comma-joined."""
+        headers: dict[bytes, bytes] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._line()
+            if line in _LINE_BREAKS:
+                return headers
+            name, colon, value = line.partition(b":")
+            if not (colon and line.endswith(b"\n")):
+                raise _BadResponse(f"bad header line {line[:80]!r}")
+            name, value = name.strip().lower(), value.strip()
+            headers[name] = headers[name] + b", " + value if name in headers else value
+        raise _BadResponse(f"more than {_MAX_HEADERS} header lines")
+
+    def _chunked(self) -> bytes:
+        chunks = []
+        while True:
+            line = self._line()
+            match = _CHUNK_SIZE.fullmatch(line)
+            if match is None:
+                raise _BadResponse(f"bad chunk size line {line[:80]!r}")
+            size = int(match[1], 16)
+            if not size:
+                self._headers()  # the trailer section
+                return b"".join(chunks)
+            chunks.append(self._read(size))
+            if self._line() not in _LINE_BREAKS:
+                raise _BadResponse("chunk data not followed by a line break")
 
 
 def _load_cache(path: Path) -> dict[str, dict]:
@@ -97,16 +206,35 @@ class RemoteOracle:
     ):
         url = urlsplit(endpoint)
         try:
-            self._connection_class = _CONNECTION_CLASSES[url.scheme]
-            self._port = url.port
+            https = {"http": False, "https": True}[url.scheme]
+            port = url.port
         except (KeyError, ValueError) as exc:
             raise OracleTransportError(
                 f"oracle endpoint must be an http: or https: URL, got {endpoint!r}"
             ) from exc
-        if not url.hostname:
+        host = url.hostname
+        if not host:
             raise OracleTransportError(f"oracle endpoint {endpoint!r} names no host")
-        self._host = url.hostname
-        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        # `urlsplit` drops tabs and line breaks, so check the text as given.
+        if any(c.isspace() or not c.isprintable() for c in endpoint):
+            raise OracleTransportError(
+                f"oracle endpoint {endpoint!r} holds whitespace or a control character"
+            )
+        self._address = (host, port or (443 if https else 80))
+        self._tls_host = host if https else None
+        host_field = host if host.isascii() else host.encode("idna").decode()
+        host_field = f"[{host_field}]" if ":" in host else host_field
+        host_field += "" if port is None else f":{port}"
+        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        try:
+            # A request is this head, the body's length, a blank line and the body.
+            self._head = (
+                f"POST {path} HTTP/1.1\r\nHost: {host_field}\r\n"
+                "Content-Type: application/json\r\nAccept-Encoding: identity\r\n"
+                "Content-Length: "
+            ).encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise OracleTransportError(f"oracle endpoint {endpoint!r} is not ASCII") from exc
         self.endpoint = endpoint
         self.cache_path = Path(cache_path) if cache_path else None
         self.timeout = timeout
@@ -114,33 +242,37 @@ class RemoteOracle:
         self.calls = 0
         self._lock = threading.Lock()
         # One keep-alive connection per thread that has queried.
-        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._connections: dict[threading.Thread, _Connection] = {}
+        # Opened by the first miss that is stored, closed by `close`.
+        self._cache_file = None
         self._cache: dict[str, dict] = {}
         if self.cache_path and self.cache_path.exists():
             self._cache = _load_cache(self.cache_path)
 
     def close(self) -> None:
-        """Close every thread's connection; a later query reconnects."""
+        """Close every thread's connection and the cache file; a later query reopens them."""
         with self._lock:
             for connection in self._connections.values():
                 connection.close()
+            if self._cache_file is not None:
+                self._cache_file.close()
+                self._cache_file = None
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
         """One round trip on this thread's keep-alive connection."""
         thread = threading.current_thread()
         connection = self._connections.get(thread)
         if connection is None:
-            connection = self._connection_class(self._host, self._port, timeout=self.timeout)
+            connection = _Connection(self._address, self._tls_host, self.timeout)
             with self._lock:
                 for finished in [t for t in self._connections if not t.is_alive()]:
                     self._connections.pop(finished).close()
                 self._connections[thread] = connection
         reused = connection.sock is not None
+        request = self._head + b"%d\r\n\r\n" % len(body) + body
         while True:
             try:
-                connection.request("POST", self._path, body, _HEADERS)
-                response = connection.getresponse()
-                return response.status, response.read()
+                return connection.post(request)
             except BaseException as exc:
                 # A half-finished exchange leaves the connection unusable.
                 connection.close()
@@ -165,7 +297,7 @@ class RemoteOracle:
                 self.calls += 1
             try:
                 status, content = self._post(body)
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, _BadResponse) as exc:
                 last_error = exc
                 continue
             if status >= 500:
@@ -194,8 +326,9 @@ class RemoteOracle:
             if key in self._cache:  # another thread answered it first
                 return self._cache[key]
             if self.cache_path:
-                with open(self.cache_path, "ab", buffering=0) as handle:
-                    handle.write(line)
+                if self._cache_file is None:
+                    self._cache_file = open(self.cache_path, "ab", buffering=0)
+                self._cache_file.write(line)
             self._cache[key] = document
         return document
 

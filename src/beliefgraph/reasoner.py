@@ -127,7 +127,10 @@ def resolve_interactive(
     lowest-confidence statement involved in a discarded rule and pins it
     with the verdict.  Stops at a clean solve or when the budget runs out.
     Falls back to plain reasoning when the answer source is unavailable.
+    A negative budget raises `ValueError`.
     """
+    if budget < 0:
+        raise ValueError(f"query budget must not be negative, got {budget}")
     if answer_source is None:
         return reason(graph)
     pins: dict[StatementId, bool] = {}

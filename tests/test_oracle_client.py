@@ -287,3 +287,235 @@ class TestTransport:
             server.shutdown()
             server.server_close()
             thread.join(timeout=10)
+
+
+@contextmanager
+def serve_raw(reply, close=False):
+    """Loopback server that answers each request with ``reply(body)`` verbatim.
+
+    Yields a dict holding the connection count, each raw request, and the
+    URL; with ``close`` the server closes the connection after each reply.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    seen = {"connections": 0, "requests": [],
+            "url": f"http://127.0.0.1:{listener.getsockname()[1]}/"}
+    stop = threading.Event()
+
+    def handle(conn):
+        try:
+            with conn, conn.makefile("rb") as file:
+                while True:
+                    head = [file.readline()]
+                    while head[-1] not in (b"\r\n", b""):
+                        head.append(file.readline())
+                    if not head[-1]:
+                        return
+                    length = next(int(h.split(b":")[1]) for h in head
+                                  if h.lower().startswith(b"content-length:"))
+                    body = file.read(length)
+                    seen["requests"].append(b"".join(head) + body)
+                    conn.sendall(reply(body))
+                    if close:
+                        return
+        except OSError:  # the client gave up on a bad reply
+            pass
+
+    def accept():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(None)
+            seen["connections"] += 1
+            threading.Thread(target=handle, args=(conn,), daemon=True).start()
+
+    thread = threading.Thread(target=accept, daemon=True)
+    thread.start()
+    try:
+        yield seen
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        listener.close()
+        assert not thread.is_alive()
+
+
+def _answer(body: bytes) -> bytes:
+    return json.dumps({"score": _score(json.loads(body)["statement"])}).encode()
+
+
+def _sized(status_line: bytes, headers: bytes = b""):
+    """Reply builder: ``status_line``, ``headers`` and a Content-Length body."""
+    return lambda body: (status_line + headers + b"Content-Length: %d\r\n\r\n"
+                         % len(_answer(body)) + _answer(body))
+
+
+def _chunked(body: bytes) -> bytes:
+    answer = _answer(body)
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"3\r\n" + answer[:3] + b"\r\n"
+            + b"%x;name=value\r\n" % (len(answer) - 3) + answer[3:] + b"\r\n"
+            + b"0\r\nX-Trailer: 1\r\n\r\n")
+
+
+class TestFraming:
+    @pytest.mark.parametrize(
+        "reply, close, connections",
+        [
+            (_chunked, False, 1),
+            (_sized(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n"), False, 1),
+            (_sized(b"HTTP/1.0 200 OK\r\n", b"Connection: Keep-Alive\r\n"), False, 1),
+            (_sized(b"HTTP/1.1 200 OK\r\n", b"X-A: 1\r\nconnection: CLOSE\r\n"), False, 2),
+            (lambda body: b"HTTP/1.0 200 OK\r\n\r\n" + _answer(body), True, 2),
+        ],
+        ids=["chunked", "interim-1xx", "http-1.0-keep-alive", "connection-close",
+             "http-1.0-close-delimited"],
+    )
+    def test_response_framing(self, monkeypatch, reply, close, connections):
+        sleeps = []
+        monkeypatch.setattr(oracle_client.time, "sleep", sleeps.append)
+        with serve_raw(reply, close) as seen, closing(RemoteOracle(seen["url"])) as oracle:
+            assert oracle.score_statement("fact 1") == 0.001
+            assert oracle.score_statement("fact 2") == 0.002
+            # A closing response ends the connection at once, so the next
+            # query reconnects rather than failing and being re-sent.
+            assert seen["connections"] == connections
+            assert len(seen["requests"]) == 2
+        assert oracle.calls == 2
+        assert sleeps == []
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            (lambda body: b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + _answer(body),
+             "truncated after"),
+            (_sized(b"HTTP/1.1 200 OK\r\n", b"X-Big: " + b"a" * 70000 + b"\r\n"),
+             "longer than 65536"),
+            (_sized(b"HTTP/1.1 200 OK\r\n", b"X-Many: 1\r\n" * 101), "more than 100 header"),
+            (_sized(b"HTTP/2 200\r\n"), "bad status line"),
+            (lambda body: b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\n",
+             "bad chunk size"),
+        ],
+        ids=["truncated-body", "long-header-line", "too-many-headers", "bad-status-line",
+             "bad-chunk-size"],
+    )
+    def test_malformed_response_is_a_failed_attempt(self, reply, message):
+        with serve_raw(reply, close=True) as seen:
+            with closing(RemoteOracle(seen["url"], backoff=0.01)) as oracle:
+                with pytest.raises(OracleTransportError, match=message):
+                    oracle.score_statement("fact 1")
+        assert oracle.calls == oracle_client.MAX_ATTEMPTS
+        assert seen["connections"] == oracle_client.MAX_ATTEMPTS
+
+    def test_request_carries_its_headers(self):
+        with serve_raw(_sized(b"HTTP/1.1 200 OK\r\n")) as seen:
+            url = seen["url"] + "ask?model=m1"
+            with closing(RemoteOracle(url)) as oracle:
+                oracle.score_statement("Fact 1.")
+        host = url.split("/")[2].encode()  # 127.0.0.1:<port>
+        body = json.dumps({"op": "score_statement", "statement": "fact 1"}).encode()
+        assert seen["requests"] == [
+            b"POST /ask?model=m1 HTTP/1.1\r\n"
+            b"Host: " + host + b"\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Accept-Encoding: identity\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body
+        ]
+
+    @pytest.mark.parametrize(
+        "endpoint, host",
+        [
+            ("http://[::1]:8080/", b"[::1]:8080"),
+            ("https://Example.org/v1", b"example.org"),
+            ("http://bücher.example:81/", b"xn--bcher-kva.example:81"),
+        ],
+    )
+    def test_host_field(self, endpoint, host):
+        assert b"\r\nHost: " + host + b"\r\n" in RemoteOracle(endpoint)._head
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            "http://127.0.0.1:9/a b",
+            "http://127.0.0.1:9/a\tb",
+            "http://127.0.0.1:9/a\r\nX-Injected: 1",
+            "http://127.0.0.1:9/?q=a b",
+            "http://127.0.0.1:9/\x7f",
+            "http://127.0.0.1:9/ ",
+            "http://127.0.0.1:9/é",
+        ],
+    )
+    def test_bad_endpoint_rejected_up_front(self, endpoint):
+        with pytest.raises(OracleTransportError, match="oracle endpoint"):
+            RemoteOracle(endpoint)
+
+
+class _CountingSocket:
+    """A socket that counts the writes made on it."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(data)
+        return self.sock.sendall(data)
+
+    def send(self, data):  # pragma: no cover - a second kind of write fails the test
+        self.writes.append(data)
+        return self.sock.send(data)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+@pytest.fixture
+def sockets(monkeypatch):
+    """Every socket the client opens, each wrapped to count its writes."""
+    opened = []
+    connect = socket.create_connection
+
+    def create_connection(*args, **kwargs):
+        opened.append(_CountingSocket(connect(*args, **kwargs)))
+        return opened[-1]
+
+    monkeypatch.setattr(oracle_client.socket, "create_connection", create_connection)
+    return opened
+
+
+class TestConnectionLifetime:
+    def test_one_write_per_request(self, sockets):
+        with serve() as (server, url), closing(RemoteOracle(url)) as oracle:
+            for i in range(10):
+                oracle.score_statement(f"fact {i}")
+            oracle.score_statement("fact 3")  # a hit writes nothing
+        assert len(sockets) == 1
+        assert len(sockets[0].writes) == 10
+        assert all(w.startswith(b"POST / HTTP/1.1\r\n") for w in sockets[0].writes)
+
+    def test_close_releases_sockets_and_cache_file(self, tmp_path, sockets):
+        path = tmp_path / "cache.jsonl"
+        with serve() as (server, url):
+            oracle = RemoteOracle(url, cache_path=path)
+            threads = [
+                threading.Thread(target=oracle.score_statement, args=(f"fact {i}",))
+                for i in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            handle = oracle._cache_file
+            assert len(sockets) == 3 and not handle.closed
+            oracle.close()
+            assert handle.closed
+            assert [s.fileno() for s in sockets] == [-1, -1, -1]
+            # A later miss reconnects and reopens the file.
+            oracle.score_statement("fact 4")
+            oracle.close()
+            assert server.connections == 4
+        assert path.read_bytes().endswith(_record("fact 4"))
+        assert len(path.read_bytes().splitlines()) == 4

@@ -226,6 +226,12 @@ class TestInteractiveResolution:
         assert outcome.final_assignment == plain.final_assignment
         assert outcome.discarded_rules == plain.discarded_rules
 
+    def test_negative_budget_raises(self, cylinder_graph):
+        asked = []
+        with pytest.raises(ValueError, match="must not be negative"):
+            resolve_interactive(cylinder_graph, lambda t: asked.append(t) or True, budget=-3)
+        assert asked == []
+
     def test_unavailable_source_falls_back(self, cylinder_graph):
         def broken(text):
             raise ConnectionError("user went home")
