@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .dot import to_dot
 from .errors import (
@@ -48,15 +49,19 @@ EXIT_INFEASIBLE = 4
 EXIT_INTERNAL = 5
 
 
-def _make_oracle(spec: str, cache_dir: Path) -> BeliefOracle:
+@contextmanager
+def _open_oracle(spec: str, cache_dir: Path) -> Iterator[BeliefOracle]:
+    """The oracle named by ``spec``; a remote one is closed on the way out."""
     kind, _, rest = spec.partition(":")
     if kind == "mock" and rest:
-        return load_mock_oracle(rest)
-    if kind == "remote" and rest:
+        yield load_mock_oracle(rest)
+    elif kind == "remote" and rest:
         from .oracle_client import RemoteOracle
 
-        return RemoteOracle(rest, cache_path=cache_dir / "oracle_cache.jsonl")
-    raise InputError(f"oracle spec must be mock:<path> or remote:<url>, got {spec!r}")
+        with RemoteOracle(rest, cache_path=cache_dir / "oracle_cache.jsonl") as oracle:
+            yield oracle
+    else:
+        raise InputError(f"oracle spec must be mock:<path> or remote:<url>, got {spec!r}")
 
 
 def _provenance(args: argparse.Namespace, cfg: CalibrationConfig) -> dict:
@@ -78,8 +83,8 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     provenance = _provenance(args, cfg)
 
     if len(questions) == 1 and out is not None:
-        oracle = _make_oracle(args.oracle, cache_dir=out.parent)
-        graph = generate_graph(questions[0], oracle, cfg)
+        with _open_oracle(args.oracle, cache_dir=out.parent) as oracle:
+            graph = generate_graph(questions[0], oracle, cfg)
         out.write_text(dumps(graph_to_document(graph, provenance)))
         print(f"wrote {out}: {len(graph.statements)} statements, {len(graph.rules)} rules")
         return EXIT_OK
@@ -89,18 +94,18 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     paths = [out_dir / f"{name}.json" for name in _output_names(questions)]
     out_dir.mkdir(parents=True, exist_ok=True)
-    oracle = _make_oracle(args.oracle, cache_dir=out_dir)
-
-    def build(question, path):
-        graph = generate_graph(question, oracle, cfg)
-        path.write_text(dumps(graph_to_document(graph, provenance)))
-        return path
-
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        for path in pool.map(build, questions, paths):
-            print(f"wrote {path}")
+    with _open_oracle(args.oracle, cache_dir=out_dir) as oracle:
+
+        def build(question, path):
+            graph = generate_graph(question, oracle, cfg)
+            path.write_text(dumps(graph_to_document(graph, provenance)))
+            return path
+
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+            for path in pool.map(build, questions, paths):
+                print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -185,25 +185,25 @@ class _Builder:
         )
         if depth < self.cfg.d_max:
             premises = [p for p in self.oracle.generate_premises(text) if canonicalize(p) != canon]
+            # A premise with the statement's own text was dropped above, and
+            # any other text gets another id, so no premise id is sid.
             if premises:
                 premise_ids = tuple(dict.fromkeys(self.extend(p, depth + 1) for p in premises))
-                premise_ids = tuple(p for p in premise_ids if p != sid)
-                if premise_ids:
-                    s_e = float(self.oracle.score_entailment(premises, text))
-                    self.rules.append(
-                        RuleNode(
-                            id=self.next_rule_id(),
-                            rule_type=RuleType.ENTAILMENT,
-                            premise_ids=premise_ids,
-                            hypothesis_ids=(sid,),
-                            confidence=calibrate_rule(s_e, RuleType.ENTAILMENT, self.cfg),
-                            raw_score=s_e,
-                        )
+                s_e = float(self.oracle.score_entailment(premises, text))
+                self.rules.append(
+                    RuleNode(
+                        id=self.next_rule_id(),
+                        rule_type=RuleType.ENTAILMENT,
+                        premise_ids=premise_ids,
+                        hypothesis_ids=(sid,),
+                        confidence=calibrate_rule(s_e, RuleType.ENTAILMENT, self.cfg),
+                        raw_score=s_e,
                     )
+                )
             neg_id = self.extend(self.oracle.negate(text), depth + 1)
             if neg_id != sid:
                 neg_node = self.nodes[neg_id]
-                if neg_node.is_negation_of is None and neg_node.id != sid:
+                if neg_node.is_negation_of is None:
                     self.nodes[neg_id] = replace(neg_node, is_negation_of=sid)
                 pair = frozenset((sid, neg_id))
                 if pair not in self.xor_pairs:

@@ -6,7 +6,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .model import Assignment, BeliefGraph, RuleType
+from .model import Assignment, BeliefGraph, RuleType, clause_counts
 from .reasoner import ReasoningOutcome, reason
 
 if TYPE_CHECKING:
@@ -38,8 +38,8 @@ def consistency(
 
     A clause is applicable when every statement on its premise side (its
     negative literals) is believed true, and violated when additionally no
-    statement on its hypothesis side is believed.  With no applicable
-    clauses tau is defined as 0 (nothing is violated).
+    statement on its hypothesis side is believed (see `clause_counts`).
+    With no applicable clauses tau is defined as 0 (nothing is violated).
     """
     a = assignment if assignment is not None else graph.initial_assignment()
     applicable = 0
@@ -47,11 +47,9 @@ def consistency(
     for rule in graph.rules:
         if entailment_only and rule.rule_type is not RuleType.ENTAILMENT:
             continue
-        for clause in rule.clauses():
-            if all(a[var] for var, pol in clause if not pol):
-                applicable += 1
-                if not any(a[var] for var, pol in clause if pol):
-                    violated += 1
+        rule_applicable, rule_violated = clause_counts(rule, a)
+        applicable += rule_applicable
+        violated += rule_violated
     tau = violated / applicable if applicable else 0.0
     return ConsistencyReport(applicable, violated, tau, 1.0 - tau)
 

@@ -147,12 +147,6 @@ class BeliefGraph:
     def initial_assignment(self) -> dict[StatementId, bool]:
         return {sid: node.label for sid, node in self.statements.items()}
 
-    def rule_by_id(self, rule_id: str) -> RuleNode:
-        for rule in self.rules:
-            if rule.id == rule_id:
-                return rule
-        raise KeyError(rule_id)
-
     def with_labels(self, assignment: Assignment) -> "BeliefGraph":
         """A copy of the graph with the assignment's labels; unchanged nodes are kept."""
         return BeliefGraph(_relabel(self.statements, assignment), self.rules, self.hypotheses)
@@ -186,8 +180,36 @@ def clause_satisfied(clause: Clause, assignment: Assignment) -> bool:
         raise EvaluationError(f"assignment missing statement {exc.args[0]}") from exc
 
 
+def clause_counts(rule: RuleNode, assignment: Assignment) -> tuple[int, int]:
+    """How many of the rule's clauses are applicable, and how many violated.
+
+    A clause is applicable when every statement on its premise side (its
+    negative literals) is true, and violated when additionally no
+    statement on its hypothesis side is.  The counts are read off the
+    rule's premises and hypotheses by rule type, without building its
+    clauses.  Every statement of the rule must be in the assignment.
+    """
+    try:
+        values = list(map(assignment.__getitem__, rule.premise_ids + rule.hypothesis_ids))
+    except KeyError as exc:
+        raise EvaluationError(f"assignment missing statement {exc.args[0]}") from exc
+    kind = rule.rule_type
+    if kind is RuleType.XOR_PAIR or kind is RuleType.MC_PAIRWISE:
+        a, b = values
+        both = 1 if a and b else 0
+        if kind is RuleType.MC_PAIRWISE:
+            return both, both  # (not a or not b) applies, and fails, when both hold
+        # (a or b) always applies; (not a or not b) applies when both hold.
+        return 1 + both, both + (0 if a or b else 1)
+    # Entailment and MC_HARD: (not p1 or ... or h1 or ...).
+    premises = len(rule.premise_ids)
+    if not all(values[:premises]):
+        return 0, 0
+    return 1, 0 if any(values[premises:]) else 1
+
+
 def rule_satisfied(rule: RuleNode, assignment: Assignment) -> bool:
-    return all(clause_satisfied(c, assignment) for c in rule.clauses())
+    return not clause_counts(rule, assignment)[1]
 
 
 def rule_cost(rule: RuleNode, assignment: Assignment) -> float:

@@ -249,6 +249,12 @@ class RemoteOracle:
         if self.cache_path and self.cache_path.exists():
             self._cache = _load_cache(self.cache_path)
 
+    def __enter__(self) -> RemoteOracle:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     def close(self) -> None:
         """Close every thread's connection and the cache file; a later query reopens them."""
         with self._lock:

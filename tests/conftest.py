@@ -40,6 +40,14 @@ def run_python(code: str, stdin: str = "") -> str:
     return result.stdout
 
 
+def rule_by_id(graph, rule_id):
+    """The graph's rule with this id."""
+    for rule in graph.rules:
+        if rule.id == rule_id:
+            return rule
+    raise KeyError(rule_id)
+
+
 def make_graph(statements, rules, hypotheses):
     nodes = {}
     for sid, text, label, confidence, extra in statements:

@@ -14,6 +14,7 @@ from beliefgraph import (
     xor_admissible,
 )
 from beliefgraph.model import RuleNode
+from conftest import rule_by_id
 
 
 CFG = CalibrationConfig()
@@ -109,7 +110,7 @@ class TestXorAdmissibility:
 class TestBoundaryDamping:
     def test_leaf_premise_rule_damped(self, weakest_premise_graph):
         damped = apply_boundary_damping(weakest_premise_graph, CFG)
-        assert damped.rule_by_id("r0").confidence == pytest.approx(0.9 * 0.95)
+        assert rule_by_id(damped, "r0").confidence == pytest.approx(0.9 * 0.95)
 
     def test_interior_rule_unchanged(self, flip_to_true_graph):
         g = flip_to_true_graph
@@ -119,21 +120,21 @@ class TestBoundaryDamping:
 
         g2 = BeliefGraph(dict(g.statements), g.rules + (support,), g.hypotheses)
         damped = apply_boundary_damping(g2, CFG)
-        assert damped.rule_by_id("r0").confidence == pytest.approx(0.9)
+        assert rule_by_id(damped, "r0").confidence == pytest.approx(0.9)
         # r1's premise 4 is still a leaf; r9's premise 4 likewise.
-        assert damped.rule_by_id("r1").confidence == pytest.approx(0.8 * 0.95)
-        assert damped.rule_by_id("r9").confidence == pytest.approx(0.5 * 0.95)
+        assert rule_by_id(damped, "r1").confidence == pytest.approx(0.8 * 0.95)
+        assert rule_by_id(damped, "r9").confidence == pytest.approx(0.5 * 0.95)
 
     def test_multiplication(self, weakest_premise_graph):
         cfg = CalibrationConfig(beta=0.95)
         g = weakest_premise_graph
         damped = apply_boundary_damping(g, cfg)
-        assert damped.rule_by_id("r0").confidence <= g.rule_by_id("r0").confidence
+        assert rule_by_id(damped, "r0").confidence <= rule_by_id(g, "r0").confidence
 
     def test_only_entailment_rules_touched(self, giraffe_graph):
         damped = apply_boundary_damping(giraffe_graph, CFG)
         for rid in ("r1", "r2", "r3"):
-            assert damped.rule_by_id(rid).confidence == giraffe_graph.rule_by_id(rid).confidence
+            assert rule_by_id(damped, rid).confidence == rule_by_id(giraffe_graph, rid).confidence
 
 
 class TestConfigValidation:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -824,14 +828,40 @@ class TestRemoteOracle:
         # from it alone.
         assert build("parallel", "http://127.0.0.1:9/", 4) == serial
 
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_build_closes_the_client(self, tmp_path, trace_server, failing):
+        """Under ``-X dev`` an unclosed socket or cache file is reported as a
+        ResourceWarning; none is, also when a question fails mid-run."""
+        questions = [
+            {"question_id": "q0", "hypotheses": ["Alpha is a mammal.", "Alpha is a reptile."]},
+            {"question_id": "q1", "hypotheses": ["Alpha has fur.", "Beta is a bird."]},
+        ]
+        (tmp_path / "two.json").write_text(json.dumps(questions))
+        (tmp_path / "one.json").write_text(json.dumps(questions[0]))
+        if failing:
+            (tmp_path / "out" / "q1.json").mkdir(parents=True)  # cannot be written
+            args = ["two.json", "--out-dir", "out", "--workers", "2"]
+        else:
+            args = ["one.json", "-o", "one.out.json"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "beliefgraph.cli", "build-graph", *args,
+             "--oracle", f"remote:{trace_server}"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60,
+        )
+        assert result.returncode == (EXIT_INTERNAL if failing else EXIT_OK), result.stderr
+        assert (tmp_path / ("out" if failing else ".") / "oracle_cache.jsonl").exists()
+        assert "ResourceWarning" not in result.stderr
+
     def test_call_counter_and_cache_hits(self, trace_server, tmp_path):
-        oracle = RemoteOracle(trace_server, cache_path=tmp_path / "cache.json")
-        assert oracle.score_statement("Alpha is a mammal.") == 0.9
-        assert oracle.score_statement("alpha is a mammal") == 0.9
-        assert oracle.calls == 1
-        fresh = RemoteOracle(trace_server, cache_path=tmp_path / "cache.json")
-        assert fresh.score_statement("alpha is a mammal") == 0.9
-        assert fresh.calls == 0
+        with RemoteOracle(trace_server, cache_path=tmp_path / "cache.json") as oracle:
+            assert oracle.score_statement("Alpha is a mammal.") == 0.9
+            assert oracle.score_statement("alpha is a mammal") == 0.9
+            assert oracle.calls == 1
+        with RemoteOracle(trace_server, cache_path=tmp_path / "cache.json") as fresh:
+            assert fresh.score_statement("alpha is a mammal") == 0.9
+            assert fresh.calls == 0
 
     def test_unreachable_raises_transport_error(self, tmp_path):
         oracle = RemoteOracle("http://127.0.0.1:9/", backoff=0.01)
@@ -856,13 +886,13 @@ class TestRemoteOracle:
         try:
             from beliefgraph.oracle_client import OracleDecodeError
 
-            oracle = RemoteOracle(
+            with RemoteOracle(
                 f"http://127.0.0.1:{server.server_address[1]}/", backoff=0.01
-            )
-            with pytest.raises(OracleDecodeError):
+            ) as oracle, pytest.raises(OracleDecodeError):
                 oracle.score_statement("anything")
         finally:
             server.shutdown()
+            server.server_close()
             thread.join()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -13,7 +14,7 @@ from beliefgraph import (
 )
 from beliefgraph import construction
 from beliefgraph.construction import entailment_key
-from beliefgraph.serialize import graph_to_document
+from beliefgraph.serialize import dumps, graph_to_document
 from conftest import TRACE_PREMISES, TRACE_SCORES
 
 
@@ -179,6 +180,31 @@ class TestDeterminismAndDedup:
                            CalibrationConfig(d_max=3))
         # negate(negate(x)) canonically equals x, so depth never runs away.
         assert all(s.depth <= 3 for s in g.statements.values())
+
+    def test_self_premise_and_self_negation_add_nothing(self):
+        # "b holds" is offered as its own premise and, like "d holds", is
+        # its own negation: neither adds a rule, a premise or a negation
+        # link.  The digest pins the document from before the builder
+        # stopped re-checking for them.
+        oracle = MockOracle(
+            premises={"a holds": ["A holds.", "b holds", "c holds"], "b holds": ["  B  HOLDS "]},
+            statement_scores={"a holds": 0.9, "b holds": 0.3, "c holds": 0.8, "d holds": 0.2},
+            negations={"b holds": "B holds.", "d holds": "d holds"},
+        )
+        g = generate_graph(HypothesisSet(("A holds", "D holds")), oracle,
+                           CalibrationConfig(d_max=2))
+        assert [(r.rule_type, r.premise_ids, r.hypothesis_ids) for r in g.rules] == [
+            (RuleType.ENTAILMENT, (1, 2), (0,)),
+            (RuleType.XOR_PAIR, (), (4, 0)),
+            (RuleType.MC_HARD, (), (0, 5)),
+            (RuleType.MC_PAIRWISE, (), (0, 5)),
+        ]
+        assert g.statements[1].is_negation_of is None
+        assert g.statements[5].is_negation_of is None
+        text = dumps(graph_to_document(g))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "50474dfcb513a56f28e9e82314ff322adfa27544379df24d81ca0bc3c1acec2a"
+        )
 
     def test_empty_premises_make_a_leaf(self):
         oracle = MockOracle(statement_scores={"a": 0.9, "b": 0.1})

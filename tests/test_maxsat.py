@@ -18,12 +18,14 @@ from beliefgraph import (
     StatementNode,
     WeightedClause,
     WeightedClauseSet,
+    consistency,
     encode,
     reason,
     solve,
     total_cost,
 )
 from beliefgraph import maxsat
+from beliefgraph.dot import to_dot
 from beliefgraph.maxsat import MAX_WIDTH
 from beliefgraph.synthetic import synthetic_graph
 from reference_solver import brute_force_solve, random_clause_set
@@ -134,6 +136,65 @@ class TestEncoding:
         result = solve(encode(giraffe_graph))
         assert result.assignment[1] is False
         assert result.assignment[0] is True
+
+
+def acceptance_graphs(count):
+    """The graphs the benchmark's acceptance workload asks about on seed 1."""
+    return [synthetic_graph(s) for s in random.Random(1).sample(range(10**6), count)]
+
+
+class TestCompiledForm:
+    """`encode` compiles a graph straight into the form `solve` reads; the
+    public constructor compiles `WeightedClause`s into the same form."""
+
+    def test_both_ways_in_solve_alike(self):
+        for i, graph in enumerate(acceptance_graphs(50)):
+            h = graph.hypotheses[0]
+            last = max(graph.statements)
+            for pins in (None, {h: not graph.statements[h].label, last: True}):
+                direct = encode(graph, pins)
+                rebuilt = WeightedClauseSet(
+                    direct.clauses, direct.variable_order, direct.initial_labels
+                )
+                assert rebuilt.clauses == direct.clauses
+                a, b = solve(direct), solve(rebuilt)
+                assert a.status is b.status, i
+                assert a.assignment == b.assignment, i
+                assert a.optimal_cost == b.optimal_cost, i
+                assert (a.nodes_explored, a.width) == (b.nodes_explored, b.width), i
+
+    def test_clause_count_unchanged(self):
+        assert sum(len(encode(g).clauses) for g in acceptance_graphs(200)) == 44017
+
+    def test_clauses_view_matches_rules(self, giraffe_graph):
+        pins = {2: False}
+        expected = [
+            WeightedClause(((sid, node.label),), node.confidence)
+            for sid, node in giraffe_graph.statements.items()
+            if node.confidence > 0.0
+        ]
+        for rule in giraffe_graph.rules:
+            expected += [WeightedClause(c, rule.confidence) for c in rule.clauses()]
+        expected.append(WeightedClause(((2, False),), HARD))
+        assert encode(giraffe_graph, pins).clauses == tuple(expected)
+
+    def test_unknown_pin_rejected(self, giraffe_graph):
+        with pytest.raises(ValueError, match="missing from variable order"):
+            encode(giraffe_graph, {99: True})
+
+    def test_reason_builds_no_clauses(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("clause built on the reasoning path")
+
+        graph = synthetic_graph(0)
+        expected = reason(graph)
+        monkeypatch.setattr(RuleNode, "clauses", forbidden)
+        monkeypatch.setattr(WeightedClause, "__post_init__", forbidden)
+        outcome = reason(graph)
+        assert outcome.final_assignment == expected.final_assignment
+        assert outcome.optimal_cost == expected.optimal_cost
+        consistency(graph, outcome.final_assignment)
+        to_dot(graph, outcome.final_assignment, outcome.discarded_rules)
 
 
 class TestSolve:

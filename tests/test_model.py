@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -11,12 +12,13 @@ from beliefgraph import (
     RuleNode,
     RuleType,
     StatementNode,
+    consistency,
     rule_cost,
     rule_satisfied,
     statement_cost,
     total_cost,
 )
-from beliefgraph.model import EvaluationError
+from beliefgraph.model import EvaluationError, clause_satisfied
 from beliefgraph.synthetic import synthetic_graph
 
 
@@ -83,6 +85,56 @@ class TestRuleSatisfaction:
         rule = entailment("r", (0,), 1, 0.8)
         for a in ({0: True, 1: True}, {0: True, 1: False}, {0: False, 1: False}):
             assert (rule_cost(rule, a) == 0.0) == rule_satisfied(rule, a)
+
+
+# One rule of each type and shape, over statements 0..3.
+EVERY_RULE_SHAPE = [
+    RuleNode("e0", RuleType.ENTAILMENT, (), (0,), 0.8),
+    RuleNode("e1", RuleType.ENTAILMENT, (1,), (0,), 0.8),
+    RuleNode("e3", RuleType.ENTAILMENT, (3, 1, 2), (0,), 0.8),
+    RuleNode("x", RuleType.XOR_PAIR, (), (2, 0), 1.1),
+    RuleNode("h1", RuleType.MC_HARD, (), (1,), HARD),
+    RuleNode("h3", RuleType.MC_HARD, (), (0, 2, 1), HARD),
+    RuleNode("p", RuleType.MC_PAIRWISE, (), (1, 3), 0.7),
+]
+
+
+def every_assignment(ids):
+    for values in product((False, True), repeat=len(ids)):
+        yield dict(zip(ids, values))
+
+
+@pytest.mark.parametrize("rule", EVERY_RULE_SHAPE, ids=lambda r: r.id)
+class TestChecksByRuleType:
+    """`rule_satisfied` and `consistency` read rules by type; each must agree
+    with the rule's clauses taken one by one."""
+
+    def test_rule_satisfied_matches_clauses(self, rule):
+        for a in every_assignment(rule.statement_ids()):
+            expected = all(clause_satisfied(c, a) for c in rule.clauses())
+            assert rule_satisfied(rule, a) is expected, a
+
+    def test_consistency_matches_clauses(self, rule):
+        statements = {sid: node(sid) for sid in range(4)}
+        graph = BeliefGraph(statements, (rule,), (0,))
+        for a in every_assignment(tuple(statements)):
+            applicable = violated = 0
+            for clause in rule.clauses():
+                if all(a[var] for var, pol in clause if not pol):
+                    applicable += 1
+                    violated += not any(a[var] for var, pol in clause if pol)
+            report = consistency(graph, a)
+            assert (report.applicable_rules, report.violated_rules) == (applicable, violated), a
+
+    def test_missing_statement_is_an_error(self, rule):
+        graph = BeliefGraph({sid: node(sid) for sid in range(4)}, (rule,), (0,))
+        for missing in rule.statement_ids():
+            for a in every_assignment(rule.statement_ids()):
+                del a[missing]
+                with pytest.raises(EvaluationError):
+                    rule_satisfied(rule, a)
+                with pytest.raises(EvaluationError):
+                    consistency(graph, a)
 
 
 def hard_xor_graph():

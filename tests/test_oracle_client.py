@@ -495,6 +495,15 @@ class TestConnectionLifetime:
         assert len(sockets[0].writes) == 10
         assert all(w.startswith(b"POST / HTTP/1.1\r\n") for w in sockets[0].writes)
 
+    def test_with_block_closes_sockets_and_cache_file(self, tmp_path, sockets):
+        with serve() as (_, url):
+            with RemoteOracle(url, cache_path=tmp_path / "cache.jsonl") as oracle:
+                oracle.score_statement("fact 1")
+                handle = oracle._cache_file
+                assert [s.fileno() for s in sockets] != [-1] and not handle.closed
+            assert handle.closed
+            assert [s.fileno() for s in sockets] == [-1]
+
     def test_close_releases_sockets_and_cache_file(self, tmp_path, sockets):
         path = tmp_path / "cache.jsonl"
         with serve() as (server, url):
