@@ -162,7 +162,10 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     def ask(text: str) -> bool:
         nonlocal stream_closed
         print(f"Is it true that: {text}? [y/n] ", end="", flush=True)
-        line = sys.stdin.readline()
+        try:
+            line = sys.stdin.readline()
+        except (OSError, ValueError):  # unreadable or undecodable: treated as closed
+            line = ""
         if not line:
             stream_closed = True
             raise EOFError("no interactive input available")

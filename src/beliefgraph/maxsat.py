@@ -1,20 +1,24 @@
 """Weighted partial MaxSAT encoding of a belief graph and an exact solver.
 
-`encode` compiles a graph once, straight into the form `solve` reads
-(`WeightedClauseSet`): variable positions in the tie-break order, unit costs
-per variable and one cost table per wider clause, each rule's clauses read
-off its premises and hypotheses by rule type.  The graph was validated when
-it was built, so encoding checks nothing again but the pins; a clause set
-built from `WeightedClause`s is validated once by its constructor.  The
-`clauses` of a set are a view, rebuilt from the compiled form when read.
+`encode` compiles a graph in one pass, straight into the form `solve` reads
+(`WeightedClauseSet`): variable positions in the tie-break order, each
+statement's pair of unit costs, and one cost table per rule with its
+violated rows set by rule type; every clause is also recorded in order, for
+the reported cost and the `clauses` view, which is rebuilt when read.  The
+graph was validated when it was built, so encoding checks nothing again but
+the pins; a clause set built from `WeightedClause`s is validated once by its
+constructor, which maps each clause to its table through the same helper.
 
 The solver is bucket elimination (Dechter, "Bucket elimination: a unifying
-framework for reasoning", AIJ 1999) over a greedy min-degree variable order.
-Unit clauses add up to one pair of costs per variable, [cost if false, cost
-if true]; each wider clause becomes a cost table over its variables.  A
-violated hard clause costs infinity.  Eliminating a variable starts from its
-unit costs, adds the tables that mention it and minimizes it out, which
-leaves one table over its remaining neighbours; walking the eliminated
+framework for reasoning", AIJ 1999), which eliminates each variable as a
+greedy min-degree order picks it: fewest neighbours first, ties to the
+smaller position.  Unit clauses add up to one pair of costs per variable,
+[cost if false, cost if true]; wider clauses become cost tables.  A violated
+hard clause costs infinity.  Eliminating a variable starts from its unit
+costs, adds the tables that mention it and are not yet used (input tables
+in clause order, then the tables made by earlier eliminations) and
+minimizes it out, which leaves one table over its neighbours, sorted by
+position; the neighbours are joined into a clique.  Walking the eliminated
 variables back in reverse order then recovers the optimal assignment.  Time
 and memory grow as 2**width, where the width is the number of neighbours a
 variable has when it is eliminated.  Belief graphs are nearly trees, so the
@@ -35,10 +39,11 @@ from the final assignment, so it does not depend on the elimination order.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heappush
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SolverLimitError
@@ -105,39 +110,35 @@ class WeightedClauseSet:
         initial_labels: Mapping[StatementId, bool],
     ):
         position = {var: i for i, var in enumerate(variable_order)}
-        compiled: list[_Clause] = []
+        self._clauses, self._units, self._tables = [], {}, []
         for clause in clauses:
             for var, _ in clause.literals:
                 if var not in position:
                     raise ValueError(f"variable {var} missing from variable order")
             scope = tuple(position[var] for var, _ in clause.literals)
-            compiled.append((scope, tuple(not pol for _, pol in clause.literals), clause.weight))
+            violating = tuple(not pol for _, pol in clause.literals)
+            self._clauses.append((scope, violating, clause.weight))
+            row = sum(1 << j for j, bad in enumerate(violating) if bad)
+            self._add_table(scope, (row,), clause.weight)
         for var in variable_order:
             if var not in initial_labels:
                 raise ValueError(f"variable {var} has no initial label")
-        labels = [bool(initial_labels[var]) for var in variable_order]
-        self._compile(tuple(variable_order), labels, compiled)
+        self.variable_order = tuple(variable_order)
+        self._labels = [bool(initial_labels[var]) for var in variable_order]
 
-    def _compile(
-        self, variable_order: tuple[StatementId, ...], labels: list[bool], clauses: list[_Clause]
-    ) -> None:
-        units: dict[int, list[float]] = {}
-        tables: list[_Table] = []
-        for scope, violating, weight in clauses:
-            if len(scope) == 1:
-                costs = units.get(scope[0])
-                if costs is None:
-                    costs = units[scope[0]] = [0.0, 0.0]
-                costs[violating[0]] += weight
-            else:
-                costs = [0.0] * (1 << len(scope))
-                costs[sum(1 << j for j, bad in enumerate(violating) if bad)] = weight
-                tables.append((scope, costs, None))
-        self.variable_order = variable_order
-        self._labels = labels
-        self._clauses = clauses
-        self._units = units
-        self._tables = tables
+    def _add_table(self, scope: tuple[int, ...], rows: tuple[int, ...], weight: float) -> None:
+        """Add ``weight`` at the violated ``rows`` of a table over ``scope``;
+        a one-variable table adds to that variable's unit costs instead."""
+        if len(scope) == 1:
+            costs = self._units.get(scope[0])
+            if costs is None:
+                costs = self._units[scope[0]] = [0.0, 0.0]
+            costs[rows[0]] += weight
+        else:
+            costs = [0.0] * (1 << len(scope))
+            for row in rows:
+                costs[row] = weight
+            self._tables.append((scope, costs, None))
 
     @property
     def initial_labels(self) -> dict[StatementId, bool]:
@@ -181,19 +182,28 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     else already, so only the pins are checked here.
     """
     statements = graph.statements
-    # The order decides ties: hypotheses first, then descending confidence.
+    # The order decides ties: hypotheses first, then descending confidence,
+    # then ascending id (the sort is stable).
     hypotheses = set(graph.hypotheses)
-    rest = sorted(
-        (sid for sid in statements if sid not in hypotheses),
-        key=lambda sid: (-statements[sid].confidence, sid),
-    )
+    rest = sorted([sid for sid in statements if sid not in hypotheses])
+    rest.sort(key=lambda sid: -statements[sid].confidence)
     order = tuple(graph.hypotheses) + tuple(rest)
     position = {sid: i for i, sid in enumerate(order)}
 
+    cs = WeightedClauseSet.__new__(WeightedClauseSet)
+    cs.variable_order = order
+    cs._labels = [statements[sid].label for sid in order]
     clauses: list[_Clause] = []
+    units: dict[int, list[float]] = {}
+    cs._clauses, cs._units, cs._tables = clauses, units, []
+    add_table = cs._add_table
     for sid, node in statements.items():
-        if node.confidence > 0.0:
-            clauses.append(((position[sid],), (not node.label,), node.confidence))
+        weight = node.confidence
+        if weight > 0.0:
+            # The first unit on its variable: [cost if false, cost if true].
+            v = position[sid]
+            clauses.append(((v,), (not node.label,), weight))
+            units[v] = [weight, 0.0] if node.label else [0.0, weight]
     for rule in graph.rules:
         weight = rule.confidence
         if weight <= 0.0:
@@ -205,54 +215,22 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
             if kind is RuleType.XOR_PAIR:
                 clauses.append((scope, (False, False), weight))  # a or b
             clauses.append((scope, (True, True), weight))  # not a or not b
+            add_table(scope, (0, 3) if kind is RuleType.XOR_PAIR else (3,), weight)
         else:
             # Entailment and MC_HARD: violated when every premise is true
             # and every hypothesis false.
             premises, conclusions = rule.premise_ids, rule.hypothesis_ids
-            scope = tuple(position[sid] for sid in premises + conclusions)
+            scope = tuple(map(position.__getitem__, premises + conclusions))
             clauses.append((scope, (True,) * len(premises) + (False,) * len(conclusions), weight))
+            add_table(scope, ((1 << len(premises)) - 1,), weight)
     if pins:
         for sid, value in pins.items():
-            if sid not in position:
+            v = position.get(sid)
+            if v is None:
                 raise ValueError(f"variable {sid} missing from variable order")
-            clauses.append(((position[sid],), (not value,), HARD))
-
-    cs = WeightedClauseSet.__new__(WeightedClauseSet)
-    cs._compile(order, [statements[sid].label for sid in order], clauses)
+            clauses.append(((v,), (not value,), HARD))
+            add_table((v,), (int(not value),), HARD)
     return cs
-
-
-def _min_degree_order(neighbours: dict[int, set[int]]) -> list[int]:
-    """Greedy min-degree elimination order of the interaction graph.
-
-    Repeatedly eliminates the variable with the fewest neighbours, ties
-    going to the smaller position, and joins those neighbours into a
-    clique.  Consumes ``neighbours``.  Raises SolverLimitError once a
-    variable would be eliminated with more than MAX_WIDTH neighbours.
-    """
-    # The heap holds an entry (degree, v) for each variable's current
-    # degree; an entry whose degree is out of date is skipped.
-    heap = [(len(around), v) for v, around in neighbours.items()]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        degree, v = heapq.heappop(heap)
-        around = neighbours.get(v)
-        if around is None or len(around) != degree:
-            continue  # stale entry: v was eliminated or its degree changed
-        del neighbours[v]
-        if degree > MAX_WIDTH:
-            raise SolverLimitError(f"elimination width {degree} exceeds the limit of {MAX_WIDTH}")
-        order.append(v)
-        for a in around:
-            near = neighbours[a]
-            before = len(near)
-            near |= around
-            near.discard(a)
-            near.discard(v)
-            if len(near) != before:
-                heapq.heappush(heap, (len(near), a))
-    return order
 
 
 def _projection(bits: Sequence[int], width: int) -> list[int]:
@@ -269,12 +247,12 @@ def _projection(bits: Sequence[int], width: int) -> list[int]:
     return rows
 
 
-# (bit positions of a table's scope, width) -> _projection of them, kept
-# across calls for widths up to 6: at most 2371 keys of at most 64 rows.
-# Each entry is a pure function of its key and is never written to, so
-# sharing them changes no result.
+# [k][bit positions of a table's scope] -> an itemgetter of their
+# _projection into a (k + 1)-bit table, kept across calls for k up to 5: at
+# most 2371 keys of at most 64 rows.  Each entry is a pure function of its
+# key and is never written to, so sharing them changes no result.
 _SHARED_WIDTH = 6
-_shared_projections: dict[tuple[tuple[int, ...], int], list[int]] = {}
+_shared_projections: list[dict[tuple[int, ...], itemgetter]] = [{} for _ in range(_SHARED_WIDTH)]
 
 
 def solve(cs: WeightedClauseSet) -> SolveResult:
@@ -284,59 +262,84 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
         raise SolverLimitError(f"{n} variables exceeds the limit of {MAX_VARIABLES}")
     value = list(cs._labels)
     unit = cs._units
+    # The input tables in clause order, then those made by eliminations; a
+    # table is set to None once an elimination has used it.
+    tables: list[_Table | None] = list(cs._tables)
+    # variable -> the indices of the tables that mention it, ascending
+    mentions: dict[int, list[int]] = {v: [] for v in unit}
     neighbours: dict[int, set[int]] = {v: set() for v in unit}
-    for scope, _, _ in cs._tables:
+    for i, (scope, _, _) in enumerate(cs._tables):
         for v in scope:
             around = neighbours.get(v)
             if around is None:
                 around = neighbours[v] = set()
+                mentions[v] = [i]
+            else:
+                mentions[v].append(i)
             around.update(scope)
     for v, around in neighbours.items():
         around.discard(v)
 
     # Variables in no clause are absent here and keep their initial labels,
-    # which is optimal and flip-minimal.
-    order = _min_degree_order(neighbours)
-    rank = {v: r for r, v in enumerate(order)}
-    buckets: list[list[_Table]] = [[] for _ in order]
-    for table in cs._tables:
-        buckets[min(map(rank.__getitem__, table[0]))].append(table)
-
+    # which is optimal and flip-minimal.  The others are eliminated as they
+    # come off a min-degree heap of (degree, position) entries; an entry
+    # whose degree is out of date is skipped.
+    heap = [(len(around), v) for v, around in neighbours.items()]
+    heapify(heap)
     # _shared_projections for the wider tables, kept for this call only
-    projections: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    projections: dict[int, dict[tuple[int, ...], itemgetter]] = {}
     # (variable, remaining scope, whether to flip it for each scope row),
     # for the variables that some row flips
     eliminated: list[tuple[int, tuple[int, ...], list[bool]]] = []
     nodes = 0
     width = 0
-    for x, bucket in zip(order, buckets):
-        others = {v for t in bucket for v in t[0]}
-        others.discard(x)
-        scope = tuple(sorted(others, key=rank.__getitem__))
-        k = len(scope)
-        bit = {v: j for j, v in enumerate(scope, 1)}
-        bit[x] = 0
+    while heap:
+        k, x = heappop(heap)
+        around = neighbours.get(x)
+        if around is None or len(around) != k:
+            continue  # stale entry: x was eliminated or its degree changed
+        del neighbours[x]
+        if k > MAX_WIDTH:
+            raise SolverLimitError(f"elimination width {k} exceeds the limit of {MAX_WIDTH}")
+        # Join x's neighbours into a clique, as the table over them will.
+        for a in around:
+            near = neighbours[a]
+            before = len(near)
+            near.discard(x)
+            if k > 1:
+                near |= around
+                near.discard(a)
+            if len(near) != before:
+                heappush(heap, (len(near), a))
+        scope = tuple(sorted(around))
+        bit = ((x,) + scope).index
         size = 2 << k
         nodes += size
-        width = max(width, k)
-        cache = _shared_projections if k < _SHARED_WIDTH else projections
+        if k > width:
+            width = k
+        cache = _shared_projections[k] if k < _SHARED_WIDTH else projections.setdefault(k, {})
         # Rows alternate x false, x true.  encode puts a statement's soft
         # unit clause before its rule clauses and its pin, which adds 0 or
         # infinity, after them; so starting from the unit costs gives the
         # same sums as one table per unit clause would.
         costs = unit.get(x, [0.0, 0.0]) * (size >> 1)
         flips = None  # all 0 until a table with flips is added
-        for t_scope, t_costs, t_flips in bucket:
-            key = (tuple(map(bit.__getitem__, t_scope)), k + 1)
-            rows = cache.get(key)
-            if rows is None:
-                rows = cache[key] = _projection(*key)
-            costs = [c + t_costs[r] for c, r in zip(costs, rows)]
+        for i in mentions.pop(x):
+            table = tables[i]
+            if table is None:
+                continue
+            tables[i] = None
+            t_scope, t_costs, t_flips = table
+            key = tuple(map(bit, t_scope))
+            pick = cache.get(key)
+            if pick is None:
+                pick = cache[key] = itemgetter(*_projection(key, k + 1))
+            costs = [*map(add, costs, pick(t_costs))]
             if t_flips is not None:
                 if flips is None:
-                    flips = [t_flips[r] for r in rows]
+                    flips = [*pick(t_flips)]
                 else:
-                    flips = [f + t_flips[r] for f, r in zip(flips, rows)]
+                    flips = [*map(add, flips, pick(t_flips))]
 
         # For each row of the scope, keep x's initial value unless flipping
         # it costs less, or costs the same and gives a smaller flip pattern.
@@ -364,7 +367,9 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
                 best_flips = [ff if b else kf for b, ff, kf in zip(flip_x, flip_flips, kept_flips)]
         # A table over no variables is a constant and changes no choice.
         if scope:
-            buckets[rank[scope[0]]].append((scope, best_costs, best_flips))
+            for v in scope:
+                mentions[v].append(len(tables))
+            tables.append((scope, best_costs, best_flips))
 
     for x, scope, flip_x in reversed(eliminated):
         row = 0

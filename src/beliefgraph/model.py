@@ -9,7 +9,7 @@ large graphs never underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -101,18 +101,6 @@ class RuleNode:
     def statement_ids(self) -> tuple[StatementId, ...]:
         return self.premise_ids + self.hypothesis_ids
 
-    def clauses(self) -> tuple[Clause, ...]:
-        """The disjunctive clause(s) this rule contributes."""
-        if self.rule_type is RuleType.XOR_PAIR:
-            a, b = self.hypothesis_ids
-            return (((a, True), (b, True)), ((a, False), (b, False)))
-        if self.rule_type is RuleType.MC_PAIRWISE:
-            a, b = self.hypothesis_ids
-            return (((a, False), (b, False)),)
-        negatives = tuple((s, False) for s in self.premise_ids)
-        positives = tuple((s, True) for s in self.hypothesis_ids)
-        return (negatives + positives,)
-
 
 @dataclass(frozen=True, eq=True)
 class BeliefGraph:
@@ -149,12 +137,20 @@ class BeliefGraph:
 
     def with_labels(self, assignment: Assignment) -> "BeliefGraph":
         """A copy of the graph with the assignment's labels; unchanged nodes are kept."""
-        return BeliefGraph(_relabel(self.statements, assignment), self.rules, self.hypotheses)
+        return _checked_graph(_relabel(self.statements, assignment), self.rules, self.hypotheses)
 
     def without_rules(self, rule_ids: Iterable[str]) -> "BeliefGraph":
         dropped = set(rule_ids)
         kept = tuple(r for r in self.rules if r.id not in dropped)
-        return BeliefGraph(dict(self.statements), kept, self.hypotheses)
+        return _checked_graph(dict(self.statements), kept, self.hypotheses)
+
+
+def _checked_graph(statements: dict, rules: tuple, hypotheses: tuple) -> BeliefGraph:
+    """A graph from the relabelled statements and a subset of the rules of a
+    graph already checked; `BeliefGraph.__post_init__` is not run again."""
+    graph = object.__new__(BeliefGraph)
+    graph.__dict__.update(statements=statements, rules=rules, hypotheses=hypotheses)
+    return graph
 
 
 def _relabel(
@@ -164,20 +160,16 @@ def _relabel(
     relabelled = {}
     for sid, node in statements.items():
         label = bool(assignment[sid])
-        relabelled[sid] = node if node.label is label else replace(node, label=label)
+        if node.label is not label:
+            node = StatementNode(node.id, node.text, label, node.confidence, node.depth,
+                                 node.is_negation_of, node.raw_score)
+        relabelled[sid] = node
     return relabelled
 
 
 def statement_cost(node: StatementNode, assigned: bool) -> float:
     """0 when the assignment agrees with the believed label, else the confidence."""
     return 0.0 if assigned == node.label else node.confidence
-
-
-def clause_satisfied(clause: Clause, assignment: Assignment) -> bool:
-    try:
-        return any(assignment[var] == polarity for var, polarity in clause)
-    except KeyError as exc:
-        raise EvaluationError(f"assignment missing statement {exc.args[0]}") from exc
 
 
 def clause_counts(rule: RuleNode, assignment: Assignment) -> tuple[int, int]:

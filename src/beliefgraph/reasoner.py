@@ -12,7 +12,8 @@ from typing import Callable, Mapping
 
 from .errors import ReasoningError
 from .maxsat import SolveStatus, encode, solve
-from .model import BeliefGraph, RuleNode, RuleType, StatementId, _relabel, rule_satisfied
+from .model import BeliefGraph, RuleNode, RuleType, StatementId, rule_satisfied
+from .model import _checked_graph, _relabel
 
 DEFAULT_QUERY_BUDGET = 5
 
@@ -92,7 +93,7 @@ def reason(
         if not rule.is_hard and not rule_satisfied(rule, assignment)
     )
     kept = tuple(rule for rule in graph.rules if rule.id not in discarded)
-    updated = BeliefGraph(_relabel(graph.statements, assignment), kept, graph.hypotheses)
+    updated = _checked_graph(_relabel(graph.statements, assignment), kept, graph.hypotheses)
     predictions = frozenset(h for h in graph.hypotheses if assignment[h])
     supports = _supports(updated)
     explanations = {h: _explain(supports, h) for h in sorted(predictions)}
@@ -126,8 +127,9 @@ def resolve_interactive(
     Repeatedly solves; while rules are being discarded, queries the
     lowest-confidence statement involved in a discarded rule and pins it
     with the verdict.  Stops at a clean solve or when the budget runs out.
-    Falls back to plain reasoning when the answer source is unavailable.
-    A negative budget raises `ValueError`.
+    Falls back to plain reasoning when the answer source is None or raises
+    `EOFError`; any other exception from it propagates.  A negative budget
+    raises `ValueError`.
     """
     if budget < 0:
         raise ValueError(f"query budget must not be negative, got {budget}")
@@ -149,7 +151,7 @@ def resolve_interactive(
         target = min(involved, key=lambda sid: (graph.statements[sid].confidence, sid))
         try:
             verdict = bool(answer_source(graph.statements[target].text))
-        except Exception:
+        except EOFError:
             return reason(graph)
         pins[target] = verdict
         queries += 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -19,6 +20,7 @@ if TYPE_CHECKING:
     from .reasoner import ReasoningOutcome
 
 SCHEMA_VERSION = 1
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def read_json(path: str | Path) -> Any:
@@ -32,8 +34,42 @@ def read_json(path: str | Path) -> Any:
 
 
 def dumps(document: dict) -> str:
-    """Canonical serialization: stable key order, two-space indent."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: stable key order, two-space indent.
+
+    The bytes of ``json.dumps(document, indent=2, sort_keys=True)`` and a
+    newline, written here because ``json`` uses its C encoder only without
+    ``indent``; strings still go through its C quoter.
+    """
+    return _text(document, "\n") + "\n"
+
+
+def _text(value: Any, newline: str) -> str:
+    """``value`` as canonical JSON, its nested lines starting with ``newline``."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_SPECIALS.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_text(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{_quote(k) if isinstance(k, str) else _key(k)}: {_text(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key(key: Any) -> str:
+    """A dict key that is not a string, as ``json`` writes it: its text, quoted."""
+    if not isinstance(key, (int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _quote(_text(key, ""))
 
 
 def graph_to_document(graph: BeliefGraph, provenance: dict | None = None) -> dict:

@@ -8,6 +8,7 @@ against it.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,8 @@ from beliefgraph import (
     RuleType,
     StatementNode,
 )
+from beliefgraph.model import EvaluationError
+from beliefgraph.synthetic import synthetic_graph
 
 
 def run_python(code: str, stdin: str = "") -> str:
@@ -38,6 +41,35 @@ def run_python(code: str, stdin: str = "") -> str:
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def acceptance_graphs(count):
+    """The graphs the benchmark's acceptance workload asks about on seed 1."""
+    return [synthetic_graph(s) for s in random.Random(1).sample(range(10**6), count)]
+
+
+def rule_clauses(rule):
+    """The disjunctive clause(s) a rule contributes, each a tuple of
+    (statement id, polarity) literals: the clause-level reference that the
+    by-type checks and `encode` are tested against."""
+    if rule.rule_type is RuleType.XOR_PAIR:
+        a, b = rule.hypothesis_ids
+        return (((a, True), (b, True)), ((a, False), (b, False)))
+    if rule.rule_type is RuleType.MC_PAIRWISE:
+        a, b = rule.hypothesis_ids
+        return (((a, False), (b, False)),)
+    negatives = tuple((s, False) for s in rule.premise_ids)
+    positives = tuple((s, True) for s in rule.hypothesis_ids)
+    return (negatives + positives,)
+
+
+def clause_satisfied(clause, assignment):
+    """Whether some literal of the clause holds; a missing statement is an
+    EvaluationError."""
+    try:
+        return any(assignment[var] == polarity for var, polarity in clause)
+    except KeyError as exc:
+        raise EvaluationError(f"assignment missing statement {exc.args[0]}") from exc
 
 
 def rule_by_id(graph, rule_id):

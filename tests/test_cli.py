@@ -587,6 +587,22 @@ class TestResolve:
         doc = json.loads((workdir / "out.json").read_text())
         assert doc["discarded_rules"] == ["r1"]
 
+    def test_undecodable_input_falls_back_to_plain_reasoning(
+        self, workdir, cylinder_graph, capsys, monkeypatch
+    ):
+        import io
+
+        save_graph(cylinder_graph, workdir / "g.json")
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe\n"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code = main(
+            ["resolve", str(workdir / "g.json"), "-o", str(workdir / "out.json")]
+        )
+        assert code == EXIT_OK
+        assert "falling back" in capsys.readouterr().err
+        doc = json.loads((workdir / "out.json").read_text())
+        assert doc["discarded_rules"] == ["r1"]
+
     def test_contradictory_verdicts_are_infeasible(self, workdir, monkeypatch):
         import io
 

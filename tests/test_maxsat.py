@@ -28,6 +28,7 @@ from beliefgraph import maxsat
 from beliefgraph.dot import to_dot
 from beliefgraph.maxsat import MAX_WIDTH
 from beliefgraph.synthetic import synthetic_graph
+from conftest import acceptance_graphs, rule_clauses
 from reference_solver import brute_force_solve, random_clause_set
 
 
@@ -138,9 +139,40 @@ class TestEncoding:
         assert result.assignment[0] is True
 
 
-def acceptance_graphs(count):
-    """The graphs the benchmark's acceptance workload asks about on seed 1."""
-    return [synthetic_graph(s) for s in random.Random(1).sample(range(10**6), count)]
+def summary(result):
+    """What must agree between two solves: assignment, exact cost, status,
+    then search nodes and width."""
+    return (
+        result.assignment, repr(result.optimal_cost), result.status,
+        result.nodes_explored, result.width,
+    )
+
+
+def small_pinned_graph(seed):
+    """A random graph of 4-12 statements with rules of every type, and up to
+    three pins; pinning every hypothesis false makes it infeasible."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    statements = {
+        sid: StatementNode(sid, f"s{sid}", rng.random() < 0.5, rng.choice([0.0, 0.3, 0.6, 0.9]))
+        for sid in range(n)
+    }
+    hypotheses = tuple(rng.sample(range(n), rng.randint(2, 3)))
+    rules = [RuleNode("mc", RuleType.MC_HARD, (), hypotheses, HARD)]
+    for i in range(rng.randint(1, 2 * n)):
+        kind = rng.choice(list(RuleType))
+        weight = HARD if kind is RuleType.MC_HARD else rng.choice([0.0, 0.25, 0.5, 1.1])
+        if kind is RuleType.ENTAILMENT:
+            ids = rng.sample(range(n), rng.randint(1, 4))
+            rules.append(RuleNode(f"r{i}", kind, tuple(ids[1:]), (ids[0],), weight))
+        else:
+            ids = rng.sample(range(n), 2 if kind is not RuleType.MC_HARD else rng.randint(1, 3))
+            rules.append(RuleNode(f"r{i}", kind, (), tuple(ids), weight))
+    if rng.random() < 0.2:
+        pins = {h: False for h in hypotheses}
+    else:
+        pins = {sid: rng.random() < 0.5 for sid in rng.sample(range(n), rng.randint(0, 3))}
+    return BeliefGraph(statements, tuple(rules), hypotheses), pins
 
 
 class TestCompiledForm:
@@ -174,9 +206,35 @@ class TestCompiledForm:
             if node.confidence > 0.0
         ]
         for rule in giraffe_graph.rules:
-            expected += [WeightedClause(c, rule.confidence) for c in rule.clauses()]
+            expected += [WeightedClause(c, rule.confidence) for c in rule_clauses(rule)]
         expected.append(WeightedClause(((2, False),), HARD))
         assert encode(giraffe_graph, pins).clauses == tuple(expected)
+
+    def test_pinned_small_graphs_match_brute_force(self):
+        infeasible = 0
+        for seed in range(150):
+            graph, pins = small_pinned_graph(seed)
+            direct = encode(graph, pins)
+            rebuilt = WeightedClauseSet(
+                direct.clauses, direct.variable_order, direct.initial_labels
+            )
+            a, b, slow = solve(direct), solve(rebuilt), brute_force_solve(direct)
+            assert summary(a) == summary(b), seed
+            assert summary(a)[:3] == summary(slow)[:3], seed
+            infeasible += a.status is SolveStatus.INFEASIBLE
+        assert 10 <= infeasible <= 140
+
+    def test_width_limit_through_encode(self):
+        # Every pair of statements is a pairwise rule, so the first
+        # statement eliminated has MAX_WIDTH + 1 neighbours.
+        n = MAX_WIDTH + 2
+        statements = {sid: StatementNode(sid, f"s{sid}", True, 0.5) for sid in range(n)}
+        rules = tuple(
+            RuleNode(f"p{a}-{b}", RuleType.MC_PAIRWISE, (), (a, b), 0.5)
+            for a, b in combinations(range(n), 2)
+        )
+        with pytest.raises(SolverLimitError):
+            solve(encode(BeliefGraph(statements, rules, (0, 1))))
 
     def test_unknown_pin_rejected(self, giraffe_graph):
         with pytest.raises(ValueError, match="missing from variable order"):
@@ -188,7 +246,6 @@ class TestCompiledForm:
 
         graph = synthetic_graph(0)
         expected = reason(graph)
-        monkeypatch.setattr(RuleNode, "clauses", forbidden)
         monkeypatch.setattr(WeightedClause, "__post_init__", forbidden)
         outcome = reason(graph)
         assert outcome.final_assignment == expected.final_assignment

@@ -18,8 +18,9 @@ from beliefgraph import (
     statement_cost,
     total_cost,
 )
-from beliefgraph.model import EvaluationError, clause_satisfied
+from beliefgraph.model import EvaluationError
 from beliefgraph.synthetic import synthetic_graph
+from conftest import clause_satisfied, rule_clauses
 
 
 def node(sid, label=True, confidence=0.9):
@@ -111,7 +112,7 @@ class TestChecksByRuleType:
 
     def test_rule_satisfied_matches_clauses(self, rule):
         for a in every_assignment(rule.statement_ids()):
-            expected = all(clause_satisfied(c, a) for c in rule.clauses())
+            expected = all(clause_satisfied(c, a) for c in rule_clauses(rule))
             assert rule_satisfied(rule, a) is expected, a
 
     def test_consistency_matches_clauses(self, rule):
@@ -119,7 +120,7 @@ class TestChecksByRuleType:
         graph = BeliefGraph(statements, (rule,), (0,))
         for a in every_assignment(tuple(statements)):
             applicable = violated = 0
-            for clause in rule.clauses():
+            for clause in rule_clauses(rule):
                 if all(a[var] for var, pol in clause if not pol):
                     applicable += 1
                     violated += not any(a[var] for var, pol in clause if pol)

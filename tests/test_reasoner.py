@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from beliefgraph import (
 from beliefgraph.metrics import summarize
 from beliefgraph.serialize import dumps, outcome_to_document
 from beliefgraph.synthetic import synthetic_graph
+from conftest import acceptance_graphs
 
 # sha256 of the outcome documents, with summaries, of synthetic_graph seeds
 # 0-99 and synthetic_graph(0, 3, 3000, 700).  A change that moves any byte
@@ -233,12 +235,19 @@ class TestInteractiveResolution:
         assert asked == []
 
     def test_unavailable_source_falls_back(self, cylinder_graph):
-        def broken(text):
-            raise ConnectionError("user went home")
+        def closed(text):
+            raise EOFError("no interactive input available")
 
-        outcome = resolve_interactive(cylinder_graph, broken)
+        outcome = resolve_interactive(cylinder_graph, closed)
         plain = reason(cylinder_graph)
         assert outcome.final_assignment == plain.final_assignment
+
+    def test_source_error_propagates(self, cylinder_graph):
+        def broken(text):
+            raise RuntimeError("bug in the answer source")
+
+        with pytest.raises(RuntimeError, match="bug in the answer source"):
+            resolve_interactive(cylinder_graph, broken)
 
     def test_none_source_falls_back(self, cylinder_graph):
         outcome = resolve_interactive(cylinder_graph, None)
@@ -246,6 +255,18 @@ class TestInteractiveResolution:
 
 
 class TestSyntheticGraphs:
+    def test_updated_graph_equals_checked_build(self):
+        for graph in acceptance_graphs(50):
+            outcome = reason(graph)
+            a = outcome.final_assignment
+            statements = {
+                sid: replace(node, label=a[sid]) for sid, node in graph.statements.items()
+            }
+            rules = tuple(r for r in graph.rules if r.id not in outcome.discarded_rules)
+            checked = BeliefGraph(statements, rules, graph.hypotheses)
+            assert outcome.updated_graph == checked
+            assert type(outcome.updated_graph) is BeliefGraph
+
     def test_small_batch_end_to_end(self):
         for seed in range(5):
             g = synthetic_graph(seed, target_statements=80, target_rules=30)
