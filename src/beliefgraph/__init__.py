@@ -13,7 +13,7 @@ _SUBMODULE_EXPORTS = {
     "calibration": (
         "CalibrationConfig",
         "apply_boundary_damping",
-        "calibrate_rule",
+        "calibrate_entailment",
         "calibrate_statement",
         "label_from_score",
         "xor_admissible",
@@ -56,9 +56,7 @@ _SUBMODULE_EXPORTS = {
         "RuleNode",
         "RuleType",
         "StatementNode",
-        "rule_cost",
         "rule_satisfied",
-        "statement_cost",
         "total_cost",
     ),
     "oracle_client": ("RemoteOracle",),

@@ -1,8 +1,11 @@
 """Score calibration: raw oracle scores to node/rule confidences.
 
-Raw model scores are heavily skewed towards 0 and 1, so they are squashed
-with exp(k * (s - 1)) per channel, with a per-rule-type importance factor
-t on top.  Also hosts the XOR margin filter and boundary damping.
+Raw model scores are heavily skewed towards 0 and 1, so the two scores the
+oracle gives (statement truth and entailment) are squashed with
+exp(k * (s - 1)), each with its own k; an entailment also carries an
+importance factor t on top.  XOR and multiple-choice rules are structural:
+their confidence is their importance factor alone.  Also hosts the XOR
+margin filter and boundary damping.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ class CalibrationConfig:
 
     k: float = 9.0
     k_entailment: float = 36.0
-    k_xor: float = 30.0
-    k_mc: float = 9.0
     t_entailment: float = 1.02
     t_xor: float = 1.1
     t_mc: float = 0.98
@@ -29,8 +30,7 @@ class CalibrationConfig:
     d_max: int = 5
 
     def __post_init__(self) -> None:
-        for name in ("k", "k_entailment", "k_xor", "k_mc",
-                     "t_entailment", "t_xor", "t_mc"):
+        for name in ("k", "k_entailment", "t_entailment", "t_xor", "t_mc"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.m_xor <= 1.0:
@@ -48,27 +48,12 @@ def calibrate_statement(s_raw: float, cfg: CalibrationConfig) -> float:
     return math.exp(cfg.k * (s_raw - 1.0))
 
 
-_RULE_CHANNELS = {
-    RuleType.ENTAILMENT: ("k_entailment", "t_entailment"),
-    RuleType.XOR_PAIR: ("k_xor", "t_xor"),
-    RuleType.MC_PAIRWISE: ("k_mc", "t_mc"),
-}
-
-
-def calibrate_rule(s_raw: float, rule_type: RuleType, cfg: CalibrationConfig) -> float:
-    """t_i * exp(k_i * (s_raw - 1)) with a (k, t) channel per rule type.
-
-    XOR and MC rules are fed a raw score of 1.0, so their confidences come
-    out as exactly t_xor and t_mc.  May exceed 1; costs are unnormalized.
-    """
-    if rule_type not in _RULE_CHANNELS:
-        raise ValueError(f"{rule_type} rules are never calibrated")
+def calibrate_entailment(s_raw: float, cfg: CalibrationConfig) -> float:
+    """t_entailment * exp(k_entailment * (s_raw - 1)); may exceed 1, since
+    costs are unnormalized."""
     if not 0.0 <= s_raw <= 1.0:
-        raise ValueError(f"raw rule score must be in [0, 1], got {s_raw!r}")
-    k_name, t_name = _RULE_CHANNELS[rule_type]
-    k = getattr(cfg, k_name)
-    t = getattr(cfg, t_name)
-    return t * math.exp(k * (s_raw - 1.0))
+        raise ValueError(f"raw entailment score must be in [0, 1], got {s_raw!r}")
+    return cfg.t_entailment * math.exp(cfg.k_entailment * (s_raw - 1.0))
 
 
 def label_from_score(s_d: float) -> tuple[bool, float]:

@@ -30,12 +30,12 @@ from .reasoner import DEFAULT_QUERY_BUDGET, reason, resolve_interactive
 from .serialize import (
     config_digest,
     dumps,
-    graph_to_document,
     load_config,
     load_graph,
     load_mock_oracle,
     load_questions,
     outcome_to_document,
+    save_graph,
 )
 
 if TYPE_CHECKING:
@@ -79,33 +79,36 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
 
     cfg = load_config(args.config, {"d_max": args.d_max})
     questions = load_questions(args.input)
-    out = Path(args.output) if args.output else None
     provenance = _provenance(args, cfg)
+    if len(questions) == 1 and args.output:
+        paths = [Path(args.output)]
+        cache_dir = paths[0].parent
+    elif args.out_dir is None:
+        raise InputError(
+            f"{args.input} holds {len(questions)} questions; -o takes exactly one, "
+            "so give --out-dir"
+        )
+    else:
+        cache_dir = Path(args.out_dir)
+        paths = [cache_dir / f"{name}.json" for name in _output_names(questions)]
+        cache_dir.mkdir(parents=True, exist_ok=True)
 
-    if len(questions) == 1 and out is not None:
-        with _open_oracle(args.oracle, cache_dir=out.parent) as oracle:
-            graph = generate_graph(questions[0], oracle, cfg)
-        out.write_text(dumps(graph_to_document(graph, provenance)))
-        print(f"wrote {out}: {len(graph.statements)} statements, {len(graph.rules)} rules")
-        return EXIT_OK
-
-    if args.out_dir is None:
-        raise InputError("multiple questions require --out-dir")
-    out_dir = Path(args.out_dir)
-    paths = [out_dir / f"{name}.json" for name in _output_names(questions)]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with _open_oracle(args.oracle, cache_dir=out_dir) as oracle:
+    with _open_oracle(args.oracle, cache_dir) as oracle:
 
         def build(question, path):
             graph = generate_graph(question, oracle, cfg)
-            path.write_text(dumps(graph_to_document(graph, provenance)))
-            return path
+            save_graph(graph, path, provenance)
+            return f"wrote {path}: {len(graph.statements)} statements, {len(graph.rules)} rules"
 
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            for path in pool.map(build, questions, paths):
-                print(f"wrote {path}")
+        if len(questions) > 1:  # a lone question does not pay for the pool's import
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=args.workers) as pool:
+                for line in pool.map(build, questions, paths):
+                    print(line)
+        else:
+            for line in map(build, questions, paths):
+                print(line)
     return EXIT_OK
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field, replace
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 from .calibration import (
     CalibrationConfig,
     apply_boundary_damping,
-    calibrate_rule,
+    calibrate_entailment,
     calibrate_statement,
     label_from_score,
     xor_admissible,
@@ -37,14 +37,14 @@ _WS = re.compile(r"\s+")
 
 
 def canonicalize(text: str) -> str:
-    """Lowercased, whitespace-collapsed, terminal-period-stripped node identity."""
-    canon = _WS.sub(" ", text.strip()).lower().rstrip(".").rstrip()
+    """Lowercased, whitespace-collapsed node identity without its trailing
+    periods and spaces; idempotent."""
+    canon = _WS.sub(" ", text.strip()).lower().rstrip(". ")
     if not canon:
         raise ValueError(f"cannot canonicalize {text!r}: nothing but spaces and periods")
     return canon
 
 
-@runtime_checkable
 class BeliefOracle(Protocol):
     """Behavioral interface for the model behind graph construction.
 
@@ -196,7 +196,7 @@ class _Builder:
                         rule_type=RuleType.ENTAILMENT,
                         premise_ids=premise_ids,
                         hypothesis_ids=(sid,),
-                        confidence=calibrate_rule(s_e, RuleType.ENTAILMENT, self.cfg),
+                        confidence=calibrate_entailment(s_e, self.cfg),
                         raw_score=s_e,
                     )
                 )
@@ -215,8 +215,7 @@ class _Builder:
                                 rule_type=RuleType.XOR_PAIR,
                                 premise_ids=(),
                                 hypothesis_ids=(sid, neg_id),
-                                confidence=calibrate_rule(1.0, RuleType.XOR_PAIR, self.cfg),
-                                raw_score=1.0,
+                                confidence=self.cfg.t_xor,
                             )
                         )
         return sid
@@ -228,11 +227,8 @@ def multiple_choice_rules(
     """The multiple-choice constraints over a hypothesis set, with ids from
     ``r<first>`` on: one hard at-least-one rule, then a soft exclusion per pair."""
     rules = [RuleNode(f"r{first}", RuleType.MC_HARD, (), tuple(hypothesis_ids), HARD)]
-    confidence = calibrate_rule(1.0, RuleType.MC_PAIRWISE, cfg)
     for pair in itertools.combinations(hypothesis_ids, 2):
-        rules.append(
-            RuleNode(f"r{first + len(rules)}", RuleType.MC_PAIRWISE, (), pair, confidence)
-        )
+        rules.append(RuleNode(f"r{first + len(rules)}", RuleType.MC_PAIRWISE, (), pair, cfg.t_mc))
     return rules
 
 

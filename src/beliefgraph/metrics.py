@@ -29,11 +29,7 @@ class ConsistencyReport:
     self_consistency: float
 
 
-def consistency(
-    graph: BeliefGraph,
-    assignment: Assignment | None = None,
-    entailment_only: bool = False,
-) -> ConsistencyReport:
+def consistency(graph: BeliefGraph, assignment: Assignment | None = None) -> ConsistencyReport:
     """Conditional constraint violation over the graph's clauses.
 
     A clause is applicable when every statement on its premise side (its
@@ -45,8 +41,6 @@ def consistency(
     applicable = 0
     violated = 0
     for rule in graph.rules:
-        if entailment_only and rule.rule_type is not RuleType.ENTAILMENT:
-            continue
         rule_applicable, rule_violated = clause_counts(rule, a)
         applicable += rule_applicable
         violated += rule_violated

@@ -167,11 +167,6 @@ def _relabel(
     return relabelled
 
 
-def statement_cost(node: StatementNode, assigned: bool) -> float:
-    """0 when the assignment agrees with the believed label, else the confidence."""
-    return 0.0 if assigned == node.label else node.confidence
-
-
 def clause_counts(rule: RuleNode, assignment: Assignment) -> tuple[int, int]:
     """How many of the rule's clauses are applicable, and how many violated.
 
@@ -204,18 +199,17 @@ def rule_satisfied(rule: RuleNode, assignment: Assignment) -> bool:
     return not clause_counts(rule, assignment)[1]
 
 
-def rule_cost(rule: RuleNode, assignment: Assignment) -> float:
-    """0 if satisfied, the confidence if violated (infinite for hard rules)."""
-    return 0.0 if rule_satisfied(rule, assignment) else rule.confidence
-
-
 def total_cost(graph: BeliefGraph, assignment: Assignment) -> float:
-    """Summed statement and rule costs; infinite if a hard rule is violated."""
+    """The confidences of the statements assigned against their believed
+    label plus those of the violated rules, summed in graph order; infinite
+    if a hard rule is violated."""
     cost = 0.0
     for sid, node in graph.statements.items():
         if sid not in assignment:
             raise EvaluationError(f"assignment missing statement {sid}")
-        cost += statement_cost(node, assignment[sid])
+        if assignment[sid] != node.label:
+            cost += node.confidence
     for rule in graph.rules:
-        cost += rule_cost(rule, assignment)
+        if not rule_satisfied(rule, assignment):
+            cost += rule.confidence
     return cost

@@ -127,16 +127,16 @@ def resolve_interactive(
     Repeatedly solves; while rules are being discarded, queries the
     lowest-confidence statement involved in a discarded rule and pins it
     with the verdict.  Stops at a clean solve or when the budget runs out.
-    Falls back to plain reasoning when the answer source is None or raises
-    `EOFError`; any other exception from it propagates.  A negative budget
-    raises `ValueError`.
+    Falls back to the plain reasoning outcome, the first solve's, when the
+    answer source is None or raises `EOFError`; any other exception from it
+    propagates.  A negative budget raises `ValueError`.
     """
     if budget < 0:
         raise ValueError(f"query budget must not be negative, got {budget}")
+    outcome = plain = reason(graph)
     if answer_source is None:
-        return reason(graph)
+        return plain
     pins: dict[StatementId, bool] = {}
-    outcome = reason(graph, pins)
     queries = 0
     while outcome.discarded_rules and queries < budget:
         involved = {
@@ -152,7 +152,7 @@ def resolve_interactive(
         try:
             verdict = bool(answer_source(graph.statements[target].text))
         except EOFError:
-            return reason(graph)
+            return plain
         pins[target] = verdict
         queries += 1
         outcome = reason(graph, pins)

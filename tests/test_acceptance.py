@@ -20,7 +20,7 @@ from beliefgraph import (
     RuleType,
     SolveStatus,
     ablate,
-    calibrate_rule,
+    calibrate_entailment,
     calibrate_statement,
     consistency,
     document_to_graph,
@@ -125,9 +125,17 @@ def test_criterion_05_calibration_exactness():
     with criterion("05 calibration exactness"):
         cfg = CalibrationConfig()
         assert abs(calibrate_statement(0.5, cfg) - math.exp(-4.5)) <= 1e-12
-        assert calibrate_rule(1.0, RuleType.ENTAILMENT, cfg) == 1.02
-        assert calibrate_rule(1.0, RuleType.XOR_PAIR, cfg) == 1.1
-        assert calibrate_rule(1.0, RuleType.MC_PAIRWISE, cfg) == 0.98
+        assert calibrate_entailment(1.0, cfg) == 1.02
+        # XOR and MC rules carry their importance factor as built.
+        oracle = MockOracle(premises=TRACE_PREMISES, statement_scores=TRACE_SCORES)
+        graph = generate_graph(
+            HypothesisSet(("Alpha is a mammal.", "Alpha is a reptile.")), oracle, cfg
+        )
+        confidences = {
+            kind: {r.confidence for r in graph.rules if r.rule_type is kind}
+            for kind in (RuleType.XOR_PAIR, RuleType.MC_PAIRWISE)
+        }
+        assert confidences == {RuleType.XOR_PAIR: {1.1}, RuleType.MC_PAIRWISE: {0.98}}
 
 
 def test_criterion_06_metric_exactness():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,14 +6,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from beliefgraph import (
+    HARD,
     CalibrationConfig,
     RuleType,
     apply_boundary_damping,
-    calibrate_rule,
+    calibrate_entailment,
     calibrate_statement,
+    dumps,
+    generate_graph,
+    graph_to_document,
     label_from_score,
     xor_admissible,
 )
+from beliefgraph.construction import multiple_choice_rules
 from beliefgraph.model import RuleNode
 from conftest import rule_by_id
 
@@ -46,36 +52,34 @@ class TestStatementCalibration:
 
 class TestRuleCalibration:
     def test_entailment_top_score_is_t(self):
-        assert calibrate_rule(1.0, RuleType.ENTAILMENT, CFG) == pytest.approx(1.02)
+        assert calibrate_entailment(1.0, CFG) == pytest.approx(1.02)
 
-    def test_xor_channel_is_t_xor(self):
-        assert calibrate_rule(1.0, RuleType.XOR_PAIR, CFG) == pytest.approx(1.1)
+    def test_xor_channel_is_t_xor(self, trace_oracle, trace_hypotheses):
+        graph = generate_graph(trace_hypotheses, trace_oracle, CFG)
+        xor = [r.confidence for r in graph.rules if r.rule_type is RuleType.XOR_PAIR]
+        assert xor and set(xor) == {CFG.t_xor} == {1.1}
 
     def test_mc_channel_is_t_mc(self):
-        assert calibrate_rule(1.0, RuleType.MC_PAIRWISE, CFG) == pytest.approx(0.98)
+        hard, *pairwise = multiple_choice_rules((0, 1, 2), 0, CFG)
+        assert [r.confidence for r in pairwise] == [CFG.t_mc] * 3 == [0.98] * 3
 
     def test_entailment_midrange(self):
-        assert calibrate_rule(0.9, RuleType.ENTAILMENT, CFG) == pytest.approx(
-            1.02 * math.exp(-3.6), abs=1e-12
-        )
-        assert calibrate_rule(0.9, RuleType.ENTAILMENT, CFG) == pytest.approx(
-            0.027870, abs=1e-6
-        )
+        assert calibrate_entailment(0.9, CFG) == pytest.approx(1.02 * math.exp(-3.6), abs=1e-12)
+        assert calibrate_entailment(0.9, CFG) == pytest.approx(0.027870, abs=1e-6)
 
     def test_hard_rule_never_calibrated(self):
+        for cfg in (CFG, CalibrationConfig(t_mc=5.0)):
+            hard, *pairwise = multiple_choice_rules((0, 1), 0, cfg)
+            assert hard.rule_type is RuleType.MC_HARD and hard.confidence == HARD
         with pytest.raises(ValueError):
-            calibrate_rule(1.0, RuleType.MC_HARD, CFG)
+            calibrate_entailment(1.5, CFG)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_monotone(self, a, b):
         if a < b:
-            assert calibrate_rule(a, RuleType.ENTAILMENT, CFG) <= calibrate_rule(
-                b, RuleType.ENTAILMENT, CFG
-            )
+            assert calibrate_entailment(a, CFG) <= calibrate_entailment(b, CFG)
         if a + 1e-9 < b:
-            assert calibrate_rule(a, RuleType.ENTAILMENT, CFG) < calibrate_rule(
-                b, RuleType.ENTAILMENT, CFG
-            )
+            assert calibrate_entailment(a, CFG) < calibrate_entailment(b, CFG)
 
 
 class TestLabelFromScore:
@@ -139,7 +143,7 @@ class TestBoundaryDamping:
 
 class TestConfigValidation:
     def test_defaults_match_tuned_values(self):
-        assert (CFG.k, CFG.k_entailment, CFG.k_xor, CFG.k_mc) == (9, 36, 30, 9)
+        assert (CFG.k, CFG.k_entailment) == (9, 36)
         assert (CFG.t_entailment, CFG.t_xor, CFG.t_mc) == (1.02, 1.1, 0.98)
         assert (CFG.m_xor, CFG.beta, CFG.d_max) == (0.3, 0.95, 5)
 
@@ -152,3 +156,16 @@ class TestConfigValidation:
             CalibrationConfig(m_xor=1.5)
         with pytest.raises(ValueError):
             CalibrationConfig(d_max=-1)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CalibrationConfig)])
+def test_every_field_changes_the_graph(name, trace_oracle, trace_hypotheses):
+    """Halving any one field changes the graph document: no field is a knob
+    that construction ignores."""
+    value = getattr(CFG, name)
+    halved = dataclasses.replace(CFG, **{name: value // 2 if isinstance(value, int) else value / 2})
+
+    def document(cfg):
+        return dumps(graph_to_document(generate_graph(trace_hypotheses, trace_oracle, cfg)))
+
+    assert document(halved) != document(CFG)

@@ -179,6 +179,45 @@ class TestBuildGraph:
         )
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_question_count_other_than_one_with_o_is_input_error(self, workdir, capsys, count):
+        (workdir / "many.json").write_text(json.dumps([QUESTION] * count))
+        code = main(
+            [
+                "build-graph",
+                str(workdir / "many.json"),
+                "--oracle",
+                f"mock:{workdir / 'oracle.json'}",
+                "-o",
+                str(workdir / "graph.json"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert f"holds {count} questions; -o takes exactly one" in capsys.readouterr().err
+        assert not (workdir / "graph.json").exists()
+
+    def test_one_element_list_may_use_o(self, workdir, capsys):
+        (workdir / "one.json").write_text(json.dumps([QUESTION]))
+        args = ["--oracle", f"mock:{workdir / 'oracle.json'}"]
+        assert main(["build-graph", str(workdir / "one.json"), *args,
+                     "-o", str(workdir / "list.json")]) == EXIT_OK
+        assert main(["build-graph", str(workdir / "question.json"), *args,
+                     "-o", str(workdir / "object.json")]) == EXIT_OK
+        assert main(["build-graph", str(workdir / "one.json"), *args,
+                     "--out-dir", str(workdir / "graphs")]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        # One line format for both outputs: path, statements, rules.
+        counts = lines[0].split(": ", 1)[1]
+        assert counts.endswith(" rules")
+        assert lines == [
+            f"wrote {workdir / name}: {counts}"
+            for name in ("list.json", "object.json", Path("graphs", "trace.json"))
+        ]
+        assert (workdir / "list.json").read_bytes() == (workdir / "object.json").read_bytes()
+        assert (workdir / "graphs" / "trace.json").read_bytes() == (
+            workdir / "list.json"
+        ).read_bytes()
+
     def test_invalid_json_question_file(self, workdir, capsys):
         (workdir / "broken.json").write_text("{not json")
         code = main(
@@ -227,10 +266,13 @@ class TestBuildGraph:
         doc = json.loads((workdir / "cfg.json").read_text())
         assert len(doc["provenance"]["config_digest"]) == 64
 
-    def test_unknown_config_key_rejected(self, workdir):
-        (workdir / "config.json").write_text(json.dumps({"temperature": 2}))
-        code = run_build(workdir, "cfg.json", ("--config", str(workdir / "config.json")))
-        assert code == EXIT_INPUT
+    def test_unknown_config_key_rejected(self, workdir, capsys):
+        # XOR and MC rules carry no score, so there is no k_xor or k_mc slope.
+        for key in ("temperature", "k_xor", "k_mc"):
+            (workdir / "config.json").write_text(json.dumps({key: 2}))
+            code = run_build(workdir, "cfg.json", ("--config", str(workdir / "config.json")))
+            assert code == EXIT_INPUT
+            assert f"unknown config keys ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "config",
@@ -981,6 +1023,23 @@ class TestDependencies:
         unwanted = self.CONSTRUCTION_SIDE + ["numpy", "requests", "urllib3"]
         for step, modules in steps.items():
             assert [m for m in unwanted if m in modules] == [], step
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_thread_pool_only_for_several_questions(self, workdir, count):
+        questions = [dict(QUESTION, question_id=f"q{i}") for i in range(count)]
+        (workdir / "many.json").write_text(json.dumps(questions))
+        code = (
+            "import json, sys\n"
+            "from beliefgraph.cli import main\n"
+            f"assert main(['build-graph', {str(workdir / 'many.json')!r},\n"
+            f"      '--oracle', {'mock:' + str(workdir / 'oracle.json')!r},\n"
+            f"      '--out-dir', {str(workdir / 'graphs')!r}]) == 0\n"
+            "print(json.dumps('concurrent.futures' in sys.modules))\n"
+        )
+        assert json.loads(run_python(code).splitlines()[-1]) is (count > 1)
+        assert sorted(p.name for p in (workdir / "graphs").iterdir()) == [
+            f"q{i}.json" for i in range(count)
+        ]
 
     def test_build_graph_with_mock_oracle_leaves_transport_out(self, workdir):
         code = (

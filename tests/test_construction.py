@@ -2,6 +2,8 @@ import hashlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefgraph import (
     CalibrationConfig,
@@ -40,10 +42,25 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize("   ")
 
-    @pytest.mark.parametrize("text", [".", " .. "])
+    @pytest.mark.parametrize("text", [".", " .. ", ". ."])
     def test_nothing_but_periods_rejected(self, text):
         with pytest.raises(ValueError):
             canonicalize(text)
+
+    def test_trailing_periods_and_spaces_dropped(self):
+        assert canonicalize("Alpha is a mammal. .") == "alpha is a mammal"
+        assert canonicalize("a . .") == "a"
+        assert canonicalize("a.b ..") == "a.b"
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("aB. \t\n\u00a0\u2028\u0130\u1e9e"), max_size=12)
+           | st.text(max_size=12))
+    def test_idempotent_property(self, text):
+        try:
+            canon = canonicalize(text)
+        except ValueError:
+            return
+        assert canonicalize(canon) == canon
 
 
 class TestMockOracle:

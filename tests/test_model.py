@@ -13,9 +13,7 @@ from beliefgraph import (
     RuleType,
     StatementNode,
     consistency,
-    rule_cost,
     rule_satisfied,
-    statement_cost,
     total_cost,
 )
 from beliefgraph.model import EvaluationError
@@ -29,6 +27,18 @@ def node(sid, label=True, confidence=0.9):
 
 def entailment(rid, premises, hyp, confidence):
     return RuleNode(rid, RuleType.ENTAILMENT, tuple(premises), (hyp,), confidence)
+
+
+def statement_cost(n, assigned):
+    """The cost `total_cost` charges for one statement, alone in a graph."""
+    return total_cost(BeliefGraph({n.id: n}, (), (n.id,)), {n.id: assigned})
+
+
+def rule_cost(rule, assignment):
+    """The cost `total_cost` charges for one rule over statements that all
+    keep their assigned labels, so that their own cost is 0."""
+    statements = {sid: node(sid, value) for sid, value in assignment.items()}
+    return total_cost(BeliefGraph(statements, (rule,), (rule.hypothesis_ids[0],)), assignment)
 
 
 class TestStatementCost:

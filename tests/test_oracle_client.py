@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
-from beliefgraph import oracle_client
+from beliefgraph import MockOracle, oracle_client
 from beliefgraph.oracle_client import (
     OracleDecodeError,
     OracleTransportError,
@@ -169,6 +169,29 @@ class TestCacheFile:
             i / 1000 for i in range(total)
         ]
         assert fresh.calls == 0
+
+
+class _MockScoreHandler(_ScoreHandler):
+    """Scores statements through a MockOracle, as a server built on one does:
+    the statement it receives is canonicalized a second time."""
+
+    oracle = MockOracle(statement_scores={"Alpha is a mammal": 0.9})
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        body = json.dumps({"score": self.oracle.score_statement(request["statement"])}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.mark.parametrize("text", ["Alpha is a mammal. .", "alpha is a mammal . . "])
+def test_remote_agrees_with_mock_behind_it(text):
+    """The client sends canonical text; canonicalizing it again on the
+    server must not change which table entry it reads."""
+    with serve(_MockScoreHandler) as (_, url), closing(RemoteOracle(url)) as remote:
+        assert remote.score_statement(text) == _MockScoreHandler.oracle.score_statement(text)
 
 
 class TestTransport:

@@ -1,8 +1,11 @@
 """The package's public surface: every exported name, served lazily."""
 
+import ast
 import importlib
+import importlib.util
 import json
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +66,28 @@ def test_fresh_import_loads_no_submodule():
         "print(json.dumps([loaded, listed, stored, construction.__name__]))\n"
     )
     assert json.loads(out) == [[], True, True, "beliefgraph.construction"]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_names_the_benchmark_imports_resolve():
+    """Every ``from beliefgraph... import name`` in perfbench/*.py names
+    something that exists, so removing a name cannot break the benchmark
+    unnoticed."""
+    imported = [
+        (path.name, node.module, alias.name)
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.partition(".")[0] == "beliefgraph"
+        for alias in node.names
+    ]
+    assert ("workloads.py", "beliefgraph", "reason") in imported
+    missing = [
+        f"{file}: from {module} import {name}"
+        for file, module, name in imported
+        if not hasattr(importlib.import_module(module), name)
+        and importlib.util.find_spec(f"{module}.{name}") is None
+    ]
+    assert missing == []

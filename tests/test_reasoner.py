@@ -16,6 +16,7 @@ from beliefgraph import (
     resolve_interactive,
     total_cost,
 )
+from beliefgraph import reasoner
 from beliefgraph.metrics import summarize
 from beliefgraph.serialize import dumps, outcome_to_document
 from beliefgraph.synthetic import synthetic_graph
@@ -252,6 +253,31 @@ class TestInteractiveResolution:
     def test_none_source_falls_back(self, cylinder_graph):
         outcome = resolve_interactive(cylinder_graph, None)
         assert outcome.final_assignment == reason(cylinder_graph).final_assignment
+
+    @pytest.mark.parametrize(
+        "answers, solves", [(None, 1), ((), 1), ((True,), 2)],
+        ids=["none", "closed at once", "closed after one answer"],
+    )
+    def test_fallback_reuses_the_first_solve(self, cylinder_graph, monkeypatch, answers, solves):
+        # A second conflict, so that a second question is asked.
+        statements = dict(cylinder_graph.statements)
+        statements[9] = StatementNode(9, "an extra premise", True, 0.95)
+        statements[10] = StatementNode(10, "an extra conclusion", False, 0.9)
+        extra = RuleNode("r_extra", RuleType.ENTAILMENT, (9,), (10,), 0.5)
+        graph = BeliefGraph(statements, cylinder_graph.rules + (extra,), cylinder_graph.hypotheses)
+        remaining = iter(answers or ())
+
+        def source(text):
+            for answer in remaining:
+                return answer
+            raise EOFError
+
+        calls = []
+        solve = reasoner.solve
+        monkeypatch.setattr(reasoner, "solve", lambda cs: calls.append(cs) or solve(cs))
+        outcome = resolve_interactive(graph, None if answers is None else source)
+        assert len(calls) == solves
+        assert outcome == reason(graph)
 
 
 class TestSyntheticGraphs:
