@@ -75,6 +75,8 @@ def _provenance(args: argparse.Namespace, cfg: CalibrationConfig) -> dict:
 def _cmd_build_graph(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise InputError(f"--workers must be at least 1, got {args.workers}")
+    if args.output and args.out_dir is not None:
+        raise InputError("give -o/--output or --out-dir, not both")
     from .construction import generate_graph
 
     cfg = load_config(args.config, {"d_max": args.d_max})

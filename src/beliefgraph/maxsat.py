@@ -3,11 +3,12 @@
 `encode` compiles a graph in one pass, straight into the form `solve` reads
 (`WeightedClauseSet`): variable positions in the tie-break order, each
 statement's pair of unit costs, and one cost table per rule with its
-violated rows set by rule type; every clause is also recorded in order, for
-the reported cost and the `clauses` view, which is rebuilt when read.  The
-graph was validated when it was built, so encoding checks nothing again but
-the pins; a clause set built from `WeightedClause`s is validated once by its
-constructor, which maps each clause to its table through the same helper.
+violated rows set by rule type; every clause is also recorded in order, with
+the id of the rule it encodes, for the reported cost, the violated clauses
+and the `clauses` view, which is rebuilt when read.  The graph was validated
+when it was built, so encoding checks nothing again but the pins; a clause
+set built from `WeightedClause`s is validated once by its constructor, which
+maps each clause to its table through the same helper.
 
 The solver is bucket elimination (Dechter, "Bucket elimination: a unifying
 framework for reasoning", AIJ 1999), which eliminates each variable as a
@@ -18,7 +19,9 @@ hard clause costs infinity.  Eliminating a variable starts from its unit
 costs, adds the tables that mention it and are not yet used (input tables
 in clause order, then the tables made by earlier eliminations) and
 minimizes it out, which leaves one table over its neighbours, sorted by
-position; the neighbours are joined into a clique.  Walking the eliminated
+position; the neighbours are joined into a clique.  A variable with one
+neighbour, the commonest case, has only tables over itself and that
+neighbour left, so its four rows are summed directly.  Walking the eliminated
 variables back in reverse order then recovers the optimal assignment.  Time
 and memory grow as 2**width, where the width is the number of neighbours a
 variable has when it is eliminated.  Belief graphs are nearly trees, so the
@@ -34,7 +37,8 @@ n-1-pos set for each flipped variable at position pos, so comparing the
 integers compares the patterns.  Both parts add up over disjoint sets of
 variables, which keeps elimination exact.  Cost comparisons use absolute
 epsilon 1e-9.  The reported cost is summed over the clauses in their order
-from the final assignment, so it does not depend on the elimination order.
+from the final assignment, so it does not depend on the elimination order;
+the same pass lists the violated clauses (`SolveResult.violated`).
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SolverLimitError
-from .model import HARD, BeliefGraph, Clause, RuleType, StatementId
+from .model import _MC_PAIRWISE, _XOR_PAIR, HARD, BeliefGraph, Clause, StatementId
 
 EPSILON = 1e-9
 # The flip integers grow to one bit per variable, so the variable count
@@ -59,8 +63,8 @@ MAX_VARIABLES = 2000
 MAX_WIDTH = 16
 
 # A clause over variable positions: (scope, the values of the scope's
-# variables that violate it, weight).
-_Clause = tuple[tuple[int, ...], tuple[bool, ...], float]
+# variables that violate it, weight, the id of the rule it encodes or None).
+_Clause = tuple[tuple[int, ...], tuple[bool, ...], float, str | None]
 # A cost table (scope, costs, flips) over variable positions: row r assigns
 # scope[j] the value of bit j of r.  Where no row flips anything, as in a
 # clause's table, flips is None.
@@ -117,7 +121,7 @@ class WeightedClauseSet:
                     raise ValueError(f"variable {var} missing from variable order")
             scope = tuple(position[var] for var, _ in clause.literals)
             violating = tuple(not pol for _, pol in clause.literals)
-            self._clauses.append((scope, violating, clause.weight))
+            self._clauses.append((scope, violating, clause.weight, None))
             row = sum(1 << j for j, bad in enumerate(violating) if bad)
             self._add_table(scope, (row,), clause.weight)
         for var in variable_order:
@@ -151,7 +155,7 @@ class WeightedClauseSet:
         order = self.variable_order
         return tuple(
             WeightedClause(tuple((order[v], not bad) for v, bad in zip(scope, violating)), weight)
-            for scope, violating, weight in self._clauses
+            for scope, violating, weight, _ in self._clauses
         )
 
 
@@ -161,7 +165,9 @@ class SolveResult:
 
     ``nodes_explored`` counts the table rows evaluated while eliminating
     variables; ``width`` is the largest number of neighbours a variable had
-    when it was eliminated.
+    when it was eliminated.  ``violated`` holds the indices, in clause
+    order, of the clauses the optimal assignment violates; it is empty
+    when the instance is infeasible.
     """
 
     assignment: dict[StatementId, bool]
@@ -169,6 +175,7 @@ class SolveResult:
     status: SolveStatus
     nodes_explored: int = 0
     width: int = 0
+    violated: tuple[int, ...] = ()
 
 
 def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -> WeightedClauseSet:
@@ -202,33 +209,34 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
         if weight > 0.0:
             # The first unit on its variable: [cost if false, cost if true].
             v = position[sid]
-            clauses.append(((v,), (not node.label,), weight))
+            clauses.append(((v,), (not node.label,), weight, None))
             units[v] = [weight, 0.0] if node.label else [0.0, weight]
     for rule in graph.rules:
         weight = rule.confidence
         if weight <= 0.0:
             continue
         kind = rule.rule_type
-        if kind is RuleType.XOR_PAIR or kind is RuleType.MC_PAIRWISE:
+        if kind is _XOR_PAIR or kind is _MC_PAIRWISE:
             a, b = rule.hypothesis_ids
             scope = (position[a], position[b])
-            if kind is RuleType.XOR_PAIR:
-                clauses.append((scope, (False, False), weight))  # a or b
-            clauses.append((scope, (True, True), weight))  # not a or not b
-            add_table(scope, (0, 3) if kind is RuleType.XOR_PAIR else (3,), weight)
+            if kind is _XOR_PAIR:
+                clauses.append((scope, (False, False), weight, rule.id))  # a or b
+            clauses.append((scope, (True, True), weight, rule.id))  # not a or not b
+            add_table(scope, (0, 3) if kind is _XOR_PAIR else (3,), weight)
         else:
             # Entailment and MC_HARD: violated when every premise is true
             # and every hypothesis false.
             premises, conclusions = rule.premise_ids, rule.hypothesis_ids
             scope = tuple(map(position.__getitem__, premises + conclusions))
-            clauses.append((scope, (True,) * len(premises) + (False,) * len(conclusions), weight))
+            violating = (True,) * len(premises) + (False,) * len(conclusions)
+            clauses.append((scope, violating, weight, rule.id))
             add_table(scope, ((1 << len(premises)) - 1,), weight)
     if pins:
         for sid, value in pins.items():
             v = position.get(sid)
             if v is None:
                 raise ValueError(f"variable {sid} missing from variable order")
-            clauses.append(((v,), (not value,), HARD))
+            clauses.append(((v,), (not value,), HARD, None))
             add_table((v,), (int(not value),), HARD)
     return cs
 
@@ -253,6 +261,10 @@ def _projection(bits: Sequence[int], width: int) -> list[int]:
 # key and is never written to, so sharing them changes no result.
 _SHARED_WIDTH = 6
 _shared_projections: list[dict[tuple[int, ...], itemgetter]] = [{} for _ in range(_SHARED_WIDTH)]
+# The rows (x, y) = 00, 10, 01, 11 of x's elimination with one neighbour y,
+# read off a table over (x,), (x, y) or (y, x).
+_PICK_X, _PICK_XY, _PICK_YX = itemgetter(0, 1, 0, 1), itemgetter(*range(4)), itemgetter(0, 2, 1, 3)
+_NO_COST = [0.0, 0.0]
 
 
 def solve(cs: WeightedClauseSet) -> SolveResult:
@@ -299,6 +311,45 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
         if around is None or len(around) != k:
             continue  # stale entry: x was eliminated or its degree changed
         del neighbours[x]
+        keep = int(value[x])  # bit 0 of a row is x's value
+        x_flip = 1 << (n - 1 - x)
+        if k == 1:
+            # Every table left on x is over (x,), (x, y) or (y, x): sum its
+            # rows (x, y) = 00, 10, 01, 11 directly, in the order used below.
+            (y,) = scope = (*around,)
+            near = neighbours[y]
+            near.discard(x)
+            heappush(heap, (len(near), y))
+            nodes += 4
+            width = width or 1
+            c0, c1 = unit.get(x, _NO_COST)
+            c2, c3 = c0, c1
+            f0 = f1 = f2 = f3 = 0
+            for i in mentions.pop(x):
+                table = tables[i]
+                if table is None:
+                    continue
+                tables[i] = None
+                t_scope, t_costs, t_flips = table
+                pick = _PICK_X if len(t_scope) == 1 else _PICK_XY if t_scope[0] == x else _PICK_YX
+                r0, r1, r2, r3 = pick(t_costs)
+                c0, c1, c2, c3 = c0 + r0, c1 + r1, c2 + r2, c3 + r3
+                if t_flips is not None:
+                    r0, r1, r2, r3 = pick(t_flips)
+                    f0, f1, f2, f3 = f0 + r0, f1 + r1, f2 + r2, f3 + r3
+            if keep:  # the kept row of each pair first
+                c0, c1, c2, c3, f0, f1, f2, f3 = c1, c0, c3, c2, f1, f0, f3, f2
+            f1 += x_flip
+            f3 += x_flip
+            flip0 = c1 < c0 - EPSILON or (c1 <= c0 + EPSILON and f1 < f0)
+            flip1 = c3 < c2 - EPSILON or (c3 <= c2 + EPSILON and f3 < f2)
+            if flip0 or flip1:
+                eliminated.append((x, scope, [flip0, flip1]))
+            costs = [c1 if flip0 else c0, c3 if flip1 else c2]
+            flips = [f1 if flip0 else f0, f3 if flip1 else f2]
+            mentions[y].append(len(tables))
+            tables.append((scope, costs, flips if flips[0] or flips[1] else None))
+            continue
         if k > MAX_WIDTH:
             raise SolverLimitError(f"elimination width {k} exceeds the limit of {MAX_WIDTH}")
         # Join x's neighbours into a clique, as the table over them will.
@@ -306,9 +357,8 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
             near = neighbours[a]
             before = len(near)
             near.discard(x)
-            if k > 1:
-                near |= around
-                near.discard(a)
+            near |= around
+            near.discard(a)
             if len(near) != before:
                 heappush(heap, (len(near), a))
         scope = tuple(sorted(around))
@@ -322,7 +372,7 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
         # unit clause before its rule clauses and its pin, which adds 0 or
         # infinity, after them; so starting from the unit costs gives the
         # same sums as one table per unit clause would.
-        costs = unit.get(x, [0.0, 0.0]) * (size >> 1)
+        costs = unit.get(x, _NO_COST) * (size >> 1)
         flips = None  # all 0 until a table with flips is added
         for i in mentions.pop(x):
             table = tables[i]
@@ -343,8 +393,6 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
 
         # For each row of the scope, keep x's initial value unless flipping
         # it costs less, or costs the same and gives a smaller flip pattern.
-        keep = int(value[x])  # bit 0 of a row is x's value
-        x_flip = 1 << (n - 1 - x)
         kept_costs, flip_costs = costs[keep::2], costs[1 - keep::2]
         if flips is None:
             # Flipping x always gives the larger pattern.
@@ -381,11 +429,13 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
     # Adding 0.0 for a satisfied clause would change no sum, so only the
     # violated clauses are added, in clause order.
     cost = 0.0
+    violated = []
     get = value.__getitem__
-    for scope, violating, weight in cs._clauses:
+    for i, (scope, violating, weight, _) in enumerate(cs._clauses):
         if tuple(map(get, scope)) == violating:
             cost += weight
-    assignment = dict(zip(cs.variable_order, value))
+            violated.append(i)
     if math.isinf(cost):
         return SolveResult({}, math.inf, SolveStatus.INFEASIBLE, nodes, width)
-    return SolveResult(assignment, cost, SolveStatus.OPTIMAL, nodes, width)
+    assignment = dict(zip(cs.variable_order, value))
+    return SolveResult(assignment, cost, SolveStatus.OPTIMAL, nodes, width, tuple(violated))

@@ -12,8 +12,8 @@ from typing import Callable, Mapping
 
 from .errors import ReasoningError
 from .maxsat import SolveStatus, encode, solve
-from .model import BeliefGraph, RuleNode, RuleType, StatementId, rule_satisfied
-from .model import _checked_graph, _relabel
+from .model import BeliefGraph, RuleNode, StatementId, rule_satisfied
+from .model import _ENTAILMENT, _checked_graph, _relabel
 
 DEFAULT_QUERY_BUDGET = 5
 
@@ -47,11 +47,15 @@ class ReasoningOutcome:
 def _supports(updated: BeliefGraph) -> dict[StatementId, list[RuleNode]]:
     """Conclusion id -> the entailment rules concluding it whose premises are
     all believed in the updated graph, in rule order."""
+    statements = updated.statements
     supports: dict[StatementId, list[RuleNode]] = {}
     for rule in updated.rules:
-        if rule.rule_type is RuleType.ENTAILMENT and all(
-            updated.statements[p].label for p in rule.premise_ids
-        ):
+        if rule.rule_type is not _ENTAILMENT:
+            continue
+        for p in rule.premise_ids:
+            if not statements[p].label:
+                break
+        else:
             supports.setdefault(rule.hypothesis_ids[0], []).append(rule)
     return supports
 
@@ -80,27 +84,33 @@ def reason(
     graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None
 ) -> ReasoningOutcome:
     """Compute the optimal belief flips and the self-consistent updated graph."""
-    result = solve(encode(graph, pins))
+    cs = encode(graph, pins)
+    result = solve(cs)
     if result.status is SolveStatus.INFEASIBLE:
         raise ReasoningError("hard constraints are jointly unsatisfiable")
     assignment = result.assignment
     flipped = frozenset(
         sid for sid, node in graph.statements.items() if assignment[sid] != node.label
     )
-    discarded = frozenset(
-        rule.id
-        for rule in graph.rules
-        if not rule.is_hard and not rule_satisfied(rule, assignment)
-    )
-    kept = tuple(rule for rule in graph.rules if rule.id not in discarded)
-    updated = _checked_graph(_relabel(graph.statements, assignment), kept, graph.hypotheses)
+    # The optimum violates only soft clauses, and each rule clause names its
+    # rule; a zero-confidence rule has no clause, so it is checked here.
+    clauses = cs._clauses
+    discarded = {clauses[i][3] for i in result.violated}
+    discarded.discard(None)
+    kept = []
+    for rule in graph.rules:
+        if rule.id not in discarded and (rule.confidence or rule_satisfied(rule, assignment)):
+            kept.append(rule)
+        else:
+            discarded.add(rule.id)
+    updated = _checked_graph(_relabel(graph.statements, assignment), tuple(kept), graph.hypotheses)
     predictions = frozenset(h for h in graph.hypotheses if assignment[h])
     supports = _supports(updated)
     explanations = {h: _explain(supports, h) for h in sorted(predictions)}
     return ReasoningOutcome(
         final_assignment=dict(assignment),
         flipped=flipped,
-        discarded_rules=discarded,
+        discarded_rules=frozenset(discarded),
         updated_graph=updated,
         predictions=predictions,
         explanation_roots=explanations,

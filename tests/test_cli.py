@@ -196,6 +196,30 @@ class TestBuildGraph:
         assert f"holds {count} questions; -o takes exactly one" in capsys.readouterr().err
         assert not (workdir / "graph.json").exists()
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_o_with_out_dir_is_input_error(self, workdir, capsys, count):
+        """Rejected before any file, directory or oracle query: a remote
+        oracle would open its cache beside the outputs and then fail to
+        connect."""
+        questions = [dict(QUESTION, question_id=f"q{k}") for k in range(count)]
+        (workdir / "many.json").write_text(json.dumps(questions))
+        before = sorted(workdir.iterdir())
+        code = main(
+            [
+                "build-graph",
+                str(workdir / "many.json"),
+                "--oracle",
+                "remote:http://127.0.0.1:9",
+                "-o",
+                str(workdir / "graph.json"),
+                "--out-dir",
+                str(workdir / "graphs"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "-o/--output or --out-dir, not both" in capsys.readouterr().err
+        assert sorted(workdir.iterdir()) == before
+
     def test_one_element_list_may_use_o(self, workdir, capsys):
         (workdir / "one.json").write_text(json.dumps([QUESTION]))
         args = ["--oracle", f"mock:{workdir / 'oracle.json'}"]
@@ -458,6 +482,7 @@ class TestReason:
             lambda doc: doc.update(schema_version=1.0),
             lambda doc: doc.update(hypotheses=[0, 0]),
             lambda doc: doc["statements"][2].update(negation_of=99),
+            lambda doc: doc["statements"][2].update(negation_of=doc["statements"][2]["id"]),
             lambda doc: doc["statements"][3].update(is_hypothesis=True),
             lambda doc: doc["statements"][1].update(is_hypothesis=False),
         ],
@@ -484,6 +509,7 @@ class TestReason:
             "schema-version-float",
             "hypothesis-repeated",
             "negation-of-unknown-statement",
+            "negation-of-itself",
             "is-hypothesis-not-listed",
             "listed-hypothesis-not-marked",
         ],
@@ -494,6 +520,13 @@ class TestReason:
         (workdir / "g.json").write_text(json.dumps(doc))
         assert main(["reason", str(workdir / "g.json")]) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
+
+    def test_self_negating_statement_fails_to_load(self, workdir, giraffe_graph):
+        doc = graph_to_document(giraffe_graph)
+        doc["statements"][2]["negation_of"] = doc["statements"][2]["id"]
+        (workdir / "g.json").write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="negates itself"):
+            load_graph(workdir / "g.json")
 
     def test_oversized_integer_is_input_error(self, workdir, capsys):
         (workdir / "g.json").write_text('{"schema_version": ' + "9" * 5000 + "}")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -318,6 +319,17 @@ class TestSolve:
     def test_nodes_explored_pinned(self):
         assert solve(encode(synthetic_graph(0))).nodes_explored == 1270
 
+    def test_nodes_and_width_pinned_on_outcome_graphs(self):
+        """(nodes_explored, width) of every graph the outcome digest covers,
+        as first computed before the direct degree-1 step."""
+        graphs = [synthetic_graph(seed) for seed in range(100)]
+        graphs.append(synthetic_graph(0, 3, 3000, 700))
+        pairs = [(r.nodes_explored, r.width) for r in map(solve, map(encode, graphs))]
+        assert sum(nodes for nodes, _ in pairs) == 118958
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
+            "1768c1bf43a56b52289d750b6a95d6da69b3352cb539e7e4dfadfbf6f076a3fe"
+        )
+
     def test_width(self):
         assert 1 <= solve(encode(synthetic_graph(0))).width <= 3
         units = [unit(0, True, 0.5), unit(0, False, 0.7), unit(1, False, HARD)]
@@ -435,3 +447,89 @@ class TestProperties:
         if fast.status is SolveStatus.OPTIMAL:
             assert fast.optimal_cost == pytest.approx(slow.optimal_cost, abs=1e-9)
             assert fast.assignment == slow.assignment
+
+
+TIE_WEIGHTS = st.sampled_from([0.5, 1.0, HARD])
+
+
+@st.composite
+def chain_or_star_graphs(draw):
+    """Up to 12 statements joined by pair rules along a chain or around a
+    star, most of them eliminated with one neighbour; weights 0.5, 1.0 and
+    HARD (an MC_HARD rule), and some zero-confidence statements, so exact
+    ties are common.  Up to two pins."""
+    n = draw(st.integers(2, 12))
+    star = draw(st.booleans())
+    statements = {
+        sid: StatementNode(sid, f"s{sid}", draw(st.booleans()), draw(st.sampled_from([0.0, 0.5, 1.0])))
+        for sid in range(n)
+    }
+    rules = []
+    for sid in range(1, n):
+        pair = (0 if star else sid - 1, sid)
+        if draw(st.booleans()):
+            pair = pair[::-1]
+        weight = draw(TIE_WEIGHTS)
+        if weight == HARD:
+            kind = RuleType.MC_HARD
+        else:
+            kind = draw(st.sampled_from([RuleType.ENTAILMENT, RuleType.XOR_PAIR, RuleType.MC_PAIRWISE]))
+        premises = pair[:1] if kind is RuleType.ENTAILMENT else ()
+        rules.append(RuleNode(f"r{sid}", kind, premises, pair[len(premises):], weight))
+    hypotheses = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)))
+    pins = draw(st.dictionaries(st.integers(0, n - 1), st.booleans(), max_size=2))
+    return BeliefGraph(statements, tuple(rules), hypotheses), pins
+
+
+@st.composite
+def chain_or_star_clause_sets(draw):
+    """The same shapes straight from `WeightedClause`s: up to two units per
+    variable and one or two binary clauses per edge, any polarity, in any
+    clause and variable order."""
+    n = draw(st.integers(1, 12))
+    star = draw(st.booleans())
+    clauses = [
+        unit(v, draw(st.booleans()), draw(TIE_WEIGHTS))
+        for v in range(n)
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    for v in range(1, n):
+        pair = (0 if star else v - 1, v)
+        for _ in range(draw(st.integers(1, 2))):
+            literals = tuple((u, draw(st.booleans())) for u in pair)
+            clauses.append(WeightedClause(literals, draw(TIE_WEIGHTS)))
+    order = draw(st.permutations(range(n)))
+    initial = {v: draw(st.booleans()) for v in range(n)}
+    return WeightedClauseSet(draw(st.permutations(clauses)), order, initial)
+
+
+def check_against_brute_force(cs):
+    """`solve` agrees with the reference on assignment, exact cost and
+    status, and `violated` lists exactly the violated clauses, whose
+    weights summed in order give the cost."""
+    result, slow = solve(cs), brute_force_solve(cs)
+    assert summary(result)[:3] == summary(slow)[:3]
+    if result.status is SolveStatus.INFEASIBLE:
+        assert result.violated == ()
+        return
+    clauses = cs.clauses
+    assert result.violated == tuple(
+        i for i, clause in enumerate(clauses)
+        if not any(result.assignment[v] == pol for v, pol in clause.literals)
+    )
+    cost = 0.0
+    for i in result.violated:
+        cost += clauses[i].weight
+    assert repr(cost) == repr(result.optimal_cost)
+
+
+class TestDegreeOneTies:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(chain_or_star_graphs())
+    def test_encoded_graphs_match_brute_force(self, graph_and_pins):
+        check_against_brute_force(encode(*graph_and_pins))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(chain_or_star_clause_sets())
+    def test_constructed_clause_sets_match_brute_force(self, cs):
+        check_against_brute_force(cs)

@@ -233,6 +233,10 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match="negates unknown statement 7"):
             BeliefGraph({0: replace(node(0), is_negation_of=7)}, (), (0,))
 
+    def test_statement_negating_itself_rejected(self):
+        with pytest.raises(ValueError, match="statement 0 negates itself"):
+            BeliefGraph({0: replace(node(0), is_negation_of=0)}, (), (0,))
+
     def test_rule_ids_must_be_unique(self):
         statements = {0: node(0), 1: node(1)}
         rules = (entailment("r", (0,), 1, 0.8), entailment("r", (1,), 0, 0.8))

@@ -14,6 +14,7 @@ from beliefgraph import (
     extract_explanation,
     reason,
     resolve_interactive,
+    rule_satisfied,
     total_cost,
 )
 from beliefgraph import reasoner
@@ -84,6 +85,37 @@ class TestReason:
         assert total_cost(g, outcome.final_assignment) == total_cost(
             g, g.initial_assignment()
         )
+
+    def test_violated_zero_confidence_rule_is_discarded(self):
+        # The rule adds no clause, so the optimum keeps both labels and
+        # violates it; the hard rule holds and is never discarded.
+        statements = {
+            0: StatementNode(0, "a", True, 0.9),
+            1: StatementNode(1, "b", False, 0.9),
+            2: StatementNode(2, "c", True, 0.2),
+        }
+        rules = (
+            RuleNode("free", RuleType.ENTAILMENT, (0,), (1,), 0.0),
+            RuleNode("kept", RuleType.ENTAILMENT, (2,), (0,), 0.0),
+            RuleNode("mc", RuleType.MC_HARD, (), (1, 2), HARD),
+        )
+        outcome = reason(BeliefGraph(statements, rules, (1, 2)))
+        assert outcome.flipped == frozenset()
+        assert outcome.discarded_rules == {"free"}
+        assert [r.id for r in outcome.updated_graph.rules] == ["kept", "mc"]
+
+    def test_discarded_rules_are_the_violated_soft_rules(self):
+        for graph in acceptance_graphs(50):
+            h = graph.hypotheses[0]
+            for pins in (None, {h: not graph.statements[h].label}):
+                outcome = reason(graph, pins)
+                a = outcome.final_assignment
+                assert outcome.discarded_rules == {
+                    rule.id for rule in graph.rules
+                    if not rule.is_hard and not rule_satisfied(rule, a)
+                }
+                assert not any(rule.is_hard for rule in graph.rules
+                               if rule.id in outcome.discarded_rules)
 
     def test_infeasible_raises(self):
         g = reason_infeasible_graph()
