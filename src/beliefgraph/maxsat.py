@@ -13,21 +13,24 @@ maps each clause to its table through the same helper.
 The solver is bucket elimination (Dechter, "Bucket elimination: a unifying
 framework for reasoning", AIJ 1999), which eliminates each variable as a
 greedy min-degree order picks it: fewest neighbours first, ties to the
-smaller position.  Unit clauses add up to one pair of costs per variable,
+smaller position, read off one bit set of variables per degree (one bucket
+per degree, as in Amestoy, Davis and Duff, SIAM J. Matrix Anal. Appl.
+1996).  Unit clauses add up to one pair of costs per variable,
 [cost if false, cost if true]; wider clauses become cost tables.  A violated
 hard clause costs infinity.  Eliminating a variable starts from its unit
 costs, adds the tables that mention it and are not yet used (input tables
 in clause order, then the tables made by earlier eliminations) and
 minimizes it out, which leaves one table over its neighbours, sorted by
 position; the neighbours are joined into a clique.  A variable with one
-neighbour, the commonest case, has only tables over itself and that
-neighbour left, so its four rows are summed directly.  Walking the eliminated
-variables back in reverse order then recovers the optimal assignment.  Time
-and memory grow as 2**width, where the width is the number of neighbours a
-variable has when it is eliminated.  Belief graphs are nearly trees, so the
-width stays small; an instance whose width exceeds MAX_WIDTH raises
-SolverLimitError instead of being approximated.  The exhaustive reference
-the tests compare against lives in tests/reference_solver.py.
+or two neighbours, four eliminations in five, has only tables over itself
+and those neighbours left, so its four or eight rows are summed directly,
+in the same order.  Walking the eliminated variables back in reverse order
+then recovers the optimal assignment.  Time and memory grow as 2**width,
+where the width is the number of neighbours a variable has when it is
+eliminated.  Belief graphs are nearly trees, so the width stays small; an
+instance whose width exceeds MAX_WIDTH raises SolverLimitError instead of
+being approximated.  The exhaustive reference the tests compare against
+lives in tests/reference_solver.py.
 
 Tie-breaking among equal-cost optima is deterministic: the flip pattern
 (flipped = 1, kept = 0, read along the variable order) is minimized
@@ -46,7 +49,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heapify, heappop, heappush
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -241,8 +243,9 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     return cs
 
 
-def _projection(bits: Sequence[int], width: int) -> list[int]:
-    """Row of a narrower table for each row of a ``width``-bit table.
+def _pick(cache: dict, bits: tuple[int, ...], width: int) -> itemgetter:
+    """An itemgetter of the row of a narrower table for each row of a
+    ``width``-bit table, stored in ``cache`` under ``bits``.
 
     Bit j of the narrower table's row number is bit ``bits[j]`` of the
     wider table's row number.
@@ -252,13 +255,14 @@ def _projection(bits: Sequence[int], width: int) -> list[int]:
     for b in range(width):
         s = step.get(b, 0)
         rows += [r + s for r in rows]
-    return rows
+    pick = cache[bits] = itemgetter(*rows)
+    return pick
 
 
-# [k][bit positions of a table's scope] -> an itemgetter of their
-# _projection into a (k + 1)-bit table, kept across calls for k up to 5: at
-# most 2371 keys of at most 64 rows.  Each entry is a pure function of its
-# key and is never written to, so sharing them changes no result.
+# [k][bit positions of a table's scope] -> the _pick of their rows in a
+# (k + 1)-bit table, kept across calls for k up to 5: at most 2371 keys of
+# at most 64 rows.  Each entry is a pure function of its key and is never
+# written to, so sharing them changes no result.
 _SHARED_WIDTH = 6
 _shared_projections: list[dict[tuple[int, ...], itemgetter]] = [{} for _ in range(_SHARED_WIDTH)]
 # The rows (x, y) = 00, 10, 01, 11 of x's elimination with one neighbour y,
@@ -289,15 +293,15 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
             else:
                 mentions[v].append(i)
             around.update(scope)
+    # Variables in no clause are absent here and keep their initial labels,
+    # which is optimal and flip-minimal.  The others are eliminated in
+    # min-degree order: bit v of buckets[d] is set while variable v is left
+    # with d neighbours, and the lowest bit of the first non-empty bucket is
+    # eliminated next.
+    buckets = [0] * (n + 1)
     for v, around in neighbours.items():
         around.discard(v)
-
-    # Variables in no clause are absent here and keep their initial labels,
-    # which is optimal and flip-minimal.  The others are eliminated as they
-    # come off a min-degree heap of (degree, position) entries; an entry
-    # whose degree is out of date is skipped.
-    heap = [(len(around), v) for v, around in neighbours.items()]
-    heapify(heap)
+        buckets[len(around)] |= 1 << v
     # _shared_projections for the wider tables, kept for this call only
     projections: dict[int, dict[tuple[int, ...], itemgetter]] = {}
     # (variable, remaining scope, whether to flip it for each scope row),
@@ -305,12 +309,18 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
     eliminated: list[tuple[int, tuple[int, ...], list[bool]]] = []
     nodes = 0
     width = 0
-    while heap:
-        k, x = heappop(heap)
-        around = neighbours.get(x)
-        if around is None or len(around) != k:
-            continue  # stale entry: x was eliminated or its degree changed
-        del neighbours[x]
+    k = 0
+    while neighbours:
+        # Every degree was at least k before the last elimination, which
+        # lowered each by at most one.
+        if k:
+            k -= 1
+        while not buckets[k]:
+            k += 1
+        low = buckets[k] & -buckets[k]
+        buckets[k] ^= low
+        x = low.bit_length() - 1
+        around = neighbours.pop(x)
         keep = int(value[x])  # bit 0 of a row is x's value
         x_flip = 1 << (n - 1 - x)
         if k == 1:
@@ -319,11 +329,11 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
             (y,) = scope = (*around,)
             near = neighbours[y]
             near.discard(x)
-            heappush(heap, (len(near), y))
+            buckets[len(near) + 1] ^= 1 << y
+            buckets[len(near)] |= 1 << y
             nodes += 4
             width = width or 1
-            c0, c1 = unit.get(x, _NO_COST)
-            c2, c3 = c0, c1
+            c0, c1, c2, c3 = unit.get(x, _NO_COST) * 2
             f0 = f1 = f2 = f3 = 0
             for i in mentions.pop(x):
                 table = tables[i]
@@ -339,8 +349,7 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
                     f0, f1, f2, f3 = f0 + r0, f1 + r1, f2 + r2, f3 + r3
             if keep:  # the kept row of each pair first
                 c0, c1, c2, c3, f0, f1, f2, f3 = c1, c0, c3, c2, f1, f0, f3, f2
-            f1 += x_flip
-            f3 += x_flip
+            f1, f3 = f1 + x_flip, f3 + x_flip
             flip0 = c1 < c0 - EPSILON or (c1 <= c0 + EPSILON and f1 < f0)
             flip1 = c3 < c2 - EPSILON or (c3 <= c2 + EPSILON and f3 < f2)
             if flip0 or flip1:
@@ -360,7 +369,51 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
             near |= around
             near.discard(a)
             if len(near) != before:
-                heappush(heap, (len(near), a))
+                buckets[before] ^= 1 << a
+                buckets[len(near)] |= 1 << a
+        if k == 2:
+            # The same for neighbours y < z, over the rows (x, y, z) = 000,
+            # 100, 010, 110, 001, 101, 011, 111, reading tables by _pick.
+            y, z = around
+            y, z = scope = (y, z) if y < z else (z, y)
+            bit = (x, y, z).index
+            cache = _shared_projections[2]
+            nodes += 8
+            if width < 2:
+                width = 2
+            c0, c1, c2, c3, c4, c5, c6, c7 = unit.get(x, _NO_COST) * 4
+            f0 = f1 = f2 = f3 = f4 = f5 = f6 = f7 = 0
+            for i in mentions.pop(x):
+                table = tables[i]
+                if table is None:
+                    continue
+                tables[i] = None
+                t_scope, t_costs, t_flips = table
+                key = tuple(map(bit, t_scope))
+                pick = cache.get(key) or _pick(cache, key, 3)
+                r0, r1, r2, r3, r4, r5, r6, r7 = pick(t_costs)
+                c0, c1, c2, c3 = c0 + r0, c1 + r1, c2 + r2, c3 + r3
+                c4, c5, c6, c7 = c4 + r4, c5 + r5, c6 + r6, c7 + r7
+                if t_flips is not None:
+                    r0, r1, r2, r3, r4, r5, r6, r7 = pick(t_flips)
+                    f0, f1, f2, f3 = f0 + r0, f1 + r1, f2 + r2, f3 + r3
+                    f4, f5, f6, f7 = f4 + r4, f5 + r5, f6 + r6, f7 + r7
+            if keep:
+                c0, c1, c2, c3, c4, c5, c6, c7 = c1, c0, c3, c2, c5, c4, c7, c6
+                f0, f1, f2, f3, f4, f5, f6, f7 = f1, f0, f3, f2, f5, f4, f7, f6
+            f1, f3, f5, f7 = f1 + x_flip, f3 + x_flip, f5 + x_flip, f7 + x_flip
+            flip0 = c1 < c0 - EPSILON or (c1 <= c0 + EPSILON and f1 < f0)
+            flip1 = c3 < c2 - EPSILON or (c3 <= c2 + EPSILON and f3 < f2)
+            flip2 = c5 < c4 - EPSILON or (c5 <= c4 + EPSILON and f5 < f4)
+            flip3 = c7 < c6 - EPSILON or (c7 <= c6 + EPSILON and f7 < f6)
+            if flip0 or flip1 or flip2 or flip3:
+                eliminated.append((x, scope, [flip0, flip1, flip2, flip3]))
+            costs = [c1 if flip0 else c0, c3 if flip1 else c2, c5 if flip2 else c4, c7 if flip3 else c6]
+            flips = [f1 if flip0 else f0, f3 if flip1 else f2, f5 if flip2 else f4, f7 if flip3 else f6]
+            mentions[y].append(len(tables))
+            mentions[z].append(len(tables))
+            tables.append((scope, costs, flips if any(flips) else None))
+            continue
         scope = tuple(sorted(around))
         bit = ((x,) + scope).index
         size = 2 << k
@@ -381,9 +434,7 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
             tables[i] = None
             t_scope, t_costs, t_flips = table
             key = tuple(map(bit, t_scope))
-            pick = cache.get(key)
-            if pick is None:
-                pick = cache[key] = itemgetter(*_projection(key, k + 1))
+            pick = cache.get(key) or _pick(cache, key, k + 1)
             costs = [*map(add, costs, pick(t_costs))]
             if t_flips is not None:
                 if flips is None:
@@ -426,15 +477,18 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
         if flip_x[row]:
             value[x] = not value[x]
 
-    # Adding 0.0 for a satisfied clause would change no sum, so only the
-    # violated clauses are added, in clause order.
-    cost = 0.0
-    violated = []
+    # One comparison settles every unit clause and most others.  Only the
+    # violated clauses are added, in clause order, and not by sum(), which
+    # compensates float rounding from Python 3.12 on.
+    clauses = cs._clauses
     get = value.__getitem__
-    for i, (scope, violating, weight, _) in enumerate(cs._clauses):
-        if tuple(map(get, scope)) == violating:
-            cost += weight
-            violated.append(i)
+    violated = [
+        i for i, (scope, bad, _, _) in enumerate(clauses)
+        if value[scope[0]] == bad[0] and (len(bad) == 1 or tuple(map(get, scope)) == bad)
+    ]
+    cost = 0.0
+    for i in violated:
+        cost += clauses[i][2]
     if math.isinf(cost):
         return SolveResult({}, math.inf, SolveStatus.INFEASIBLE, nodes, width)
     assignment = dict(zip(cs.variable_order, value))

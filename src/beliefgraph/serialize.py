@@ -55,11 +55,16 @@ def _text(value: Any, newline: str) -> str:
         text = float.__repr__(value)
         return _FLOAT_SPECIALS.get(text, text)
     inner = newline + "  "
+    # Items of exactly str, int or bool are written in place, a subclass by
+    # the general path; dict values are tested for bool first (assignments).
     if isinstance(value, (list, tuple)):
-        items = [_text(v, inner) for v in value]
+        items = [_quote(v) if (t := type(v)) is str else int.__repr__(v) if t is int
+                 else ("true" if v else "false") if t is bool else _text(v, inner) for v in value]
         return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
     if isinstance(value, dict):
-        items = [f"{_quote(k) if isinstance(k, str) else _key(k)}: {_text(v, inner)}"
+        items = [(_quote(k) if isinstance(k, str) else _key(k)) + ": "
+                 + (("true" if v else "false") if (t := type(v)) is bool else _quote(v) if t is str
+                    else int.__repr__(v) if t is int else _text(v, inner))
                  for k, v in sorted(value.items())]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if items else "{}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

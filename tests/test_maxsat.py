@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import random
@@ -293,11 +294,14 @@ class TestSolve:
             solve(cs_of(clauses))
 
     def test_deterministic_assignment(self):
-        cs = random_clause_set(7)
-        first = solve(cs)
-        second = solve(cs)
-        assert first.assignment == second.assignment
-        assert first.optimal_cost == second.optimal_cost
+        """Two solves of one instance agree in every field, and neither
+        changes the compiled form it reads."""
+        for cs in (random_clause_set(7), encode(synthetic_graph(0), {0: False})):
+            before = copy.deepcopy((cs._units, cs._tables, cs._clauses))
+            first = solve(cs)
+            second = solve(cs)
+            assert first == second
+            assert (cs._units, cs._tables, cs._clauses) == before
 
     def test_width_limit(self):
         # Every pair shares a clause, so the first variable eliminated has
@@ -453,50 +457,82 @@ TIE_WEIGHTS = st.sampled_from([0.5, 1.0, HARD])
 
 
 @st.composite
-def chain_or_star_graphs(draw):
-    """Up to 12 statements joined by pair rules along a chain or around a
-    star, most of them eliminated with one neighbour; weights 0.5, 1.0 and
-    HARD (an MC_HARD rule), and some zero-confidence statements, so exact
-    ties are common.  Up to two pins."""
-    n = draw(st.integers(2, 12))
+def chain_or_star(draw):
+    """(statement count, pairs) along a chain or around a star of at most
+    12 statements: most statements are eliminated with one neighbour."""
+    n = draw(st.integers(1, 12))
     star = draw(st.booleans())
+    return n, [(0 if star else v - 1, v) for v in range(1, n)]
+
+
+@st.composite
+def treewidth_two(draw):
+    """(statement count, groups of two or three statements): a cycle, a strip
+    of triangles (one group per triangle) or a ladder, plus up to three
+    pendants, at most 12 statements in all.  Every shape has a cycle and
+    treewidth 2, so min-degree elimination has width exactly 2 and
+    eliminates many statements with two neighbours."""
+    shape = draw(st.sampled_from(["cycle", "triangles", "ladder"]))
+    if shape == "ladder":
+        m = draw(st.integers(2, 4))
+        n = 2 * m
+        groups = [(i, m + i) for i in range(m)]
+        groups += [(i, i + 1) for i in range(m - 1)] + [(m + i, m + i + 1) for i in range(m - 1)]
+    else:
+        n = draw(st.integers(3, 9))
+        if shape == "cycle":
+            groups = [(i, (i + 1) % n) for i in range(n)]
+        else:
+            groups = [(i, i + 1, i + 2) for i in range(n - 2)]
+    pendants = draw(st.integers(0, 3))
+    for v in range(n, n + pendants):
+        groups.append((draw(st.integers(0, v - 1)), v))
+    return n + pendants, groups
+
+
+@st.composite
+def tie_graphs(draw, shapes):
+    """A graph with one rule per group of a shape, the rules and each rule's
+    statements in any order: a pair becomes a rule of any type, a triple a
+    two-premise entailment rule, and a HARD weight an MC_HARD rule.  Weights
+    0.5, 1.0 and HARD, and some zero-confidence statements, so exact ties
+    are common.  Up to two pins."""
+    n, groups = draw(shapes)
     statements = {
         sid: StatementNode(sid, f"s{sid}", draw(st.booleans()), draw(st.sampled_from([0.0, 0.5, 1.0])))
         for sid in range(n)
     }
     rules = []
-    for sid in range(1, n):
-        pair = (0 if star else sid - 1, sid)
-        if draw(st.booleans()):
-            pair = pair[::-1]
+    for i, group in enumerate(draw(st.permutations(groups))):
+        group = tuple(draw(st.permutations(group)))
         weight = draw(TIE_WEIGHTS)
         if weight == HARD:
             kind = RuleType.MC_HARD
+        elif len(group) == 3:
+            kind = RuleType.ENTAILMENT
         else:
             kind = draw(st.sampled_from([RuleType.ENTAILMENT, RuleType.XOR_PAIR, RuleType.MC_PAIRWISE]))
-        premises = pair[:1] if kind is RuleType.ENTAILMENT else ()
-        rules.append(RuleNode(f"r{sid}", kind, premises, pair[len(premises):], weight))
+        premises = group[:-1] if kind is RuleType.ENTAILMENT else ()
+        rules.append(RuleNode(f"r{i}", kind, premises, group[len(premises):], weight))
     hypotheses = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)))
     pins = draw(st.dictionaries(st.integers(0, n - 1), st.booleans(), max_size=2))
     return BeliefGraph(statements, tuple(rules), hypotheses), pins
 
 
 @st.composite
-def chain_or_star_clause_sets(draw):
+def tie_clause_sets(draw, shapes):
     """The same shapes straight from `WeightedClause`s: up to two units per
-    variable and one or two binary clauses per edge, any polarity, in any
-    clause and variable order."""
-    n = draw(st.integers(1, 12))
-    star = draw(st.booleans())
+    variable and one or two clauses per group, each in its own literal order
+    and with any polarity, in any clause and variable order."""
+    n, groups = draw(shapes)
     clauses = [
         unit(v, draw(st.booleans()), draw(TIE_WEIGHTS))
         for v in range(n)
         for _ in range(draw(st.integers(0, 2)))
     ]
-    for v in range(1, n):
-        pair = (0 if star else v - 1, v)
+    for group in groups:
         for _ in range(draw(st.integers(1, 2))):
-            literals = tuple((u, draw(st.booleans())) for u in pair)
+            literals = tuple((u, draw(st.booleans())) for u in draw(st.permutations(group)))
             clauses.append(WeightedClause(literals, draw(TIE_WEIGHTS)))
     order = draw(st.permutations(range(n)))
     initial = {v: draw(st.booleans()) for v in range(n)}
@@ -525,11 +561,26 @@ def check_against_brute_force(cs):
 
 class TestDegreeOneTies:
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(chain_or_star_graphs())
+    @given(tie_graphs(chain_or_star()))
     def test_encoded_graphs_match_brute_force(self, graph_and_pins):
         check_against_brute_force(encode(*graph_and_pins))
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(chain_or_star_clause_sets())
+    @given(tie_clause_sets(chain_or_star()))
     def test_constructed_clause_sets_match_brute_force(self, cs):
         check_against_brute_force(cs)
+
+
+class TestDegreeTwoTies:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(tie_graphs(treewidth_two()))
+    def test_encoded_graphs_match_brute_force(self, graph_and_pins):
+        cs = encode(*graph_and_pins)
+        check_against_brute_force(cs)
+        assert solve(cs).width == 2
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(tie_clause_sets(treewidth_two()))
+    def test_constructed_clause_sets_match_brute_force(self, cs):
+        check_against_brute_force(cs)
+        assert solve(cs).width == 2

@@ -1,6 +1,7 @@
 """`serialize.dumps` writes the canonical form itself; it must match the
 standard library's indented, key-sorted output byte for byte."""
 
+import enum
 import json
 import math
 
@@ -41,6 +42,15 @@ DOCUMENTS = st.dictionaries(
 )
 
 
+class Shade(enum.IntEnum):
+    DARK = 7
+
+
+class Loud(str):
+    def __str__(self):
+        return self.upper()
+
+
 def reference(document):
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
@@ -57,6 +67,13 @@ def reference(document):
         "flags": [True, False, None],
         "tuple": (1, "two", (3.0,), ()),
         "\U0001f600 key": 1,
+    }
+)
+@example(
+    {
+        "nested": [[True, False, 0, -1, 2**70], [[True], [3]], {"b": False, "i": 0, "s": ""}],
+        "by_key": {"t": True, "f": False, "n": -5, "list": [False, 1, True, "x"]},
+        "subclasses": [Shade.DARK, Loud("quiet"), {"v": Shade.DARK, "w": Loud("x")}],
     }
 )
 def test_matches_json_dumps(document):
