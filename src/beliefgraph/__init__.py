@@ -36,7 +36,6 @@ _SUBMODULE_EXPORTS = {
     "maxsat": (
         "SolveResult",
         "SolveStatus",
-        "WeightedClause",
         "WeightedClauseSet",
         "encode",
         "solve",

@@ -2,7 +2,8 @@
 and DOT export.
 
 Exit codes: 0 ok, 2 input error (including a graph beyond the solver's
-limits), 3 oracle error, 4 infeasible, 5 internal.
+limits and an output path that cannot be written), 3 oracle error,
+4 infeasible, 5 internal.
 
 A command imports only what it uses: `reason`, `resolve` and `export-dot`
 never load graph construction or the oracle transport.
@@ -64,6 +65,16 @@ def _open_oracle(spec: str, cache_dir: Path) -> Iterator[BeliefOracle]:
         raise InputError(f"oracle spec must be mock:<path> or remote:<url>, got {spec!r}")
 
 
+@contextmanager
+def _writing(path: str | Path) -> Iterator[None]:
+    """An output path that cannot be written is an input error, not an
+    internal one."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _provenance(args: argparse.Namespace, cfg: CalibrationConfig) -> dict:
     return {
         "oracle": args.oracle,
@@ -93,13 +104,15 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     else:
         cache_dir = Path(args.out_dir)
         paths = [cache_dir / f"{name}.json" for name in _output_names(questions)]
-        cache_dir.mkdir(parents=True, exist_ok=True)
+        with _writing(cache_dir):
+            cache_dir.mkdir(parents=True, exist_ok=True)
 
     with _open_oracle(args.oracle, cache_dir) as oracle:
 
         def build(question, path):
             graph = generate_graph(question, oracle, cfg)
-            save_graph(graph, path, provenance)
+            with _writing(path):
+                save_graph(graph, path, provenance)
             return f"wrote {path}: {len(graph.statements)} statements, {len(graph.rules)} rules"
 
         if len(questions) > 1:  # a lone question does not pay for the pool's import
@@ -134,7 +147,8 @@ def _report(graph, outcome, output: str | None) -> None:
     """Write the outcome document when asked, and print the summary."""
     summary = summarize(graph, outcome)
     if output:
-        Path(output).write_text(dumps(outcome_to_document(outcome, summary)))
+        with _writing(output):
+            Path(output).write_text(dumps(outcome_to_document(outcome, summary)))
     print(f"tau before reasoning:  {summary['tau_before']:.4f}")
     print(f"tau after reasoning:   {summary['tau_after']:.4f}")
     print(f"{summary['flips']} flips, {summary['discarded_rules']} rules discarded")
@@ -150,9 +164,10 @@ def _cmd_reason(args: argparse.Namespace) -> int:
     graph = ablate(full_graph, args.ablate) if args.ablate else full_graph
     outcome = reason(graph)
     if args.export_dot:
-        Path(args.export_dot).write_text(
-            to_dot(full_graph, outcome.final_assignment, outcome.discarded_rules)
-        )
+        with _writing(args.export_dot):
+            Path(args.export_dot).write_text(
+                to_dot(full_graph, outcome.final_assignment, outcome.discarded_rules)
+            )
     _report(full_graph, outcome, args.output)
     return EXIT_OK
 
@@ -190,7 +205,8 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     text = to_dot(graph)
     if args.output:
-        Path(args.output).write_text(text)
+        with _writing(args.output):
+            Path(args.output).write_text(text)
     else:
         print(text, end="")
     return EXIT_OK

@@ -1,14 +1,13 @@
 """Weighted partial MaxSAT encoding of a belief graph and an exact solver.
 
-`encode` compiles a graph in one pass, straight into the form `solve` reads
-(`WeightedClauseSet`): variable positions in the tie-break order, each
-statement's pair of unit costs, and one cost table per rule with its
-violated rows set by rule type; every clause is also recorded in order, with
-the id of the rule it encodes, for the reported cost, the violated clauses
-and the `clauses` view, which is rebuilt when read.  The graph was validated
-when it was built, so encoding checks nothing again but the pins; a clause
-set built from `WeightedClause`s is validated once by its constructor, which
-maps each clause to its table through the same helper.
+`encode` compiles a graph in one pass into the record `solve` reads,
+`WeightedClauseSet`, with five fields: the variables in the tie-break order
+(`variable_order`), their initial labels (`labels`), each statement's pair
+of unit costs (`units`), one cost table per wider clause with its violated
+rows set by rule type (`tables`), and every clause in order with the id of
+the rule it encodes (`clauses`), for the reported cost and the violated
+clauses.  The graph was validated when it was built, so encoding checks
+nothing again but the pins.
 
 The solver is bucket elimination (Dechter, "Bucket elimination: a unifying
 framework for reasoning", AIJ 1999), which eliminates each variable as a
@@ -50,10 +49,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import add, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .errors import SolverLimitError
-from .model import _MC_PAIRWISE, _XOR_PAIR, HARD, BeliefGraph, Clause, StatementId
+from .model import _MC_PAIRWISE, _XOR_PAIR, HARD, BeliefGraph, StatementId
 
 EPSILON = 1e-9
 # The flip integers grow to one bit per variable, so the variable count
@@ -79,86 +78,42 @@ class SolveStatus(Enum):
 
 
 @dataclass(frozen=True)
-class WeightedClause:
-    literals: Clause
-    weight: float  # HARD for hard clauses, else positive
-
-    def __post_init__(self) -> None:
-        if not self.literals:
-            raise ValueError("empty clause")
-        variables = [var for var, _ in self.literals]
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable in clause {self.literals!r}")
-        if self.weight != HARD and not (self.weight > 0.0 and math.isfinite(self.weight)):
-            raise ValueError(f"clause weight must be positive or HARD, got {self.weight!r}")
-
-    @property
-    def is_hard(self) -> bool:
-        return self.weight == HARD
-
-
 class WeightedClauseSet:
-    """A weighted MaxSAT instance in the compiled form that `solve` reads.
+    """A weighted MaxSAT instance in the compiled form that `solve` reads,
+    as `encode` builds it.
 
     Variables are numbered by their position in ``variable_order``, the
-    tie-break order.  The form holds each variable's initial label, its
-    unit costs [cost if false, cost if true] summed in clause order, one
-    cost table per wider clause, and every clause in order as (scope, the
-    values that violate it, weight), which the optimal cost is summed over.
-    The constructor checks its clauses once and compiles them; `encode`
-    compiles a belief graph into the same form without building clauses.
+    tie-break order; ``labels`` holds their initial labels by position.
+    ``units`` maps a position to its unit costs [cost if false, cost if
+    true], summed in clause order; ``tables`` holds one cost table per wider
+    clause, in clause order; ``clauses`` lists every clause in order as
+    (scope, the values that violate it, weight, the id of the rule it
+    encodes or None), which the optimal cost is summed over.
     """
 
-    def __init__(
-        self,
-        clauses: Iterable[WeightedClause],
-        variable_order: Sequence[StatementId],
-        initial_labels: Mapping[StatementId, bool],
-    ):
-        position = {var: i for i, var in enumerate(variable_order)}
-        self._clauses, self._units, self._tables = [], {}, []
-        for clause in clauses:
-            for var, _ in clause.literals:
-                if var not in position:
-                    raise ValueError(f"variable {var} missing from variable order")
-            scope = tuple(position[var] for var, _ in clause.literals)
-            violating = tuple(not pol for _, pol in clause.literals)
-            self._clauses.append((scope, violating, clause.weight, None))
-            row = sum(1 << j for j, bad in enumerate(violating) if bad)
-            self._add_table(scope, (row,), clause.weight)
-        for var in variable_order:
-            if var not in initial_labels:
-                raise ValueError(f"variable {var} has no initial label")
-        self.variable_order = tuple(variable_order)
-        self._labels = [bool(initial_labels[var]) for var in variable_order]
+    variable_order: tuple[StatementId, ...]
+    labels: list[bool]
+    units: dict[int, list[float]]
+    tables: list[_Table]
+    clauses: list[_Clause]
 
-    def _add_table(self, scope: tuple[int, ...], rows: tuple[int, ...], weight: float) -> None:
-        """Add ``weight`` at the violated ``rows`` of a table over ``scope``;
-        a one-variable table adds to that variable's unit costs instead."""
-        if len(scope) == 1:
-            costs = self._units.get(scope[0])
-            if costs is None:
-                costs = self._units[scope[0]] = [0.0, 0.0]
-            costs[rows[0]] += weight
-        else:
-            costs = [0.0] * (1 << len(scope))
-            for row in rows:
-                costs[row] = weight
-            self._tables.append((scope, costs, None))
 
-    @property
-    def initial_labels(self) -> dict[StatementId, bool]:
-        """Each variable's initial label, rebuilt on each read."""
-        return dict(zip(self.variable_order, self._labels))
-
-    @property
-    def clauses(self) -> tuple[WeightedClause, ...]:
-        """The clauses in order, rebuilt from the compiled form on each read."""
-        order = self.variable_order
-        return tuple(
-            WeightedClause(tuple((order[v], not bad) for v, bad in zip(scope, violating)), weight)
-            for scope, violating, weight, _ in self._clauses
-        )
+def _add_table(
+    units: dict[int, list[float]], tables: list[_Table],
+    scope: tuple[int, ...], rows: tuple[int, ...], weight: float,
+) -> None:
+    """Add ``weight`` at the violated ``rows`` of a table over ``scope``;
+    a one-variable table adds to that variable's unit costs instead."""
+    if len(scope) == 1:
+        costs = units.get(scope[0])
+        if costs is None:
+            costs = units[scope[0]] = [0.0, 0.0]
+        costs[rows[0]] += weight
+    else:
+        costs = [0.0] * (1 << len(scope))
+        for row in rows:
+            costs[row] = weight
+        tables.append((scope, costs, None))
 
 
 @dataclass(frozen=True)
@@ -199,13 +154,9 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     order = tuple(graph.hypotheses) + tuple(rest)
     position = {sid: i for i, sid in enumerate(order)}
 
-    cs = WeightedClauseSet.__new__(WeightedClauseSet)
-    cs.variable_order = order
-    cs._labels = [statements[sid].label for sid in order]
     clauses: list[_Clause] = []
     units: dict[int, list[float]] = {}
-    cs._clauses, cs._units, cs._tables = clauses, units, []
-    add_table = cs._add_table
+    tables: list[_Table] = []
     for sid, node in statements.items():
         weight = node.confidence
         if weight > 0.0:
@@ -224,7 +175,7 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
             if kind is _XOR_PAIR:
                 clauses.append((scope, (False, False), weight, rule.id))  # a or b
             clauses.append((scope, (True, True), weight, rule.id))  # not a or not b
-            add_table(scope, (0, 3) if kind is _XOR_PAIR else (3,), weight)
+            _add_table(units, tables, scope, (0, 3) if kind is _XOR_PAIR else (3,), weight)
         else:
             # Entailment and MC_HARD: violated when every premise is true
             # and every hypothesis false.
@@ -232,15 +183,16 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
             scope = tuple(map(position.__getitem__, premises + conclusions))
             violating = (True,) * len(premises) + (False,) * len(conclusions)
             clauses.append((scope, violating, weight, rule.id))
-            add_table(scope, ((1 << len(premises)) - 1,), weight)
+            _add_table(units, tables, scope, ((1 << len(premises)) - 1,), weight)
     if pins:
         for sid, value in pins.items():
             v = position.get(sid)
             if v is None:
                 raise ValueError(f"variable {sid} missing from variable order")
             clauses.append(((v,), (not value,), HARD, None))
-            add_table((v,), (int(not value),), HARD)
-    return cs
+            _add_table(units, tables, (v,), (int(not value),), HARD)
+    labels = [statements[sid].label for sid in order]
+    return WeightedClauseSet(order, labels, units, tables, clauses)
 
 
 def _pick(cache: dict, bits: tuple[int, ...], width: int) -> itemgetter:
@@ -276,15 +228,15 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
     n = len(cs.variable_order)
     if n > MAX_VARIABLES:
         raise SolverLimitError(f"{n} variables exceeds the limit of {MAX_VARIABLES}")
-    value = list(cs._labels)
-    unit = cs._units
+    value = list(cs.labels)
+    unit = cs.units
     # The input tables in clause order, then those made by eliminations; a
     # table is set to None once an elimination has used it.
-    tables: list[_Table | None] = list(cs._tables)
+    tables: list[_Table | None] = list(cs.tables)
     # variable -> the indices of the tables that mention it, ascending
     mentions: dict[int, list[int]] = {v: [] for v in unit}
     neighbours: dict[int, set[int]] = {v: set() for v in unit}
-    for i, (scope, _, _) in enumerate(cs._tables):
+    for i, (scope, _, _) in enumerate(cs.tables):
         for v in scope:
             around = neighbours.get(v)
             if around is None:
@@ -480,7 +432,7 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
     # One comparison settles every unit clause and most others.  Only the
     # violated clauses are added, in clause order, and not by sum(), which
     # compensates float rounding from Python 3.12 on.
-    clauses = cs._clauses
+    clauses = cs.clauses
     get = value.__getitem__
     violated = [
         i for i, (scope, bad, _, _) in enumerate(clauses)

@@ -30,8 +30,6 @@ class RuleType(Enum):
 _ENTAILMENT, _XOR_PAIR, _MC_PAIRWISE = RuleType.ENTAILMENT, RuleType.XOR_PAIR, RuleType.MC_PAIRWISE
 
 StatementId = int
-Literal = tuple[StatementId, bool]
-Clause = tuple[Literal, ...]
 Assignment = Mapping[StatementId, bool]
 
 

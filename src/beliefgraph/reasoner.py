@@ -94,7 +94,7 @@ def reason(
     )
     # The optimum violates only soft clauses, and each rule clause names its
     # rule; a zero-confidence rule has no clause, so it is checked here.
-    clauses = cs._clauses
+    clauses = cs.clauses
     discarded = {clauses[i][3] for i in result.violated}
     discarded.discard(None)
     kept = []

@@ -149,6 +149,14 @@ def _number(value: Any, key: str, where: str) -> float:
     raise InputError(f"{where}: field {key!r} must be a finite number, got {value!r}")
 
 
+def _score(value: Any, key: str, where: str) -> float:
+    """A `_number` in [0, 1], as oracle scores are."""
+    number = _number(value, key, where)
+    if not 0.0 <= number <= 1.0:
+        raise InputError(f"{where}: field {key!r} must be in [0, 1], got {value!r}")
+    return number
+
+
 def _str(value: Any, key: str, where: str) -> str:
     """A JSON string that UTF-8 can encode: no lone surrogate escapes, which
     could not be printed or written back."""
@@ -339,7 +347,8 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Calib
 
 def load_mock_oracle(path: str | Path) -> MockOracle:
     """Fixture file with four tables: premises, statement_scores,
-    entailment_scores, negations (plus optional default scores)."""
+    entailment_scores, negations (plus optional default scores); every score
+    is a number in [0, 1]."""
     from .construction import MockOracle
 
     raw = read_json(path)
@@ -357,14 +366,14 @@ def load_mock_oracle(path: str | Path) -> MockOracle:
         for premise in _list(tables["premises"], key, f"{where}: premises"):
             _statement(premise, key, f"{where}: premises")
     for name in ("statement_scores", "entailment_scores"):
-        tables[name] = {k: _number(v, k, f"{where}: {name}") for k, v in tables[name].items()}
+        tables[name] = {k: _score(v, k, f"{where}: {name}") for k, v in tables[name].items()}
     for key, negation in tables["negations"].items():
         _statement(negation, key, f"{where}: negations")
     try:
         return MockOracle(
             **tables,
-            default_score=_number(raw.get("default_score", 0.5), "default_score", where),
-            default_entailment_score=_number(
+            default_score=_score(raw.get("default_score", 0.5), "default_score", where),
+            default_entailment_score=_score(
                 raw.get("default_entailment_score", 0.85), "default_entailment_score", where
             ),
         )

@@ -1,4 +1,5 @@
-"""Shared hand-built graph fixtures, and a fresh-interpreter runner.
+"""Shared hand-built graph fixtures, a fresh-interpreter runner, and the
+Hypothesis profile every property test runs under.
 
 The flip/discard expectations for each fixture were derived with the
 brute-force enumerator before being frozen here; the tests re-check them
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import beliefgraph
 from beliefgraph import (
@@ -28,6 +30,11 @@ from beliefgraph import (
 )
 from beliefgraph.model import EvaluationError
 from beliefgraph.synthetic import synthetic_graph
+
+# Every property test draws the same examples on every run, so a failure
+# repeats and a checkout's tier-1 result does not depend on the draw.
+settings.register_profile("repeatable", derandomize=True, deadline=None)
+settings.load_profile("repeatable")
 
 
 def run_python(code: str, stdin: str = "") -> str:

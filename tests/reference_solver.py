@@ -1,29 +1,64 @@
 """Exhaustive reference solver the tests check ``beliefgraph.solve`` against,
-and the random clause sets they check it on.
+the random clause sets they check it on, and the clause-literal form the
+tests build and read clause sets in.
 
-It enumerates every assignment with numpy bitmasks, so it shares no search
-logic with the solver and is limited to small instances.
+The reference enumerates every assignment with numpy bitmasks, so it shares
+no search logic with the solver and is limited to small instances.
+
+A clause here is a pair (literals, weight): the literals are (variable,
+polarity) pairs, and the clause holds when some variable has its polarity.
+The weight is HARD for a hard clause, else positive.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from beliefgraph import maxsat
 from beliefgraph.maxsat import (
     EPSILON,
     SolveResult,
     SolverLimitError,
     SolveStatus,
-    WeightedClause,
     WeightedClauseSet,
 )
 from beliefgraph.model import HARD
 
 BRUTE_FORCE_MAX_VARIABLES = 22
+
+Literals = tuple[tuple[int, bool], ...]
+
+
+def clause_set(
+    clauses: Iterable[tuple[Literals, float]], order: Sequence[int], labels: Mapping[int, bool]
+) -> WeightedClauseSet:
+    """The compiled form of ``clauses`` over the variables in ``order``, with
+    initial ``labels``; each clause gets its table through the helper
+    `encode` uses, and no rule id."""
+    position = {var: i for i, var in enumerate(order)}
+    units: dict = {}
+    tables: list = []
+    compiled = []
+    for literals, weight in clauses:
+        scope = tuple(position[var] for var, _ in literals)
+        violating = tuple(not pol for _, pol in literals)
+        compiled.append((scope, violating, weight, None))
+        row = sum(1 << j for j, bad in enumerate(violating) if bad)
+        maxsat._add_table(units, tables, scope, (row,), weight)
+    return WeightedClauseSet(tuple(order), [labels[var] for var in order], units, tables, compiled)
+
+
+def literal_clauses(cs: WeightedClauseSet) -> list[tuple[Literals, float]]:
+    """``cs.clauses`` in order, as (literals, weight) over the variables."""
+    order = cs.variable_order
+    return [
+        (tuple((order[v], not bad) for v, bad in zip(scope, violating)), weight)
+        for scope, violating, weight, _ in cs.clauses
+    ]
 
 
 def _lex_key(positions: Iterable[int]) -> tuple[int, ...]:
@@ -47,30 +82,29 @@ def brute_force_solve(
         raise SolverLimitError(
             f"{n} variables exceeds the brute-force limit of {max_variables}"
         )
-    index = {var: i for i, var in enumerate(order)}
     init_bits = 0
-    for var, i in index.items():
-        if cs.initial_labels[var]:
+    for i, label in enumerate(cs.labels):
+        if label:
             init_bits |= 1 << i
 
     m = np.arange(1 << n, dtype=np.uint32)
     costs = np.zeros(1 << n, dtype=np.float64)
     feasible = np.ones(1 << n, dtype=bool)
     full = np.uint32((1 << n) - 1)
-    for clause in cs.clauses:
+    for scope, violating, weight, _ in cs.clauses:
         pos_mask = np.uint32(0)
         neg_mask = np.uint32(0)
-        for var, pol in clause.literals:
-            bit = np.uint32(1 << index[var])
-            if pol:
-                pos_mask |= bit
-            else:
+        for i, bad in zip(scope, violating):
+            bit = np.uint32(1 << i)
+            if bad:
                 neg_mask |= bit
+            else:
+                pos_mask |= bit
         satisfied = ((m & pos_mask) != 0) | ((~m & full & neg_mask) != 0)
-        if clause.is_hard:
+        if weight == HARD:
             feasible &= satisfied
         else:
-            costs += np.where(satisfied, 0.0, clause.weight)
+            costs += np.where(satisfied, 0.0, weight)
 
     if not feasible.any():
         return SolveResult({}, math.inf, SolveStatus.INFEASIBLE, 1 << n)
@@ -83,7 +117,7 @@ def brute_force_solve(
         return _lex_key(i for i in range(n) if flips >> i & 1)
 
     winner = int(min(candidates, key=key))
-    assignment = {var: bool(winner >> index[var] & 1) for var in order}
+    assignment = {var: bool(winner >> i & 1) for i, var in enumerate(order)}
     return SolveResult(assignment, float(costs[winner]), SolveStatus.OPTIMAL, 1 << n)
 
 
@@ -97,20 +131,18 @@ def random_clause_set(
     n = rng.randint(min_variables, max_variables)
     variables = list(range(n))
     initial = {v: rng.random() < 0.5 for v in variables}
-    clauses: list[WeightedClause] = []
+    clauses: list[tuple[Literals, float]] = []
     for v in variables:
         if rng.random() < 0.8:
-            clauses.append(
-                WeightedClause(((v, initial[v]),), round(rng.uniform(0.05, 1.0), 3))
-            )
+            clauses.append((((v, initial[v]),), round(rng.uniform(0.05, 1.0), 3)))
     for _ in range(rng.randint(n // 2, 2 * n)):
         width = rng.randint(2, min(4, n))
         chosen = rng.sample(variables, width)
         literals = tuple((v, rng.random() < 0.5) for v in chosen)
-        clauses.append(WeightedClause(literals, round(rng.uniform(0.05, 1.2), 3)))
+        clauses.append((literals, round(rng.uniform(0.05, 1.2), 3)))
     for _ in range(rng.randint(0, 2)):
         width = rng.randint(2, min(4, n))
         chosen = rng.sample(variables, width)
         literals = tuple((v, rng.random() < 0.5) for v in chosen)
-        clauses.append(WeightedClause(literals, HARD))
-    return WeightedClauseSet(tuple(clauses), tuple(variables), initial)
+        clauses.append((literals, HARD))
+    return clause_set(clauses, variables, initial)

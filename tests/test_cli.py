@@ -340,6 +340,11 @@ class TestBuildGraph:
             ("oracle.json", dict(ORACLE_FIXTURE, negations={"alpha is a mammal": ""})),
             ("oracle.json", dict(ORACLE_FIXTURE, default_score=True)),
             ("oracle.json", dict(ORACLE_FIXTURE, default_entailment_score="0.85")),
+            ("oracle.json", dict(ORACLE_FIXTURE, statement_scores={"alpha is a mammal": 2.0})),
+            ("oracle.json", dict(ORACLE_FIXTURE, statement_scores={"alpha is a mammal": -0.1})),
+            ("oracle.json", dict(ORACLE_FIXTURE, entailment_scores={"a => b": 1.5})),
+            ("oracle.json", dict(ORACLE_FIXTURE, default_score=-1)),
+            ("oracle.json", dict(ORACLE_FIXTURE, default_entailment_score=1.01)),
         ],
         ids=[
             "hypotheses-string",
@@ -363,12 +368,24 @@ class TestBuildGraph:
             "negation-blank",
             "default-score-bool",
             "default-entailment-score-string",
+            "score-above-one",
+            "score-below-zero",
+            "entailment-score-above-one",
+            "default-score-below-zero",
+            "default-entailment-score-above-one",
         ],
     )
     def test_mistyped_question_or_fixture_is_input_error(self, workdir, capsys, name, document):
         (workdir / name).write_text(json.dumps(document))
         assert run_build(workdir) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
+
+    def test_score_out_of_range_names_the_field(self, workdir, capsys):
+        fixture = dict(ORACLE_FIXTURE, statement_scores={"alpha is a mammal": 2.0})
+        (workdir / "oracle.json").write_text(json.dumps(fixture))
+        assert run_build(workdir) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "statement_scores: field 'alpha is a mammal' must be in [0, 1], got 2.0" in err
 
 
 def _graph_argv(workdir, path):
@@ -389,6 +406,29 @@ def _config_argv(workdir, path):
 def _fixture_argv(workdir, path):
     return ["build-graph", str(workdir / "question.json"), "--oracle", f"mock:{path}",
             "-o", str(workdir / "out.json")]
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["reason", "g.json", "-o", "nodir/out.json"], "nodir/out.json"),
+        (["reason", "g.json", "--export-dot", "nodir/x.dot"], "nodir/x.dot"),
+        (["export-dot", "g.json", "-o", "nodir/x.dot"], "nodir/x.dot"),
+        (["build-graph", "question.json", "-o", "nodir/out.json", "--oracle", "mock:oracle.json"],
+         "nodir/out.json"),
+        (["build-graph", "question.json", "--out-dir", "afile", "--oracle", "mock:oracle.json"],
+         "afile"),
+    ],
+    ids=["reason-output", "reason-export-dot", "export-dot-output", "build-output",
+         "build-out-dir-is-a-file"],
+)
+def test_unwritable_output_path_is_input_error(workdir, giraffe_graph, capsys, monkeypatch,
+                                               argv, path):
+    save_graph(giraffe_graph, workdir / "g.json")
+    (workdir / "afile").write_text("")
+    monkeypatch.chdir(workdir)
+    assert main(argv) == EXIT_INPUT
+    assert f"input error: cannot write {path}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [_graph_argv, _question_argv, _config_argv, _fixture_argv])
@@ -941,7 +981,7 @@ class TestRemoteOracle:
             cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True, timeout=60,
         )
-        assert result.returncode == (EXIT_INTERNAL if failing else EXIT_OK), result.stderr
+        assert result.returncode == (EXIT_INPUT if failing else EXIT_OK), result.stderr
         assert (tmp_path / ("out" if failing else ".") / "oracle_cache.jsonl").exists()
         assert "ResourceWarning" not in result.stderr
 

@@ -18,24 +18,27 @@ from beliefgraph import (
     SolveStatus,
     SolverLimitError,
     StatementNode,
-    WeightedClause,
-    WeightedClauseSet,
-    consistency,
     encode,
     reason,
     solve,
     total_cost,
 )
 from beliefgraph import maxsat
-from beliefgraph.dot import to_dot
 from beliefgraph.maxsat import MAX_WIDTH
 from beliefgraph.synthetic import synthetic_graph
 from conftest import acceptance_graphs, rule_clauses
-from reference_solver import brute_force_solve, random_clause_set
+from reference_solver import brute_force_solve, clause_set, literal_clauses, random_clause_set
 
 
 def unit(var, pol, weight):
-    return WeightedClause(((var, pol),), weight)
+    return (((var, pol),), weight)
+
+
+def rebuilt(cs, extra=()):
+    """``cs`` compiled again from its clauses' literals, with ``extra``
+    clauses after them."""
+    labels = dict(zip(cs.variable_order, cs.labels))
+    return clause_set(literal_clauses(cs) + list(extra), cs.variable_order, labels)
 
 
 def unit_edge_clause_set(seed):
@@ -56,38 +59,16 @@ def unit_edge_clause_set(seed):
         for _ in range(rng.randint(0, 2 * n)):
             chosen = rng.sample(variables, rng.randint(2, min(4, n)))
             literals = tuple((v, rng.random() < 0.5) for v in chosen)
-            clauses.append(WeightedClause(literals, weight()))
+            clauses.append((literals, weight()))
     rng.shuffle(clauses)
-    return WeightedClauseSet(tuple(clauses), tuple(variables), initial)
+    return clause_set(clauses, variables, initial)
 
 
 def cs_of(clauses, initial=None):
-    order = tuple(sorted({var for c in clauses for var, _ in c.literals}))
+    order = tuple(sorted({var for literals, _ in clauses for var, _ in literals}))
     labels = {var: True for var in order}
     labels.update(initial or {})
-    return WeightedClauseSet(tuple(clauses), order, labels)
-
-
-class TestClauseValidation:
-    def test_empty_clause_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedClause((), 1.0)
-
-    def test_duplicate_variable_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedClause(((0, True), (0, False)), 1.0)
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError):
-            unit(0, True, 0.0)
-
-    def test_unknown_variable_in_order_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedClauseSet((unit(0, True, 1.0),), (1,), {1: True})
-
-    def test_variable_without_initial_label_rejected(self):
-        with pytest.raises(ValueError, match="initial label"):
-            WeightedClauseSet((unit(0, True, 1.0),), (0, 1), {0: True})
+    return clause_set(clauses, order, labels)
 
 
 class TestEncoding:
@@ -97,7 +78,7 @@ class TestEncoding:
         )
         cs = encode(g)
         assert len(cs.clauses) == 1
-        assert cs.clauses[0] == unit(0, True, 0.9)
+        assert literal_clauses(cs)[0] == unit(0, True, 0.9)
         result = solve(cs)
         assert result.assignment == {0: True}
         assert result.optimal_cost == 0.0
@@ -115,9 +96,9 @@ class TestEncoding:
         cs = encode(giraffe_graph)
         # 5 units + 1 entailment + 2 xor + 1 hard mc + 1 pairwise mc
         assert len(cs.clauses) == 10
-        hard = [c for c in cs.clauses if c.is_hard]
+        hard = [literals for literals, weight in literal_clauses(cs) if weight == HARD]
         assert len(hard) == 1
-        assert hard[0].literals == ((0, True), (1, True))
+        assert hard[0] == ((0, True), (1, True))
 
     def test_hypotheses_order_first(self, giraffe_graph):
         cs = encode(giraffe_graph)
@@ -179,7 +160,7 @@ def small_pinned_graph(seed):
 
 class TestCompiledForm:
     """`encode` compiles a graph straight into the form `solve` reads; the
-    public constructor compiles `WeightedClause`s into the same form."""
+    tests' `clause_set` compiles clause literals into the same form."""
 
     def test_both_ways_in_solve_alike(self):
         for i, graph in enumerate(acceptance_graphs(50)):
@@ -187,11 +168,9 @@ class TestCompiledForm:
             last = max(graph.statements)
             for pins in (None, {h: not graph.statements[h].label, last: True}):
                 direct = encode(graph, pins)
-                rebuilt = WeightedClauseSet(
-                    direct.clauses, direct.variable_order, direct.initial_labels
-                )
-                assert rebuilt.clauses == direct.clauses
-                a, b = solve(direct), solve(rebuilt)
+                again = rebuilt(direct)
+                assert literal_clauses(again) == literal_clauses(direct)
+                a, b = solve(direct), solve(again)
                 assert a.status is b.status, i
                 assert a.assignment == b.assignment, i
                 assert a.optimal_cost == b.optimal_cost, i
@@ -203,24 +182,21 @@ class TestCompiledForm:
     def test_clauses_view_matches_rules(self, giraffe_graph):
         pins = {2: False}
         expected = [
-            WeightedClause(((sid, node.label),), node.confidence)
+            unit(sid, node.label, node.confidence)
             for sid, node in giraffe_graph.statements.items()
             if node.confidence > 0.0
         ]
         for rule in giraffe_graph.rules:
-            expected += [WeightedClause(c, rule.confidence) for c in rule_clauses(rule)]
-        expected.append(WeightedClause(((2, False),), HARD))
-        assert encode(giraffe_graph, pins).clauses == tuple(expected)
+            expected += [(c, rule.confidence) for c in rule_clauses(rule)]
+        expected.append(unit(2, False, HARD))
+        assert literal_clauses(encode(giraffe_graph, pins)) == expected
 
     def test_pinned_small_graphs_match_brute_force(self):
         infeasible = 0
         for seed in range(150):
             graph, pins = small_pinned_graph(seed)
             direct = encode(graph, pins)
-            rebuilt = WeightedClauseSet(
-                direct.clauses, direct.variable_order, direct.initial_labels
-            )
-            a, b, slow = solve(direct), solve(rebuilt), brute_force_solve(direct)
+            a, b, slow = solve(direct), solve(rebuilt(direct)), brute_force_solve(direct)
             assert summary(a) == summary(b), seed
             assert summary(a)[:3] == summary(slow)[:3], seed
             infeasible += a.status is SolveStatus.INFEASIBLE
@@ -242,27 +218,14 @@ class TestCompiledForm:
         with pytest.raises(ValueError, match="missing from variable order"):
             encode(giraffe_graph, {99: True})
 
-    def test_reason_builds_no_clauses(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("clause built on the reasoning path")
-
-        graph = synthetic_graph(0)
-        expected = reason(graph)
-        monkeypatch.setattr(WeightedClause, "__post_init__", forbidden)
-        outcome = reason(graph)
-        assert outcome.final_assignment == expected.final_assignment
-        assert outcome.optimal_cost == expected.optimal_cost
-        consistency(graph, outcome.final_assignment)
-        to_dot(graph, outcome.final_assignment, outcome.discarded_rules)
-
 
 class TestSolve:
     def test_hard_xor_pair(self):
         clauses = [
             unit(0, True, 0.9),
             unit(1, True, 0.6),
-            WeightedClause(((0, True), (1, True)), HARD),
-            WeightedClause(((0, False), (1, False)), HARD),
+            (((0, True), (1, True)), HARD),
+            (((0, False), (1, False)), HARD),
         ]
         result = solve(cs_of(clauses, {0: True, 1: True}))
         assert result.status is SolveStatus.OPTIMAL
@@ -297,17 +260,17 @@ class TestSolve:
         """Two solves of one instance agree in every field, and neither
         changes the compiled form it reads."""
         for cs in (random_clause_set(7), encode(synthetic_graph(0), {0: False})):
-            before = copy.deepcopy((cs._units, cs._tables, cs._clauses))
+            before = copy.deepcopy(cs)
             first = solve(cs)
             second = solve(cs)
             assert first == second
-            assert (cs._units, cs._tables, cs._clauses) == before
+            assert cs == before
 
     def test_width_limit(self):
         # Every pair shares a clause, so the first variable eliminated has
         # MAX_WIDTH + 1 neighbours.
         clauses = [
-            WeightedClause(((a, False), (b, False)), 0.5)
+            (((a, False), (b, False)), 0.5)
             for a, b in combinations(range(MAX_WIDTH + 2), 2)
         ]
         with pytest.raises(SolverLimitError):
@@ -341,7 +304,7 @@ class TestSolve:
 
     def test_free_variables_keep_initial_labels(self):
         clauses = [unit(0, True, 0.5)]
-        cs = WeightedClauseSet(tuple(clauses), (0, 5), {0: True, 5: False})
+        cs = clause_set(clauses, (0, 5), {0: True, 5: False})
         result = solve(cs)
         assert result.assignment == {0: True, 5: False}
 
@@ -422,11 +385,7 @@ class TestProperties:
             if base.status is not SolveStatus.OPTIMAL:
                 continue
             var = cs.variable_order[0]
-            extra = unit(var, not cs.initial_labels[var], 0.4)
-            bigger = WeightedClauseSet(
-                cs.clauses + (extra,), cs.variable_order, cs.initial_labels
-            )
-            grown = solve(bigger)
+            grown = solve(rebuilt(cs, [unit(var, not cs.labels[0], 0.4)]))
             assert grown.optimal_cost >= base.optimal_cost - 1e-9
 
     def test_hard_clauses_always_satisfied(self):
@@ -435,10 +394,10 @@ class TestProperties:
             result = solve(cs)
             if result.status is not SolveStatus.OPTIMAL:
                 continue
-            for clause in cs.clauses:
-                if clause.is_hard:
+            for literals, weight in literal_clauses(cs):
+                if weight == HARD:
                     assert any(
-                        result.assignment[v] == pol for v, pol in clause.literals
+                        result.assignment[v] == pol for v, pol in literals
                     )
 
     @settings(max_examples=25, deadline=None)
@@ -521,7 +480,7 @@ def tie_graphs(draw, shapes):
 
 @st.composite
 def tie_clause_sets(draw, shapes):
-    """The same shapes straight from `WeightedClause`s: up to two units per
+    """The same shapes straight from clause literals: up to two units per
     variable and one or two clauses per group, each in its own literal order
     and with any polarity, in any clause and variable order."""
     n, groups = draw(shapes)
@@ -533,10 +492,10 @@ def tie_clause_sets(draw, shapes):
     for group in groups:
         for _ in range(draw(st.integers(1, 2))):
             literals = tuple((u, draw(st.booleans())) for u in draw(st.permutations(group)))
-            clauses.append(WeightedClause(literals, draw(TIE_WEIGHTS)))
+            clauses.append((literals, draw(TIE_WEIGHTS)))
     order = draw(st.permutations(range(n)))
     initial = {v: draw(st.booleans()) for v in range(n)}
-    return WeightedClauseSet(draw(st.permutations(clauses)), order, initial)
+    return clause_set(draw(st.permutations(clauses)), order, initial)
 
 
 def check_against_brute_force(cs):
@@ -548,14 +507,14 @@ def check_against_brute_force(cs):
     if result.status is SolveStatus.INFEASIBLE:
         assert result.violated == ()
         return
-    clauses = cs.clauses
+    clauses = literal_clauses(cs)
     assert result.violated == tuple(
-        i for i, clause in enumerate(clauses)
-        if not any(result.assignment[v] == pol for v, pol in clause.literals)
+        i for i, (literals, _) in enumerate(clauses)
+        if not any(result.assignment[v] == pol for v, pol in literals)
     )
     cost = 0.0
     for i in result.violated:
-        cost += clauses[i].weight
+        cost += clauses[i][1]
     assert repr(cost) == repr(result.optimal_cost)
 
 

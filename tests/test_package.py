@@ -93,6 +93,24 @@ def test_names_the_benchmark_imports_resolve():
     assert missing == []
 
 
+def test_the_benchmark_runs_on_this_library():
+    """A tiny traced ``acceptance`` run, in a fresh interpreter, reads every
+    attribute perfbench uses (the compiled clauses, solver statistics,
+    ``with_labels(...).without_rules(...)``) and checks every output."""
+    out = run_python(
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "import run\n"
+        "from workloads import Sizes\n"
+        "tiny = Sizes(acceptance_graphs=6, acceptance_prefix=4, cli_graphs=2, cli_prefix=2,\n"
+        "             oracle_questions=3, oracle_vocabulary=20, cli_startups=1)\n"
+        "result, _ = run.run('acceptance', 7, 0.3, True, tiny)\n"
+        "print(json.dumps([result['correct'], result['failed'],\n"
+        "                  result['metrics']['maxsat.clauses']['value']]))\n"
+    )
+    assert json.loads(out) == [True, 0, 218.0]
+
+
 HOT_MODULES = ["maxsat", "model", "reasoner", "metrics", "dot"]
 
 

@@ -20,6 +20,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from beliefgraph import (
+    HARD,
     CalibrationConfig,
     HypothesisSet,
     MockOracle,
@@ -41,25 +42,26 @@ MILP_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE}
 
 
 def milp_optimum(cs):
-    """(status, optimal cost) of the clause set as a 0/1 MILP."""
-    index = {var: i for i, var in enumerate(cs.variable_order)}
+    """(status, optimal cost) of the clause set as a 0/1 MILP, with the
+    variables in their compiled positions."""
+    n = len(cs.variable_order)
     rows, cols, values, lower, weights = [], [], [], [], []
-    for r, clause in enumerate(cs.clauses):
+    for r, (scope, violating, weight, _) in enumerate(cs.clauses):
         negatives = 0
-        for var, pol in clause.literals:
+        for v, bad in zip(scope, violating):
             rows.append(r)
-            cols.append(index[var])
-            values.append(1.0 if pol else -1.0)
-            negatives += not pol
-        if not clause.is_hard:
+            cols.append(v)
+            values.append(-1.0 if bad else 1.0)
+            negatives += bad
+        if weight != HARD:
             rows.append(r)
-            cols.append(len(index) + len(weights))
+            cols.append(n + len(weights))
             values.append(1.0)
-            weights.append(clause.weight)
+            weights.append(weight)
         lower.append(1.0 - negatives)
-    size = len(index) + len(weights)
+    size = n + len(weights)
     matrix = sparse.csr_array((values, (rows, cols)), shape=(len(cs.clauses), size))
-    objective = np.concatenate([np.zeros(len(index)), weights])
+    objective = np.concatenate([np.zeros(n), weights])
     result = milp(
         objective,
         constraints=LinearConstraint(matrix, lower, np.inf),
