@@ -96,6 +96,9 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     if len(questions) == 1 and args.output:
         paths = [Path(args.output)]
         cache_dir = paths[0].parent
+        # A remote oracle's cache goes there too, so check before any query.
+        if not cache_dir.is_dir():
+            raise InputError(f"cannot write {args.output}: no directory {cache_dir}")
     elif args.out_dir is None:
         raise InputError(
             f"{args.input} holds {len(questions)} questions; -o takes exactly one, "

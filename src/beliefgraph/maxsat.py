@@ -1,13 +1,26 @@
 """Weighted partial MaxSAT encoding of a belief graph and an exact solver.
 
-`encode` compiles a graph in one pass into the record `solve` reads,
+`encode` compiles a graph into the record `solve` reads,
 `WeightedClauseSet`, with five fields: the variables in the tie-break order
 (`variable_order`), their initial labels (`labels`), each statement's pair
-of unit costs (`units`), one cost table per wider clause with its violated
-rows set by rule type (`tables`), and every clause in order with the id of
-the rule it encodes (`clauses`), for the reported cost and the violated
-clauses.  The graph was validated when it was built, so encoding checks
-nothing again but the pins.
+of unit costs (`units`), the rule tables conditioned on the settled
+statements (`tables`), and every clause in order with the id of the rule it
+encodes (`clauses`), for the reported cost and the violated clauses.  The
+graph was validated when it was built, so encoding checks nothing again but
+the pins.
+
+A statement is settled when one value is cheaper by more than EPSILON
+whatever its neighbours take: a soft statement whose confidence exceeds its
+reach, the summed weights of its rules, by more than EPSILON keeps its
+label, and a pinned statement with finite reach takes its pin; a statement
+in a HARD rule has infinite reach and is never settled.  This is node
+consistency in weighted CSP (Larrosa and Schiex, AIJ 2004), or label
+hardening in MaxSAT preprocessing (Korhonen et al., SAT 2017).  Every
+optimum, and every near-tie the solver weighs, gives a settled statement
+that value, so `encode` builds each rule's table conditioned on it as it
+goes: a rule that a settled value satisfies gets no table, the settled
+statements leave the others' scopes, and a pair left with one side becomes
+a unit cost on it.  Settled statements are then in no table.
 
 The solver is bucket elimination (Dechter, "Bucket elimination: a unifying
 framework for reasoning", AIJ 1999), which eliminates each variable as a
@@ -16,14 +29,15 @@ smaller position, read off one bit set of variables per degree (one bucket
 per degree, as in Amestoy, Davis and Duff, SIAM J. Matrix Anal. Appl.
 1996).  Unit clauses add up to one pair of costs per variable,
 [cost if false, cost if true]; wider clauses become cost tables.  A violated
-hard clause costs infinity.  Eliminating a variable starts from its unit
-costs, adds the tables that mention it and are not yet used (input tables
-in clause order, then the tables made by earlier eliminations) and
-minimizes it out, which leaves one table over its neighbours, sorted by
-position; the neighbours are joined into a clique.  A variable with one
-or two neighbours, four eliminations in five, has only tables over itself
-and those neighbours left, so its four or eight rows are summed directly,
-in the same order.  Walking the eliminated variables back in reverse order
+hard clause costs infinity.  A variable with unit costs but in no table,
+such as a settled one, is decided first by one comparison.  Eliminating a
+variable starts from its unit costs, adds the tables that mention it and
+are not yet used (input tables in clause order, then the tables made by
+earlier eliminations) and minimizes it out, which leaves one table over
+its neighbours, sorted by position; the neighbours are joined into a
+clique.  A variable with one or two neighbours, four eliminations in
+five, has only tables over itself and those neighbours left, so its four
+or eight rows are summed directly, in the same order.  Walking the eliminated variables back in reverse order
 then recovers the optimal assignment.  Time and memory grow as 2**width,
 where the width is the number of neighbours a variable has when it is
 eliminated.  Belief graphs are nearly trees, so the width stays small; an
@@ -85,10 +99,13 @@ class WeightedClauseSet:
     Variables are numbered by their position in ``variable_order``, the
     tie-break order; ``labels`` holds their initial labels by position.
     ``units`` maps a position to its unit costs [cost if false, cost if
-    true], summed in clause order; ``tables`` holds one cost table per wider
-    clause, in clause order; ``clauses`` lists every clause in order as
-    (scope, the values that violate it, weight, the id of the rule it
-    encodes or None), which the optimal cost is summed over.
+    true], summed in clause order; ``tables`` holds the cost tables of the
+    wider rules conditioned on the settled statements, in clause order,
+    where a rule left with one statement adds to ``units`` and one that a
+    settled value satisfies adds nothing; ``clauses`` lists every clause in
+    full and in order as (scope, the values that violate it, weight, the id
+    of the rule it encodes or None), which the optimal cost and the
+    violated clauses are read from.
     """
 
     variable_order: tuple[StatementId, ...]
@@ -120,11 +137,13 @@ def _add_table(
 class SolveResult:
     """Optimal assignment and its cost.
 
-    ``nodes_explored`` counts the table rows evaluated while eliminating
-    variables; ``width`` is the largest number of neighbours a variable had
-    when it was eliminated.  ``violated`` holds the indices, in clause
-    order, of the clauses the optimal assignment violates; it is empty
-    when the instance is infeasible.
+    ``nodes_explored`` counts the table rows evaluated: 2 for each variable
+    decided by its unit costs alone, before elimination, and 2**(k + 1) for
+    each variable eliminated with k neighbours.  ``width`` is the largest
+    number of neighbours a variable had when it was eliminated.
+    ``violated`` holds the indices, in clause order, of the clauses the
+    optimal assignment violates; it is empty when the instance is
+    infeasible.
     """
 
     assignment: dict[StatementId, bool]
@@ -142,8 +161,10 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     equal to its confidence; each rule contributes its clause(s) at the
     rule's confidence, read off its premises and hypotheses by rule type.
     Zero-confidence statements and rules add no clause.  Pins become hard
-    unit clauses.  `BeliefGraph` and `RuleNode` have checked everything
-    else already, so only the pins are checked here.
+    unit clauses.  Each rule's table is built conditioned on the settled
+    statements (see the module docstring).  `BeliefGraph` and `RuleNode`
+    have checked everything else already, so only the pins are checked
+    here.
     """
     statements = graph.statements
     # The order decides ties: hypotheses first, then descending confidence,
@@ -153,6 +174,20 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     rest.sort(key=lambda sid: -statements[sid].confidence)
     order = tuple(graph.hypotheses) + tuple(rest)
     position = {sid: i for i, sid in enumerate(order)}
+
+    rules = graph.rules
+    # What its rules can add to either value of a statement: their summed
+    # weights, infinite for a statement in a HARD rule.
+    reach = dict.fromkeys(statements, 0.0)
+    for rule in rules:
+        weight = rule.confidence
+        if weight > 0.0:
+            for sid in rule.premise_ids:
+                reach[sid] += weight
+            for sid in rule.hypothesis_ids:
+                reach[sid] += weight
+    # settled statement -> the value every optimum gives it
+    settled: dict[StatementId, bool] = {}
 
     clauses: list[_Clause] = []
     units: dict[int, list[float]] = {}
@@ -164,7 +199,18 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
             v = position[sid]
             clauses.append(((v,), (not node.label,), weight, None))
             units[v] = [weight, 0.0] if node.label else [0.0, weight]
-    for rule in graph.rules:
+            if weight > reach[sid] + EPSILON:
+                settled[sid] = node.label
+    if pins:
+        for sid, value in pins.items():
+            if sid not in position:
+                raise ValueError(f"variable {sid} missing from variable order")
+            if reach[sid] < HARD:
+                settled[sid] = value
+    # Each rule's table is conditioned on its settled statements: a rule
+    # that a settled value satisfies gets none, and otherwise the settled
+    # statements leave its scope.  `clauses` keeps every clause in full.
+    for rule in rules:
         weight = rule.confidence
         if weight <= 0.0:
             continue
@@ -172,23 +218,53 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
         if kind is _XOR_PAIR or kind is _MC_PAIRWISE:
             a, b = rule.hypothesis_ids
             scope = (position[a], position[b])
-            if kind is _XOR_PAIR:
+            xor = kind is _XOR_PAIR
+            if xor:
                 clauses.append((scope, (False, False), weight, rule.id))  # a or b
             clauses.append((scope, (True, True), weight, rule.id))  # not a or not b
-            _add_table(units, tables, scope, (0, 3) if kind is _XOR_PAIR else (3,), weight)
+            sa, sb = settled.get(a), settled.get(b)
+            if sa is None and sb is None:
+                _add_table(units, tables, scope, (0, 3) if xor else (3,), weight)
+            elif sa is None or sb is None:
+                # With one side settled to s, an XOR pair is violated where
+                # the other side is s, a pairwise MC where both are true.
+                v, s = (scope[0], sb) if sa is None else (scope[1], sa)
+                if xor or s:
+                    _add_table(units, tables, (v,), (int(s),), weight)
         else:
             # Entailment and MC_HARD: violated when every premise is true
             # and every hypothesis false.
             premises, conclusions = rule.premise_ids, rule.hypothesis_ids
-            scope = tuple(map(position.__getitem__, premises + conclusions))
+            ids = premises + conclusions
+            scope = tuple(map(position.__getitem__, ids))
             violating = (True,) * len(premises) + (False,) * len(conclusions)
             clauses.append((scope, violating, weight, rule.id))
-            _add_table(units, tables, scope, ((1 << len(premises)) - 1,), weight)
+            if settled.keys().isdisjoint(ids):
+                _add_table(units, tables, scope, ((1 << len(premises)) - 1,), weight)
+                continue
+            # An MC_HARD rule's statements have infinite reach, so this is an
+            # entailment rule, with one conclusion.  A settled premise that
+            # is false or a conclusion that is true satisfies it.
+            (conclusion,) = conclusions
+            held = settled.get(conclusion)
+            if held:
+                continue
+            kept = []
+            for sid in premises:
+                value = settled.get(sid)
+                if value is None:
+                    kept.append(position[sid])
+                elif not value:
+                    break
+            else:
+                row = (1 << len(kept)) - 1
+                if held is None:
+                    kept.append(position[conclusion])
+                if kept:
+                    _add_table(units, tables, tuple(kept), (row,), weight)
     if pins:
         for sid, value in pins.items():
-            v = position.get(sid)
-            if v is None:
-                raise ValueError(f"variable {sid} missing from variable order")
+            v = position[sid]
             clauses.append(((v,), (not value,), HARD, None))
             _add_table(units, tables, (v,), (int(not value),), HARD)
     labels = [statements[sid].label for sid in order]
@@ -234,8 +310,8 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
     # table is set to None once an elimination has used it.
     tables: list[_Table | None] = list(cs.tables)
     # variable -> the indices of the tables that mention it, ascending
-    mentions: dict[int, list[int]] = {v: [] for v in unit}
-    neighbours: dict[int, set[int]] = {v: set() for v in unit}
+    mentions: dict[int, list[int]] = {}
+    neighbours: dict[int, set[int]] = {}
     for i, (scope, _, _) in enumerate(cs.tables):
         for v in scope:
             around = neighbours.get(v)
@@ -245,11 +321,19 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
             else:
                 mentions[v].append(i)
             around.update(scope)
-    # Variables in no clause are absent here and keep their initial labels,
-    # which is optimal and flip-minimal.  The others are eliminated in
-    # min-degree order: bit v of buckets[d] is set while variable v is left
-    # with d neighbours, and the lowest bit of the first non-empty bucket is
-    # eliminated next.
+    # Variables in no clause keep their initial labels, which is optimal and
+    # flip-minimal.  A variable with unit costs but no table flips only where
+    # that costs less by more than EPSILON, as eliminating it would.
+    nodes = 0
+    for v, costs in unit.items():
+        if v not in neighbours:
+            nodes += 2
+            keep = value[v]
+            if costs[not keep] < costs[keep] - EPSILON:
+                value[v] = not keep
+    # The others are eliminated in min-degree order: bit v of buckets[d] is
+    # set while variable v is left with d neighbours, and the lowest bit of
+    # the first non-empty bucket is eliminated next.
     buckets = [0] * (n + 1)
     for v, around in neighbours.items():
         around.discard(v)
@@ -259,7 +343,6 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
     # (variable, remaining scope, whether to flip it for each scope row),
     # for the variables that some row flips
     eliminated: list[tuple[int, tuple[int, ...], list[bool]]] = []
-    nodes = 0
     width = 0
     k = 0
     while neighbours:

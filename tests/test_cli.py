@@ -959,6 +959,27 @@ class TestRemoteOracle:
         # from it alone.
         assert build("parallel", "http://127.0.0.1:9/", 4) == serial
 
+    def test_missing_output_directory_fails_before_any_query(
+        self, workdir, trace_server, monkeypatch, capsys
+    ):
+        """The response cache goes next to ``-o``, so a missing directory
+        there is exit 2 before the oracle is asked anything."""
+        asked = []
+        answer = _TraceHandler.do_POST
+
+        def recorded(handler):
+            asked.append(handler.path)
+            answer(handler)
+
+        monkeypatch.setattr(_TraceHandler, "do_POST", recorded)
+        monkeypatch.chdir(workdir)
+        argv = ["build-graph", "question.json", "--oracle", f"remote:{trace_server}",
+                "-o", "nodir/out.json"]
+        assert main(argv) == EXIT_INPUT
+        assert "input error: cannot write nodir/out.json: no directory nodir" in capsys.readouterr().err
+        assert asked == []
+        assert not (workdir / "nodir").exists()
+
     @pytest.mark.parametrize("failing", [False, True])
     def test_build_closes_the_client(self, tmp_path, trace_server, failing):
         """Under ``-X dev`` an unclosed socket or cache file is reported as a

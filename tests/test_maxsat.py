@@ -1,10 +1,12 @@
 import copy
 import hashlib
+import importlib.util
 import math
 import random
 import sys
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,15 @@ from hypothesis import strategies as st
 from beliefgraph import (
     HARD,
     BeliefGraph,
+    CalibrationConfig,
+    MockOracle,
     RuleNode,
     RuleType,
     SolveStatus,
     SolverLimitError,
     StatementNode,
     encode,
+    generate_graph,
     reason,
     solve,
     total_cost,
@@ -29,6 +34,8 @@ from beliefgraph.synthetic import synthetic_graph
 from conftest import acceptance_graphs, rule_clauses
 from reference_solver import brute_force_solve, clause_set, literal_clauses, random_clause_set
 
+PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+
 
 def unit(var, pol, weight):
     return (((var, pol),), weight)
@@ -36,7 +43,7 @@ def unit(var, pol, weight):
 
 def rebuilt(cs, extra=()):
     """``cs`` compiled again from its clauses' literals, with ``extra``
-    clauses after them."""
+    clauses after them: one table per clause, with no statement settled."""
     labels = dict(zip(cs.variable_order, cs.labels))
     return clause_set(literal_clauses(cs) + list(extra), cs.variable_order, labels)
 
@@ -131,6 +138,13 @@ def summary(result):
     )
 
 
+def no_more_search(settled, unsettled):
+    """Whether a solve of `encode`'s conditioned tables evaluated no more
+    rows and was no wider than a solve of the same clauses in full."""
+    return (settled.nodes_explored <= unsettled.nodes_explored
+            and settled.width <= unsettled.width)
+
+
 def small_pinned_graph(seed):
     """A random graph of 4-12 statements with rules of every type, and up to
     three pins; pinning every hypothesis false makes it infeasible."""
@@ -159,8 +173,9 @@ def small_pinned_graph(seed):
 
 
 class TestCompiledForm:
-    """`encode` compiles a graph straight into the form `solve` reads; the
-    tests' `clause_set` compiles clause literals into the same form."""
+    """`encode` compiles a graph straight into the form `solve` reads, its
+    tables conditioned on the settled statements; the tests' `clause_set`
+    compiles clause literals into the same form, with nothing settled."""
 
     def test_both_ways_in_solve_alike(self):
         for i, graph in enumerate(acceptance_graphs(50)):
@@ -174,7 +189,8 @@ class TestCompiledForm:
                 assert a.status is b.status, i
                 assert a.assignment == b.assignment, i
                 assert a.optimal_cost == b.optimal_cost, i
-                assert (a.nodes_explored, a.width) == (b.nodes_explored, b.width), i
+                assert a.violated == b.violated, i
+                assert no_more_search(a, b), i
 
     def test_clause_count_unchanged(self):
         assert sum(len(encode(g).clauses) for g in acceptance_graphs(200)) == 44017
@@ -197,7 +213,8 @@ class TestCompiledForm:
             graph, pins = small_pinned_graph(seed)
             direct = encode(graph, pins)
             a, b, slow = solve(direct), solve(rebuilt(direct)), brute_force_solve(direct)
-            assert summary(a) == summary(b), seed
+            assert summary(a)[:3] == summary(b)[:3] and a.violated == b.violated, seed
+            assert no_more_search(a, b), seed
             assert summary(a)[:3] == summary(slow)[:3], seed
             infeasible += a.status is SolveStatus.INFEASIBLE
         assert 10 <= infeasible <= 140
@@ -284,17 +301,17 @@ class TestSolve:
         assert sys.getrecursionlimit() == before
 
     def test_nodes_explored_pinned(self):
-        assert solve(encode(synthetic_graph(0))).nodes_explored == 1270
+        assert solve(encode(synthetic_graph(0))).nodes_explored == 850
 
     def test_nodes_and_width_pinned_on_outcome_graphs(self):
         """(nodes_explored, width) of every graph the outcome digest covers,
-        as first computed before the direct degree-1 step."""
+        as first computed with dominated statements settled in `encode`."""
         graphs = [synthetic_graph(seed) for seed in range(100)]
         graphs.append(synthetic_graph(0, 3, 3000, 700))
         pairs = [(r.nodes_explored, r.width) for r in map(solve, map(encode, graphs))]
-        assert sum(nodes for nodes, _ in pairs) == 118958
+        assert sum(nodes for nodes, _ in pairs) == 76130
         assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
-            "1768c1bf43a56b52289d750b6a95d6da69b3352cb539e7e4dfadfbf6f076a3fe"
+            "4c3870d4e20d7177752290c647e51acf7080ba0fd78a554530b6e7f2f43fb78c"
         )
 
     def test_width(self):
@@ -536,10 +553,98 @@ class TestDegreeTwoTies:
     def test_encoded_graphs_match_brute_force(self, graph_and_pins):
         cs = encode(*graph_and_pins)
         check_against_brute_force(cs)
-        assert solve(cs).width == 2
+        # Settled statements leave the tables, so the degree-2 step is
+        # checked on the same clauses in full.
+        assert solve(rebuilt(cs)).width == 2
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(tie_clause_sets(treewidth_two()))
     def test_constructed_clause_sets_match_brute_force(self, cs):
         check_against_brute_force(cs)
         assert solve(cs).width == 2
+
+
+@st.composite
+def boundary_graphs(draw):
+    """A graph around statement 0, whose confidence is its reach (the summed
+    weights of its positive rules) plus EPSILON plus or minus 1e-12, and
+    whether `encode` should settle it.
+
+    Each of up to four neighbours has one rule with statement 0 that
+    outweighs its own confidence, so no neighbour is settled, and perhaps a
+    second, zero-weight or not, and a rule with the next neighbour.  A
+    HARD rule over statement 0 and a neighbour blocks settling, and a pin on
+    statement 0 settles it otherwise.  Weights are dyadic, so every sum is
+    exact but statement 0's confidence."""
+    n = draw(st.integers(1, 4))
+    statements = {
+        v: StatementNode(v, f"s{v}", draw(st.booleans()), draw(st.sampled_from([0.0, 0.03125, 0.0625])))
+        for v in range(1, n + 1)
+    }
+    rules = []
+
+    def rule(pair, weight):
+        kind = draw(st.sampled_from([RuleType.ENTAILMENT, RuleType.XOR_PAIR, RuleType.MC_PAIRWISE]))
+        pair = tuple(draw(st.permutations(pair)))
+        premises = pair[:1] if kind is RuleType.ENTAILMENT else ()
+        rules.append(RuleNode(f"r{len(rules)}", kind, premises, pair[len(premises):], weight))
+
+    for v in range(1, n + 1):
+        rule((0, v), draw(st.sampled_from([0.0625, 0.125])))
+        if draw(st.booleans()):
+            rule((0, v), draw(st.sampled_from([0.0, 0.0625])))
+        if v > 1 and draw(st.booleans()):
+            rule((v - 1, v), draw(st.sampled_from([0.0, 0.0625])))
+    reach = sum(r.confidence for r in rules if 0 in r.statement_ids())
+    above = draw(st.booleans())
+    confidence = reach + maxsat.EPSILON + (1e-12 if above else -1e-12)
+    statements[0] = StatementNode(0, "s0", draw(st.booleans()), confidence)
+    hard = draw(st.booleans())
+    if hard:
+        rules.append(RuleNode("hard", RuleType.MC_HARD, (), (0, draw(st.integers(1, n))), HARD))
+    pins = {0: draw(st.booleans())} if draw(st.booleans()) else {}
+    hypotheses = tuple(draw(st.lists(st.integers(0, n), min_size=1, max_size=2, unique=True)))
+    graph = BeliefGraph(dict(sorted(statements.items())), tuple(draw(st.permutations(rules))), hypotheses)
+    return graph, pins, not hard and (above or bool(pins))
+
+
+class TestSettlingBoundary:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(boundary_graphs())
+    def test_settles_past_epsilon_only(self, case):
+        """Statement 0 is settled, and so in no table, exactly when its
+        confidence exceeds its reach by more than EPSILON or it is pinned,
+        and it is in no HARD rule; either way the solve agrees with the
+        reference and with the same clauses solved in full."""
+        graph, pins, settled = case
+        cs = encode(graph, pins)
+        x = cs.variable_order.index(0)
+        assert settled == all(x not in scope for scope, _, _ in cs.tables)
+        check_against_brute_force(cs)
+        a, b = solve(cs), solve(rebuilt(cs))
+        assert summary(a)[:3] == summary(b)[:3] and a.violated == b.violated
+        assert no_more_search(a, b)
+
+
+def oracle_graphs():
+    """The 20 graphs `generate_graph` builds for the benchmark's oracle
+    workloads on seed 1, through a `MockOracle` of the same tables."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    fixture, questions = inputs.oracle_tables(1, 20, 100)
+    oracle = MockOracle(**fixture)
+    return [generate_graph(q, oracle, CalibrationConfig(d_max=5)) for q in questions]
+
+
+def test_settled_solve_matches_full_solve_beyond_brute_force():
+    """Past the reference's 22 variables: settling changes no assignment,
+    cost or violated clause on the largest synthetic graph and on the
+    shared-premise construction graphs, and never searches more."""
+    graphs = [synthetic_graph(0, 3, 3000, 700), *oracle_graphs()]
+    assert min(len(g.statements) for g in graphs) > 22
+    for i, graph in enumerate(graphs):
+        cs = encode(graph)
+        a, b = solve(cs), solve(rebuilt(cs))
+        assert summary(a)[:3] == summary(b)[:3] and a.violated == b.violated, i
+        assert no_more_search(a, b), i
