@@ -2,8 +2,8 @@
 and DOT export.
 
 Exit codes: 0 ok, 2 input error (including a graph beyond the solver's
-limits and an output path that cannot be written), 3 oracle error,
-4 infeasible, 5 internal.
+limits, an output path that cannot be written and an oracle cache that
+cannot be read), 3 oracle error, 4 infeasible, 5 internal.
 
 A command imports only what it uses: `reason`, `resolve` and `export-dot`
 never load graph construction or the oracle transport.
@@ -59,7 +59,12 @@ def _open_oracle(spec: str, cache_dir: Path) -> Iterator[BeliefOracle]:
     elif kind == "remote" and rest:
         from .oracle_client import RemoteOracle
 
-        with RemoteOracle(rest, cache_path=cache_dir / "oracle_cache.jsonl") as oracle:
+        cache = cache_dir / "oracle_cache.jsonl"
+        try:
+            oracle = RemoteOracle(rest, cache_path=cache)
+        except OSError as exc:  # the cache exists but cannot be read or cut back
+            raise InputError(f"cannot use oracle cache {cache}: {exc.strerror or exc}") from exc
+        with oracle:
             yield oracle
     else:
         raise InputError(f"oracle spec must be mock:<path> or remote:<url>, got {spec!r}")

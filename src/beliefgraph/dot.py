@@ -32,8 +32,7 @@ def to_dot(
     for sid in sorted(graph.statements):
         node = graph.statements[sid]
         fill = "white" if a[sid] else "grey80"
-        shape = "ellipse"
-        attrs = [f"label={_quote(node.text)}", f"fillcolor={fill}", f"shape={shape}"]
+        attrs = [f"label={_quote(node.text)}", f"fillcolor={fill}", "shape=ellipse"]
         if sid in hypotheses:
             attrs.append("penwidth=2")
         lines.append(f"  s{sid} [{', '.join(attrs)}];")
@@ -47,18 +46,16 @@ def to_dot(
             "fillcolor=lightyellow",
             "fontsize=9",
         ]
-        style = []
-        if rule.id in discarded:
-            style.append("dashed")
         if not rule_satisfied(rule, a):
-            attrs.append("color=red")
-            attrs.append("fontcolor=red")
-        if style:
-            attrs.append(f'style="filled,{",".join(style)}"')
-        lines.append(f"  {rule.id} [{', '.join(attrs)}];")
+            attrs += ["color=red", "fontcolor=red"]
+        if rule.id in discarded:
+            attrs.append('style="filled,dashed"')
+        # Quoted, and never the bare s<N> of a statement.
+        node_id = _quote(f"rule:{rule.id}")
+        lines.append(f"  {node_id} [{', '.join(attrs)}];")
         for sid in rule.premise_ids:
-            lines.append(f"  s{sid} -> {rule.id};")
+            lines.append(f"  s{sid} -> {node_id};")
         for sid in rule.hypothesis_ids:
-            lines.append(f"  {rule.id} -> s{sid};")
+            lines.append(f"  {node_id} -> s{sid};")
     lines.append("}")
     return "\n".join(lines) + "\n"

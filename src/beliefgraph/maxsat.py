@@ -5,22 +5,25 @@
 (`variable_order`), their initial labels (`labels`), each statement's pair
 of unit costs (`units`), the rule tables conditioned on the settled
 statements (`tables`), and every clause in order with the id of the rule it
-encodes (`clauses`), for the reported cost and the violated clauses.  The
+encodes (`clauses`), for the reported cost and the violated clauses.  A
+zero-confidence rule's clauses are listed at weight 0 but get no table.  The
 graph was validated when it was built, so encoding checks nothing again but
 the pins.
 
 A statement is settled when one value is cheaper by more than EPSILON
 whatever its neighbours take: a soft statement whose confidence exceeds its
 reach, the summed weights of its rules, by more than EPSILON keeps its
-label, and a pinned statement with finite reach takes its pin; a statement
-in a HARD rule has infinite reach and is never settled.  This is node
-consistency in weighted CSP (Larrosa and Schiex, AIJ 2004), or label
-hardening in MaxSAT preprocessing (Korhonen et al., SAT 2017).  Every
-optimum, and every near-tie the solver weighs, gives a settled statement
-that value, so `encode` builds each rule's table conditioned on it as it
-goes: a rule that a settled value satisfies gets no table, the settled
-statements leave the others' scopes, and a pair left with one side becomes
-a unit cost on it.  Settled statements are then in no table.
+label, and a pinned statement takes its pin; a statement in a HARD rule has
+infinite reach, so only a pin settles it.  This is node consistency in
+weighted CSP (Larrosa and Schiex, AIJ 2004), or label hardening in MaxSAT
+preprocessing (Korhonen et al., SAT 2017).  Every optimum, and every
+near-tie the solver weighs, gives a settled statement that value (every
+feasible assignment gives a pinned statement its pin), so `encode` builds
+each rule's table conditioned on it as it goes: a rule that a settled value
+satisfies gets no table, the settled statements leave the others' scopes,
+and a pair left with one side becomes a unit cost on it.  Settled
+statements are then in no table.  Pins that no assignment satisfies are
+still found, since the reported cost is summed over every clause.
 
 The solver is bucket elimination (Dechter, "Bucket elimination: a unifying
 framework for reasoning", AIJ 1999), which eliminates each variable as a
@@ -54,7 +57,8 @@ integers compares the patterns.  Both parts add up over disjoint sets of
 variables, which keeps elimination exact.  Cost comparisons use absolute
 epsilon 1e-9.  The reported cost is summed over the clauses in their order
 from the final assignment, so it does not depend on the elimination order;
-the same pass lists the violated clauses (`SolveResult.violated`).
+the same pass lists the violated clauses (`SolveResult.violated`), weight-0
+ones included.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from operator import add, itemgetter
 from typing import Mapping
 
 from .errors import SolverLimitError
-from .model import _MC_PAIRWISE, _XOR_PAIR, HARD, BeliefGraph, StatementId
+from .model import HARD, BeliefGraph, RuleType, StatementId
 
 EPSILON = 1e-9
 # The flip integers grow to one bit per variable, so the variable count
@@ -102,9 +106,10 @@ class WeightedClauseSet:
     true], summed in clause order; ``tables`` holds the cost tables of the
     wider rules conditioned on the settled statements, in clause order,
     where a rule left with one statement adds to ``units`` and one that a
-    settled value satisfies adds nothing; ``clauses`` lists every clause in
-    full and in order as (scope, the values that violate it, weight, the id
-    of the rule it encodes or None), which the optimal cost and the
+    settled value satisfies or that has weight 0 adds nothing; ``clauses``
+    lists every clause in full and in order as (scope, the values that
+    violate it, weight, the id of the rule it encodes or None), a
+    zero-confidence rule's at weight 0, which the optimal cost and the
     violated clauses are read from.
     """
 
@@ -120,7 +125,10 @@ def _add_table(
     scope: tuple[int, ...], rows: tuple[int, ...], weight: float,
 ) -> None:
     """Add ``weight`` at the violated ``rows`` of a table over ``scope``;
-    a one-variable table adds to that variable's unit costs instead."""
+    a one-variable table adds to that variable's unit costs instead, and a
+    zero weight adds nothing."""
+    if not weight:
+        return
     if len(scope) == 1:
         costs = units.get(scope[0])
         if costs is None:
@@ -142,8 +150,8 @@ class SolveResult:
     each variable eliminated with k neighbours.  ``width`` is the largest
     number of neighbours a variable had when it was eliminated.
     ``violated`` holds the indices, in clause order, of the clauses the
-    optimal assignment violates; it is empty when the instance is
-    infeasible.
+    optimal assignment violates, weight-0 clauses included; it is empty
+    when the instance is infeasible.
     """
 
     assignment: dict[StatementId, bool]
@@ -160,11 +168,12 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     One soft unit clause per statement asserts its initial label at weight
     equal to its confidence; each rule contributes its clause(s) at the
     rule's confidence, read off its premises and hypotheses by rule type.
-    Zero-confidence statements and rules add no clause.  Pins become hard
-    unit clauses.  Each rule's table is built conditioned on the settled
-    statements (see the module docstring).  `BeliefGraph` and `RuleNode`
-    have checked everything else already, so only the pins are checked
-    here.
+    A zero-confidence statement adds no clause, and a zero-confidence rule
+    adds its clauses at weight 0 and no table.  Pins become hard unit
+    clauses, and a pinned statement takes its pin.  Each rule's table is
+    built conditioned on the settled statements (see the module
+    docstring).  `BeliefGraph` and `RuleNode` have checked everything else
+    already, so only the pins are checked here.
     """
     statements = graph.statements
     # The order decides ties: hypotheses first, then descending confidence,
@@ -181,11 +190,10 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     reach = dict.fromkeys(statements, 0.0)
     for rule in rules:
         weight = rule.confidence
-        if weight > 0.0:
-            for sid in rule.premise_ids:
-                reach[sid] += weight
-            for sid in rule.hypothesis_ids:
-                reach[sid] += weight
+        for sid in rule.premise_ids:
+            reach[sid] += weight
+        for sid in rule.hypothesis_ids:
+            reach[sid] += weight
     # settled statement -> the value every optimum gives it
     settled: dict[StatementId, bool] = {}
 
@@ -205,20 +213,19 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
         for sid, value in pins.items():
             if sid not in position:
                 raise ValueError(f"variable {sid} missing from variable order")
-            if reach[sid] < HARD:
-                settled[sid] = value
+            settled[sid] = value
+            _add_table(units, tables, (position[sid],), (int(not value),), HARD)
     # Each rule's table is conditioned on its settled statements: a rule
     # that a settled value satisfies gets none, and otherwise the settled
     # statements leave its scope.  `clauses` keeps every clause in full.
+    xor_pair, mc_pairwise = RuleType.XOR_PAIR, RuleType.MC_PAIRWISE
     for rule in rules:
         weight = rule.confidence
-        if weight <= 0.0:
-            continue
         kind = rule.rule_type
-        if kind is _XOR_PAIR or kind is _MC_PAIRWISE:
+        if kind is xor_pair or kind is mc_pairwise:
             a, b = rule.hypothesis_ids
             scope = (position[a], position[b])
-            xor = kind is _XOR_PAIR
+            xor = kind is xor_pair
             if xor:
                 clauses.append((scope, (False, False), weight, rule.id))  # a or b
             clauses.append((scope, (True, True), weight, rule.id))  # not a or not b
@@ -235,20 +242,12 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
             # Entailment and MC_HARD: violated when every premise is true
             # and every hypothesis false.
             premises, conclusions = rule.premise_ids, rule.hypothesis_ids
-            ids = premises + conclusions
-            scope = tuple(map(position.__getitem__, ids))
+            scope = tuple(map(position.__getitem__, premises + conclusions))
             violating = (True,) * len(premises) + (False,) * len(conclusions)
             clauses.append((scope, violating, weight, rule.id))
-            if settled.keys().isdisjoint(ids):
-                _add_table(units, tables, scope, ((1 << len(premises)) - 1,), weight)
-                continue
-            # An MC_HARD rule's statements have infinite reach, so this is an
-            # entailment rule, with one conclusion.  A settled premise that
-            # is false or a conclusion that is true satisfies it.
-            (conclusion,) = conclusions
-            held = settled.get(conclusion)
-            if held:
-                continue
+            # A settled premise that is false or a conclusion that is true
+            # satisfies the rule.  Otherwise the unsettled statements stay,
+            # premises first, and the violated row sets the premises' bits.
             kept = []
             for sid in premises:
                 value = settled.get(sid)
@@ -258,15 +257,17 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
                     break
             else:
                 row = (1 << len(kept)) - 1
-                if held is None:
-                    kept.append(position[conclusion])
-                if kept:
-                    _add_table(units, tables, tuple(kept), (row,), weight)
-    if pins:
-        for sid, value in pins.items():
-            v = position[sid]
-            clauses.append(((v,), (not value,), HARD, None))
-            _add_table(units, tables, (v,), (int(not value),), HARD)
+                for sid in conclusions:
+                    value = settled.get(sid)
+                    if value is None:
+                        kept.append(position[sid])
+                    elif value:
+                        break
+                else:
+                    if kept:
+                        _add_table(units, tables, tuple(kept), (row,), weight)
+    if pins:  # their clauses come last, after the rules'
+        clauses += [((position[sid],), (not value,), HARD, None) for sid, value in pins.items()]
     labels = [statements[sid].label for sid in order]
     return WeightedClauseSet(order, labels, units, tables, clauses)
 
@@ -472,38 +473,29 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
             pick = cache.get(key) or _pick(cache, key, k + 1)
             costs = [*map(add, costs, pick(t_costs))]
             if t_flips is not None:
-                if flips is None:
-                    flips = [*pick(t_flips)]
-                else:
-                    flips = [*map(add, flips, pick(t_flips))]
+                flips = [*pick(t_flips)] if flips is None else [*map(add, flips, pick(t_flips))]
+        if flips is None:
+            flips = [0] * size
 
         # For each row of the scope, keep x's initial value unless flipping
         # it costs less, or costs the same and gives a smaller flip pattern.
         kept_costs, flip_costs = costs[keep::2], costs[1 - keep::2]
-        if flips is None:
-            # Flipping x always gives the larger pattern.
-            kept_flips = None
-            flip_x = [fc < kc - EPSILON for fc, kc in zip(flip_costs, kept_costs)]
-        else:
-            kept_flips = flips[keep::2]
-            flip_flips = [f + x_flip for f in flips[1 - keep::2]]
-            flip_x = [
-                fc < kc - EPSILON or (fc <= kc + EPSILON and ff < kf)
-                for fc, kc, ff, kf in zip(flip_costs, kept_costs, flip_flips, kept_flips)
-            ]
+        # x's own bit is added to a flipped row's flips where they are used.
+        kept_flips, flip_flips = flips[keep::2], flips[1 - keep::2]
+        flip_x = [
+            fc < kc - EPSILON or (fc <= kc + EPSILON and ff + x_flip < kf)
+            for fc, kc, ff, kf in zip(flip_costs, kept_costs, flip_flips, kept_flips)
+        ]
         best_costs, best_flips = kept_costs, kept_flips
         if True in flip_x:
             eliminated.append((x, scope, flip_x))
             best_costs = [fc if b else kc for b, fc, kc in zip(flip_x, flip_costs, kept_costs)]
-            if flips is None:
-                best_flips = [x_flip if b else 0 for b in flip_x]
-            else:
-                best_flips = [ff if b else kf for b, ff, kf in zip(flip_x, flip_flips, kept_flips)]
+            best_flips = [ff + x_flip if b else kf for b, ff, kf in zip(flip_x, flip_flips, kept_flips)]
         # A table over no variables is a constant and changes no choice.
         if scope:
             for v in scope:
                 mentions[v].append(len(tables))
-            tables.append((scope, best_costs, best_flips))
+            tables.append((scope, best_costs, best_flips if any(best_flips) else None))
 
     for x, scope, flip_x in reversed(eliminated):
         row = 0

@@ -27,7 +27,7 @@ class RuleType(Enum):
 
 # Reading an Enum member off its class is a descriptor call (≈150 ns on
 # CPython 3.11); the per-rule loops test these module names instead.
-_ENTAILMENT, _XOR_PAIR, _MC_PAIRWISE = RuleType.ENTAILMENT, RuleType.XOR_PAIR, RuleType.MC_PAIRWISE
+_XOR_PAIR, _MC_PAIRWISE = RuleType.XOR_PAIR, RuleType.MC_PAIRWISE
 
 StatementId = int
 Assignment = Mapping[StatementId, bool]

@@ -12,8 +12,7 @@ from typing import Callable, Mapping
 
 from .errors import ReasoningError
 from .maxsat import SolveStatus, encode, solve
-from .model import BeliefGraph, RuleNode, StatementId, rule_satisfied
-from .model import _ENTAILMENT, _checked_graph, _relabel
+from .model import BeliefGraph, RuleNode, RuleType, StatementId
 
 DEFAULT_QUERY_BUDGET = 5
 
@@ -48,9 +47,10 @@ def _supports(updated: BeliefGraph) -> dict[StatementId, list[RuleNode]]:
     """Conclusion id -> the entailment rules concluding it whose premises are
     all believed in the updated graph, in rule order."""
     statements = updated.statements
+    entailment = RuleType.ENTAILMENT
     supports: dict[StatementId, list[RuleNode]] = {}
     for rule in updated.rules:
-        if rule.rule_type is not _ENTAILMENT:
+        if rule.rule_type is not entailment:
             continue
         for p in rule.premise_ids:
             if not statements[p].label:
@@ -92,25 +92,17 @@ def reason(
     flipped = frozenset(
         sid for sid, node in graph.statements.items() if assignment[sid] != node.label
     )
-    # The optimum violates only soft clauses, and each rule clause names its
-    # rule; a zero-confidence rule has no clause, so it is checked here.
-    clauses = cs.clauses
-    discarded = {clauses[i][3] for i in result.violated}
-    discarded.discard(None)
-    kept = []
-    for rule in graph.rules:
-        if rule.id not in discarded and (rule.confidence or rule_satisfied(rule, assignment)):
-            kept.append(rule)
-        else:
-            discarded.add(rule.id)
-    updated = _checked_graph(_relabel(graph.statements, assignment), tuple(kept), graph.hypotheses)
+    # The optimum violates only soft clauses, and each rule clause, a
+    # zero-confidence rule's too, names its rule.
+    discarded = frozenset(cs.clauses[i][3] for i in result.violated) - {None}
+    updated = graph.with_labels(assignment).without_rules(discarded)
     predictions = frozenset(h for h in graph.hypotheses if assignment[h])
     supports = _supports(updated)
     explanations = {h: _explain(supports, h) for h in sorted(predictions)}
     return ReasoningOutcome(
         final_assignment=dict(assignment),
         flipped=flipped,
-        discarded_rules=frozenset(discarded),
+        discarded_rules=discarded,
         updated_graph=updated,
         predictions=predictions,
         explanation_roots=explanations,

@@ -24,12 +24,14 @@ _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def read_json(path: str | Path) -> Any:
-    """Parse a JSON file; an unreadable, non-UTF-8 or malformed file is an InputError."""
+    """Parse a JSON file in UTF-8, UTF-16 or UTF-32, which `json.loads`
+    tells apart by the first bytes (a byte-order mark is allowed); an
+    unreadable or malformed file, or other bytes, is an InputError."""
     try:
         return json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    except (OSError, ValueError) as exc:  # ValueError: non-UTF-8 bytes, an oversized integer
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, an oversized integer
         raise InputError(f"{path}: {exc}") from exc
 
 

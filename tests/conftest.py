@@ -12,6 +12,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,22 @@ def run_python(code: str, stdin: str = "") -> str:
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+@contextmanager
+def serving(server):
+    """Serve ``server``, a loopback HTTP server, on a daemon thread and
+    yield its URL; shut it down on the way out.  Polling every 0.05 s
+    rather than the default 0.5 s keeps each shutdown short."""
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 def acceptance_graphs(count):

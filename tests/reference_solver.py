@@ -7,7 +7,8 @@ no search logic with the solver and is limited to small instances.
 
 A clause here is a pair (literals, weight): the literals are (variable,
 polarity) pairs, and the clause holds when some variable has its polarity.
-The weight is HARD for a hard clause, else positive.
+The weight is HARD for a hard clause, else positive, or 0 for a
+zero-confidence rule's clause as `encode` lists it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 import json
 import os
+import re
 import subprocess
 import sys
-import threading
 from pathlib import Path
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -35,7 +35,7 @@ from beliefgraph.cli import (
 from beliefgraph.oracle_client import OracleTransportError
 from beliefgraph.serialize import InputError, config_digest, dumps
 from beliefgraph.synthetic import synthetic_graph
-from conftest import TRACE_PREMISES, TRACE_SCORES, run_python
+from conftest import TRACE_PREMISES, TRACE_SCORES, run_python, serving
 
 
 ORACLE_FIXTURE = {
@@ -765,6 +765,29 @@ class TestExportDot:
         main(["export-dot", str(workdir / "g.json"), "-o", str(workdir / "g.dot")])
         assert "mc_hard" in (workdir / "g.dot").read_text()
 
+    def test_rule_ids_are_their_own_nodes(self, workdir, capsys):
+        """A rule id that reads as a statement's node id or as DOT syntax
+        still names one node of its own, and every edge joins a statement
+        to a rule."""
+        statements = {sid: StatementNode(sid, f"fact {sid}", True, 0.9) for sid in (0, 1)}
+        rules = (
+            RuleNode("s1", RuleType.ENTAILMENT, (0,), (1,), 0.5),
+            RuleNode("x -> y; z", RuleType.XOR_PAIR, (), (0, 1), 1.1),
+            RuleNode('a"b\\', RuleType.MC_PAIRWISE, (), (0, 1), 0.98),
+        )
+        save_graph(BeliefGraph(statements, rules, (0, 1)), workdir / "g.json")
+        assert main(["export-dot", str(workdir / "g.json")]) == EXIT_OK
+        text = capsys.readouterr().out
+        # A DOT ID here: a bare statement id, or a quoted string with \-escapes.
+        node_id = r'(s\d+|"(?:[^"\\]|\\.)*")'
+        nodes = re.findall(rf"^  {node_id} \[.*\];$", text, re.MULTILINE)
+        edges = re.findall(rf"^  {node_id} -> {node_id};$", text, re.MULTILINE)
+        r0, r1, r2 = rule_ids = ['"rule:s1"', '"rule:x -> y; z"', '"rule:a\\"b\\\\"']
+        assert nodes == ["s0", "s1", *rule_ids]
+        assert edges == [("s0", r0), (r0, "s1"), (r1, "s0"), (r1, "s1"), (r2, "s0"), (r2, "s1")]
+        # Nothing else but the header lines and the closing brace.
+        assert len(text.splitlines()) == 3 + len(nodes) + len(edges) + 1
+
 
 class TestRoundTrip:
     def test_all_fixture_graphs(
@@ -850,13 +873,8 @@ class _TraceHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def trace_server():
-    server = HTTPServer(("127.0.0.1", 0), _TraceHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/"
-    server.shutdown()
-    server.server_close()
-    thread.join()
+    with serving(HTTPServer(("127.0.0.1", 0), _TraceHandler)) as url:
+        yield url
 
 
 class TestRemoteOracle:
@@ -963,7 +981,8 @@ class TestRemoteOracle:
         self, workdir, trace_server, monkeypatch, capsys
     ):
         """The response cache goes next to ``-o``, so a missing directory
-        there is exit 2 before the oracle is asked anything."""
+        there, or a cache there that cannot be read, is exit 2 before the
+        oracle is asked anything."""
         asked = []
         answer = _TraceHandler.do_POST
 
@@ -979,6 +998,14 @@ class TestRemoteOracle:
         assert "input error: cannot write nodir/out.json: no directory nodir" in capsys.readouterr().err
         assert asked == []
         assert not (workdir / "nodir").exists()
+        # A response cache that exists but cannot be read is exit 2 as well.
+        (workdir / "out" / "oracle_cache.jsonl").mkdir(parents=True)
+        argv[-1] = "out/out.json"
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: cannot use oracle cache {Path('out/oracle_cache.jsonl')}: ")
+        assert asked == []
+        assert not (workdir / "out" / "out.json").exists()
 
     @pytest.mark.parametrize("failing", [False, True])
     def test_build_closes_the_client(self, tmp_path, trace_server, failing):
@@ -1032,20 +1059,11 @@ class TestRemoteOracle:
             def log_message(self, *args):
                 pass
 
-        server = HTTPServer(("127.0.0.1", 0), _BadHandler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            from beliefgraph.oracle_client import OracleDecodeError
+        from beliefgraph.oracle_client import OracleDecodeError
 
-            with RemoteOracle(
-                f"http://127.0.0.1:{server.server_address[1]}/", backoff=0.01
-            ) as oracle, pytest.raises(OracleDecodeError):
+        with serving(HTTPServer(("127.0.0.1", 0), _BadHandler)) as url:
+            with RemoteOracle(url, backoff=0.01) as oracle, pytest.raises(OracleDecodeError):
                 oracle.score_statement("anything")
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join()
 
 
 EXIT_CASES = [

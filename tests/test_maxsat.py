@@ -260,12 +260,18 @@ class TestSolve:
         assert result.assignment[0] is True
         assert result.optimal_cost == pytest.approx(0.4)
 
-    def test_zero_confidence_rule_adds_no_clause(self, giraffe_graph):
+    def test_zero_confidence_rule_adds_zero_weight_clauses_and_no_table(self, giraffe_graph):
         rules = tuple(replace(r, confidence=0.0) if r.id == "r1" else r
                       for r in giraffe_graph.rules)
         graph = BeliefGraph(giraffe_graph.statements, rules, giraffe_graph.hypotheses)
-        assert len(encode(graph).clauses) == len(encode(giraffe_graph).clauses) - 2
-        assert solve(encode(graph)).optimal_cost == pytest.approx(0.55)  # flip statement 1
+        zero, full = encode(graph), encode(giraffe_graph)
+        assert zero.clauses == [
+            (scope, bad, 0.0 if rule_id == "r1" else weight, rule_id)
+            for scope, bad, weight, rule_id in full.clauses
+        ]
+        assert [c[2] for c in zero.clauses if c[3] == "r1"] == [0.0, 0.0]
+        assert len(zero.tables) == len(full.tables) - 1
+        assert solve(zero).optimal_cost == pytest.approx(0.55)  # flip statement 1
 
     def test_variable_limit(self, monkeypatch):
         monkeypatch.setattr(maxsat, "MAX_VARIABLES", 5)
@@ -572,10 +578,10 @@ def boundary_graphs(draw):
 
     Each of up to four neighbours has one rule with statement 0 that
     outweighs its own confidence, so no neighbour is settled, and perhaps a
-    second, zero-weight or not, and a rule with the next neighbour.  A
-    HARD rule over statement 0 and a neighbour blocks settling, and a pin on
-    statement 0 settles it otherwise.  Weights are dyadic, so every sum is
-    exact but statement 0's confidence."""
+    second, zero-weight or not, and a rule with the next neighbour.  A pin
+    on statement 0 settles it; otherwise a HARD rule over statement 0 and a
+    neighbour blocks settling.  Weights are dyadic, so every sum is exact
+    but statement 0's confidence."""
     n = draw(st.integers(1, 4))
     statements = {
         v: StatementNode(v, f"s{v}", draw(st.booleans()), draw(st.sampled_from([0.0, 0.03125, 0.0625])))
@@ -605,16 +611,16 @@ def boundary_graphs(draw):
     pins = {0: draw(st.booleans())} if draw(st.booleans()) else {}
     hypotheses = tuple(draw(st.lists(st.integers(0, n), min_size=1, max_size=2, unique=True)))
     graph = BeliefGraph(dict(sorted(statements.items())), tuple(draw(st.permutations(rules))), hypotheses)
-    return graph, pins, not hard and (above or bool(pins))
+    return graph, pins, bool(pins) or (not hard and above)
 
 
 class TestSettlingBoundary:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(boundary_graphs())
     def test_settles_past_epsilon_only(self, case):
-        """Statement 0 is settled, and so in no table, exactly when its
-        confidence exceeds its reach by more than EPSILON or it is pinned,
-        and it is in no HARD rule; either way the solve agrees with the
+        """Statement 0 is settled, and so in no table, exactly when it is
+        pinned, or when it is in no HARD rule and its confidence exceeds its
+        reach by more than EPSILON; either way the solve agrees with the
         reference and with the same clauses solved in full."""
         graph, pins, settled = case
         cs = encode(graph, pins)

@@ -15,6 +15,7 @@ from beliefgraph.oracle_client import (
     OracleTransportError,
     RemoteOracle,
 )
+from conftest import serving
 
 DEAD_ENDPOINT = "http://127.0.0.1:9/"
 
@@ -68,15 +69,8 @@ class _ScoreHandler(BaseHTTPRequestHandler):
 @contextmanager
 def serve(handler=_ScoreHandler):
     server = _CountingServer(handler)
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    try:
-        yield server, f"http://127.0.0.1:{server.server_address[1]}/"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
+    with serving(server) as url:
+        yield server, url
 
 
 def _record(statement: str) -> bytes:
@@ -297,19 +291,10 @@ class TestTransport:
         with pytest.raises(OracleTransportError, match="http: or https:"):
             RemoteOracle("ftp://127.0.0.1/")
         # https: speaks TLS, which a plain-HTTP server cannot answer.
-        server = HTTPServer(("127.0.0.1", 0), _ScoreHandler)
-        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-        thread.start()
-        try:
-            oracle = RemoteOracle(
-                f"https://127.0.0.1:{server.server_address[1]}/", timeout=5, backoff=0.01
-            )
+        with serving(HTTPServer(("127.0.0.1", 0), _ScoreHandler)) as url:
+            oracle = RemoteOracle(url.replace("http:", "https:", 1), timeout=5, backoff=0.01)
             with pytest.raises(OracleTransportError):
                 oracle.score_statement("fact 1")
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
 
 
 @contextmanager

@@ -126,7 +126,8 @@ def _repeated_parts(node: ast.AST) -> list[ast.AST]:
 @pytest.mark.parametrize("module", HOT_MODULES)
 def test_no_enum_member_read_in_a_loop(module):
     """Reading ``RuleType.<member>`` is a descriptor call (≈150 ns on CPython
-    3.11), so the per-rule and per-variable loops test module constants."""
+    3.11), so the per-rule and per-variable loops test names bound outside
+    them."""
     path = Path(beliefgraph.__file__).with_name(f"{module}.py")
     reads = sorted({
         f"{path.name}:{node.lineno}"
@@ -137,3 +138,19 @@ def test_no_enum_member_read_in_a_loop(module):
         and isinstance(node.value, ast.Name) and node.value.id == "RuleType"
     })
     assert reads == []
+
+
+def test_no_module_imports_another_modules_private_names():
+    """A ``_``-prefixed name belongs to the module that defines it: no
+    package module imports one from another."""
+    package = Path(beliefgraph.__file__).parent
+    private = sorted(
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "beliefgraph")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert private == []

@@ -87,8 +87,9 @@ class TestReason:
         )
 
     def test_violated_zero_confidence_rule_is_discarded(self):
-        # The rule adds no clause, so the optimum keeps both labels and
-        # violates it; the hard rule holds and is never discarded.
+        # The rule's clause has weight 0 and no table, so the optimum keeps
+        # both labels and violates it; the hard rule holds and is never
+        # discarded.
         statements = {
             0: StatementNode(0, "a", True, 0.9),
             1: StatementNode(1, "b", False, 0.9),
