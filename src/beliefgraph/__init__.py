@@ -33,6 +33,10 @@ _SUBMODULE_EXPORTS = {
         "ReasoningError",
         "SolverLimitError",
     ),
+    "evaluation": (
+        "DatasetReport",
+        "evaluate_dataset",
+    ),
     "maxsat": (
         "SolveResult",
         "SolveStatus",
@@ -42,10 +46,8 @@ _SUBMODULE_EXPORTS = {
     ),
     "metrics": (
         "ConsistencyReport",
-        "DatasetReport",
         "ablate",
         "consistency",
-        "evaluate_dataset",
         "mc_accuracy",
     ),
     "model": (

@@ -6,12 +6,13 @@ limits, an output path that cannot be written and an oracle cache that
 cannot be read), 3 oracle error, 4 infeasible, 5 internal.
 
 A command imports only what it uses: `reason`, `resolve` and `export-dot`
-never load graph construction or the oracle transport.
+never load graph construction, the oracle transport or dataset evaluation.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -281,5 +282,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point: the ``belief-graph`` script and ``python -m
+    beliefgraph.cli``.
+
+    It freezes the objects made by the imports, which live until exit
+    anyway, so the collections at interpreter shutdown skip them.  The
+    freeze comes before the command runs: whatever the command leaves in a
+    reference cycle, an unclosed file or socket too, is still collected and
+    reported at exit.  `main` itself changes no process-wide state.
+    """
+    gc.freeze()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

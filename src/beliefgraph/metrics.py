@@ -1,17 +1,17 @@
-"""Evaluation quantities: conditional constraint violation, accuracy, ablations."""
+"""Evaluation quantities: conditional constraint violation, accuracy, ablations.
+
+Dataset evaluation, which builds graphs from an oracle, is in `evaluation`.
+"""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .model import Assignment, BeliefGraph, RuleType, clause_counts
-from .reasoner import ReasoningOutcome, reason
 
 if TYPE_CHECKING:
-    from .calibration import CalibrationConfig
-    from .construction import BeliefOracle, HypothesisSet
+    from .reasoner import ReasoningOutcome
 
 # Rule-type groups addressable in ablations; "mc" covers both MC rule kinds.
 ABLATABLE = {
@@ -23,6 +23,15 @@ ABLATABLE = {
 
 @dataclass(frozen=True)
 class ConsistencyReport:
+    """Conditional constraint violation of one assignment (see `consistency`).
+
+    Despite their names, ``applicable_rules`` and ``violated_rules`` count
+    clauses: an XOR pair has two.  ``tau`` is ``violated_rules /
+    applicable_rules``, a ratio over *applicable* clauses only, so a change
+    that makes more clauses applicable can raise it with fewer violated; it
+    is 0 when none applies.  ``self_consistency`` is ``1 - tau``.
+    """
+
     applicable_rules: int
     violated_rules: int
     tau: float
@@ -94,91 +103,3 @@ def ablate(graph: BeliefGraph, masked: Iterable[str]) -> BeliefGraph:
         raise ValueError("mask at least one rule group")
     types = {t for name in masked for t in ABLATABLE[name]}
     return graph.without_rules(r.id for r in graph.rules if r.rule_type in types)
-
-
-@dataclass(frozen=True)
-class QuestionRecord:
-    question_id: str | None
-    consistency_before: float
-    consistency_after: float
-    accuracy_before: float | None
-    accuracy_after: float | None
-    flips: int
-    discarded_rules: int
-
-
-@dataclass(frozen=True)
-class DatasetReport:
-    records: tuple[QuestionRecord, ...]
-    failures: tuple[tuple[str | None, str], ...]
-    consistency_before: float
-    consistency_after: float
-    accuracy_before: float | None
-    accuracy_after: float | None
-
-
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
-
-
-def evaluate_dataset(
-    questions: Sequence[HypothesisSet],
-    oracle: BeliefOracle,
-    cfg: CalibrationConfig | None = None,
-) -> DatasetReport:
-    """Per-question consistency and accuracy, before and after reasoning.
-
-    The before-reasoning accuracy baseline is the argmax of the raw truth
-    scores over the hypotheses, with no graph reasoning at all.
-    """
-    if not questions:
-        raise ValueError("dataset is empty")
-    records: list[QuestionRecord] = []
-    failures: list[tuple[str | None, str]] = []
-    for question in questions:
-        try:
-            records.append(_evaluate_question(question, oracle, cfg))
-        except Exception as exc:
-            warnings.warn(f"question {question.question_id!r} failed: {exc}")
-            failures.append((question.question_id, str(exc)))
-    if not records:
-        raise ValueError("every question in the dataset failed")
-    scored = [r for r in records if r.accuracy_before is not None]
-    return DatasetReport(
-        records=tuple(records),
-        failures=tuple(failures),
-        consistency_before=_mean([r.consistency_before for r in records]),
-        consistency_after=_mean([r.consistency_after for r in records]),
-        accuracy_before=_mean([r.accuracy_before for r in scored]) if scored else None,
-        accuracy_after=_mean([r.accuracy_after for r in scored]) if scored else None,
-    )
-
-
-def _evaluate_question(
-    question: HypothesisSet, oracle: BeliefOracle, cfg: CalibrationConfig | None
-) -> QuestionRecord:
-    from .construction import generate_graph
-
-    graph = generate_graph(question, oracle, cfg)
-    outcome = reason(graph)
-    summary = summarize(graph, outcome)
-
-    accuracy_before = accuracy_after = None
-    if question.gold_index is not None:
-        k = len(question.hypotheses)
-        raw = [graph.statements[h].raw_score or 0.0 for h in graph.hypotheses]
-        baseline = max(range(k), key=lambda i: (raw[i], -i))
-        accuracy_before = mc_accuracy({baseline}, question.gold_index, k)
-        predicted = {
-            i for i, h in enumerate(graph.hypotheses) if h in outcome.predictions
-        }
-        accuracy_after = mc_accuracy(predicted, question.gold_index, k)
-    return QuestionRecord(
-        question_id=question.question_id,
-        consistency_before=summary["self_consistency_before"],
-        consistency_after=summary["self_consistency_after"],
-        accuracy_before=accuracy_before,
-        accuracy_after=accuracy_after,
-        flips=summary["flips"],
-        discarded_rules=summary["discarded_rules"],
-    )

@@ -165,7 +165,7 @@ def _load_cache(path: Path) -> dict[str, dict]:
     # name a bad line.
     try:
         cache = dict(json.loads(b"[" + data[: max(end - 1, 0)].replace(b"\n", b",") + b"]"))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, RecursionError):
         cache = None
     if cache is None or set(map(type, cache)) - {str} or set(map(type, cache.values())) - {dict}:
         cache = _parse_lines(path, data[:end].split(b"\n")[:-1])
@@ -181,7 +181,7 @@ def _parse_lines(path: Path, lines: list[bytes]) -> dict[str, dict]:
     for number, line in enumerate(lines, 1):
         try:
             record = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise OracleDecodeError(f"{path}: line {number}: {exc}") from exc
         if not (
             isinstance(record, list)
@@ -315,19 +315,21 @@ class RemoteOracle:
                 raise OracleTransportError(
                     f"unexpected status {status} from {self.endpoint}"
                 )
+            # A response nested too deeply to parse, or to write back as a
+            # cache line, is malformed as well.
             try:
                 document = json.loads(content)
-            except ValueError as exc:
+                line = (json.dumps([key, document], separators=(",", ":")) + "\n").encode()
+            except (ValueError, RecursionError) as exc:
                 raise OracleDecodeError(f"non-JSON oracle response: {exc}") from exc
             if not isinstance(document, dict):
                 raise OracleDecodeError("oracle response root must be an object")
-            return self._store(key, document)
+            return self._store(key, document, line)
         raise OracleTransportError(
             f"oracle at {self.endpoint} failed after {MAX_ATTEMPTS} attempts: {last_error}"
         )
 
-    def _store(self, key: str, document: dict) -> dict:
-        line = (json.dumps([key, document], separators=(",", ":")) + "\n").encode()
+    def _store(self, key: str, document: dict, line: bytes) -> dict:
         with self._lock:
             if key in self._cache:  # another thread answered it first
                 return self._cache[key]

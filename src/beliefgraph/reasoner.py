@@ -34,6 +34,17 @@ class ExplanationSubgraph:
 
 @dataclass(frozen=True)
 class ReasoningOutcome:
+    """The result of `reason`.
+
+    ``final_assignment`` maps every statement id to its belief in the
+    optimum, and ``flipped`` holds the statements whose belief differs from
+    their oracle label.  ``discarded_rules`` holds the ids of the rules that
+    belief violates, and ``updated_graph`` is the input graph relabelled by
+    it, without those rules.  ``predictions`` are the hypotheses believed
+    true, and ``explanation_roots`` maps each to its `ExplanationSubgraph`.
+    ``optimal_cost`` is the optimum's total weight of violated soft clauses.
+    """
+
     final_assignment: dict[StatementId, bool]
     flipped: frozenset[StatementId]
     discarded_rules: frozenset[str]

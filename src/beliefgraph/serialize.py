@@ -26,13 +26,16 @@ _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def read_json(path: str | Path) -> Any:
     """Parse a JSON file in UTF-8, UTF-16 or UTF-32, which `json.loads`
     tells apart by the first bytes (a byte-order mark is allowed); an
-    unreadable or malformed file, or other bytes, is an InputError."""
+    unreadable or malformed file, other bytes, or nesting deeper than the
+    parser's recursion limit is an InputError."""
     try:
         return json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
     except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, an oversized integer
         raise InputError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
 def dumps(document: dict) -> str:

@@ -1,3 +1,5 @@
+import ast
+import gc
 import json
 import os
 import re
@@ -1101,13 +1103,31 @@ class TestExitCodes:
         )
         assert json.loads(out) == [EXIT_ORACLE, False]
 
+    @pytest.mark.parametrize("deep", ["graph", "question", "fixture", "config"])
+    def test_deeply_nested_json_is_an_input_error(self, workdir, capsys, deep):
+        """Nesting deeper than the parser's recursion limit is exit 2, not 5,
+        in every file a command reads."""
+        (workdir / "deep.json").write_text("[" * 100000 + "]" * 100000)
+        (workdir / "config.json").write_text("{}")
+        files = {name: workdir / f"{name}.json" for name in ("question", "oracle", "config")}
+        files[{"fixture": "oracle"}.get(deep, deep)] = workdir / "deep.json"
+        if deep == "graph":
+            argv = ["reason", str(workdir / "deep.json")]
+        else:
+            argv = ["build-graph", str(files["question"]), "--oracle", f"mock:{files['oracle']}",
+                    "--config", str(files["config"]), "-o", str(workdir / "out.json")]
+        assert main(argv) == EXIT_INPUT
+        message = f"input error: {workdir / 'deep.json'}: JSON nested too deeply\n"
+        assert capsys.readouterr().err == message
+        assert not (workdir / "out.json").exists()
+
 
 class TestDependencies:
     # Loaded by graph construction or the oracle transport only.
     CONSTRUCTION_SIDE = [
         "http.client", "ssl", "email.parser", "concurrent.futures", "hashlib",
         "beliefgraph.construction", "beliefgraph.calibration", "beliefgraph.oracle_client",
-        "beliefgraph.synthetic",
+        "beliefgraph.synthetic", "beliefgraph.evaluation",
     ]
     TRANSPORT = ["http.client", "ssl", "concurrent.futures"]
 
@@ -1173,3 +1193,50 @@ class TestDependencies:
         # which is built on `socket` alone.
         assert "beliefgraph.oracle_client" in after
         assert [m for m in ("http.client", "email.parser", "ssl") if m in after] == []
+
+
+class TestEntryPoint:
+    def test_script_and_main_block_name_one_entry(self):
+        """``belief-graph`` and ``python -m beliefgraph.cli`` start the same way."""
+        package = Path(cli.__file__).resolve().parent
+        pyproject = (package.parents[1] / "pyproject.toml").read_text()
+        script = re.search(r'^belief-graph = "beliefgraph\.cli:(\w+)"$', pyproject, re.M)
+        assert script is not None
+        (block,) = [
+            node for node in ast.parse(Path(cli.__file__).read_text()).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [ast.unparse(statement) for statement in block.body] == [f"{script[1]}()"]
+        assert getattr(cli, script[1]) is cli.run
+
+    def test_entry_freezes_before_the_command(self, tmp_path):
+        """The entry freezes the import-time heap before the command runs, so
+        a file the command leaves in a reference cycle is still collected,
+        and reported under ``-X dev``, at exit."""
+        (tmp_path / "leaked.txt").write_text("x")
+        code = (
+            "import gc, sys\n"
+            "from beliefgraph import cli\n"
+            "def leak(args):\n"
+            "    print(gc.get_freeze_count() > 0)\n"
+            "    held = [open('leaked.txt', 'rb')]\n"
+            "    held.append(held)  # a cycle: only the collector closes the file\n"
+            "    return 0\n"
+            "cli._cmd_export_dot = leak\n"
+            "sys.argv = ['belief-graph', 'export-dot', 'unused.json']\n"
+            "cli.run()\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-c", code], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stdout == "True\n"
+        assert re.search(r"ResourceWarning: unclosed file .*leaked\.txt", result.stderr)
+
+    def test_main_leaves_the_collector_alone(self, workdir, giraffe_graph, capsys):
+        save_graph(giraffe_graph, workdir / "g.json")
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert main(["export-dot", str(workdir / "g.json")]) == EXIT_OK
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)

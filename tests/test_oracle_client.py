@@ -109,7 +109,8 @@ class TestCacheFile:
         with pytest.raises(OracleTransportError):
             oracle.score_statement("fact 3")
 
-    @pytest.mark.parametrize("bad", [b'xx{"broken', b'{"k": 1}', b'["k"]', b""])
+    @pytest.mark.parametrize("bad", [b'xx{"broken', b'{"k": 1}', b'["k"]', b"",
+                                     pytest.param(b"[" * 100000 + b"]" * 100000, id="deep")])
     def test_corrupt_middle_line_names_path_and_line(self, tmp_path, bad):
         path = tmp_path / "cache.jsonl"
         path.write_bytes(_record("fact 1") + bad + b"\n" + _record("fact 2"))
@@ -237,6 +238,66 @@ class TestTransport:
         with serve(ListRoot) as (_, url), closing(RemoteOracle(url)) as oracle:
             with pytest.raises(OracleDecodeError, match="root must be an object"):
                 oracle.score_statement("fact 1")
+
+    @pytest.mark.parametrize("body", [b"[" * 100000 + b"]" * 100000,
+                                      b'{"score": ' + b"[" * 100000 + b"]" * 100000 + b"}"],
+                             ids=["root", "field"])
+    def test_deeply_nested_response_raises_decode_error(self, tmp_path, body):
+        class Deep(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        path = tmp_path / "cache.jsonl"
+        with serve(Deep) as (_, url), closing(RemoteOracle(url, cache_path=path)) as oracle:
+            with pytest.raises(OracleDecodeError, match="non-JSON oracle response: maximum"):
+                oracle.score_statement("fact 1")
+            assert oracle.calls == 1
+        assert not path.exists()
+
+    def test_response_too_deep_to_write_back_raises_decode_error(self, tmp_path):
+        """Just inside the parser's limit a response parses, yet its cache
+        line, one level deeper, cannot be written: a decode error as well."""
+        nesting = {}
+
+        class Nested(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                n = nesting["n"]
+                body = b'{"score": 0.5, "x": ' + b"[" * n + b"]" * n + b"}"
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        path = tmp_path / "cache.jsonl"
+        answered, errors = [], []
+        limit = sys.getrecursionlimit()
+        with serve(Nested) as (_, url), closing(RemoteOracle(url, cache_path=path)) as oracle:
+            for n in range(limit - 200, limit):
+                nesting["n"] = n
+                try:
+                    oracle.score_statement(f"fact {n}")
+                    answered.append(n)
+                except OracleDecodeError as exc:
+                    errors.append(str(exc))
+                    if "while decoding" in str(exc):
+                        break
+        assert answered and answered == list(range(limit - 200, answered[-1] + 1))
+        assert "while encoding" in errors[0] and "while decoding" in errors[-1]
+        assert len(path.read_bytes().splitlines()) == len(answered)
 
     @pytest.mark.parametrize(
         "query, document",

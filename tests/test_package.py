@@ -154,3 +154,19 @@ def test_no_module_imports_another_modules_private_names():
         if alias.name.startswith("_")
     )
     assert private == []
+
+
+def test_only_the_entry_point_touches_the_process():
+    """`cli.run` is the one caller of ``gc.freeze``; nothing calls ``os._exit``,
+    which would skip atexit handlers and the ``-X dev`` checks at exit."""
+    package = Path(beliefgraph.__file__).parent
+    calls = sorted(
+        f"{path.name}:{getattr(top, 'name', '<module>')}: {name}"
+        for path in sorted(package.glob("*.py"))
+        for top in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "attr", getattr(node.func, "id", None)))
+        in ("freeze", "_exit")
+    )
+    assert calls == ["cli.py:run: freeze"]
