@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 _SUBMODULE_EXPORTS = {
     "calibration": (
         "CalibrationConfig",
-        "apply_boundary_damping",
         "calibrate_entailment",
         "calibrate_statement",
         "label_from_score",

@@ -5,15 +5,17 @@ oracle gives (statement truth and entailment) are squashed with
 exp(k * (s - 1)), each with its own k; an entailment also carries an
 importance factor t on top.  XOR and multiple-choice rules are structural:
 their confidence is their importance factor alone.  Also hosts the XOR
-margin filter and boundary damping.
+margin filter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .model import BeliefGraph, RuleType
+# Construction recurses about two frames per level, so this bound keeps a
+# full-depth build well inside the interpreter's default recursion limit.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,8 @@ class CalibrationConfig:
             raise ValueError("m_xor must be in [0, 1]")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must be in (0, 1]")
-        if self.d_max < 0:
-            raise ValueError("d_max must be non-negative")
+        if not 0 <= self.d_max <= MAX_DEPTH:
+            raise ValueError(f"d_max must be in [0, {MAX_DEPTH}], got {self.d_max!r}")
 
 
 def calibrate_statement(s_raw: float, cfg: CalibrationConfig) -> float:
@@ -73,28 +75,3 @@ def xor_admissible(score_h: float, score_negh: float, cfg: CalibrationConfig) ->
     0.8 - 0.5 evaluates slightly above 0.3).
     """
     return abs(score_h - score_negh) - cfg.m_xor > 1e-12
-
-
-def apply_boundary_damping(graph: BeliefGraph, cfg: CalibrationConfig) -> BeliefGraph:
-    """Scale down entailment rules whose premises have no support of their own.
-
-    A premise counts as a leaf when no entailment rule in the graph concludes
-    it.  Applied exactly once, at the end of construction.
-    """
-    concluded = {
-        sid
-        for rule in graph.rules
-        if rule.rule_type is RuleType.ENTAILMENT
-        for sid in rule.hypothesis_ids
-    }
-    rules = []
-    for rule in graph.rules:
-        if (
-            rule.rule_type is RuleType.ENTAILMENT
-            and not rule.is_hard
-            and rule.premise_ids
-            and all(p not in concluded for p in rule.premise_ids)
-        ):
-            rule = replace(rule, confidence=rule.confidence * cfg.beta)
-        rules.append(rule)
-    return BeliefGraph(dict(graph.statements), tuple(rules), graph.hypotheses)

@@ -4,6 +4,8 @@ The oracle answers four kinds of queries: premise generation, statement
 truth scoring, entailment scoring, and negation.  Construction walks each
 hypothesis down to a depth limit, adding entailment rules, negations with
 XOR pairs, and the multiple-choice constraints over the hypothesis set.
+An entailment rule is damped by ``beta`` when it is made if none of its
+premises is concluded by an entailment rule of its own.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Protocol, Sequence
 
 from .calibration import (
     CalibrationConfig,
-    apply_boundary_damping,
     calibrate_entailment,
     calibrate_statement,
     label_from_score,
@@ -156,21 +157,29 @@ class _Builder:
         self.nodes: dict[StatementId, StatementNode] = {}
         self.ids: dict[str, StatementId] = {}
         self.rules: list[RuleNode] = []
+        # Statements that an entailment rule concludes or will conclude.
+        self.concluded: set[StatementId] = set()
         self.xor_pairs: set[frozenset[StatementId]] = set()
 
     def next_rule_id(self) -> str:
         return f"r{len(self.rules)}"
+
+    def error(self, message: str) -> ConstructionError:
+        return ConstructionError(
+            message, statements_built=len(self.nodes), rules_built=len(self.rules)
+        )
 
     def extend(self, text: str, depth: int) -> StatementId:
         canon = canonicalize(text)
         if canon in self.ids:
             return self.ids[canon]
         if len(self.nodes) >= MAX_STATEMENTS:
-            raise ConstructionError(
-                f"statement budget of {MAX_STATEMENTS} exhausted",
-                statements_built=len(self.nodes),
-                rules_built=len(self.rules),
-            )
+            raise self.error(f"statement budget of {MAX_STATEMENTS} exhausted")
+        try:
+            text.encode()
+        except UnicodeEncodeError:
+            # A graph document holding it could not be loaded.
+            raise self.error(f"statement text {text!r} is not a UTF-8 string") from None
         s_d = float(self.oracle.score_statement(text))
         label, raw_conf = label_from_score(s_d)
         sid = len(self.nodes)
@@ -188,15 +197,22 @@ class _Builder:
             # A premise with the statement's own text was dropped above, and
             # any other text gets another id, so no premise id is sid.
             if premises:
+                # Marked before its premises are built: a statement is expanded
+                # only on first reach, so its rule's premises that the finished
+                # graph concludes, a cycle's included, are all marked by then.
+                self.concluded.add(sid)
                 premise_ids = tuple(dict.fromkeys(self.extend(p, depth + 1) for p in premises))
                 s_e = float(self.oracle.score_entailment(premises, text))
+                confidence = calibrate_entailment(s_e, self.cfg)
+                if self.concluded.isdisjoint(premise_ids):  # boundary damping
+                    confidence *= self.cfg.beta
                 self.rules.append(
                     RuleNode(
                         id=self.next_rule_id(),
                         rule_type=RuleType.ENTAILMENT,
                         premise_ids=premise_ids,
                         hypothesis_ids=(sid,),
-                        confidence=calibrate_entailment(s_e, self.cfg),
+                        confidence=confidence,
                         raw_score=s_e,
                     )
                 )
@@ -239,9 +255,9 @@ def generate_graph(
 ) -> BeliefGraph:
     """Build the belief graph for a hypothesis set.
 
-    Each hypothesis is expanded from depth 0; the multiple-choice
+    Each hypothesis is expanded from depth 0, and the multiple-choice
     constraints (one hard at-least-one clause, soft pairwise exclusions)
-    are added over the hypothesis set, and boundary damping runs last.
+    are added over the hypothesis set.
     """
     cfg = cfg or CalibrationConfig()
     builder = _Builder(oracle, cfg)
@@ -252,12 +268,7 @@ def generate_graph(
     except ConstructionError:
         raise
     except Exception as exc:
-        raise ConstructionError(
-            f"oracle failure during construction: {exc}",
-            statements_built=len(builder.nodes),
-            rules_built=len(builder.rules),
-        ) from exc
+        raise builder.error(f"oracle failure during construction: {exc}") from exc
 
     builder.rules.extend(multiple_choice_rules(hyp_ids, len(builder.rules), cfg))
-    graph = BeliefGraph(dict(builder.nodes), tuple(builder.rules), tuple(hyp_ids))
-    return apply_boundary_damping(graph, cfg)
+    return BeliefGraph(builder.nodes, tuple(builder.rules), tuple(hyp_ids))

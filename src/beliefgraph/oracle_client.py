@@ -21,7 +21,8 @@ them; a request sent on a kept-alive connection that the server closed
 while idle is re-sent once on a fresh connection, without a pause and
 without using up an attempt.
 
-The cache is a JSONL file keyed by the canonicalized request: each miss
+The cache is a JSONL file keyed by the canonicalized request, whose
+sorted-key JSON text is also the request body: each miss
 appends one ``[key, document]`` line in a single write, to a handle opened
 on the first miss and kept until `close`, and nothing ever rewrites the
 file, so repeated runs never re-query the backend.  On load a
@@ -294,7 +295,7 @@ class RemoteOracle:
         document = self._cache.get(key)
         if document is not None:
             return document
-        body = json.dumps(payload).encode()
+        body = key.encode()
         last_error: Exception | None = None
         for attempt in range(MAX_ATTEMPTS):
             if attempt:

@@ -1,5 +1,6 @@
-"""Shared hand-built graph fixtures, a fresh-interpreter runner, and the
-Hypothesis profile every property test runs under.
+"""Shared hand-built graph fixtures, the two-pass reference for boundary
+damping, a fresh-interpreter runner, and the Hypothesis profile every
+property test runs under.
 
 The flip/discard expectations for each fixture were derived with the
 brute-force enumerator before being frozen here; the tests re-check them
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import threading
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,7 @@ from beliefgraph import (
     RuleNode,
     RuleType,
     StatementNode,
+    calibrate_entailment,
 )
 from beliefgraph.model import EvaluationError
 from beliefgraph.synthetic import synthetic_graph
@@ -103,6 +106,42 @@ def rule_by_id(graph, rule_id):
         if rule.id == rule_id:
             return rule
     raise KeyError(rule_id)
+
+
+def apply_boundary_damping(graph, cfg):
+    """Reference definition of boundary damping, as a pass over a finished
+    graph: scale by ``beta`` each soft entailment rule none of whose
+    premises is concluded by an entailment rule of the graph."""
+    concluded = {
+        sid
+        for rule in graph.rules
+        if rule.rule_type is RuleType.ENTAILMENT
+        for sid in rule.hypothesis_ids
+    }
+    rules = []
+    for rule in graph.rules:
+        if (
+            rule.rule_type is RuleType.ENTAILMENT
+            and not rule.is_hard
+            and rule.premise_ids
+            and all(p not in concluded for p in rule.premise_ids)
+        ):
+            rule = replace(rule, confidence=rule.confidence * cfg.beta)
+        rules.append(rule)
+    return BeliefGraph(dict(graph.statements), tuple(rules), graph.hypotheses)
+
+
+def two_pass_damping(graph, cfg):
+    """A built graph as the two-pass definition makes it: each entailment
+    rule's confidence calibrated afresh from its raw score, then
+    `apply_boundary_damping` over the whole graph."""
+    rules = tuple(
+        replace(rule, confidence=calibrate_entailment(rule.raw_score, cfg))
+        if rule.rule_type is RuleType.ENTAILMENT
+        else rule
+        for rule in graph.rules
+    )
+    return apply_boundary_damping(replace(graph, rules=rules), cfg)
 
 
 def make_graph(statements, rules, hypotheses):

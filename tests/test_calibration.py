@@ -9,7 +9,6 @@ from beliefgraph import (
     HARD,
     CalibrationConfig,
     RuleType,
-    apply_boundary_damping,
     calibrate_entailment,
     calibrate_statement,
     dumps,
@@ -18,9 +17,10 @@ from beliefgraph import (
     label_from_score,
     xor_admissible,
 )
+from beliefgraph.calibration import MAX_DEPTH
 from beliefgraph.construction import multiple_choice_rules
 from beliefgraph.model import RuleNode
-from conftest import rule_by_id
+from conftest import apply_boundary_damping, rule_by_id
 
 
 CFG = CalibrationConfig()
@@ -112,6 +112,9 @@ class TestXorAdmissibility:
 
 
 class TestBoundaryDamping:
+    """The reference definition that construction is checked against (see
+    test_construction.py and test_pipeline.py), on hand-built graphs."""
+
     def test_leaf_premise_rule_damped(self, weakest_premise_graph):
         damped = apply_boundary_damping(weakest_premise_graph, CFG)
         assert rule_by_id(damped, "r0").confidence == pytest.approx(0.9 * 0.95)
@@ -156,6 +159,9 @@ class TestConfigValidation:
             CalibrationConfig(m_xor=1.5)
         with pytest.raises(ValueError):
             CalibrationConfig(d_max=-1)
+        assert CalibrationConfig(d_max=MAX_DEPTH).d_max == 100
+        with pytest.raises(ValueError, match=r"d_max must be in \[0, 100\], got 101"):
+            CalibrationConfig(d_max=MAX_DEPTH + 1)
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CalibrationConfig)])

@@ -26,6 +26,7 @@ from beliefgraph import (
     save_graph,
 )
 from beliefgraph import cli, errors
+from beliefgraph.calibration import MAX_DEPTH
 from beliefgraph.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -92,6 +93,15 @@ class TestBuildGraph:
         run_build(workdir, "shallow.json", ("--d-max", "0"))
         graph = load_graph(workdir / "shallow.json")
         assert len(graph.statements) == 2
+
+    def test_d_max_above_the_bound_is_input_error(self, workdir, capsys):
+        # An unreachable remote oracle: a query would make this exit 3.
+        code = main(["build-graph", str(workdir / "question.json"), "--oracle",
+                     "remote:http://127.0.0.1:9/", "--d-max", str(MAX_DEPTH + 1),
+                     "-o", str(workdir / "deep.json")])
+        assert code == EXIT_INPUT
+        assert f"d_max must be in [0, {MAX_DEPTH}]" in capsys.readouterr().err
+        assert not (workdir / "deep.json").exists()
 
     def test_multi_question_out_dir(self, workdir):
         questions = [
@@ -302,7 +312,8 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize(
         "config",
-        [{"d_max": 2.5}, {"d_max": True}, {"d_max": "2"}, {"beta": True}, {"k": "9"}],
+        [{"d_max": 2.5}, {"d_max": True}, {"d_max": "2"}, {"beta": True}, {"k": "9"},
+         {"beta": 2}],
     )
     def test_mistyped_config_is_input_error(self, workdir, capsys, config):
         (workdir / "config.json").write_text(json.dumps(config))
@@ -328,6 +339,7 @@ class TestBuildGraph:
             ("question.json", dict(QUESTION, question_id=5)),
             ("question.json", dict(QUESTION, hypotheses=["Alpha is a mammal.", "beta \ud800 x"])),
             ("question.json", dict(QUESTION, question_id="q \ud800")),
+            ("question.json", dict(QUESTION, hypotheses=["A mammal.", "a  MAMMAL"])),
             ("oracle.json", dict(ORACLE_FIXTURE, premises=[])),
             ("oracle.json", dict(ORACLE_FIXTURE, negations=3)),
             ("oracle.json", dict(ORACLE_FIXTURE, premises={"alpha is a mammal": "xyz"})),
@@ -356,6 +368,7 @@ class TestBuildGraph:
             "question-id-int",
             "hypothesis-lone-surrogate",
             "question-id-lone-surrogate",
+            "hypotheses-duplicate",
             "premises-table-list",
             "negations-table-int",
             "premise-value-string",
@@ -433,6 +446,22 @@ def test_unwritable_output_path_is_input_error(workdir, giraffe_graph, capsys, m
     assert f"input error: cannot write {path}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_graph_argv, "document root must be an object"),
+        (_question_argv, "question [0] must be an object"),
+        (_config_argv, "config root must be an object"),
+        (_fixture_argv, "fixture root must be an object"),
+    ],
+    ids=["graph", "question", "config", "fixture"],
+)
+def test_non_object_root_or_entry_is_input_error(workdir, capsys, argv, message):
+    (workdir / "list.json").write_text("[5]")
+    assert main(argv(workdir, workdir / "list.json")) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [_graph_argv, _question_argv, _config_argv, _fixture_argv])
 def test_non_utf8_input_file_is_input_error(workdir, capsys, argv):
     (workdir / "latin1.json").write_bytes(b'{"a": "\xff"}')
@@ -492,6 +521,23 @@ class TestReason:
         assert text.startswith("digraph belief_graph {")
         assert "grey80" in text  # statement 1 flipped to false
 
+    def test_export_dot_dashes_discarded_rules(self, workdir, bad_rule_graph):
+        save_graph(bad_rule_graph, workdir / "g.json")
+        argv = ["reason", str(workdir / "g.json"), "--export-dot", str(workdir / "g.dot")]
+        assert main(argv) == EXIT_OK
+        lines = (workdir / "g.dot").read_text().splitlines()
+        dashed = [line for line in lines if 'style="filled,dashed"' in line]
+        assert len(dashed) == 1 and dashed[0].startswith('  "rule:r0" [')
+
+    def test_no_hypothesis_believed(self, workdir, capsys):
+        statements = [{"id": k, "text": f"option {k}", "label": False, "confidence": 0.9}
+                      for k in range(2)]
+        document = {"schema_version": 1, "hypotheses": [0, 1], "statements": statements,
+                    "rules": []}
+        (workdir / "g.json").write_text(json.dumps(document))
+        assert main(["reason", str(workdir / "g.json")]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "answer: (no hypothesis believed)"
+
     def test_missing_graph_file(self, workdir):
         assert main(["reason", str(workdir / "nope.json")]) == EXIT_INPUT
 
@@ -527,6 +573,8 @@ class TestReason:
             lambda doc: doc["statements"][2].update(negation_of=doc["statements"][2]["id"]),
             lambda doc: doc["statements"][3].update(is_hypothesis=True),
             lambda doc: doc["statements"][1].update(is_hypothesis=False),
+            lambda doc: doc["statements"].__setitem__(1, [1]),
+            lambda doc: doc["rules"].__setitem__(0, "r0"),
         ],
         ids=[
             "statements-not-a-list",
@@ -554,6 +602,8 @@ class TestReason:
             "negation-of-itself",
             "is-hypothesis-not-listed",
             "listed-hypothesis-not-marked",
+            "statement-not-an-object",
+            "rule-not-an-object",
         ],
     )
     def test_mistyped_graph_document_is_input_error(self, workdir, giraffe_graph, capsys, corrupt):
@@ -933,6 +983,18 @@ class TestRemoteOracle:
         )
         assert code == EXIT_ORACLE
         assert "oracle_cache.jsonl: line 2" in capsys.readouterr().err
+
+    def test_text_utf8_cannot_encode_is_oracle_error(self, workdir, trace_server, monkeypatch,
+                                                     capsys):
+        """A premise holding a lone surrogate escape is refused before a graph
+        that could not be loaded is written."""
+        monkeypatch.setitem(TRACE_PREMISES, "alpha is a mammal", ["bad \ud800 premise"])
+        code = main(["build-graph", str(workdir / "question.json"), "--oracle",
+                     f"remote:{trace_server}", "--d-max", "1", "-o", str(workdir / "g.json")])
+        assert code == EXIT_ORACLE
+        err = capsys.readouterr().err
+        assert r"statement text 'bad \ud800 premise' is not a UTF-8 string" in err
+        assert not (workdir / "g.json").exists()
 
     def test_workers_share_one_client(self, tmp_path, trace_server):
         questions = [

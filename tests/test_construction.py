@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefgraph import (
+    BeliefGraph,
     CalibrationConfig,
     ConstructionError,
     HypothesisSet,
@@ -15,9 +17,10 @@ from beliefgraph import (
     generate_graph,
 )
 from beliefgraph import construction
+from beliefgraph.calibration import MAX_DEPTH
 from beliefgraph.construction import entailment_key
 from beliefgraph.serialize import dumps, graph_to_document
-from conftest import TRACE_PREMISES, TRACE_SCORES
+from conftest import TRACE_PREMISES, TRACE_SCORES, two_pass_damping
 
 
 def rule_counts(graph):
@@ -285,6 +288,30 @@ class TestFailureModes:
         with pytest.raises(ConstructionError):
             generate_graph(HypothesisSet(("a", "b")), Broken(), CalibrationConfig(d_max=2))
 
+    @pytest.mark.parametrize("table", ["premises", "negations"])
+    def test_text_utf8_cannot_encode_is_rejected(self, table):
+        """A lone surrogate would make a graph document that does not load."""
+        bad = "bad \ud800 text"
+        oracle = MockOracle(**{table: {"a": [bad] if table == "premises" else bad}})
+        with pytest.raises(ConstructionError, match=re.escape(repr(bad))):
+            generate_graph(HypothesisSet(("A", "B")), oracle, CalibrationConfig(d_max=1))
+
+    def test_chain_at_the_depth_bound_builds(self):
+        """A full-depth chain fits the default recursion limit, with room to spare."""
+        oracle = MockOracle(premises={f"link {k}": [f"link {k + 1}"] for k in range(2 * MAX_DEPTH)})
+        cfg = CalibrationConfig(d_max=MAX_DEPTH)
+
+        def nested(frames):
+            if frames:
+                return nested(frames - 1)
+            return generate_graph(HypothesisSet(("link 0",)), oracle, cfg)
+
+        g = nested(300)
+        # links 0 to MAX_DEPTH, and the negations of all but the last
+        assert len(g.statements) == 2 * MAX_DEPTH + 1
+        assert max(s.depth for s in g.statements.values()) == MAX_DEPTH
+        assert sum(r.rule_type is RuleType.ENTAILMENT for r in g.rules) == MAX_DEPTH
+
 
 class CountingOracle:
     """Forwards every query to an oracle and counts it by kind and canonical text."""
@@ -358,3 +385,36 @@ class TestOracleTraffic:
             sum(counting.counts[kind].values())
             for kind in ("score_statement", "generate_premises", "negate", "score_entailment")
         ) == totals
+
+
+class TestOnePass:
+    """Boundary damping is decided as each entailment rule is made, and the
+    graph is built once."""
+
+    @pytest.mark.parametrize(
+        "oracle, hypotheses, d_max, leaf_rules",
+        [
+            (MockOracle(premises=TRACE_PREMISES, statement_scores=TRACE_SCORES),
+             ("Alpha is a mammal.", "Alpha is a reptile."), 2, 2),
+            (SHARED_PREMISE_ORACLE, ("A", "B", "C"), 5, 0),
+            (SHARED_PREMISE_ORACLE, ("C", "B"), 2, 3),
+        ],
+        ids=["trace-depth-two", "shared-premises", "shared-premises-shallow"],
+    )
+    @pytest.mark.parametrize("beta", [0.95, 0.5])
+    def test_agrees_with_the_two_pass_definition(self, oracle, hypotheses, d_max, leaf_rules,
+                                                 beta):
+        cfg = CalibrationConfig(d_max=d_max, beta=beta)
+        g = generate_graph(HypothesisSet(hypotheses), oracle, cfg)
+        entailments = [r for r in g.rules if r.rule_type is RuleType.ENTAILMENT]
+        concluded = {r.hypothesis_ids[0] for r in entailments}
+        assert sum(concluded.isdisjoint(r.premise_ids) for r in entailments) == leaf_rules
+        assert two_pass_damping(g, cfg) == g
+
+    def test_one_graph_constructed(self, monkeypatch, trace_oracle, trace_hypotheses):
+        built = []
+        post_init = BeliefGraph.__post_init__
+        monkeypatch.setattr(BeliefGraph, "__post_init__",
+                            lambda graph: built.append(graph) or post_init(graph))
+        g = generate_graph(trace_hypotheses, trace_oracle, CalibrationConfig(d_max=2))
+        assert len(built) == 1 and built[0] is g

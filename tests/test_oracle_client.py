@@ -466,9 +466,15 @@ class TestFraming:
             (_sized(b"HTTP/2 200\r\n"), "bad status line"),
             (lambda body: b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\n",
              "bad chunk size"),
+            (lambda body: b"HTTP/1.1 200 OK\r\nContent-Length: 1x\r\n\r\n",
+             "bad Content-Length"),
+            (_sized(b"HTTP/1.1 200 OK\r\n", b"No colon here\r\n"), "bad header line"),
+            (lambda body: b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabcX\r\n",
+             "chunk data not followed by a line break"),
         ],
         ids=["truncated-body", "long-header-line", "too-many-headers", "bad-status-line",
-             "bad-chunk-size"],
+             "bad-chunk-size", "non-digit-content-length", "header-without-colon",
+             "chunk-without-line-break"],
     )
     def test_malformed_response_is_a_failed_attempt(self, reply, message):
         with serve_raw(reply, close=True) as seen:
@@ -477,6 +483,36 @@ class TestFraming:
                     oracle.score_statement("fact 1")
         assert oracle.calls == oracle_client.MAX_ATTEMPTS
         assert seen["connections"] == oracle_client.MAX_ATTEMPTS
+
+    @pytest.mark.parametrize("status", [b"204 No Content", b"304 Not Modified"])
+    def test_bodiless_status_leaves_the_connection_usable(self, status):
+        """A 204 or 304 has no body, so the next response is read from the
+        same connection rather than the client waiting for one."""
+        def reply(body):
+            if json.loads(body)["statement"] == "fact 1":
+                return b"HTTP/1.1 " + status + b"\r\n\r\n"
+            return _sized(b"HTTP/1.1 200 OK\r\n")(body)
+
+        with serve_raw(reply) as seen:
+            with closing(RemoteOracle(seen["url"], timeout=5)) as oracle:
+                message = f"unexpected status {status[:3].decode()}"
+                with pytest.raises(OracleTransportError, match=message):
+                    oracle.score_statement("fact 1")
+                assert oracle.score_statement("fact 2") == 0.002
+            assert seen["connections"] == 1
+        assert oracle.calls == 2
+
+    def test_body_is_the_cache_key(self, tmp_path):
+        answer = b'{"score": 0.5}'
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(answer) + answer
+        with serve_raw(lambda body: reply) as seen:
+            with closing(RemoteOracle(seen["url"], cache_path=tmp_path / "c.jsonl")) as oracle:
+                assert oracle.score_entailment(["Fact 2.", "fact 1"], "Fact 3") == 0.5
+        body = seen["requests"][0].partition(b"\r\n\r\n")[2]
+        key, _ = json.loads((tmp_path / "c.jsonl").read_text())
+        assert body == key.encode() == (
+            b'{"hypothesis": "fact 3", "op": "score_entailment", "premises": ["fact 2", "fact 1"]}'
+        )
 
     def test_request_carries_its_headers(self):
         with serve_raw(_sized(b"HTTP/1.1 200 OK\r\n")) as seen:
@@ -514,6 +550,7 @@ class TestFraming:
             "http://127.0.0.1:9/\x7f",
             "http://127.0.0.1:9/ ",
             "http://127.0.0.1:9/é",
+            "http:///no-host",
         ],
     )
     def test_bad_endpoint_rejected_up_front(self, endpoint):

@@ -1,5 +1,6 @@
 """Properties of the whole pipeline, from random oracle tables through
-construction, the graph document, reasoning and the updated graph."""
+construction (boundary damping checked against its two-pass definition),
+the graph document, reasoning and the updated graph."""
 
 import json
 from dataclasses import replace
@@ -24,6 +25,7 @@ from beliefgraph import (
 )
 from beliefgraph.construction import canonicalize
 from beliefgraph.serialize import dumps
+from conftest import two_pass_damping
 from reference_solver import BRUTE_FORCE_MAX_VARIABLES, brute_force_solve
 
 SCORES = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.55, 0.7, 0.9, 1.0])
@@ -67,6 +69,7 @@ def test_pipeline_properties(case):
     cfg = CalibrationConfig(d_max=d_max)
     built = generate_graph(question, oracle, cfg)
     assert generate_graph(question, oracle, cfg) == built
+    assert two_pass_damping(built, cfg) == built
     rules = tuple(
         replace(rule, confidence=0.0) if i in zeroed and not rule.is_hard else rule
         for i, rule in enumerate(built.rules)

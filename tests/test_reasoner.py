@@ -225,6 +225,14 @@ class TestExplanations:
         sub = extract_explanation(reason(g), 0)
         assert set(sub.rule_ids) == {"ra", "rb"}
 
+    def test_believed_statement_that_is_no_hypothesis(self, flip_to_true_graph):
+        outcome = reason(flip_to_true_graph)
+        assert 2 not in outcome.explanation_roots
+        sub = extract_explanation(outcome, 2)
+        assert sub.statement_ids == {2} and sub.rule_ids == ()
+        sub = extract_explanation(outcome, 0)
+        assert sub is outcome.explanation_roots[0]
+
     def test_disbelieved_root_rejected(self, giraffe_graph):
         outcome = reason(giraffe_graph)
         with pytest.raises(ValueError):
@@ -249,6 +257,19 @@ class TestInteractiveResolution:
         assert asked == ["a graduated cylinder is used to measure liquids"]
         assert outcome.discarded_rules == frozenset()
         assert outcome.predictions == {1}
+
+    def test_stops_once_every_conflicting_statement_is_pinned(self, bad_rule_graph):
+        """Verdicts that keep the conflict pin each statement of the discarded
+        rule once, and then the loop stops with budget left."""
+        asked = []
+
+        def keep_labels(text):
+            asked.append(text)
+            return next(s.label for s in bad_rule_graph.statements.values() if s.text == text)
+
+        outcome = resolve_interactive(bad_rule_graph, keep_labels, budget=10)
+        assert len(asked) == 3 and len(set(asked)) == 3
+        assert outcome.discarded_rules == {"r0"}
 
     def test_no_conflicts_no_queries(self, giraffe_graph):
         asked = []
