@@ -4,8 +4,8 @@ The oracle answers four kinds of queries: premise generation, statement
 truth scoring, entailment scoring, and negation.  Construction walks each
 hypothesis down to a depth limit, adding entailment rules, negations with
 XOR pairs, and the multiple-choice constraints over the hypothesis set.
-An entailment rule is damped by ``beta`` when it is made if none of its
-premises is concluded by an entailment rule of its own.
+An entailment rule is damped by ``beta`` when it is made if no entailment
+rule concludes any of its premises.
 """
 
 from __future__ import annotations
