@@ -38,6 +38,7 @@ from .serialize import (
     load_questions,
     outcome_to_document,
     save_graph,
+    write_whole,
 )
 
 if TYPE_CHECKING:
@@ -157,7 +158,7 @@ def _report(graph, outcome, output: str | None) -> None:
     summary = summarize(graph, outcome)
     if output:
         with _writing(output):
-            Path(output).write_text(dumps(outcome_to_document(outcome, summary)))
+            write_whole(output, dumps(outcome_to_document(outcome, summary)))
     print(f"tau before reasoning:  {summary['tau_before']:.4f}")
     print(f"tau after reasoning:   {summary['tau_after']:.4f}")
     print(f"{summary['flips']} flips, {summary['discarded_rules']} rules discarded")
@@ -174,8 +175,9 @@ def _cmd_reason(args: argparse.Namespace) -> int:
     outcome = reason(graph)
     if args.export_dot:
         with _writing(args.export_dot):
-            Path(args.export_dot).write_text(
-                to_dot(full_graph, outcome.final_assignment, outcome.discarded_rules)
+            write_whole(
+                args.export_dot,
+                to_dot(full_graph, outcome.final_assignment, outcome.discarded_rules),
             )
     _report(full_graph, outcome, args.output)
     return EXIT_OK
@@ -215,7 +217,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     text = to_dot(graph)
     if args.output:
         with _writing(args.output):
-            Path(args.output).write_text(text)
+            write_whole(args.output, text)
     else:
         print(text, end="")
     return EXIT_OK

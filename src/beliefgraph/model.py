@@ -37,7 +37,9 @@ class EvaluationError(KeyError):
     """A rule or cost evaluation referenced a statement missing from the assignment."""
 
 
-@dataclass(frozen=True)
+# The two node records are slotted: a graph holds thousands of them, and
+# an instance without a ``__dict__`` is 48 bytes smaller on CPython 3.11.
+@dataclass(frozen=True, slots=True)
 class StatementNode:
     """A natural-language statement with a believed label and confidence."""
 
@@ -58,7 +60,7 @@ class StatementNode:
             raise ValueError("statement depth must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleNode:
     """A disjunctive constraint, viewed as conjunctive premises -> disjunctive hypotheses.
 
@@ -157,6 +159,9 @@ def _checked_graph(statements: dict, rules: tuple, hypotheses: tuple) -> BeliefG
     return graph
 
 
+_STATEMENT_FIELDS = StatementNode.__slots__
+
+
 def _relabel(
     statements: Mapping[StatementId, StatementNode], assignment: Assignment
 ) -> dict[StatementId, StatementNode]:
@@ -166,9 +171,10 @@ def _relabel(
         label = bool(assignment[sid])
         if node.label is not label:
             # Only the label changes, and `StatementNode` does not check it.
-            fields = node.__dict__
-            node = object.__new__(StatementNode)
-            node.__dict__.update(fields, label=label)
+            flipped = object.__new__(StatementNode)
+            for name in _STATEMENT_FIELDS:
+                object.__setattr__(flipped, name, label if name == "label" else getattr(node, name))
+            node = flipped
         relabelled[sid] = node
     return relabelled
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -143,15 +145,19 @@ def _int(value: Any, key: str, where: str) -> int:
 
 
 def _number(value: Any, key: str, where: str) -> float:
-    """A finite JSON number, never a bool or a string; integers become floats."""
+    """A finite JSON number, never a bool or a string; an integer becomes
+    the float equal to it, and one that no float equals is rejected."""
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
             number = float(value)
         except OverflowError:
             number = math.inf
-        if math.isfinite(number):
+        if math.isfinite(number) and number == value:
             return number
-    raise InputError(f"{where}: field {key!r} must be a finite number, got {value!r}")
+    raise InputError(
+        f"{where}: field {key!r} must be a finite number that a float holds exactly, "
+        f"got {value!r}"
+    )
 
 
 def _score(value: Any, key: str, where: str) -> float:
@@ -209,6 +215,12 @@ def document_to_graph(document: dict) -> BeliefGraph:
     version = _int(_require(document, "schema_version", "document"), "schema_version", "document")
     if version != SCHEMA_VERSION:
         raise InputError(f"document: unsupported schema_version {version!r}")
+    # Not read here, but `graph_to_document` writes an object, so no other value holds.
+    provenance = document.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise InputError(
+            f"document: field 'provenance' must be an object, got {type(provenance).__name__}"
+        )
     hypotheses = _ints(document, "hypotheses", "document")
     statements: dict[int, StatementNode] = {}
     for i, entry in enumerate(_list(document, "statements", "document")):
@@ -268,8 +280,40 @@ def document_to_graph(document: dict) -> BeliefGraph:
         raise InputError(f"document: {exc}") from exc
 
 
+def write_whole(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` so that the file appears whole or not at all.
+
+    The text goes to a temporary file beside the target, made with the mode
+    `Path.write_text` gives a new file (0o666 less the umask), which then
+    replaces the target.  A write that raises, an interrupt included,
+    leaves the old file, or none, and no temporary file; a killed process
+    may leave a temporary file, but never a partial target.  A symbolic
+    link is followed, so its target is replaced.  A path that names
+    something other than a regular file, such as a pipe or a device, is
+    written in place.
+    """
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        Path(path).write_text(text)
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(descriptor, "w") as file:
+            file.write(text)
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
 def save_graph(graph: BeliefGraph, path: str | Path, provenance: dict | None = None) -> None:
-    Path(path).write_text(dumps(graph_to_document(graph, provenance)))
+    write_whole(path, dumps(graph_to_document(graph, provenance)))
 
 
 def load_graph(path: str | Path) -> BeliefGraph:

@@ -1,6 +1,7 @@
 import ast
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,16 +17,19 @@ from beliefgraph import (
     HARD,
     BeliefGraph,
     CalibrationConfig,
+    HypothesisSet,
+    MockOracle,
     RemoteOracle,
     RuleNode,
     RuleType,
     StatementNode,
     document_to_graph,
+    generate_graph,
     graph_to_document,
     load_graph,
     save_graph,
 )
-from beliefgraph import cli, errors
+from beliefgraph import cli, errors, serialize
 from beliefgraph.calibration import MAX_DEPTH
 from beliefgraph.cli import (
     EXIT_INFEASIBLE,
@@ -446,6 +450,110 @@ def test_unwritable_output_path_is_input_error(workdir, giraffe_graph, capsys, m
     assert f"input error: cannot write {path}:" in capsys.readouterr().err
 
 
+class _FailingFile:
+    """A text file that writes half of what it is given and then raises."""
+
+    def __init__(self, file, error):
+        self.file, self.error = file, error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+    def write(self, text):
+        self.file.write(text[: len(text) // 2])
+        self.file.flush()
+        raise self.error
+
+
+def _fail_writes(monkeypatch, error):
+    """Make every output write of the package fail partway through."""
+    monkeypatch.setattr(serialize, "open", lambda fd, mode: _FailingFile(open(fd, mode), error),
+                        raising=False)
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["replacing", "new"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reason", "g.json", "-o", "out"],
+        ["reason", "g.json", "--export-dot", "out"],
+        ["resolve", "g.json", "-o", "out"],
+        ["export-dot", "g.json", "-o", "out"],
+        ["build-graph", "question.json", "-o", "out", "--oracle", "mock:oracle.json"],
+    ],
+    ids=["reason-output", "reason-export-dot", "resolve-output", "export-dot-output",
+         "build-output"],
+)
+def test_failed_write_leaves_the_old_file_or_none(workdir, giraffe_graph, capsys, monkeypatch,
+                                                  argv, existing):
+    import io
+
+    save_graph(giraffe_graph, workdir / "g.json")
+    if existing:
+        (workdir / "out").write_text("old")
+    before = sorted(p.name for p in workdir.iterdir())
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    _fail_writes(monkeypatch, OSError(28, "No space left on device"))
+    assert main(argv) == EXIT_INPUT
+    assert "input error: cannot write out: No space left on device" in capsys.readouterr().err
+    assert sorted(p.name for p in workdir.iterdir()) == before
+    if existing:
+        assert (workdir / "out").read_text() == "old"
+
+
+def test_interrupted_save_leaves_the_old_file(tmp_path, giraffe_graph, monkeypatch):
+    (tmp_path / "g.json").write_text("old")
+    _fail_writes(monkeypatch, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        save_graph(giraffe_graph, tmp_path / "g.json")
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+    assert (tmp_path / "g.json").read_text() == "old"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_written_file_has_write_text_mode(tmp_path, giraffe_graph, umask):
+    previous = os.umask(umask)
+    try:
+        (tmp_path / "reference").write_text("")
+        save_graph(giraffe_graph, tmp_path / "g.json")
+        (tmp_path / "old").write_text("")
+        os.chmod(tmp_path / "old", 0o600)
+        serialize.write_whole(tmp_path / "old", "new")
+    finally:
+        os.umask(previous)
+    mode = (tmp_path / "reference").stat().st_mode
+    assert mode & 0o777 == 0o666 & ~umask
+    assert (tmp_path / "g.json").stat().st_mode == (tmp_path / "old").stat().st_mode == mode
+    assert (tmp_path / "old").read_text() == "new"
+
+
+def test_write_follows_a_symbolic_link(tmp_path):
+    (tmp_path / "target").write_text("old")
+    (tmp_path / "link").symlink_to("target")
+    serialize.write_whole(tmp_path / "link", "new")
+    assert (tmp_path / "link").is_symlink()
+    assert (tmp_path / "target").read_text() == "new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "target"]
+
+
+def test_a_pipe_is_written_in_place(tmp_path):
+    import threading
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    serialize.write_whole(fifo, "through the pipe")
+    reader.join(10)
+    assert received == ["through the pipe"]
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"] and fifo.is_fifo()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -685,11 +793,11 @@ FIELDS = st.one_of(
 
 def holds(sent, back):
     """Whether ``back`` is ``sent`` with the same JSON types, except that an
-    integer may come back as the float nearest to it."""
+    integer may come back as a float of exactly its value."""
     if isinstance(sent, bool) or isinstance(back, bool):
         return sent is back
     if isinstance(sent, int) and isinstance(back, float):
-        return back == float(sent)
+        return back == sent  # exact: 2**53 + 1 differs from 2.0**53
     if type(sent) is not type(back):
         return False
     if isinstance(sent, list):
@@ -722,6 +830,102 @@ def test_graph_document_field_is_literal_or_rejected(workdir, giraffe_graph, fie
         assert holds(dict(doc, provenance={}), back)
     (workdir / "g.json").write_text(text)
     assert main(["reason", str(workdir / "g.json")]) != EXIT_INTERNAL
+
+
+def _fuzz_bases():
+    """Valid graph documents that hold every field: one built from an
+    oracle (raw scores, negations, depths, every rule type, a hard rule)
+    with a provenance, and one synthetic."""
+    oracle = MockOracle(premises=TRACE_PREMISES, statement_scores=TRACE_SCORES)
+    built = generate_graph(HypothesisSet(("Alpha is a mammal.", "Alpha is a reptile.")),
+                           oracle, CalibrationConfig())
+    provenance = {"oracle": "mock:oracle.json", "config_digest": "0" * 64, "seed": 7}
+    return [graph_to_document(built, provenance),
+            graph_to_document(synthetic_graph(0, 3, 60, 15))]
+
+
+FUZZ_BASES = _fuzz_bases()
+# What a number field may get instead: strings, bools, null, NaN and
+# infinities, and integers too large for a float or for exactly one.
+NOT_A_NUMBER = st.sampled_from(
+    ["0.5", "", True, False, None, math.nan, math.inf, -math.inf,
+     2**53 + 1, -(2**64) - 1, 2**64, 10**400, -(10**400)]
+)
+@st.composite
+def field_mutations(draw):
+    """A base document and one of its fields, at the root, in a statement or
+    in a rule, dropped, retyped, re-nested or given a non-number."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    where = draw(st.sampled_from(["root", "statements", "rules"]))
+    entry = doc if where == "root" else draw(st.sampled_from(doc[where]))
+    kind = draw(st.sampled_from(["drop", "retype", "re-nest", "not a number"]))
+    numbers = sorted(k for k, v in entry.items() if v is None or type(v) in (int, float))
+    key = draw(st.sampled_from(numbers if kind == "not a number" else sorted(entry)))
+    value = entry[key]
+    if kind == "drop":
+        del entry[key]
+    elif kind == "retype":
+        entry[key] = draw(st.sampled_from([json.dumps(value), True, None, 1, 0.25, [], {}, "x"]))
+    elif kind == "re-nest":
+        nestings = [[value], {"value": value}]
+        if isinstance(value, list) and value:
+            nestings += [[[item] for item in value], value[0]]
+        entry[key] = draw(st.sampled_from(nestings))
+    else:
+        entry[key] = draw(NOT_A_NUMBER)
+    return doc
+
+
+def with_defaults(doc):
+    """``doc`` as its loader reads it: each absent optional field at its
+    documented default, and the statements, a set keyed by id, in id order."""
+    hypotheses = set(doc["hypotheses"])
+    statements = [{"depth": 0, "negation_of": None, "raw_score": None,
+                   "is_hypothesis": s["id"] in hypotheses, **s} for s in doc["statements"]]
+    rules = [{"premises": [], "raw_score": 1.0, "hard": False,
+              **({"confidence": None} if r.get("hard") else {}), **r} for r in doc["rules"]]
+    return {"provenance": {}, **doc, "statements": sorted(statements, key=lambda s: s["id"]),
+            "rules": rules}
+
+
+# The working directory is only rewritten whole by each example.
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=field_mutations())
+def test_mutated_graph_document_is_literal_or_exit_2(workdir, doc):
+    text = json.dumps(doc)
+    try:
+        graph = document_to_graph(json.loads(text))
+    except InputError:
+        (workdir / "g.json").write_text(text)
+        assert main(["reason", str(workdir / "g.json")]) == EXIT_INPUT
+    else:
+        expected = with_defaults(doc)
+        back = dumps(graph_to_document(graph, expected["provenance"]))
+        assert holds(expected, json.loads(back))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.update(provenance=None),
+        lambda doc: doc["rules"][0].update(raw_score=2**53 + 1),
+        lambda doc: doc["statements"][0].update(confidence=math.nan),
+        lambda doc: doc.update(hypotheses=[[h] for h in doc["hypotheses"]]),
+    ],
+    ids=["null-provenance", "inexact-integer", "nan-confidence", "nested-hypotheses"],
+)
+def test_mutated_graph_document_exits_2_from_the_command_line(tmp_path, mutate):
+    doc = json.loads(json.dumps(FUZZ_BASES[0]))
+    mutate(doc)
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "beliefgraph.cli", "reason", "g.json"], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == EXIT_INPUT, result.stderr
+    assert result.stderr.startswith("input error: ")
 
 
 class TestResolve:
@@ -1214,7 +1418,7 @@ class TestDependencies:
         lines = run_python(code, stdin="y\n" * 10).splitlines()
         steps = json.loads(lines[-1])
         assert list(steps) == ["import", "reason", "export-dot", "resolve"]
-        unwanted = self.CONSTRUCTION_SIDE + ["numpy", "requests", "urllib3"]
+        unwanted = self.CONSTRUCTION_SIDE + ["numpy", "requests", "urllib3", "tempfile"]
         for step, modules in steps.items():
             assert [m for m in unwanted if m in modules] == [], step
 
