@@ -1,17 +1,17 @@
 """The output invariant as digests: graph and outcome documents of the
-construction sweep stay byte-identical.
+construction sweep, pinned and interactive outcomes, compiled clauses and
+DOT text stay byte-identical.
 
 The sweep builds 800 graphs from `perfbench/inputs.oracle_tables`: seeds
 1-5, then vocabulary 20 and 100, then `d_max` 1, 2, 3 and 5, with each
 table's 20 questions in order.  Each fixture goes through a file and
 `load_mock_oracle`, as `build-graph --oracle mock:<path>` reads it.
 
-To recompute a digest, run the sweep below and take the first 16 hex
-digits of the SHA-256 over the concatenated texts:
-`GRAPH_DIGEST` over `dumps(graph_to_document(g))` of every graph, and
-`SWEEP_OUTCOME_DIGEST` over `dumps(outcome_to_document(o, summarize(g, o)))`
-with `o = reason(g)`.  A change that moves either names the change and its
-reason in CHANGES.md.
+Each digest is the first 16 hex digits of the SHA-256 over the
+concatenated texts that its comment names; recompute one by running the
+loop of its test.  ``document(g, o)`` stands for
+`dumps(outcome_to_document(o, summarize(g, o)))`.  A change that moves a
+digest names the change and its reason in CHANGES.md.
 """
 
 import hashlib
@@ -19,7 +19,12 @@ import importlib.util
 import json
 from pathlib import Path
 
-from beliefgraph import CalibrationConfig, generate_graph, reason
+import pytest
+
+from beliefgraph import CalibrationConfig, generate_graph, reason, resolve_interactive
+from beliefgraph.dot import to_dot
+from beliefgraph.errors import ReasoningError
+from beliefgraph.maxsat import encode, solve
 from beliefgraph.metrics import summarize
 from beliefgraph.serialize import (
     dumps,
@@ -27,11 +32,38 @@ from beliefgraph.serialize import (
     load_mock_oracle,
     outcome_to_document,
 )
+from beliefgraph.synthetic import synthetic_graph
 
 PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 
+# `dumps(graph_to_document(g))` of every sweep graph.
 GRAPH_DIGEST = "810b2f3c748cd83e"
+# `document(g, reason(g))` of every sweep graph.
 SWEEP_OUTCOME_DIGEST = "dc2485de51d2583d"
+# Every fourth sweep graph (indices 0, 4, 8, ...), each hypothesis in graph
+# order pinned true and then false: `document(g, reason(g, {h: value}))`, or
+# the literal text "infeasible" where `reason` raises `ReasoningError`.
+PINNED_OUTCOME_DIGEST = "46d7d87c320d8476"
+# Every eighth sweep graph: `document(g, o)` with
+# `o = resolve_interactive(g, lambda text: len(text) % 2 == 0)`.
+INTERACTIVE_DIGEST = "dd005040259fd54b"
+# `synthetic_graph` seeds 0-99: `repr((cs.clauses, result.violated))` with
+# `cs = encode(g)` and `result = solve(cs)`.
+CLAUSES_DIGEST = "69417acc6c35ea54"
+# `synthetic_graph` seeds 0-19: `to_dot(g)` then
+# `to_dot(g, o.final_assignment, o.discarded_rules)` with `o = reason(g)`.
+DOT_DIGEST = "80be43577eac3bfc"
+
+
+def digest(texts):
+    hasher = hashlib.sha256()
+    for text in texts:
+        hasher.update(text.encode())
+    return hasher.hexdigest()[:16]
+
+
+def document(graph, outcome):
+    return dumps(outcome_to_document(outcome, summarize(graph, outcome)))
 
 
 def sweep(directory):
@@ -51,14 +83,50 @@ def sweep(directory):
                     yield generate_graph(question, oracle, cfg)
 
 
-def test_construction_sweep_documents_unchanged(tmp_path):
-    graphs, outcomes = hashlib.sha256(), hashlib.sha256()
-    count = 0
-    for graph in sweep(tmp_path):
-        graphs.update(dumps(graph_to_document(graph)).encode())
-        outcome = reason(graph)
-        outcomes.update(dumps(outcome_to_document(outcome, summarize(graph, outcome))).encode())
-        count += 1
-    assert count == 800
-    assert graphs.hexdigest()[:16] == GRAPH_DIGEST
-    assert outcomes.hexdigest()[:16] == SWEEP_OUTCOME_DIGEST
+@pytest.fixture(scope="module")
+def sweep_graphs(tmp_path_factory):
+    return list(sweep(tmp_path_factory.mktemp("sweep")))
+
+
+def test_construction_sweep_documents_unchanged(sweep_graphs):
+    assert len(sweep_graphs) == 800
+    assert digest(dumps(graph_to_document(g)) for g in sweep_graphs) == GRAPH_DIGEST
+    assert digest(document(g, reason(g)) for g in sweep_graphs) == SWEEP_OUTCOME_DIGEST
+
+
+def test_pinned_outcomes_unchanged(sweep_graphs):
+    def texts():
+        for graph in sweep_graphs[::4]:
+            for h in graph.hypotheses:
+                for value in (True, False):
+                    try:
+                        yield document(graph, reason(graph, {h: value}))
+                    except ReasoningError:
+                        yield "infeasible"
+
+    assert digest(texts()) == PINNED_OUTCOME_DIGEST
+
+
+def test_interactive_outcomes_unchanged(sweep_graphs):
+    def texts():
+        for graph in sweep_graphs[::8]:
+            yield document(graph, resolve_interactive(graph, lambda text: len(text) % 2 == 0))
+
+    assert digest(texts()) == INTERACTIVE_DIGEST
+
+
+def test_clauses_and_dot_unchanged():
+    def clauses():
+        for seed in range(100):
+            cs = encode(synthetic_graph(seed))
+            yield repr((cs.clauses, solve(cs).violated))
+
+    def dots():
+        for seed in range(20):
+            graph = synthetic_graph(seed)
+            outcome = reason(graph)
+            yield to_dot(graph)
+            yield to_dot(graph, outcome.final_assignment, outcome.discarded_rules)
+
+    assert digest(clauses()) == CLAUSES_DIGEST
+    assert digest(dots()) == DOT_DIGEST
