@@ -164,22 +164,17 @@ class _Builder:
     def next_rule_id(self) -> str:
         return f"r{len(self.rules)}"
 
-    def error(self, message: str) -> ConstructionError:
-        return ConstructionError(
-            message, statements_built=len(self.nodes), rules_built=len(self.rules)
-        )
-
     def extend(self, text: str, depth: int) -> StatementId:
         canon = canonicalize(text)
         if canon in self.ids:
             return self.ids[canon]
         if len(self.nodes) >= MAX_STATEMENTS:
-            raise self.error(f"statement budget of {MAX_STATEMENTS} exhausted")
+            raise ConstructionError(f"statement budget of {MAX_STATEMENTS} exhausted")
         try:
             text.encode()
         except UnicodeEncodeError:
             # A graph document holding it could not be loaded.
-            raise self.error(f"statement text {text!r} is not a UTF-8 string") from None
+            raise ConstructionError(f"statement text {text!r} is not a UTF-8 string") from None
         s_d = float(self.oracle.score_statement(text))
         label, raw_conf = label_from_score(s_d)
         sid = len(self.nodes)
@@ -268,7 +263,7 @@ def generate_graph(
     except ConstructionError:
         raise
     except Exception as exc:
-        raise builder.error(f"oracle failure during construction: {exc}") from exc
+        raise ConstructionError(f"oracle failure during construction: {exc}") from exc
 
     builder.rules.extend(multiple_choice_rules(hyp_ids, len(builder.rules), cfg))
     return BeliefGraph(builder.nodes, tuple(builder.rules), tuple(hyp_ids))

@@ -13,12 +13,8 @@ class SolverLimitError(RuntimeError):
 
 
 class ConstructionError(RuntimeError):
-    """Graph construction failed; carries how far it got."""
-
-    def __init__(self, message: str, statements_built: int = 0, rules_built: int = 0):
-        super().__init__(message)
-        self.statements_built = statements_built
-        self.rules_built = rules_built
+    """Graph construction failed: the statement budget ran out, or the oracle
+    failed or gave text that is not UTF-8."""
 
 
 class OracleTransportError(RuntimeError):

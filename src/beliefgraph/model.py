@@ -33,10 +33,6 @@ StatementId = int
 Assignment = Mapping[StatementId, bool]
 
 
-class EvaluationError(KeyError):
-    """A rule or cost evaluation referenced a statement missing from the assignment."""
-
-
 # The two node records are slotted: a graph holds thousands of them, and
 # an instance without a ``__dict__`` is 48 bytes smaller on CPython 3.11.
 @dataclass(frozen=True, slots=True)
@@ -186,30 +182,27 @@ def clause_counts(rule: RuleNode, assignment: Assignment) -> tuple[int, int]:
     negative literals) is true, and violated when additionally no
     statement on its hypothesis side is.  The counts are read off the
     rule's premises and hypotheses by rule type, without building its
-    clauses.  Every statement of the rule must be in the assignment.
+    clauses.  A statement of the rule missing from the assignment raises
+    `KeyError`; every value is read before any is tested, so it does so
+    whatever the others are.
     """
     kind = rule.rule_type
-    # Every value is read before any is tested, so a missing statement
-    # raises whatever the others are.
-    try:
-        if kind is _XOR_PAIR or kind is _MC_PAIRWISE:
-            a, b = rule.hypothesis_ids
-            a, b = assignment[a], assignment[b]
-            both = 1 if a and b else 0
-            if kind is _MC_PAIRWISE:
-                return both, both  # (not a or not b) applies, and fails, when both hold
-            # (a or b) always applies; (not a or not b) applies when both hold.
-            return 1 + both, both + (0 if a or b else 1)
-        # Entailment and MC_HARD: (not p1 or ... or h1 or ...).
-        applicable, held = True, False
-        for sid in rule.premise_ids:
-            if not assignment[sid]:
-                applicable = False
-        for sid in rule.hypothesis_ids:
-            if assignment[sid]:
-                held = True
-    except KeyError as exc:
-        raise EvaluationError(f"assignment missing statement {exc.args[0]}") from exc
+    if kind is _XOR_PAIR or kind is _MC_PAIRWISE:
+        a, b = rule.hypothesis_ids
+        a, b = assignment[a], assignment[b]
+        both = 1 if a and b else 0
+        if kind is _MC_PAIRWISE:
+            return both, both  # (not a or not b) applies, and fails, when both hold
+        # (a or b) always applies; (not a or not b) applies when both hold.
+        return 1 + both, both + (0 if a or b else 1)
+    # Entailment and MC_HARD: (not p1 or ... or h1 or ...).
+    applicable, held = True, False
+    for sid in rule.premise_ids:
+        if not assignment[sid]:
+            applicable = False
+    for sid in rule.hypothesis_ids:
+        if assignment[sid]:
+            held = True
     if not applicable:
         return 0, 0
     return 1, 0 if held else 1
@@ -222,11 +215,10 @@ def rule_satisfied(rule: RuleNode, assignment: Assignment) -> bool:
 def total_cost(graph: BeliefGraph, assignment: Assignment) -> float:
     """The confidences of the statements assigned against their believed
     label plus those of the violated rules, summed in graph order; infinite
-    if a hard rule is violated."""
+    if a hard rule is violated.  A statement missing from the assignment
+    raises `KeyError`."""
     cost = 0.0
     for sid, node in graph.statements.items():
-        if sid not in assignment:
-            raise EvaluationError(f"assignment missing statement {sid}")
         if assignment[sid] != node.label:
             cost += node.confidence
     for rule in graph.rules:

@@ -203,7 +203,6 @@ class RemoteOracle:
         endpoint: str,
         cache_path: str | Path | None = None,
         timeout: float = 30.0,
-        backoff: float = BACKOFF_SECONDS,
     ):
         url = urlsplit(endpoint)
         try:
@@ -239,7 +238,6 @@ class RemoteOracle:
         self.endpoint = endpoint
         self.cache_path = Path(cache_path) if cache_path else None
         self.timeout = timeout
-        self.backoff = backoff
         self.calls = 0
         self._lock = threading.Lock()
         # One keep-alive connection per thread that has queried.
@@ -299,7 +297,7 @@ class RemoteOracle:
         last_error: Exception | None = None
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF_SECONDS * 2 ** (attempt - 1))
             with self._lock:
                 self.calls += 1
             try:

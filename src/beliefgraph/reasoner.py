@@ -132,7 +132,7 @@ def extract_explanation(outcome: ReasoningOutcome, root: StatementId) -> Explana
 
 def resolve_interactive(
     graph: BeliefGraph,
-    answer_source: Callable[[str], bool] | None,
+    answer_source: Callable[[str], bool],
     budget: int = DEFAULT_QUERY_BUDGET,
 ) -> ReasoningOutcome:
     """Resolve conflicts with user verdicts pinned as hard unit clauses.
@@ -141,14 +141,11 @@ def resolve_interactive(
     lowest-confidence statement involved in a discarded rule and pins it
     with the verdict.  Stops at a clean solve or when the budget runs out.
     Falls back to the plain reasoning outcome, the first solve's, when the
-    answer source is None or raises `EOFError`; any other exception from it
-    propagates.  A negative budget raises `ValueError`.
+    answer source raises `EOFError`; any other exception from it propagates.  A negative budget raises `ValueError`.
     """
     if budget < 0:
         raise ValueError(f"query budget must not be negative, got {budget}")
     outcome = plain = reason(graph)
-    if answer_source is None:
-        return plain
     pins: dict[StatementId, bool] = {}
     queries = 0
     while outcome.discarded_rules and queries < budget:

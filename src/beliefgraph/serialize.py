@@ -340,7 +340,7 @@ def load_questions(path: str | Path) -> list[HypothesisSet]:
     return questions
 
 
-def outcome_to_document(outcome: ReasoningOutcome, summary: dict | None = None) -> dict:
+def outcome_to_document(outcome: ReasoningOutcome, summary: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "assignment": {str(k): v for k, v in sorted(outcome.final_assignment.items())},
@@ -356,7 +356,7 @@ def outcome_to_document(outcome: ReasoningOutcome, summary: dict | None = None) 
             }
             for root, sub in outcome.explanation_roots.items()
         },
-        "summary": summary or {},
+        "summary": summary,
     }
 
 

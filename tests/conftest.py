@@ -33,7 +33,6 @@ from beliefgraph import (
     StatementNode,
     calibrate_entailment,
 )
-from beliefgraph.model import EvaluationError
 from beliefgraph.synthetic import synthetic_graph
 
 # Every property test draws the same examples on every run, so a failure
@@ -92,12 +91,8 @@ def rule_clauses(rule):
 
 
 def clause_satisfied(clause, assignment):
-    """Whether some literal of the clause holds; a missing statement is an
-    EvaluationError."""
-    try:
-        return any(assignment[var] == polarity for var, polarity in clause)
-    except KeyError as exc:
-        raise EvaluationError(f"assignment missing statement {exc.args[0]}") from exc
+    """Whether some literal of the clause holds."""
+    return any(assignment[var] == polarity for var, polarity in clause)
 
 
 def rule_by_id(graph, rule_id):

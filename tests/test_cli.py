@@ -29,7 +29,7 @@ from beliefgraph import (
     load_graph,
     save_graph,
 )
-from beliefgraph import cli, errors, serialize
+from beliefgraph import cli, errors, oracle_client, serialize
 from beliefgraph.calibration import MAX_DEPTH
 from beliefgraph.cli import (
     EXIT_INFEASIBLE,
@@ -1310,12 +1310,14 @@ class TestRemoteOracle:
             assert fresh.score_statement("alpha is a mammal") == 0.9
             assert fresh.calls == 0
 
-    def test_unreachable_raises_transport_error(self, tmp_path):
-        oracle = RemoteOracle("http://127.0.0.1:9/", backoff=0.01)
+    def test_unreachable_raises_transport_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracle_client, "BACKOFF_SECONDS", 0.01)
+        oracle = RemoteOracle("http://127.0.0.1:9/")
         with pytest.raises(OracleTransportError):
             oracle.score_statement("anything")
 
-    def test_malformed_response_raises_decode_error(self):
+    def test_malformed_response_raises_decode_error(self, monkeypatch):
+        monkeypatch.setattr(oracle_client, "BACKOFF_SECONDS", 0.01)
         class _BadHandler(BaseHTTPRequestHandler):
             def do_POST(self):
                 self.send_response(200)
@@ -1330,7 +1332,7 @@ class TestRemoteOracle:
         from beliefgraph.oracle_client import OracleDecodeError
 
         with serving(HTTPServer(("127.0.0.1", 0), _BadHandler)) as url:
-            with RemoteOracle(url, backoff=0.01) as oracle, pytest.raises(OracleDecodeError):
+            with RemoteOracle(url) as oracle, pytest.raises(OracleDecodeError):
                 oracle.score_statement("anything")
 
 

@@ -267,9 +267,8 @@ class TestFailureModes:
             def negate(self, s):
                 return "not " + s if not s.startswith("not ") else s[4:]
 
-        with pytest.raises(ConstructionError) as err:
+        with pytest.raises(ConstructionError, match="statement budget of 50 exhausted"):
             generate_graph(HypothesisSet(("a", "b")), Chain(), CalibrationConfig(d_max=5))
-        assert err.value.statements_built >= 50
 
     def test_oracle_failure_wrapped(self):
         class Broken:

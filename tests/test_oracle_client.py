@@ -97,11 +97,12 @@ class TestCacheFile:
             assert path.read_bytes() == before
         assert len(before) == sum(len(_record(f"fact {i}")) for i in range(12))
 
-    def test_torn_last_line_is_dropped(self, tmp_path):
+    def test_torn_last_line_is_dropped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracle_client, "BACKOFF_SECONDS", 0.01)
         path = tmp_path / "cache.jsonl"
         complete = _record("fact 1") + _record("fact 2")
         path.write_bytes(complete + _record("fact 3")[:-9])
-        oracle = RemoteOracle(DEAD_ENDPOINT, cache_path=path, backoff=0.01)
+        oracle = RemoteOracle(DEAD_ENDPOINT, cache_path=path)
         assert oracle.score_statement("fact 1") == 0.001
         assert oracle.score_statement("fact 2") == 0.002
         assert oracle.calls == 0
@@ -210,11 +211,12 @@ class TestTransport:
         assert sleeps == []
         assert oracle.calls == 20
 
-    def test_server_error_retried_client_error_raised(self):
+    def test_server_error_retried_client_error_raised(self, monkeypatch):
+        monkeypatch.setattr(oracle_client, "BACKOFF_SECONDS", 0.01)
         class Flaky(_ScoreHandler):
             statuses = [503, 500, 200, 404]
 
-        with serve(Flaky) as (server, url), closing(RemoteOracle(url, backoff=0.01)) as oracle:
+        with serve(Flaky) as (server, url), closing(RemoteOracle(url)) as oracle:
             assert oracle.score_statement("fact 7") == 0.007
             assert oracle.calls == 3
             with pytest.raises(OracleTransportError, match="unexpected status 404"):
@@ -335,25 +337,25 @@ class TestTransport:
             with pytest.raises(OracleDecodeError):
                 ask(["fact 1"], "fact 2") if query == "score_entailment" else ask("fact 1")
 
-    def test_timeout_applies_to_reads(self):
+    def test_timeout_applies_to_reads(self, monkeypatch):
+        monkeypatch.setattr(oracle_client, "BACKOFF_SECONDS", 0.01)
         # The kernel completes the handshake on a listening socket, but
         # nothing ever answers.
         with socket.socket() as listener:
             listener.bind(("127.0.0.1", 0))
             listener.listen(8)
-            oracle = RemoteOracle(
-                f"http://127.0.0.1:{listener.getsockname()[1]}/", timeout=0.2, backoff=0.01
-            )
+            oracle = RemoteOracle(f"http://127.0.0.1:{listener.getsockname()[1]}/", timeout=0.2)
             with pytest.raises(OracleTransportError, match="timed out"):
                 oracle.score_statement("fact 1")
             assert oracle.calls == oracle_client.MAX_ATTEMPTS
 
-    def test_scheme(self):
+    def test_scheme(self, monkeypatch):
+        monkeypatch.setattr(oracle_client, "BACKOFF_SECONDS", 0.01)
         with pytest.raises(OracleTransportError, match="http: or https:"):
             RemoteOracle("ftp://127.0.0.1/")
         # https: speaks TLS, which a plain-HTTP server cannot answer.
         with serving(HTTPServer(("127.0.0.1", 0), _ScoreHandler)) as url:
-            oracle = RemoteOracle(url.replace("http:", "https:", 1), timeout=5, backoff=0.01)
+            oracle = RemoteOracle(url.replace("http:", "https:", 1), timeout=5)
             with pytest.raises(OracleTransportError):
                 oracle.score_statement("fact 1")
 
@@ -476,9 +478,10 @@ class TestFraming:
              "bad-chunk-size", "non-digit-content-length", "header-without-colon",
              "chunk-without-line-break"],
     )
-    def test_malformed_response_is_a_failed_attempt(self, reply, message):
+    def test_malformed_response_is_a_failed_attempt(self, reply, message, monkeypatch):
+        monkeypatch.setattr(oracle_client, "BACKOFF_SECONDS", 0.01)
         with serve_raw(reply, close=True) as seen:
-            with closing(RemoteOracle(seen["url"], backoff=0.01)) as oracle:
+            with closing(RemoteOracle(seen["url"])) as oracle:
                 with pytest.raises(OracleTransportError, match=message):
                     oracle.score_statement("fact 1")
         assert oracle.calls == oracle_client.MAX_ATTEMPTS

@@ -304,13 +304,9 @@ class TestInteractiveResolution:
         with pytest.raises(RuntimeError, match="bug in the answer source"):
             resolve_interactive(cylinder_graph, broken)
 
-    def test_none_source_falls_back(self, cylinder_graph):
-        outcome = resolve_interactive(cylinder_graph, None)
-        assert outcome.final_assignment == reason(cylinder_graph).final_assignment
-
     @pytest.mark.parametrize(
-        "answers, solves", [(None, 1), ((), 1), ((True,), 2)],
-        ids=["none", "closed at once", "closed after one answer"],
+        "answers, solves", [((), 1), ((True,), 2)],
+        ids=["closed at once", "closed after one answer"],
     )
     def test_fallback_reuses_the_first_solve(self, cylinder_graph, monkeypatch, answers, solves):
         # A second conflict, so that a second question is asked.
@@ -319,7 +315,7 @@ class TestInteractiveResolution:
         statements[10] = StatementNode(10, "an extra conclusion", False, 0.9)
         extra = RuleNode("r_extra", RuleType.ENTAILMENT, (9,), (10,), 0.5)
         graph = BeliefGraph(statements, cylinder_graph.rules + (extra,), cylinder_graph.hypotheses)
-        remaining = iter(answers or ())
+        remaining = iter(answers)
 
         def source(text):
             for answer in remaining:
@@ -329,7 +325,7 @@ class TestInteractiveResolution:
         calls = []
         solve = reasoner.solve
         monkeypatch.setattr(reasoner, "solve", lambda cs: calls.append(cs) or solve(cs))
-        outcome = resolve_interactive(graph, None if answers is None else source)
+        outcome = resolve_interactive(graph, source)
         assert len(calls) == solves
         assert outcome == reason(graph)
 
