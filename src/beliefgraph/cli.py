@@ -2,8 +2,8 @@
 and DOT export.
 
 Exit codes: 0 ok, 2 input error (including a graph beyond the solver's
-limits, an output path that cannot be written and an oracle cache that
-cannot be read), 3 oracle error, 4 infeasible, 5 internal.
+limits, an output path or a standard output that cannot be written and an
+oracle cache that cannot be read), 3 oracle error, 4 infeasible, 5 internal.
 
 A command imports only what it uses: `reason`, `resolve` and `export-dot`
 never load graph construction, the oracle transport or dataset evaluation.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -266,7 +267,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:  # the reader closed standard output
+        print(f"input error: cannot write standard output: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_INPUT
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -293,9 +300,18 @@ def run() -> None:
     freeze comes before the command runs: whatever the command leaves in a
     reference cycle, an unclosed file or socket too, is still collected and
     reported at exit.  `main` itself changes no process-wide state.
+
+    After a broken pipe, `main` has reported it, but standard output may
+    still hold what it could not write; pointing the descriptor at
+    `os.devnull` lets the flush at exit succeed rather than report it again.
     """
     gc.freeze()
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

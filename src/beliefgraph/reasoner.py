@@ -141,7 +141,8 @@ def resolve_interactive(
     lowest-confidence statement involved in a discarded rule and pins it
     with the verdict.  Stops at a clean solve or when the budget runs out.
     Falls back to the plain reasoning outcome, the first solve's, when the
-    answer source raises `EOFError`; any other exception from it propagates.  A negative budget raises `ValueError`.
+    answer source raises `EOFError`; any other exception from it
+    propagates.  A negative budget raises `ValueError`.
     """
     if budget < 0:
         raise ValueError(f"query budget must not be negative, got {budget}")

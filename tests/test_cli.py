@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import gc
 import json
 import math
@@ -399,6 +400,12 @@ class TestBuildGraph:
         assert run_build(workdir) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
 
+    def test_gold_index_out_of_range_names_the_field(self, workdir, capsys):
+        (workdir / "question.json").write_text(json.dumps(dict(QUESTION, gold_index=2)))
+        assert run_build(workdir) == EXIT_INPUT
+        assert "gold_index out of range" in capsys.readouterr().err
+        assert not (workdir / "graph.json").exists()
+
     def test_score_out_of_range_names_the_field(self, workdir, capsys):
         fixture = dict(ORACLE_FIXTURE, statement_scores={"alpha is a mammal": 2.0})
         (workdir / "oracle.json").write_text(json.dumps(fixture))
@@ -721,6 +728,17 @@ class TestReason:
         assert main(["reason", str(workdir / "g.json")]) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
 
+    def test_repeated_hypothesis_id_fails_to_load(self, workdir, giraffe_graph, capsys):
+        """With no statement marked, the agreement check passes and the
+        graph's own uniqueness check rejects the list."""
+        doc = graph_to_document(giraffe_graph)
+        doc["hypotheses"] = [doc["hypotheses"][0]] * 2
+        for statement in doc["statements"]:
+            statement.pop("is_hypothesis", None)
+        (workdir / "g.json").write_text(json.dumps(doc))
+        assert main(["reason", str(workdir / "g.json")]) == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: document: hypothesis ids must be unique\n"
+
     def test_self_negating_statement_fails_to_load(self, workdir, giraffe_graph):
         doc = graph_to_document(giraffe_graph)
         doc["statements"][2]["negation_of"] = doc["statements"][2]["id"]
@@ -851,16 +869,9 @@ NOT_A_NUMBER = st.sampled_from(
     ["0.5", "", True, False, None, math.nan, math.inf, -math.inf,
      2**53 + 1, -(2**64) - 1, 2**64, 10**400, -(10**400)]
 )
-@st.composite
-def field_mutations(draw):
-    """A base document and one of its fields, at the root, in a statement or
-    in a rule, dropped, retyped, re-nested or given a non-number."""
-    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
-    where = draw(st.sampled_from(["root", "statements", "rules"]))
-    entry = doc if where == "root" else draw(st.sampled_from(doc[where]))
-    kind = draw(st.sampled_from(["drop", "retype", "re-nest", "not a number"]))
-    numbers = sorted(k for k, v in entry.items() if v is None or type(v) in (int, float))
-    key = draw(st.sampled_from(numbers if kind == "not a number" else sorted(entry)))
+def mutate(draw, entry, key, kind, replacements):
+    """Drop, retype or re-nest ``entry[key]``, or put one of ``replacements``
+    in its place, as ``kind`` says."""
     value = entry[key]
     if kind == "drop":
         del entry[key]
@@ -872,7 +883,20 @@ def field_mutations(draw):
             nestings += [[[item] for item in value], value[0]]
         entry[key] = draw(st.sampled_from(nestings))
     else:
-        entry[key] = draw(NOT_A_NUMBER)
+        entry[key] = draw(replacements)
+
+
+@st.composite
+def field_mutations(draw):
+    """A base document and one of its fields, at the root, in a statement or
+    in a rule, dropped, retyped, re-nested or given a non-number."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    where = draw(st.sampled_from(["root", "statements", "rules"]))
+    entry = doc if where == "root" else draw(st.sampled_from(doc[where]))
+    kind = draw(st.sampled_from(["drop", "retype", "re-nest", "not a number"]))
+    numbers = sorted(k for k, v in entry.items() if v is None or type(v) in (int, float))
+    key = draw(st.sampled_from(numbers if kind == "not a number" else sorted(entry)))
+    mutate(draw, entry, key, kind, NOT_A_NUMBER)
     return doc
 
 
@@ -926,6 +950,89 @@ def test_mutated_graph_document_exits_2_from_the_command_line(tmp_path, mutate):
     )
     assert result.returncode == EXIT_INPUT, result.stderr
     assert result.stderr.startswith("input error: ")
+
+
+# Valid build-graph inputs that hold every field, with canonical table keys,
+# so that a fixture loads with its tables as written.
+BUILD_BASES = {
+    "question.json": dict(QUESTION),
+    "config.json": {"k": 8.0, "k_entailment": 30.0, "t_entailment": 1.0, "t_xor": 1.2,
+                    "t_mc": 0.9, "m_xor": 0.25, "beta": 0.9, "d_max": 3},
+    "oracle.json": dict(
+        ORACLE_FIXTURE,
+        entailment_scores={"alpha is cold blooded => alpha is a reptile": 0.7},
+        negations={"alpha is a reptile": "alpha is no reptile"},
+        default_score=0.4,
+        default_entailment_score=0.8,
+    ),
+}
+# What a field may get in place of its value: a string, a bool, null, NaN,
+# a 400-digit integer, an empty or blank string, or a lone surrogate.
+FOREIGN_VALUES = st.sampled_from(
+    ["0.5", True, False, None, math.nan, 10**400, "", "  ", "\ud800"]
+)
+
+
+def _paths(value, prefix=()):
+    """The path of every field and list item below ``value``, outermost first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def build_input_mutations(draw):
+    """A build-graph input file and its document with one field or list
+    item dropped, retyped, re-nested or given a foreign value."""
+    name = draw(st.sampled_from(sorted(BUILD_BASES)))
+    doc = json.loads(json.dumps(BUILD_BASES[name]))
+    *path, key = draw(st.sampled_from(list(_paths(doc))))
+    entry = doc
+    for step in path:
+        entry = entry[step]
+    mutate(draw, entry, key, draw(st.sampled_from(["drop", "retype", "re-nest", "foreign"])),
+           FOREIGN_VALUES)
+    return name, doc
+
+
+def loaded_values(name, path):
+    """What the loader of the named input reads from ``path``, as JSON values."""
+    if name == "question.json":
+        (question,) = serialize.load_questions(path)
+        return {"hypotheses": list(question.hypotheses), "gold_index": question.gold_index,
+                "question_id": question.question_id}
+    if name == "config.json":
+        return dataclasses.asdict(serialize.load_config(path))
+    oracle = serialize.load_mock_oracle(path)
+    return {k: getattr(oracle, k) for k in ("premises", "statement_scores", "entailment_scores",
+                                            "negations", "default_score",
+                                            "default_entailment_score")}
+
+
+def documented_values(name, doc):
+    """``doc`` with each absent optional field at its documented default."""
+    if name == "question.json":
+        return {"gold_index": None, "question_id": None, **doc}
+    if name == "config.json":
+        return {**dataclasses.asdict(CalibrationConfig()), **doc}
+    return {"premises": {}, "statement_scores": {}, "entailment_scores": {}, "negations": {},
+            "default_score": 0.5, "default_entailment_score": 0.85, **doc}
+
+
+# The working directory is only rewritten whole by each example.
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=build_input_mutations())
+def test_mutated_build_input_is_literal_or_exit_2(workdir, mutation):
+    name, doc = mutation
+    for base_name, base in BUILD_BASES.items():
+        (workdir / base_name).write_text(json.dumps(doc if base_name == name else base))
+    code = run_build(workdir, extra=("--config", str(workdir / "config.json")))
+    assert code in (EXIT_OK, EXIT_INPUT)
+    if code == EXIT_OK:
+        assert holds(documented_values(name, doc), loaded_values(name, workdir / name))
 
 
 class TestResolve:
@@ -1200,6 +1307,15 @@ class TestRemoteOracle:
         assert r"statement text 'bad \ud800 premise' is not a UTF-8 string" in err
         assert not (workdir / "g.json").exists()
 
+    def test_score_out_of_range_is_oracle_error(self, workdir, trace_server, monkeypatch,
+                                               capsys):
+        monkeypatch.setitem(TRACE_SCORES, "alpha is a mammal", 1.5)
+        code = main(["build-graph", str(workdir / "question.json"), "--oracle",
+                     f"remote:{trace_server}", "-o", str(workdir / "g.json")])
+        assert code == EXIT_ORACLE
+        assert "truth score must be in [0, 1], got 1.5" in capsys.readouterr().err
+        assert not (workdir / "g.json").exists()
+
     def test_workers_share_one_client(self, tmp_path, trace_server):
         questions = [
             {"question_id": f"q{i}", "hypotheses": hypotheses}
@@ -1343,6 +1459,8 @@ EXIT_CASES = [
     (errors.OracleTransportError("x"), EXIT_ORACLE, "oracle error: x"),
     (errors.OracleDecodeError("x"), EXIT_ORACLE, "oracle error: x"),
     (errors.ReasoningError("x"), EXIT_INFEASIBLE, "infeasible: x"),
+    (BrokenPipeError(32, "Broken pipe"), EXIT_INPUT,
+     "input error: cannot write standard output: Broken pipe"),
     (RuntimeError("x"), EXIT_INTERNAL, "internal error: x"),
 ]
 
@@ -1358,6 +1476,27 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_export_dot", fail)
         assert main(["export-dot", "unused.json"]) == code
         assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["export-dot", "reason"])
+    def test_closed_standard_output_is_input_error(self, tmp_path, command, buffered):
+        """The DOT text is larger than the output buffer and the reason
+        summary smaller, so the pipe breaks during the command or at the
+        final flush; either way the failure is reported once."""
+        save_graph(synthetic_graph(3), tmp_path / "g.json")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "beliefgraph.cli", command, "g.json"], cwd=tmp_path, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        process.stdout.close()
+        err = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=60) == EXIT_INPUT
+        assert err == "input error: cannot write standard output: Broken pipe\n"
 
     def test_construction_error_before_construction_is_imported(self):
         out = run_python(

@@ -206,6 +206,11 @@ class TestTotalCost:
         rule_free = BeliefGraph(dict(g.statements), (), g.hypotheses)
         assert total_cost(rule_free, g.initial_assignment()) == 0.0
 
+    def test_missing_statement_raises_its_id(self):
+        with pytest.raises(KeyError) as err:
+            total_cost(hard_xor_graph(), {0: True})
+        assert err.value.args == (1,)
+
 
 class TestGraphInvariants:
     def test_unknown_statement_rejected(self):

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,9 +157,32 @@ def test_no_module_imports_another_modules_private_names():
     assert private == []
 
 
+def test_only_the_package_and_the_standard_library_are_imported():
+    """Every module imports only the standard library and its own package,
+    and the project declares no runtime dependency."""
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(beliefgraph.__file__).parent
+    allowed = sys.stdlib_module_names | {"beliefgraph"}
+    foreign = sorted(
+        f"{path.name}:{node.lineno}: {name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and not node.level
+            else []
+        )
+        if name.partition(".")[0] not in allowed
+    )
+    assert foreign == []
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["dependencies"] == []
+
+
 def test_only_the_entry_point_touches_the_process():
-    """`cli.run` is the one caller of ``gc.freeze``; nothing calls ``os._exit``,
-    which would skip atexit handlers and the ``-X dev`` checks at exit."""
+    """`cli.run` is the one caller of ``gc.freeze`` and of ``os.dup2``;
+    nothing calls ``os._exit``, which would skip atexit handlers and the
+    ``-X dev`` checks at exit."""
     package = Path(beliefgraph.__file__).parent
     calls = sorted(
         f"{path.name}:{getattr(top, 'name', '<module>')}: {name}"
@@ -167,6 +191,6 @@ def test_only_the_entry_point_touches_the_process():
         for node in ast.walk(top)
         if isinstance(node, ast.Call)
         and (name := getattr(node.func, "attr", getattr(node.func, "id", None)))
-        in ("freeze", "_exit")
+        in ("freeze", "dup2", "_exit")
     )
-    assert calls == ["cli.py:run: freeze"]
+    assert calls == ["cli.py:run: dup2", "cli.py:run: freeze"]
