@@ -39,6 +39,8 @@ class CalibrationConfig:
             raise ValueError("m_xor must be in [0, 1]")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must be in (0, 1]")
+        if isinstance(self.d_max, bool) or not isinstance(self.d_max, int):
+            raise ValueError(f"d_max must be an integer, got {self.d_max!r}")
         if not 0 <= self.d_max <= MAX_DEPTH:
             raise ValueError(f"d_max must be in [0, {MAX_DEPTH}], got {self.d_max!r}")
 

@@ -121,21 +121,37 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     with _open_oracle(args.oracle, cache_dir) as oracle:
 
         def build(question, path):
-            graph = generate_graph(question, oracle, cfg)
-            with _writing(path):
-                save_graph(graph, path, provenance)
+            """The line reporting the question's graph, or the exception that
+            stopped it: a failure does not stop the other questions."""
+            try:
+                graph = generate_graph(question, oracle, cfg)
+                with _writing(path):
+                    save_graph(graph, path, provenance)
+            except Exception as exc:
+                return exc
             return f"wrote {path}: {len(graph.statements)} statements, {len(graph.rules)} rules"
 
         if len(questions) > 1:  # a lone question does not pay for the pool's import
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                for line in pool.map(build, questions, paths):
-                    print(line)
+                failures = _print_lines(pool.map(build, questions, paths))
         else:
-            for line in map(build, questions, paths):
-                print(line)
+            failures = _print_lines(map(build, questions, paths))
+    if failures:
+        raise failures[0]
     return EXIT_OK
+
+
+def _print_lines(results) -> list[Exception]:
+    """Print the lines among ``results`` in order; return the exceptions."""
+    failures = []
+    for result in results:
+        if isinstance(result, Exception):
+            failures.append(result)
+        else:
+            print(result)
+    return failures
 
 
 def _output_names(questions) -> list[str]:

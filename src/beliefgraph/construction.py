@@ -35,6 +35,8 @@ from .model import (
 MAX_STATEMENTS = 2000
 
 _WS = re.compile(r"\s+")
+# What UTF-8 cannot encode; a graph document holding one could not be loaded.
+_LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def canonicalize(text: str) -> str:
@@ -86,6 +88,33 @@ def _canonical_entailment_key(key: str) -> str:
     return entailment_key(premises.split(" && ") if premises else [], hypothesis)
 
 
+def _text(value: object, where: str) -> str:
+    """``value`` if it is a UTF-8 string that `canonicalize` accepts."""
+    if not isinstance(value, str) or _LONE_SURROGATE.search(value):
+        raise ValueError(f"{where} must be a UTF-8 string, got {value!r}")
+    try:
+        canonicalize(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return value
+
+
+def _texts(value: object, where: str) -> list[str]:
+    """``value`` if it is a list of `_text` strings."""
+    if not isinstance(value, list):
+        raise TypeError(f"{where} must be a list, got {type(value).__name__}")
+    return [_text(text, where) for text in value]
+
+
+def _score(value: object, where: str) -> float:
+    """``value`` as a float if it is a number in [0, 1], never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{where} must be a number, got {value!r}")
+    if not 0 <= value <= 1:
+        raise ValueError(f"{where} must be in [0, 1], got {value!r}")
+    return float(value)
+
+
 @dataclass
 class MockOracle:
     """Deterministic table-driven oracle for desk-scale runs and tests.
@@ -94,6 +123,8 @@ class MockOracle:
     return no premises, and unknown negations toggle a fixed prefix (an
     involution under canonicalization).  Table keys are canonicalized, each
     statement of an ``entailment_scores`` key ``"p1 && p2 => h"`` on its own.
+    A table must be a dict, a premise or negation a UTF-8 string that
+    `canonicalize` accepts, and a score a number in [0, 1] other than a bool.
     """
 
     premises: dict[str, list[str]] = field(default_factory=dict)
@@ -104,14 +135,19 @@ class MockOracle:
     default_entailment_score: float = 0.85
 
     def __post_init__(self) -> None:
-        self.premises = {canonicalize(k): list(v) for k, v in self.premises.items()}
-        self.statement_scores = {
-            canonicalize(k): float(v) for k, v in self.statement_scores.items()
+        tables = {
+            "premises": (canonicalize, _texts),
+            "statement_scores": (canonicalize, _score),
+            "entailment_scores": (_canonical_entailment_key, _score),
+            "negations": (canonicalize, _text),
         }
-        self.entailment_scores = {
-            _canonical_entailment_key(k): float(v) for k, v in self.entailment_scores.items()
-        }
-        self.negations = {canonicalize(k): v for k, v in self.negations.items()}
+        for name, (key, read) in tables.items():
+            table = getattr(self, name)
+            if not isinstance(table, dict):
+                raise TypeError(f"{name!r} must be an object")
+            setattr(self, name, {key(k): read(v, f"{name}: field {k!r}") for k, v in table.items()})
+        for name in ("default_score", "default_entailment_score"):
+            setattr(self, name, _score(getattr(self, name), f"field {name!r}"))
 
     def generate_premises(self, statement: str) -> list[str]:
         return list(self.premises.get(canonicalize(statement), []))
@@ -170,11 +206,8 @@ class _Builder:
             return self.ids[canon]
         if len(self.nodes) >= MAX_STATEMENTS:
             raise ConstructionError(f"statement budget of {MAX_STATEMENTS} exhausted")
-        try:
-            text.encode()
-        except UnicodeEncodeError:
-            # A graph document holding it could not be loaded.
-            raise ConstructionError(f"statement text {text!r} is not a UTF-8 string") from None
+        if _LONE_SURROGATE.search(text):
+            raise ConstructionError(f"statement text {text!r} is not a UTF-8 string")
         s_d = float(self.oracle.score_statement(text))
         label, raw_conf = label_from_score(s_d)
         sid = len(self.nodes)

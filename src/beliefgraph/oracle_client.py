@@ -14,7 +14,8 @@ out in a single write: the request line, `Host`, `Content-Type`,
 read by `Content-Length`, by chunked transfer coding or to the end of the
 stream; interim 1xx responses are skipped, and `Connection: close` (or
 HTTP/1.0 without keep-alive) ends the connection, so the next query
-reconnects.  A malformed or truncated response is a failed attempt.  Proxy
+reconnects.  A malformed or truncated response is a failed attempt, and so
+is a body over `_MAX_BODY` bytes, which is not read past the cap.  Proxy
 environment variables (`HTTP_PROXY`, `HTTPS_PROXY`) are not honoured.  A
 query makes up to `MAX_ATTEMPTS` attempts, with exponential backoff between
 them; a request sent on a kept-alive connection that the server closed
@@ -51,6 +52,8 @@ MAX_ATTEMPTS = 3
 BACKOFF_SECONDS = 0.2
 
 _MAX_LINE = 65536
+# An answer is a few hundred bytes; a body over this is a failed attempt.
+_MAX_BODY = 16 * 2**20
 _MAX_HEADERS = 100
 _STATUS_LINE = re.compile(rb"HTTP/1\.([01]) (\d{3})(?: [^\r\n]*)?\r?\n")
 _CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
@@ -109,9 +112,10 @@ class _Connection:
             length = headers[b"content-length"]
             if not length.isdigit():
                 raise _BadResponse(f"bad Content-Length {length[:80]!r}")
-            body = self._read(int(length))
+            body = self._read(_capped(int(length)))
         else:
-            body, close = self.file.read(), True
+            body, close = self.file.read(_MAX_BODY + 1), True
+            _capped(len(body))
         if close:
             self.close()
         return status, body
@@ -143,7 +147,7 @@ class _Connection:
         raise _BadResponse(f"more than {_MAX_HEADERS} header lines")
 
     def _chunked(self) -> bytes:
-        chunks = []
+        chunks, total = [], 0
         while True:
             line = self._line()
             match = _CHUNK_SIZE.fullmatch(line)
@@ -153,9 +157,17 @@ class _Connection:
             if not size:
                 self._headers()  # the trailer section
                 return b"".join(chunks)
+            total = _capped(total + size)
             chunks.append(self._read(size))
             if self._line() not in _LINE_BREAKS:
                 raise _BadResponse("chunk data not followed by a line break")
+
+
+def _capped(size: int) -> int:
+    """``size``, the bytes a response body holds so far, if within `_MAX_BODY`."""
+    if size > _MAX_BODY:
+        raise _BadResponse(f"response body of at least {size} bytes, over {_MAX_BODY}")
+    return size
 
 
 def _load_cache(path: Path) -> dict[str, dict]:
@@ -212,6 +224,8 @@ class RemoteOracle:
             raise OracleTransportError(
                 f"oracle endpoint must be an http: or https: URL, got {endpoint!r}"
             ) from exc
+        if "@" in url.netloc:  # `hostname` drops them, and no header would carry them
+            raise OracleTransportError("oracle endpoint must not hold credentials (user@host)")
         host = url.hostname
         if not host:
             raise OracleTransportError(f"oracle endpoint {endpoint!r} names no host")

@@ -160,14 +160,6 @@ def _number(value: Any, key: str, where: str) -> float:
     )
 
 
-def _score(value: Any, key: str, where: str) -> float:
-    """A `_number` in [0, 1], as oracle scores are."""
-    number = _number(value, key, where)
-    if not 0.0 <= number <= 1.0:
-        raise InputError(f"{where}: field {key!r} must be in [0, 1], got {value!r}")
-    return number
-
-
 def _str(value: Any, key: str, where: str) -> str:
     """A JSON string that UTF-8 can encode: no lone surrogate escapes, which
     could not be printed or written back."""
@@ -178,18 +170,6 @@ def _str(value: Any, key: str, where: str) -> str:
         except UnicodeEncodeError:
             pass
     raise InputError(f"{where}: field {key!r} must be a UTF-8 string, got {value!r}")
-
-
-def _statement(value: Any, key: str, where: str) -> str:
-    """A `_str` that `canonicalize` accepts: more than spaces and periods."""
-    from .construction import canonicalize
-
-    text = _str(value, key, where)
-    try:
-        canonicalize(text)
-    except ValueError as exc:
-        raise InputError(f"{where}: field {key!r}: {exc}") from exc
-    return text
 
 
 def _optional(read, mapping: dict, key: str, where: str) -> Any:
@@ -321,10 +301,12 @@ def load_graph(path: str | Path) -> BeliefGraph:
 
 
 def load_questions(path: str | Path) -> list[HypothesisSet]:
-    """A question file: one question object or a list of them."""
+    """A question file: one question object or a non-empty list of them."""
     from .construction import HypothesisSet
 
     raw = read_json(path)
+    if raw == []:
+        raise InputError(f"{path}: holds no questions")
     questions = []
     for i, entry in enumerate(raw if isinstance(raw, list) else [raw]):
         where = f"{path}: question [{i}]"
@@ -382,7 +364,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Calib
             raise InputError(f"{path}: unknown config keys {sorted(unknown)}")
         # Checked, not converted: an accepted value keeps its config digest.
         for key, value in raw.items():
-            (_int if key == "d_max" else _number)(value, key, str(path))
+            _number(value, key, str(path))
         values.update(raw)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
@@ -395,36 +377,13 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Calib
 # -- oracle fixture files -----------------------------------------------------
 
 def load_mock_oracle(path: str | Path) -> MockOracle:
-    """Fixture file with four tables: premises, statement_scores,
-    entailment_scores, negations (plus optional default scores); every score
-    is a number in [0, 1]."""
+    """A fixture file: an object of `MockOracle`'s fields, checked as it checks them."""
     from .construction import MockOracle
 
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise InputError(f"{path}: fixture root must be an object")
-    tables = {
-        name: raw.get(name, {})
-        for name in ("premises", "statement_scores", "entailment_scores", "negations")
-    }
-    for name, table in tables.items():
-        if not isinstance(table, dict):
-            raise InputError(f"{path}: {name!r} must be an object")
-    where = str(path)
-    for key in tables["premises"]:
-        for premise in _list(tables["premises"], key, f"{where}: premises"):
-            _statement(premise, key, f"{where}: premises")
-    for name in ("statement_scores", "entailment_scores"):
-        tables[name] = {k: _score(v, k, f"{where}: {name}") for k, v in tables[name].items()}
-    for key, negation in tables["negations"].items():
-        _statement(negation, key, f"{where}: negations")
     try:
-        return MockOracle(
-            **tables,
-            default_score=_score(raw.get("default_score", 0.5), "default_score", where),
-            default_entailment_score=_score(
-                raw.get("default_entailment_score", 0.85), "default_entailment_score", where
-            ),
-        )
+        return MockOracle(**raw)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc

@@ -41,6 +41,12 @@ settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
 
 
+def pytest_report_header(config):
+    """Name the package under test: ``pythonpath = ["src"]`` in pyproject.toml
+    puts this checkout's ``src`` ahead of ``PYTHONPATH``."""
+    return f"beliefgraph: {Path(beliefgraph.__file__).resolve().parent}"
+
+
 def run_python(code: str, stdin: str = "") -> str:
     """Run ``code`` in a fresh interpreter that imports this checkout's
     package; return its standard output."""

@@ -162,6 +162,9 @@ class TestConfigValidation:
         assert CalibrationConfig(d_max=MAX_DEPTH).d_max == 100
         with pytest.raises(ValueError, match=r"d_max must be in \[0, 100\], got 101"):
             CalibrationConfig(d_max=MAX_DEPTH + 1)
+        for d_max in (2.5, True):
+            with pytest.raises(ValueError, match="d_max must be an integer"):
+                CalibrationConfig(d_max=d_max)
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CalibrationConfig)])

@@ -196,7 +196,7 @@ class TestBuildGraph:
         )
         assert code == EXIT_INPUT
 
-    @pytest.mark.parametrize("count", [0, 2])
+    @pytest.mark.parametrize("count", [2])
     def test_question_count_other_than_one_with_o_is_input_error(self, workdir, capsys, count):
         (workdir / "many.json").write_text(json.dumps([QUESTION] * count))
         code = main(
@@ -212,6 +212,50 @@ class TestBuildGraph:
         assert code == EXIT_INPUT
         assert f"holds {count} questions; -o takes exactly one" in capsys.readouterr().err
         assert not (workdir / "graph.json").exists()
+
+    @pytest.mark.parametrize("output", ["-o", "--out-dir"])
+    def test_empty_question_file_is_input_error(self, workdir, capsys, monkeypatch,
+                                                trace_server, output):
+        """Rejected before any directory is made or the oracle is asked."""
+        asked = []
+        answer = _TraceHandler.do_POST
+
+        def recorded(handler):
+            asked.append(handler.path)
+            answer(handler)
+
+        monkeypatch.setattr(_TraceHandler, "do_POST", recorded)
+        (workdir / "none.json").write_text("[]")
+        before = sorted(workdir.iterdir())
+        target = workdir / ("graph.json" if output == "-o" else "graphs")
+        code = main(["build-graph", str(workdir / "none.json"), "--oracle",
+                     f"remote:{trace_server}", output, str(target)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {workdir / 'none.json'}: holds no questions\n"
+        )
+        assert asked == []
+        assert sorted(workdir.iterdir()) == before
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_a_failed_question_leaves_the_others_written(self, workdir, capsys, workers):
+        """Every question runs, each graph built is written and reported in
+        input order, and then the first failure decides the exit code."""
+        questions = [dict(QUESTION, question_id=f"q{k}") for k in range(3)]
+        (workdir / "many.json").write_text(json.dumps(questions))
+        graphs = workdir / "graphs"
+        (graphs / "q0.json").mkdir(parents=True)  # cannot be written
+        code = main(["build-graph", str(workdir / "many.json"), "--oracle",
+                     f"mock:{workdir / 'oracle.json'}", "--out-dir", str(graphs),
+                     "--workers", workers])
+        assert code == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert err.startswith(f"input error: cannot write {graphs / 'q0.json'}: ")
+        assert err.count("\n") == 1
+        assert [line.partition(": ")[0] for line in out.splitlines()] == [
+            f"wrote {graphs / 'q1.json'}", f"wrote {graphs / 'q2.json'}"
+        ]
+        assert (graphs / "q1.json").is_file() and (graphs / "q2.json").is_file()
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_o_with_out_dir_is_input_error(self, workdir, capsys, count):
@@ -412,6 +456,37 @@ class TestBuildGraph:
         assert run_build(workdir) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "statement_scores: field 'alpha is a mammal' must be in [0, 1], got 2.0" in err
+
+    def test_misspelt_fixture_table_is_input_error(self, workdir, capsys):
+        (workdir / "oracle.json").write_text(json.dumps({"statment_scores": TRACE_SCORES}))
+        assert run_build(workdir) == EXIT_INPUT
+        assert "'statment_scores'" in capsys.readouterr().err
+        assert not (workdir / "graph.json").exists()
+
+
+# The fixture cases of `test_mistyped_question_or_fixture_is_input_error`,
+# read from its parameters so that `MockOracle` is held to the same list.
+_MISTYPED = TestBuildGraph.test_mistyped_question_or_fixture_is_input_error.pytestmark[0]
+_FIXTURE_CASES = [
+    pytest.param(document, id=name)
+    for (file, document), name in zip(_MISTYPED.args[1], _MISTYPED.kwargs["ids"])
+    if file == "oracle.json"
+]
+
+
+@pytest.mark.parametrize("document", _FIXTURE_CASES)
+def test_mock_oracle_rejects_each_rejected_fixture(document):
+    """A fixture the command line refuses is refused by `MockOracle` itself."""
+    with pytest.raises((TypeError, ValueError)):
+        MockOracle(**document)
+
+
+def test_mock_oracle_names_the_table_and_key():
+    with pytest.raises(ValueError, match=re.escape(
+            "statement_scores: field 'alpha is a mammal' must be in [0, 1], got 2.0")):
+        MockOracle(statement_scores={"alpha is a mammal": 2.0})
+    with pytest.raises(TypeError, match="premises: field 'a is b' must be a list, got str"):
+        MockOracle(premises={"a is b": "cd"})
 
 
 def _graph_argv(workdir, path):

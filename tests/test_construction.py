@@ -289,11 +289,26 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("table", ["premises", "negations"])
     def test_text_utf8_cannot_encode_is_rejected(self, table):
-        """A lone surrogate would make a graph document that does not load."""
+        """A lone surrogate would make a graph document that does not load.
+        `MockOracle` refuses such text in its tables, so an oracle of its
+        own hands it to the builder."""
         bad = "bad \ud800 text"
-        oracle = MockOracle(**{table: {"a": [bad] if table == "premises" else bad}})
+
+        class Surrogate:
+            def generate_premises(self, s):
+                return [bad] if table == "premises" and s == "A" else []
+
+            def score_statement(self, s):
+                return 0.9
+
+            def score_entailment(self, premises, h):
+                return 0.9
+
+            def negate(self, s):
+                return bad if table == "negations" and s == "A" else "not " + s
+
         with pytest.raises(ConstructionError, match=re.escape(repr(bad))):
-            generate_graph(HypothesisSet(("A", "B")), oracle, CalibrationConfig(d_max=1))
+            generate_graph(HypothesisSet(("A", "B")), Surrogate(), CalibrationConfig(d_max=1))
 
     def test_chain_at_the_depth_bound_builds(self):
         """A full-depth chain fits the default recursion limit, with room to spare."""
