@@ -34,7 +34,6 @@ from .model import (
 
 MAX_STATEMENTS = 2000
 
-_WS = re.compile(r"\s+")
 # What UTF-8 cannot encode; a graph document holding one could not be loaded.
 _LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
@@ -42,7 +41,10 @@ _LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 def canonicalize(text: str) -> str:
     """Lowercased, whitespace-collapsed node identity without its trailing
     periods and spaces; idempotent."""
-    canon = _WS.sub(" ", text.strip()).lower().rstrip(". ")
+    if not isinstance(text, str):
+        raise TypeError(f"cannot canonicalize {text!r}: not a string")
+    # `str.split` splits on exactly the code points that the regex `\s` matches.
+    canon = " ".join(text.split()).lower().rstrip(". ")
     if not canon:
         raise ValueError(f"cannot canonicalize {text!r}: nothing but spaces and periods")
     return canon
@@ -214,7 +216,7 @@ class _Builder:
         self.ids[canon] = sid
         self.nodes[sid] = StatementNode(
             id=sid,
-            text=_WS.sub(" ", text.strip()),
+            text=" ".join(text.split()),
             label=label,
             confidence=calibrate_statement(raw_conf, self.cfg),
             depth=depth,

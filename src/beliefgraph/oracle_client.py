@@ -23,7 +23,8 @@ while idle is re-sent once on a fresh connection, without a pause and
 without using up an attempt.
 
 The cache is a JSONL file keyed by the canonicalized request, whose
-sorted-key JSON text is also the request body: each miss
+sorted-key JSON text (``json.dumps(request, sort_keys=True)``, written
+directly rather than through an encoder) is also the request body: each miss
 appends one ``[key, document]`` line in a single write, to a handle opened
 on the first miss and kept until `close`, and nothing ever rewrites the
 file, so repeated runs never re-query the backend.  On load a
@@ -41,6 +42,7 @@ import re
 import socket
 import threading
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Sequence
 from urllib.parse import urlsplit
@@ -301,8 +303,8 @@ class RemoteOracle:
                 # request: re-send it once on a fresh connection.
                 reused = False
 
-    def _request(self, payload: dict) -> dict:
-        key = json.dumps(payload, sort_keys=True)
+    def _request(self, key: str) -> dict:
+        """The answer to the request whose sorted-key JSON text is ``key``."""
         # One dict read is atomic; the lock orders the writers in `_store`.
         document = self._cache.get(key)
         if document is not None:
@@ -371,7 +373,7 @@ class RemoteOracle:
 
     def generate_premises(self, statement: str) -> list[str]:
         document = self._request(
-            {"op": "generate_premises", "statement": canonicalize(statement)}
+            '{"op": "generate_premises", "statement": ' + _quote(canonicalize(statement)) + "}"
         )
         premises = self._field(document, "premises", list, "a list of strings")
         if not all(isinstance(p, str) for p in premises):
@@ -380,20 +382,20 @@ class RemoteOracle:
 
     def score_statement(self, statement: str) -> float:
         document = self._request(
-            {"op": "score_statement", "statement": canonicalize(statement)}
+            '{"op": "score_statement", "statement": ' + _quote(canonicalize(statement)) + "}"
         )
         return self._score(document)
 
     def score_entailment(self, premises: Sequence[str], hypothesis: str) -> float:
+        quoted = ", ".join([_quote(canonicalize(p)) for p in premises])
         document = self._request(
-            {
-                "op": "score_entailment",
-                "premises": [canonicalize(p) for p in premises],
-                "hypothesis": canonicalize(hypothesis),
-            }
+            '{"hypothesis": ' + _quote(canonicalize(hypothesis))
+            + ', "op": "score_entailment", "premises": [' + quoted + "]}"
         )
         return self._score(document)
 
     def negate(self, statement: str) -> str:
-        document = self._request({"op": "negate", "statement": canonicalize(statement)})
+        document = self._request(
+            '{"op": "negate", "statement": ' + _quote(canonicalize(statement)) + "}"
+        )
         return self._field(document, "statement", str, "a string")

@@ -41,6 +41,20 @@ settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
 
 
+def pytest_configure(config):
+    """Stop a run that would test another tree: ``pythonpath = ["src"]`` in
+    pyproject.toml puts this checkout's ``src`` ahead of ``PYTHONPATH``, so a
+    package named there would be shadowed by the one imported here."""
+    imported = Path(beliefgraph.__file__).resolve().parent
+    for entry in filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep)):
+        other = Path(entry, "beliefgraph").resolve()
+        if (other / "__init__.py").is_file() and other != imported:
+            raise pytest.UsageError(
+                f"PYTHONPATH names the package in {other}, but the tests import the one in "
+                f"{imported}; to test {other}, run its own tree's tests"
+            )
+
+
 def pytest_report_header(config):
     """Name the package under test: ``pythonpath = ["src"]`` in pyproject.toml
     puts this checkout's ``src`` ahead of ``PYTHONPATH``."""

@@ -23,6 +23,29 @@ from beliefgraph.serialize import dumps, graph_to_document
 from conftest import TRACE_PREMISES, TRACE_SCORES, two_pass_damping
 
 
+# The code points the regex ``\s`` matches, found over every code point.
+WHITESPACE = "".join(re.findall(r"\s", "".join(map(chr, range(0x110000)))))
+# Texts over whitespace, letters, periods, non-ASCII and astral characters
+# and lone surrogates, or over any characters but surrogates.
+MIXED_TEXT = st.text(
+    alphabet=st.sampled_from(WHITESPACE + "aZ.\u00df\u0130\u1e9e\U0001d400\U0001f600\ud800\udfff"),
+    max_size=16,
+) | st.text(max_size=16)
+
+
+def regex_collapse(text):
+    """The whitespace collapse as a regular expression writes it."""
+    return re.sub(r"\s+", " ", text.strip())
+
+
+def regex_canonicalize(text):
+    """`canonicalize` as a regular expression writes it."""
+    canon = regex_collapse(text).lower().rstrip(". ")
+    if not canon:
+        raise ValueError(f"cannot canonicalize {text!r}")
+    return canon
+
+
 def rule_counts(graph):
     counts = {t: 0 for t in RuleType}
     for rule in graph.rules:
@@ -65,6 +88,38 @@ class TestCanonicalize:
             return
         assert canonicalize(canon) == canon
 
+    def test_split_and_regex_agree_on_whitespace(self):
+        assert len(WHITESPACE) == 29
+        assert WHITESPACE == "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(MIXED_TEXT)
+    def test_equals_the_regex_form(self, text):
+        try:
+            expected = regex_canonicalize(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                canonicalize(text)
+            return
+        assert canonicalize(text) == expected
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(MIXED_TEXT)
+    def test_node_text_equals_the_regex_form(self, text):
+        try:
+            regex_canonicalize(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                HypothesisSet((text,))
+            return
+        hypotheses = HypothesisSet((text,))
+        if re.search("[\ud800-\udfff]", text):
+            with pytest.raises(ConstructionError, match="is not a UTF-8 string"):
+                generate_graph(hypotheses, MockOracle())
+            return
+        graph = generate_graph(hypotheses, MockOracle())
+        assert graph.statements[0].text == regex_collapse(text)
+
 
 class TestMockOracle:
     def test_entailment_keys_are_canonicalized(self):
@@ -87,6 +142,10 @@ class TestMockOracle:
         with pytest.raises(ValueError, match="' => '"):
             MockOracle(entailment_scores={"alpha breathes": 0.3})
 
+    def test_key_not_a_string_is_type_error(self):
+        with pytest.raises(TypeError, match="cannot canonicalize 5: not a string"):
+            MockOracle(statement_scores={5: 0.5})
+
 
 class TestHypothesisSet:
     def test_duplicates_rejected(self):
@@ -96,6 +155,10 @@ class TestHypothesisSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             HypothesisSet(())
+
+    def test_hypothesis_not_a_string_is_type_error(self):
+        with pytest.raises(TypeError, match="cannot canonicalize 5: not a string"):
+            HypothesisSet(("a", 5))
 
 
 class TestDepthZero:

@@ -8,8 +8,10 @@ from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from beliefgraph import MockOracle, oracle_client
+from beliefgraph import MockOracle, canonicalize, oracle_client
 from beliefgraph.oracle_client import (
     OracleDecodeError,
     OracleTransportError,
@@ -165,6 +167,55 @@ class TestCacheFile:
             i / 1000 for i in range(total)
         ]
         assert fresh.calls == 0
+
+
+# Texts with quotes, backslashes, control characters, non-ASCII and astral
+# characters and lone surrogates, or over any characters but surrogates.
+KEY_TEXT = st.text(
+    alphabet=st.sampled_from('aZ. "\\\x00\x1f\x7f\u00e9\u2028\U0001f600\ud800'), max_size=10
+) | st.text(max_size=10)
+
+
+class TestRequestKeys:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(statement=KEY_TEXT, premises=st.lists(KEY_TEXT, max_size=3), hypothesis=KEY_TEXT)
+    @example(statement='Say "a\\b".', premises=[], hypothesis="\x00\u00e9")
+    def test_key_is_the_sorted_key_json_of_the_request(
+        self, tmp_path_factory, statement, premises, hypothesis
+    ):
+        """A cache written with ``json.dumps(request, sort_keys=True)`` keys
+        answers every query without a call."""
+        try:
+            canon, canon_hypothesis = canonicalize(statement), canonicalize(hypothesis)
+            canon_premises = [canonicalize(p) for p in premises]
+        except ValueError:
+            assume(False)
+        records = [
+            ({"op": "generate_premises", "statement": canon}, {"premises": ["p"]}),
+            ({"op": "score_statement", "statement": canon}, {"score": 0.25}),
+            ({"op": "negate", "statement": canon}, {"statement": "n"}),
+            (
+                {"op": "score_entailment", "premises": canon_premises, "hypothesis": canon_hypothesis},
+                {"score": 0.75},
+            ),
+        ]
+        path = tmp_path_factory.mktemp("keys") / "cache.jsonl"
+        path.write_text(
+            "".join(json.dumps([json.dumps(request, sort_keys=True), answer]) + "\n"
+                    for request, answer in records)
+        )
+        with closing(RemoteOracle(DEAD_ENDPOINT, cache_path=path)) as oracle:
+            assert oracle.generate_premises(statement) == ["p"]
+            assert oracle.score_statement(statement) == 0.25
+            assert oracle.negate(statement) == "n"
+            assert oracle.score_entailment(premises, hypothesis) == 0.75
+        assert oracle.calls == 0
+
+    def test_text_not_a_string_is_type_error_without_a_call(self):
+        oracle = RemoteOracle(DEAD_ENDPOINT)
+        with pytest.raises(TypeError, match="cannot canonicalize 5: not a string"):
+            oracle.score_statement(5)
+        assert oracle.calls == 0
 
 
 class _MockScoreHandler(_ScoreHandler):

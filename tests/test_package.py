@@ -4,7 +4,9 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -194,3 +196,22 @@ def test_only_the_entry_point_touches_the_process():
         in ("freeze", "dup2", "_exit")
     )
     assert calls == ["cli.py:run: dup2", "cli.py:run: freeze"]
+
+
+def test_a_run_that_would_test_another_tree_stops(tmp_path):
+    """With another tree's package on ``PYTHONPATH``, pytest still imports
+    this checkout's, so the run stops with a usage error naming both."""
+    other = tmp_path / "beliefgraph"
+    other.mkdir()
+    (other / "__init__.py").write_text("")
+    imported = Path(beliefgraph.__file__).resolve().parent
+    root = imported.parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "--co", "-q", "-p", "no:cacheprovider",
+         str(root / "tests" / "test_readme.py")],
+        cwd=root, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 4, result.stdout + result.stderr
+    assert f"package in {other.resolve()}" in result.stderr
+    assert f"the one in {imported}" in result.stderr
