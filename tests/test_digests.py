@@ -9,7 +9,8 @@ table's 20 questions in order.  Each fixture goes through a file and
 
 Each digest is the first 16 hex digits of the SHA-256 over the
 concatenated texts that its comment names; recompute one by running the
-loop of its test.  ``document(g, o)`` stands for
+loop of its test.  The oracle cache files are pinned the same way, with
+their sizes and the transport calls that wrote them.  ``document(g, o)`` stands for
 `dumps(outcome_to_document(o, summarize(g, o)))`.  A change that moves a
 digest names the change and its reason in CHANGES.md.
 """
@@ -17,11 +18,18 @@ digest names the change and its reason in CHANGES.md.
 import hashlib
 import importlib.util
 import json
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from beliefgraph import CalibrationConfig, generate_graph, reason, resolve_interactive
+from beliefgraph import (
+    CalibrationConfig,
+    RemoteOracle,
+    generate_graph,
+    reason,
+    resolve_interactive,
+)
 from beliefgraph.dot import to_dot
 from beliefgraph.errors import ReasoningError
 from beliefgraph.maxsat import encode, solve
@@ -33,6 +41,7 @@ from beliefgraph.serialize import (
     outcome_to_document,
 )
 from beliefgraph.synthetic import synthetic_graph
+from conftest import serving
 
 PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 
@@ -53,6 +62,11 @@ CLAUSES_DIGEST = "69417acc6c35ea54"
 # `synthetic_graph` seeds 0-19: `to_dot(g)` then
 # `to_dot(g, o.final_assignment, o.discarded_rules)` with `o = reason(g)`.
 DOT_DIGEST = "80be43577eac3bfc"
+# By seed: the JSONL cache file that `RemoteOracle` writes while it builds
+# the 20 questions of `oracle_tables(seed, 20, 100)` with `d_max` 5 against
+# `perfbench/stub_server.py`, as (digest of its bytes, its size in bytes,
+# the client's transport calls).
+CACHE_FILES = {1: ("a68dbb99f16f098a", 170304, 1211), 2: ("dcbf861e8bc280eb", 170641, 1214)}
 
 
 def digest(texts):
@@ -130,3 +144,36 @@ def test_clauses_and_dot_unchanged():
 
     assert digest(clauses()) == CLAUSES_DIGEST
     assert digest(dots()) == DOT_DIGEST
+
+
+def perfbench_module(name):
+    """The module ``perfbench/<name>.py``, loaded by path."""
+    path = PERFBENCH_INPUTS.with_name(f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", sorted(CACHE_FILES))
+def test_oracle_cache_file_unchanged_and_replayed(seed, tmp_path):
+    fixture, questions = perfbench_module("inputs").oracle_tables(seed, 20, 100)
+    fixture_path = tmp_path / "fixture.json"
+    fixture_path.write_text(json.dumps(fixture))
+    handler = perfbench_module("stub_server").make_handler(load_mock_oracle(fixture_path), 0.0)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.daemon_threads = True
+    cfg = CalibrationConfig(d_max=5)
+    cache_path = tmp_path / "oracle_cache.jsonl"
+
+    def documents(oracle):
+        return [dumps(graph_to_document(generate_graph(q, oracle, cfg))) for q in questions]
+
+    with serving(server) as url, RemoteOracle(url, cache_path=cache_path) as oracle:
+        built = documents(oracle)
+    data = cache_path.read_bytes()
+    assert (digest([data.decode()]), len(data), oracle.calls) == CACHE_FILES[seed]
+    # A fresh client replays every answer from the file, without the server.
+    with RemoteOracle("http://127.0.0.1:9/", cache_path=cache_path) as replay:
+        assert documents(replay) == built
+        assert replay.calls == 0
