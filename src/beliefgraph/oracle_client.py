@@ -24,15 +24,18 @@ without using up an attempt.
 
 The cache is a JSONL file keyed by the canonicalized request, whose
 sorted-key JSON text (``json.dumps(request, sort_keys=True)``, written
-directly rather than through an encoder) is also the request body: each miss
-appends one ``[key, document]`` line in a single write, to a handle opened
-on the first miss and kept until `close`, and nothing ever rewrites the
-file, so repeated runs never re-query the backend.  On load a
-torn last line (one with no terminating newline, left by an interrupted
-append) is dropped and cut off; any other malformed line raises
-`OracleDecodeError`.  One lock guards the writes to the in-memory cache,
-the counter, the connection table and the append, so a client may be
-shared by threads; the HTTP round trip runs outside the lock.
+directly rather than through an encoder) is also the request body.  Its
+query checks an answer before it is stored, so a malformed one is never
+replayed; each stored miss appends one ``[key, document]`` line in a single
+write, to a handle opened on the first stored miss and kept until `close`,
+and nothing ever rewrites the file, so repeated runs never re-query the
+backend.  On load each newline-terminated line must hold exactly one
+``[key, object]`` record and nothing else.  A torn last line (one with no
+terminating newline, left by an interrupted append) is dropped and cut off;
+any other malformed line raises `OracleDecodeError` naming its number.
+One lock guards the writes to the in-memory cache, the counter, the
+connection table and the append, so a client may be shared by threads; the
+HTTP round trip runs outside the lock.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import threading
 import time
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 from urllib.parse import urlsplit
 
 from .construction import canonicalize
@@ -60,6 +63,10 @@ _MAX_HEADERS = 100
 _STATUS_LINE = re.compile(rb"HTTP/1\.([01]) (\d{3})(?: [^\r\n]*)?\r?\n")
 _CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
 _LINE_BREAKS = (b"\r\n", b"\n")
+# Unlike `json.loads`, it neither skips whitespace nor detects an encoding.
+_raw_decode = json.JSONDecoder().raw_decode
+
+_T = TypeVar("_T")
 
 
 class _BadResponse(Exception):
@@ -175,15 +182,21 @@ def _capped(size: int) -> int:
 def _load_cache(path: Path) -> dict[str, dict]:
     """Read a JSONL cache file, dropping and cutting off a torn last line."""
     data = path.read_bytes()
+    cache = {}
+    # `split` leaves the text after the last newline, empty or torn, last.
+    for number, line in enumerate(data.split(b"\n")[:-1], 1):
+        try:
+            text = line.decode()
+            record, stop = _raw_decode(text)
+        except (ValueError, RecursionError) as exc:
+            raise OracleDecodeError(f"{path}: line {number}: {exc}") from exc
+        if not (stop == len(text) and isinstance(record, list) and len(record) == 2
+                and isinstance(record[0], str) and isinstance(record[1], dict)):
+            raise OracleDecodeError(
+                f"{path}: line {number}: a line must hold one [key, object] record"
+            )
+        cache[record[0]] = record[1]
     end = data.rfind(b"\n") + 1
-    # One parse over the joined lines; the line-by-line parse runs only to
-    # name a bad line.
-    try:
-        cache = dict(json.loads(b"[" + data[: max(end - 1, 0)].replace(b"\n", b",") + b"]"))
-    except (TypeError, ValueError, RecursionError):
-        cache = None
-    if cache is None or set(map(type, cache)) - {str} or set(map(type, cache.values())) - {dict}:
-        cache = _parse_lines(path, data[:end].split(b"\n")[:-1])
     if end < len(data):
         # Cut the torn line off, so that the next append starts a line.
         with open(path, "r+b") as handle:
@@ -191,22 +204,33 @@ def _load_cache(path: Path) -> dict[str, dict]:
     return cache
 
 
-def _parse_lines(path: Path, lines: list[bytes]) -> dict[str, dict]:
-    cache = {}
-    for number, line in enumerate(lines, 1):
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise OracleDecodeError(f"{path}: line {number}: {exc}") from exc
-        if not (
-            isinstance(record, list)
-            and len(record) == 2
-            and isinstance(record[0], str)
-            and isinstance(record[1], dict)
-        ):
-            raise OracleDecodeError(f"{path}: line {number}: record must be [key, object]")
-        cache[record[0]] = record[1]
-    return cache
+def _field(document: dict, key: str, kind: type | tuple[type, ...], expected: str):
+    """A response field of the JSON type ``kind``; nothing is coerced."""
+    value = document.get(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise OracleDecodeError(f"oracle field {key!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _score(document: dict) -> float:
+    """The ``score`` field as a float; an integer too large for one is malformed."""
+    try:
+        return float(_field(document, "score", (int, float), "a number"))
+    except OverflowError as exc:
+        raise OracleDecodeError("oracle field 'score' is too large for a float") from exc
+
+
+def _premises(document: dict) -> list[str]:
+    """A copy of the ``premises`` field, a list of strings."""
+    premises = _field(document, "premises", list, "a list of strings")
+    if not all(isinstance(p, str) for p in premises):
+        raise OracleDecodeError("premises must be a list of strings")
+    return list(premises)
+
+
+def _statement(document: dict) -> str:
+    """The ``statement`` field, a string."""
+    return _field(document, "statement", str, "a string")
 
 
 class RemoteOracle:
@@ -303,12 +327,13 @@ class RemoteOracle:
                 # request: re-send it once on a fresh connection.
                 reused = False
 
-    def _request(self, key: str) -> dict:
-        """The answer to the request whose sorted-key JSON text is ``key``."""
+    def _request(self, key: str, read: Callable[[dict], _T]) -> _T:
+        """``read`` applied to the answer to the request whose sorted-key JSON
+        text is ``key``; an answer that ``read`` rejects is not stored."""
         # One dict read is atomic; the lock orders the writers in `_store`.
         document = self._cache.get(key)
         if document is not None:
-            return document
+            return read(document)
         body = key.encode()
         last_error: Exception | None = None
         for attempt in range(MAX_ATTEMPTS):
@@ -339,63 +364,45 @@ class RemoteOracle:
                 raise OracleDecodeError(f"non-JSON oracle response: {exc}") from exc
             if not isinstance(document, dict):
                 raise OracleDecodeError("oracle response root must be an object")
-            return self._store(key, document, line)
+            value = read(document)
+            self._store(key, document, line)
+            return value
         raise OracleTransportError(
             f"oracle at {self.endpoint} failed after {MAX_ATTEMPTS} attempts: {last_error}"
         )
 
-    def _store(self, key: str, document: dict, line: bytes) -> dict:
+    def _store(self, key: str, document: dict, line: bytes) -> None:
         with self._lock:
             if key in self._cache:  # another thread answered it first
-                return self._cache[key]
+                return
             if self.cache_path:
                 if self._cache_file is None:
                     self._cache_file = open(self.cache_path, "ab", buffering=0)
                 self._cache_file.write(line)
             self._cache[key] = document
-        return document
-
-    @staticmethod
-    def _field(document: dict, key: str, kind: type | tuple[type, ...], expected: str):
-        """A response field of the JSON type ``kind``; nothing is coerced."""
-        value = document.get(key)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise OracleDecodeError(f"oracle field {key!r} must be {expected}, got {value!r}")
-        return value
-
-    @classmethod
-    def _score(cls, document: dict) -> float:
-        """The ``score`` field as a float; an integer too large for one is malformed."""
-        try:
-            return float(cls._field(document, "score", (int, float), "a number"))
-        except OverflowError as exc:
-            raise OracleDecodeError("oracle field 'score' is too large for a float") from exc
 
     def generate_premises(self, statement: str) -> list[str]:
-        document = self._request(
-            '{"op": "generate_premises", "statement": ' + _quote(canonicalize(statement)) + "}"
+        return self._request(
+            '{"op": "generate_premises", "statement": ' + _quote(canonicalize(statement)) + "}",
+            _premises,
         )
-        premises = self._field(document, "premises", list, "a list of strings")
-        if not all(isinstance(p, str) for p in premises):
-            raise OracleDecodeError("premises must be a list of strings")
-        return list(premises)
 
     def score_statement(self, statement: str) -> float:
-        document = self._request(
-            '{"op": "score_statement", "statement": ' + _quote(canonicalize(statement)) + "}"
+        return self._request(
+            '{"op": "score_statement", "statement": ' + _quote(canonicalize(statement)) + "}",
+            _score,
         )
-        return self._score(document)
 
     def score_entailment(self, premises: Sequence[str], hypothesis: str) -> float:
         quoted = ", ".join([_quote(canonicalize(p)) for p in premises])
-        document = self._request(
+        return self._request(
             '{"hypothesis": ' + _quote(canonicalize(hypothesis))
-            + ', "op": "score_entailment", "premises": [' + quoted + "]}"
+            + ', "op": "score_entailment", "premises": [' + quoted + "]}",
+            _score,
         )
-        return self._score(document)
 
     def negate(self, statement: str) -> str:
-        document = self._request(
-            '{"op": "negate", "statement": ' + _quote(canonicalize(statement)) + "}"
+        return self._request(
+            '{"op": "negate", "statement": ' + _quote(canonicalize(statement)) + "}",
+            _statement,
         )
-        return self._field(document, "statement", str, "a string")

@@ -113,7 +113,9 @@ class TestCacheFile:
             oracle.score_statement("fact 3")
 
     @pytest.mark.parametrize("bad", [b'xx{"broken', b'{"k": 1}', b'["k"]', b"",
-                                     pytest.param(b"[" * 100000 + b"]" * 100000, id="deep")])
+                                     pytest.param(b"[" * 100000 + b"]" * 100000, id="deep"),
+                                     pytest.param(b'["k1",{}],["k2",{}]', id="two-records"),
+                                     pytest.param(b'["k1"\n{"score":0.5}]', id="split-record")])
     def test_corrupt_middle_line_names_path_and_line(self, tmp_path, bad):
         path = tmp_path / "cache.jsonl"
         path.write_bytes(_record("fact 1") + bad + b"\n" + _record("fact 2"))
@@ -174,6 +176,24 @@ class TestCacheFile:
 KEY_TEXT = st.text(
     alphabet=st.sampled_from('aZ. "\\\x00\x1f\x7f\u00e9\u2028\U0001f600\ud800'), max_size=10
 ) | st.text(max_size=10)
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | KEY_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEY_TEXT, inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@given(cache=st.dictionaries(KEY_TEXT, st.dictionaries(KEY_TEXT, JSON_VALUE, max_size=3),
+                             max_size=4))
+def test_cache_lines_read_back_as_written(tmp_path_factory, cache):
+    """Lines written as `RemoteOracle._request` writes them read back as
+    the records they hold."""
+    path = tmp_path_factory.mktemp("lines") / "cache.jsonl"
+    path.write_bytes(b"".join(
+        (json.dumps([key, document], separators=(",", ":")) + "\n").encode()
+        for key, document in cache.items()
+    ))
+    assert oracle_client._load_cache(path) == cache
 
 
 class TestRequestKeys:
@@ -387,6 +407,35 @@ class TestTransport:
             ask = getattr(oracle, query)
             with pytest.raises(OracleDecodeError):
                 ask(["fact 1"], "fact 2") if query == "score_entailment" else ask("fact 1")
+
+    @pytest.mark.parametrize(
+        "query, document", test_mistyped_field_raises_decode_error.pytestmark[0].args[1]
+    )
+    def test_mistyped_answer_is_not_stored(self, tmp_path, monkeypatch, query, document):
+        """A rejected answer is asked for again, not replayed from the cache."""
+        monkeypatch.setattr(oracle_client, "BACKOFF_SECONDS", 0.01)
+
+        class Fixed(_ScoreHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                body = json.dumps(document).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+        def ask(oracle):
+            method = getattr(oracle, query)
+            return method(["fact 1"], "fact 2") if query == "score_entailment" else method("fact 1")
+
+        path = tmp_path / "cache.jsonl"
+        with serve(Fixed) as (_, url), closing(RemoteOracle(url, cache_path=path)) as oracle:
+            with pytest.raises(OracleDecodeError):
+                ask(oracle)
+            assert oracle.calls == 1
+        assert not path.exists()
+        with pytest.raises(OracleTransportError):
+            ask(RemoteOracle(DEAD_ENDPOINT, cache_path=path))
 
     def test_timeout_applies_to_reads(self, monkeypatch):
         monkeypatch.setattr(oracle_client, "BACKOFF_SECONDS", 0.01)
