@@ -11,6 +11,7 @@ margin filter.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # Construction recurses about two frames per level, so this bound keeps a
@@ -32,6 +33,13 @@ class CalibrationConfig:
     d_max: int = 5
 
     def __post_init__(self) -> None:
+        # Checked, not converted, so that an accepted value keeps its config
+        # digest; an integer too large for a float is not finite here.
+        for name in ("k", "k_entailment", "t_entailment", "t_xor", "t_mc", "m_xor", "beta"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("k", "k_entailment", "t_entailment", "t_xor", "t_mc"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")

@@ -179,13 +179,21 @@ class HypothesisSet:
     question_id: str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.hypotheses, tuple):
+            raise TypeError(f"hypotheses must be a tuple, got {type(self.hypotheses).__name__}")
         if not self.hypotheses:
             raise ValueError("hypothesis set must be non-empty")
         canon = [canonicalize(h) for h in self.hypotheses]
         if len(set(canon)) != len(canon):
             raise ValueError("duplicate hypotheses after canonicalization")
-        if self.gold_index is not None and not 0 <= self.gold_index < len(self.hypotheses):
+        gold = self.gold_index
+        if gold is not None and (isinstance(gold, bool) or not isinstance(gold, int)):
+            raise TypeError(f"gold_index must be an integer, got {gold!r}")
+        if gold is not None and not 0 <= gold < len(self.hypotheses):
             raise ValueError("gold_index out of range")
+        qid = self.question_id
+        if qid is not None and (not isinstance(qid, str) or _LONE_SURROGATE.search(qid)):
+            raise ValueError(f"question_id must be a UTF-8 string, got {qid!r}")
 
 
 class _Builder:

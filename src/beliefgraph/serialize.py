@@ -313,11 +313,11 @@ def load_questions(path: str | Path) -> list[HypothesisSet]:
         if not isinstance(entry, dict):
             raise InputError(f"{where} must be an object")
         hypotheses = tuple(_str(h, "hypotheses", where) for h in _list(entry, "hypotheses", where))
-        gold_index = _optional(_int, entry, "gold_index", where)
-        question_id = _optional(_str, entry, "question_id", where)
         try:
-            questions.append(HypothesisSet(hypotheses, gold_index, question_id))
-        except ValueError as exc:
+            questions.append(
+                HypothesisSet(hypotheses, entry.get("gold_index"), entry.get("question_id"))
+            )
+        except (TypeError, ValueError) as exc:
             raise InputError(f"{where}: {exc}") from exc
     return questions
 

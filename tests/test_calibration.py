@@ -165,6 +165,10 @@ class TestConfigValidation:
         for d_max in (2.5, True):
             with pytest.raises(ValueError, match="d_max must be an integer"):
                 CalibrationConfig(d_max=d_max)
+        for name in ("k", "k_entailment", "t_entailment", "t_xor", "t_mc", "m_xor", "beta"):
+            for value in (math.nan, math.inf, -math.inf, 10**400, True):
+                with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+                    CalibrationConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CalibrationConfig)])

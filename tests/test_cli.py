@@ -481,6 +481,34 @@ def test_mock_oracle_rejects_each_rejected_fixture(document):
         MockOracle(**document)
 
 
+# The question cases, with lists passed as tuples, as `load_questions` passes
+# them.  `hypothesis-lone-surrogate` is left out: the builder, not
+# `HypothesisSet`, rejects hypothesis text that UTF-8 cannot encode
+# (`test_node_text_equals_the_regex_form`).
+_QUESTION_CASES = [
+    pytest.param({k: tuple(v) if isinstance(v, list) else v for k, v in document.items()},
+                 id=name)
+    for (file, document), name in zip(_MISTYPED.args[1], _MISTYPED.kwargs["ids"])
+    if file == "question.json" and name != "hypothesis-lone-surrogate"
+]
+
+
+@pytest.mark.parametrize("document", _QUESTION_CASES)
+def test_hypothesis_set_rejects_each_rejected_question(document):
+    """A question the command line refuses is refused by `HypothesisSet` itself."""
+    with pytest.raises((TypeError, ValueError)):
+        HypothesisSet(**document)
+
+
+@pytest.mark.parametrize(
+    "config", TestBuildGraph.test_mistyped_config_is_input_error.pytestmark[0].args[1]
+)
+def test_calibration_config_rejects_each_rejected_config(config):
+    """A config the command line refuses is refused by `CalibrationConfig` itself."""
+    with pytest.raises(ValueError):
+        CalibrationConfig(**config)
+
+
 def test_mock_oracle_names_the_table_and_key():
     with pytest.raises(ValueError, match=re.escape(
             "statement_scores: field 'alpha is a mammal' must be in [0, 1], got 2.0")):
