@@ -33,8 +33,8 @@ class CalibrationConfig:
     d_max: int = 5
 
     def __post_init__(self) -> None:
-        # Checked, not converted, so that an accepted value keeps its config
-        # digest; an integer too large for a float is not finite here.
+        # Checked, not converted, so an accepted value keeps its config digest.
+        # NaN fails the bound, and so does an integer too large for a float.
         for name in ("k", "k_entailment", "t_entailment", "t_xor", "t_mc", "m_xor", "beta"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, (int, float))
