@@ -11,8 +11,9 @@ margin filter.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+
+from .errors import finite_number, integer, score
 
 # Construction recurses about two frames per level, so this bound keeps a
 # full-depth build well inside the interpreter's default recursion limit.
@@ -34,44 +35,32 @@ class CalibrationConfig:
 
     def __post_init__(self) -> None:
         # Checked, not converted, so an accepted value keeps its config digest.
-        # NaN fails the bound, and so does an integer too large for a float.
-        for name in ("k", "k_entailment", "t_entailment", "t_xor", "t_mc", "m_xor", "beta"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not abs(value) <= sys.float_info.max):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("k", "k_entailment", "t_entailment", "t_xor", "t_mc"):
-            if getattr(self, name) <= 0.0:
+            if finite_number(getattr(self, name), name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.m_xor <= 1.0:
-            raise ValueError("m_xor must be in [0, 1]")
-        if not 0.0 < self.beta <= 1.0:
+        score(self.m_xor, "m_xor")
+        if not 0.0 < finite_number(self.beta, "beta") <= 1.0:
             raise ValueError("beta must be in (0, 1]")
-        if isinstance(self.d_max, bool) or not isinstance(self.d_max, int):
-            raise ValueError(f"d_max must be an integer, got {self.d_max!r}")
-        if not 0 <= self.d_max <= MAX_DEPTH:
+        if not 0 <= integer(self.d_max, "d_max") <= MAX_DEPTH:
             raise ValueError(f"d_max must be in [0, {MAX_DEPTH}], got {self.d_max!r}")
 
 
 def calibrate_statement(s_raw: float, cfg: CalibrationConfig) -> float:
     """exp(k * (s_raw - 1)); strictly increasing, maps 1.0 to 1.0."""
-    if not 0.0 <= s_raw <= 1.0:
-        raise ValueError(f"raw statement score must be in [0, 1], got {s_raw!r}")
+    s_raw = score(s_raw, "raw statement score")
     return math.exp(cfg.k * (s_raw - 1.0))
 
 
 def calibrate_entailment(s_raw: float, cfg: CalibrationConfig) -> float:
     """t_entailment * exp(k_entailment * (s_raw - 1)); may exceed 1, since
     costs are unnormalized."""
-    if not 0.0 <= s_raw <= 1.0:
-        raise ValueError(f"raw entailment score must be in [0, 1], got {s_raw!r}")
+    s_raw = score(s_raw, "raw entailment score")
     return cfg.t_entailment * math.exp(cfg.k_entailment * (s_raw - 1.0))
 
 
 def label_from_score(s_d: float) -> tuple[bool, float]:
     """Map a truth score to (label, raw confidence): (True, s) iff s >= 0.5."""
-    if not 0.0 <= s_d <= 1.0:
-        raise ValueError(f"truth score must be in [0, 1], got {s_d!r}")
+    s_d = score(s_d, "truth score")
     if s_d >= 0.5:
         return True, s_d
     return False, 1.0 - s_d

@@ -11,7 +11,6 @@ rule concludes any of its premises.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field, replace
 from typing import Protocol, Sequence
 
@@ -22,7 +21,7 @@ from .calibration import (
     label_from_score,
     xor_admissible,
 )
-from .errors import ConstructionError
+from .errors import ConstructionError, integer, score, utf8_string
 from .model import (
     HARD,
     BeliefGraph,
@@ -33,9 +32,6 @@ from .model import (
 )
 
 MAX_STATEMENTS = 2000
-
-# What UTF-8 cannot encode; a graph document holding one could not be loaded.
-_LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def canonicalize(text: str) -> str:
@@ -48,6 +44,23 @@ def canonicalize(text: str) -> str:
     if not canon:
         raise ValueError(f"cannot canonicalize {text!r}: nothing but spaces and periods")
     return canon
+
+
+def statement_text(value: object, name: str) -> str:
+    """``value`` if it is a string that `canonicalize` accepts and UTF-8 can
+    encode; otherwise `canonicalize`'s error or a ValueError, naming ``name``."""
+    try:
+        canonicalize(value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
+    return utf8_string(value, name)
+
+
+def statement_texts(value: object, name: str) -> list[str]:
+    """A copy of ``value`` if it is a list of `statement_text` strings."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list, got {type(value).__name__}")
+    return [statement_text(text, name) for text in value]
 
 
 class BeliefOracle(Protocol):
@@ -90,33 +103,6 @@ def _canonical_entailment_key(key: str) -> str:
     return entailment_key(premises.split(" && ") if premises else [], hypothesis)
 
 
-def _text(value: object, where: str) -> str:
-    """``value`` if it is a UTF-8 string that `canonicalize` accepts."""
-    if not isinstance(value, str) or _LONE_SURROGATE.search(value):
-        raise ValueError(f"{where} must be a UTF-8 string, got {value!r}")
-    try:
-        canonicalize(value)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    return value
-
-
-def _texts(value: object, where: str) -> list[str]:
-    """``value`` if it is a list of `_text` strings."""
-    if not isinstance(value, list):
-        raise TypeError(f"{where} must be a list, got {type(value).__name__}")
-    return [_text(text, where) for text in value]
-
-
-def _score(value: object, where: str) -> float:
-    """``value`` as a float if it is a number in [0, 1], never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{where} must be a number, got {value!r}")
-    if not 0 <= value <= 1:
-        raise ValueError(f"{where} must be in [0, 1], got {value!r}")
-    return float(value)
-
-
 @dataclass
 class MockOracle:
     """Deterministic table-driven oracle for desk-scale runs and tests.
@@ -125,8 +111,8 @@ class MockOracle:
     return no premises, and unknown negations toggle a fixed prefix (an
     involution under canonicalization).  Table keys are canonicalized, each
     statement of an ``entailment_scores`` key ``"p1 && p2 => h"`` on its own.
-    A table must be a dict, a premise or negation a UTF-8 string that
-    `canonicalize` accepts, and a score a number in [0, 1] other than a bool.
+    A table must be a dict, a premise or negation a `statement_text`, and a
+    score a number in [0, 1] other than a bool.
     """
 
     premises: dict[str, list[str]] = field(default_factory=dict)
@@ -138,10 +124,10 @@ class MockOracle:
 
     def __post_init__(self) -> None:
         tables = {
-            "premises": (canonicalize, _texts),
-            "statement_scores": (canonicalize, _score),
-            "entailment_scores": (_canonical_entailment_key, _score),
-            "negations": (canonicalize, _text),
+            "premises": (canonicalize, statement_texts),
+            "statement_scores": (canonicalize, score),
+            "entailment_scores": (_canonical_entailment_key, score),
+            "negations": (canonicalize, statement_text),
         }
         for name, (key, read) in tables.items():
             table = getattr(self, name)
@@ -149,7 +135,7 @@ class MockOracle:
                 raise TypeError(f"{name!r} must be an object")
             setattr(self, name, {key(k): read(v, f"{name}: field {k!r}") for k, v in table.items()})
         for name in ("default_score", "default_entailment_score"):
-            setattr(self, name, _score(getattr(self, name), f"field {name!r}"))
+            setattr(self, name, score(getattr(self, name), f"field {name!r}"))
 
     def generate_premises(self, statement: str) -> list[str]:
         return list(self.premises.get(canonicalize(statement), []))
@@ -172,7 +158,10 @@ class MockOracle:
 
 @dataclass(frozen=True)
 class HypothesisSet:
-    """Candidate answers for one question, as declarative sentences."""
+    """Candidate answers for one question, as declarative sentences: a
+    non-empty tuple of `statement_text` strings, distinct once canonicalized,
+    an integer ``gold_index`` into it and a UTF-8 ``question_id``, each
+    optional."""
 
     hypotheses: tuple[str, ...]
     gold_index: int | None = None
@@ -183,17 +172,14 @@ class HypothesisSet:
             raise TypeError(f"hypotheses must be a tuple, got {type(self.hypotheses).__name__}")
         if not self.hypotheses:
             raise ValueError("hypothesis set must be non-empty")
-        canon = [canonicalize(h) for h in self.hypotheses]
-        if len(set(canon)) != len(canon):
+        canon = {canonicalize(statement_text(h, "hypothesis")) for h in self.hypotheses}
+        if len(canon) != len(self.hypotheses):
             raise ValueError("duplicate hypotheses after canonicalization")
-        gold = self.gold_index
-        if gold is not None and (isinstance(gold, bool) or not isinstance(gold, int)):
-            raise TypeError(f"gold_index must be an integer, got {gold!r}")
-        if gold is not None and not 0 <= gold < len(self.hypotheses):
-            raise ValueError("gold_index out of range")
-        qid = self.question_id
-        if qid is not None and (not isinstance(qid, str) or _LONE_SURROGATE.search(qid)):
-            raise ValueError(f"question_id must be a UTF-8 string, got {qid!r}")
+        if self.gold_index is not None:
+            if not 0 <= integer(self.gold_index, "gold_index") < len(self.hypotheses):
+                raise ValueError("gold_index out of range")
+        if self.question_id is not None:
+            utf8_string(self.question_id, "question_id")
 
 
 class _Builder:
@@ -216,9 +202,8 @@ class _Builder:
             return self.ids[canon]
         if len(self.nodes) >= MAX_STATEMENTS:
             raise ConstructionError(f"statement budget of {MAX_STATEMENTS} exhausted")
-        if _LONE_SURROGATE.search(text):
-            raise ConstructionError(f"statement text {text!r} is not a UTF-8 string")
-        s_d = float(self.oracle.score_statement(text))
+        utf8_string(text, "statement text")
+        s_d = score(self.oracle.score_statement(text), "statement score")
         label, raw_conf = label_from_score(s_d)
         sid = len(self.nodes)
         self.ids[canon] = sid
@@ -240,7 +225,7 @@ class _Builder:
                 # graph concludes, a cycle's included, are all marked by then.
                 self.concluded.add(sid)
                 premise_ids = tuple(dict.fromkeys(self.extend(p, depth + 1) for p in premises))
-                s_e = float(self.oracle.score_entailment(premises, text))
+                s_e = score(self.oracle.score_entailment(premises, text), "entailment score")
                 confidence = calibrate_entailment(s_e, self.cfg)
                 if self.concluded.isdisjoint(premise_ids):  # boundary damping
                     confidence *= self.cfg.beta

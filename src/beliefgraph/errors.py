@@ -1,7 +1,15 @@
-"""The exceptions that the CLI maps to exit codes, in one module that imports
-nothing, so a command can catch them without loading the code that raises
-them.  Each is also importable from the module that raises it.
+"""The exceptions that the CLI maps to exit codes, and the rules for the fields
+of an input, in one module that imports nothing of the package, so a command
+can catch them and a boundary can apply them without loading the code that
+raises them.  Each exception is also importable from the module that raises it.
+
+Each rule returns the value it accepts and raises `ValueError` naming the
+field, built only on failure; a boundary maps that to its own error: a
+document or file is an `InputError`, an oracle answer an `OracleDecodeError`,
+and a duck-typed oracle's answer a `ConstructionError`.
 """
+
+from math import inf, isfinite
 
 
 class InputError(ValueError):
@@ -14,7 +22,7 @@ class SolverLimitError(RuntimeError):
 
 class ConstructionError(RuntimeError):
     """Graph construction failed: the statement budget ran out, or the oracle
-    failed or gave text that is not UTF-8."""
+    failed or gave an answer that breaks a field rule."""
 
 
 class OracleTransportError(RuntimeError):
@@ -27,3 +35,48 @@ class OracleDecodeError(RuntimeError):
 
 class ReasoningError(RuntimeError):
     """The MaxSAT instance was infeasible (conflicting hard constraints)."""
+
+
+def finite_number(value: object, name: str) -> float:
+    """``value`` as a float if it is an int or float other than a bool, finite,
+    and held exactly by a float: NaN, an infinity, and an integer such as
+    ``2**53 + 1`` or ``10**400`` are refused."""
+    if type(value) is float and isfinite(value):  # the common case, in one test
+        return value
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = inf
+        if isfinite(number) and number == value:
+            return number
+    raise ValueError(f"{name} must be a finite number that a float holds exactly, got {value!r}")
+
+
+def integer(value: object, name: str) -> int:
+    """``value`` if it is an int other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def score(value: object, name: str) -> float:
+    """``value`` as a float if it is a `finite_number` in [0, 1]."""
+    if type(value) is float and 0.0 <= value <= 1.0:  # the common case, in one test
+        return value
+    number = finite_number(value, name)
+    if not 0.0 <= number <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+    return number
+
+
+def utf8_string(value: object, name: str) -> str:
+    """``value`` if it is a string that UTF-8 can encode: one holding a lone
+    surrogate such as ``"\\ud800"`` could not be printed or written back."""
+    if isinstance(value, str):
+        try:
+            value.encode()
+            return value
+        except UnicodeEncodeError:
+            pass
+    raise ValueError(f"{name} must be a UTF-8 string, got {value!r}")

@@ -25,14 +25,18 @@ without using up an attempt.
 The cache is a JSONL file keyed by the canonicalized request, whose
 sorted-key JSON text (``json.dumps(request, sort_keys=True)``, written
 directly rather than through an encoder) is also the request body.  Its
-query checks an answer before it is stored, so a malformed one is never
-replayed; each stored miss appends one ``[key, document]`` line in a single
-write, to a handle opened on the first stored miss and kept until `close`,
-and nothing ever rewrites the file, so repeated runs never re-query the
-backend.  On load each newline-terminated line must hold exactly one
-``[key, object]`` record and nothing else.  A torn last line (one with no
-terminating newline, left by an interrupted append) is dropped and cut off;
-any other malformed line raises `OracleDecodeError` naming its number.
+query checks an answer before it is stored, by the rules `MockOracle` applies
+to its tables: a score is a number in [0, 1], not a bool, and a premise or
+negation a string that UTF-8 can encode and `canonicalize` accepts.  So a
+malformed answer (a score of 1.5 or NaN, an empty text, a lone surrogate) is
+an `OracleDecodeError` and is never stored or replayed.  Each stored miss
+appends one ``[key, document]`` line in a single write, to a handle opened
+on the first stored miss and kept until `close`, and nothing ever rewrites
+the file, so repeated runs never re-query the backend.  On load each
+newline-terminated line must hold exactly one ``[key, object]`` record and
+nothing else.  A torn last line (one with no terminating newline, left by an
+interrupted append) is dropped and cut off; any other malformed line raises
+`OracleDecodeError` naming its number.
 One lock guards the writes to the in-memory cache, the counter, the
 connection table and the append, so a client may be shared by threads; the
 HTTP round trip runs outside the lock.
@@ -50,8 +54,8 @@ from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 from urllib.parse import urlsplit
 
-from .construction import canonicalize
-from .errors import OracleDecodeError, OracleTransportError
+from .construction import canonicalize, statement_text, statement_texts
+from .errors import OracleDecodeError, OracleTransportError, score
 
 MAX_ATTEMPTS = 3
 BACKOFF_SECONDS = 0.2
@@ -204,33 +208,24 @@ def _load_cache(path: Path) -> dict[str, dict]:
     return cache
 
 
-def _field(document: dict, key: str, kind: type | tuple[type, ...], expected: str):
-    """A response field of the JSON type ``kind``; nothing is coerced."""
-    value = document.get(key)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise OracleDecodeError(f"oracle field {key!r} must be {expected}, got {value!r}")
-    return value
-
-
 def _score(document: dict) -> float:
-    """The ``score`` field as a float; an integer too large for one is malformed."""
-    try:
-        return float(_field(document, "score", (int, float), "a number"))
-    except OverflowError as exc:
-        raise OracleDecodeError("oracle field 'score' is too large for a float") from exc
+    return score(document.get("score"), "oracle field 'score'")
 
 
 def _premises(document: dict) -> list[str]:
-    """A copy of the ``premises`` field, a list of strings."""
-    premises = _field(document, "premises", list, "a list of strings")
-    if not all(isinstance(p, str) for p in premises):
-        raise OracleDecodeError("premises must be a list of strings")
-    return list(premises)
+    return statement_texts(document.get("premises"), "oracle field 'premises'")
 
 
 def _statement(document: dict) -> str:
-    """The ``statement`` field, a string."""
-    return _field(document, "statement", str, "a string")
+    return statement_text(document.get("statement"), "oracle field 'statement'")
+
+
+def _read(read: Callable[[dict], _T], document: dict) -> _T:
+    """``read(document)``; a field it rejects makes the answer malformed."""
+    try:
+        return read(document)
+    except (TypeError, ValueError) as exc:
+        raise OracleDecodeError(str(exc)) from exc
 
 
 class RemoteOracle:
@@ -333,7 +328,7 @@ class RemoteOracle:
         # One dict read is atomic; the lock orders the writers in `_store`.
         document = self._cache.get(key)
         if document is not None:
-            return read(document)
+            return _read(read, document)
         body = key.encode()
         last_error: Exception | None = None
         for attempt in range(MAX_ATTEMPTS):
@@ -364,7 +359,7 @@ class RemoteOracle:
                 raise OracleDecodeError(f"non-JSON oracle response: {exc}") from exc
             if not isinstance(document, dict):
                 raise OracleDecodeError("oracle response root must be an object")
-            value = read(document)
+            value = _read(read, document)
             self._store(key, document, line)
             return value
         raise OracleTransportError(

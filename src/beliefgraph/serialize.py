@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 import stat
 from dataclasses import asdict
@@ -11,7 +10,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .errors import InputError
+from .errors import InputError, finite_number, integer, utf8_string
 from .model import HARD, BeliefGraph, RuleNode, RuleType, StatementNode
 
 # Construction and calibration are imported by the loaders that need them,
@@ -137,45 +136,9 @@ def _bool(mapping: dict, key: str, where: str, default: bool | None = None) -> b
     return value
 
 
-def _int(value: Any, key: str, where: str) -> int:
-    """A JSON integer, never a bool, a float or a string."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{where}: field {key!r} must hold integers, got {value!r}")
-    return value
-
-
-def _number(value: Any, key: str, where: str) -> float:
-    """A finite JSON number, never a bool or a string; an integer becomes
-    the float equal to it, and one that no float equals is rejected."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number) and number == value:
-            return number
-    raise InputError(
-        f"{where}: field {key!r} must be a finite number that a float holds exactly, "
-        f"got {value!r}"
-    )
-
-
-def _str(value: Any, key: str, where: str) -> str:
-    """A JSON string that UTF-8 can encode: no lone surrogate escapes, which
-    could not be printed or written back."""
-    if isinstance(value, str):
-        try:
-            value.encode()
-            return value
-        except UnicodeEncodeError:
-            pass
-    raise InputError(f"{where}: field {key!r} must be a UTF-8 string, got {value!r}")
-
-
-def _optional(read, mapping: dict, key: str, where: str) -> Any:
-    """``read`` applied to a field that may be absent or null (then None)."""
-    value = mapping.get(key)
-    return None if value is None else read(value, key, where)
+def _optional(rule, value: Any, name: str) -> Any:
+    """None for an absent or null field, else ``rule(value, name)``."""
+    return None if value is None else rule(value, name)
 
 
 def _list(mapping: dict, key: str, where: str, default: list | None = None) -> list:
@@ -185,79 +148,75 @@ def _list(mapping: dict, key: str, where: str, default: list | None = None) -> l
     return value
 
 
-def _ints(mapping: dict, key: str, where: str, default: list | None = None) -> tuple[int, ...]:
-    return tuple(_int(v, key, where) for v in _list(mapping, key, where, default))
-
-
 def document_to_graph(document: dict) -> BeliefGraph:
     if not isinstance(document, dict):
         raise InputError("document root must be an object")
-    version = _int(_require(document, "schema_version", "document"), "schema_version", "document")
-    if version != SCHEMA_VERSION:
-        raise InputError(f"document: unsupported schema_version {version!r}")
-    # Not read here, but `graph_to_document` writes an object, so no other value holds.
-    provenance = document.get("provenance", {})
-    if not isinstance(provenance, dict):
-        raise InputError(
-            f"document: field 'provenance' must be an object, got {type(provenance).__name__}"
-        )
-    hypotheses = _ints(document, "hypotheses", "document")
-    statements: dict[int, StatementNode] = {}
-    for i, entry in enumerate(_list(document, "statements", "document")):
-        where = f"statements[{i}]"
-        if not isinstance(entry, dict):
-            raise InputError(f"{where} must be an object")
-        try:
-            node = StatementNode(
-                id=_int(_require(entry, "id", where), "id", where),
-                text=_str(_require(entry, "text", where), "text", where),
-                label=_bool(entry, "label", where),
-                confidence=_number(_require(entry, "confidence", where), "confidence", where),
-                depth=_int(entry.get("depth", 0), "depth", where),
-                is_negation_of=_optional(_int, entry, "negation_of", where),
-                raw_score=_optional(_number, entry, "raw_score", where),
+    # A rule's ValueError names the field; ``where`` names the entry it is in.
+    where = "document"
+    try:
+        version = integer(_require(document, "schema_version", where), "field 'schema_version'")
+        if version != SCHEMA_VERSION:
+            raise InputError(f"document: unsupported schema_version {version!r}")
+        # Not read here, but `graph_to_document` writes an object, so no other value holds.
+        provenance = document.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise InputError(
+                f"document: field 'provenance' must be an object, got {type(provenance).__name__}"
             )
-        except InputError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{where}: {exc}") from exc
-        if node.id in statements:
-            raise InputError(f"{where}: duplicate statement id {node.id}")
-        listed = node.id in hypotheses
-        if _bool(entry, "is_hypothesis", where, listed) is not listed:
-            raise InputError(f"{where}: 'is_hypothesis' disagrees with 'hypotheses'")
-        statements[node.id] = node
-    rules = []
-    for i, entry in enumerate(_list(document, "rules", "document")):
-        where = f"rules[{i}]"
-        if not isinstance(entry, dict):
-            raise InputError(f"{where} must be an object")
-        try:
+        hypotheses = tuple([integer(v, "an item of field 'hypotheses'")
+                            for v in _list(document, "hypotheses", where)])
+        statements: dict[int, StatementNode] = {}
+        for i, entry in enumerate(_list(document, "statements", "document")):
+            where = f"statements[{i}]"
+            if not isinstance(entry, dict):
+                raise InputError(f"{where} must be an object")
+            node = StatementNode(
+                id=integer(_require(entry, "id", where), "field 'id'"),
+                text=utf8_string(_require(entry, "text", where), "field 'text'"),
+                label=_bool(entry, "label", where),
+                confidence=finite_number(_require(entry, "confidence", where),
+                                         "field 'confidence'"),
+                depth=integer(entry.get("depth", 0), "field 'depth'"),
+                is_negation_of=_optional(integer, entry.get("negation_of"), "field 'negation_of'"),
+                raw_score=_optional(finite_number, entry.get("raw_score"), "field 'raw_score'"),
+            )
+            if node.id in statements:
+                raise InputError(f"{where}: duplicate statement id {node.id}")
+            listed = node.id in hypotheses
+            if _bool(entry, "is_hypothesis", where, listed) is not listed:
+                raise InputError(f"{where}: 'is_hypothesis' disagrees with 'hypotheses'")
+            statements[node.id] = node
+        rules = []
+        for i, entry in enumerate(_list(document, "rules", "document")):
+            where = f"rules[{i}]"
+            if not isinstance(entry, dict):
+                raise InputError(f"{where} must be an object")
             rule_type = RuleType(_require(entry, "type", where))
             if _bool(entry, "hard", where, False):
                 if entry.get("confidence") is not None:
                     raise InputError(f"{where}: a hard rule's 'confidence' must be null")
                 confidence = HARD
             else:
-                confidence = _number(_require(entry, "confidence", where), "confidence", where)
+                confidence = finite_number(_require(entry, "confidence", where),
+                                           "field 'confidence'")
             rules.append(
                 RuleNode(
-                    id=_str(_require(entry, "id", where), "id", where),
+                    id=utf8_string(_require(entry, "id", where), "field 'id'"),
                     rule_type=rule_type,
-                    premise_ids=_ints(entry, "premises", where, []),
-                    hypothesis_ids=_ints(entry, "hypotheses", where),
+                    premise_ids=tuple([integer(v, "an item of field 'premises'")
+                                       for v in _list(entry, "premises", where, [])]),
+                    hypothesis_ids=tuple([integer(v, "an item of field 'hypotheses'")
+                                          for v in _list(entry, "hypotheses", where)]),
                     confidence=confidence,
-                    raw_score=_number(entry.get("raw_score", 1.0), "raw_score", where),
+                    raw_score=finite_number(entry.get("raw_score", 1.0), "field 'raw_score'"),
                 )
             )
-        except InputError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{where}: {exc}") from exc
-    try:
+        where = "document"
         return BeliefGraph(statements, tuple(rules), hypotheses)
-    except ValueError as exc:
-        raise InputError(f"document: {exc}") from exc
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def write_whole(path: str | Path, text: str) -> None:
@@ -301,7 +260,9 @@ def load_graph(path: str | Path) -> BeliefGraph:
 
 
 def load_questions(path: str | Path) -> list[HypothesisSet]:
-    """A question file: one question object or a non-empty list of them."""
+    """A question file: one question object or a non-empty list of them, each
+    an object of `HypothesisSet`'s fields with ``hypotheses`` a list, checked
+    as it checks them."""
     from .construction import HypothesisSet
 
     raw = read_json(path)
@@ -312,11 +273,9 @@ def load_questions(path: str | Path) -> list[HypothesisSet]:
         where = f"{path}: question [{i}]"
         if not isinstance(entry, dict):
             raise InputError(f"{where} must be an object")
-        hypotheses = tuple(_str(h, "hypotheses", where) for h in _list(entry, "hypotheses", where))
+        hypotheses = _list(entry, "hypotheses", where)
         try:
-            questions.append(
-                HypothesisSet(hypotheses, entry.get("gold_index"), entry.get("question_id"))
-            )
+            questions.append(HypothesisSet(**dict(entry, hypotheses=tuple(hypotheses))))
         except (TypeError, ValueError) as exc:
             raise InputError(f"{where}: {exc}") from exc
     return questions
@@ -362,9 +321,6 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Calib
         unknown = set(raw) - set(CalibrationConfig.__dataclass_fields__)
         if unknown:
             raise InputError(f"{path}: unknown config keys {sorted(unknown)}")
-        # Checked, not converted: an accepted value keeps its config digest.
-        for key, value in raw.items():
-            _number(value, key, str(path))
         values.update(raw)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})

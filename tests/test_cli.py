@@ -389,6 +389,7 @@ class TestBuildGraph:
             ("question.json", dict(QUESTION, hypotheses=["Alpha is a mammal.", "beta \ud800 x"])),
             ("question.json", dict(QUESTION, question_id="q \ud800")),
             ("question.json", dict(QUESTION, hypotheses=["A mammal.", "a  MAMMAL"])),
+            ("question.json", dict(QUESTION, gold_idx=1)),
             ("oracle.json", dict(ORACLE_FIXTURE, premises=[])),
             ("oracle.json", dict(ORACLE_FIXTURE, negations=3)),
             ("oracle.json", dict(ORACLE_FIXTURE, premises={"alpha is a mammal": "xyz"})),
@@ -418,6 +419,7 @@ class TestBuildGraph:
             "hypothesis-lone-surrogate",
             "question-id-lone-surrogate",
             "hypotheses-duplicate",
+            "question-unknown-key",
             "premises-table-list",
             "negations-table-int",
             "premise-value-string",
@@ -482,14 +484,12 @@ def test_mock_oracle_rejects_each_rejected_fixture(document):
 
 
 # The question cases, with lists passed as tuples, as `load_questions` passes
-# them.  `hypothesis-lone-surrogate` is left out: the builder, not
-# `HypothesisSet`, rejects hypothesis text that UTF-8 cannot encode
-# (`test_node_text_equals_the_regex_form`).
+# them.
 _QUESTION_CASES = [
     pytest.param({k: tuple(v) if isinstance(v, list) else v for k, v in document.items()},
                  id=name)
     for (file, document), name in zip(_MISTYPED.args[1], _MISTYPED.kwargs["ids"])
-    if file == "question.json" and name != "hypothesis-lone-surrogate"
+    if file == "question.json"
 ]
 
 
@@ -1343,6 +1343,16 @@ def trace_server():
         yield url
 
 
+_SCORE_KEY = '{"op": "score_statement", "statement": "alpha is a mammal"}'
+_PREMISES_KEY = '{"op": "generate_premises", "statement": "alpha is a mammal"}'
+
+
+def _cached(workdir) -> dict:
+    """The records of ``workdir``'s oracle cache file by key; none if it is absent."""
+    path = workdir / "oracle_cache.jsonl"
+    return dict(map(json.loads, path.read_text().splitlines())) if path.exists() else {}
+
+
 class TestRemoteOracle:
     def test_matches_mock_build(self, workdir, trace_server):
         run_build(workdir, "mock.json")
@@ -1401,23 +1411,26 @@ class TestRemoteOracle:
     def test_text_utf8_cannot_encode_is_oracle_error(self, workdir, trace_server, monkeypatch,
                                                      capsys):
         """A premise holding a lone surrogate escape is refused before a graph
-        that could not be loaded is written."""
+        that could not be loaded is written, and the answer is not cached."""
         monkeypatch.setitem(TRACE_PREMISES, "alpha is a mammal", ["bad \ud800 premise"])
         code = main(["build-graph", str(workdir / "question.json"), "--oracle",
                      f"remote:{trace_server}", "--d-max", "1", "-o", str(workdir / "g.json")])
         assert code == EXIT_ORACLE
         err = capsys.readouterr().err
-        assert r"statement text 'bad \ud800 premise' is not a UTF-8 string" in err
+        assert r"oracle field 'premises' must be a UTF-8 string, got 'bad \ud800 premise'" in err
         assert not (workdir / "g.json").exists()
+        assert _PREMISES_KEY not in _cached(workdir)
 
     def test_score_out_of_range_is_oracle_error(self, workdir, trace_server, monkeypatch,
                                                capsys):
+        """A score outside [0, 1] is refused, and the answer is not cached."""
         monkeypatch.setitem(TRACE_SCORES, "alpha is a mammal", 1.5)
         code = main(["build-graph", str(workdir / "question.json"), "--oracle",
                      f"remote:{trace_server}", "-o", str(workdir / "g.json")])
         assert code == EXIT_ORACLE
-        assert "truth score must be in [0, 1], got 1.5" in capsys.readouterr().err
+        assert "oracle field 'score' must be in [0, 1], got 1.5" in capsys.readouterr().err
         assert not (workdir / "g.json").exists()
+        assert _SCORE_KEY not in _cached(workdir)
 
     def test_workers_share_one_client(self, tmp_path, trace_server):
         questions = [

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 from collections import Counter
 
@@ -112,12 +113,11 @@ class TestCanonicalize:
             with pytest.raises(ValueError):
                 HypothesisSet((text,))
             return
-        hypotheses = HypothesisSet((text,))
         if re.search("[\ud800-\udfff]", text):
-            with pytest.raises(ConstructionError, match="is not a UTF-8 string"):
-                generate_graph(hypotheses, MockOracle())
+            with pytest.raises(ValueError, match="hypothesis must be a UTF-8 string"):
+                HypothesisSet((text,))
             return
-        graph = generate_graph(hypotheses, MockOracle())
+        graph = generate_graph(HypothesisSet((text,)), MockOracle())
         assert graph.statements[0].text == regex_collapse(text)
 
 
@@ -372,6 +372,28 @@ class TestFailureModes:
 
         with pytest.raises(ConstructionError, match=re.escape(repr(bad))):
             generate_graph(HypothesisSet(("A", "B")), Surrogate(), CalibrationConfig(d_max=1))
+
+    @pytest.mark.parametrize("query", ["statement", "entailment"])
+    @pytest.mark.parametrize("bad", ["0.9", True, 1.5, math.nan])
+    def test_score_that_is_not_a_score_is_rejected(self, query, bad):
+        """An oracle of its own may answer a score of any type: it is held to
+        the rule `MockOracle` applies to its tables, never converted."""
+
+        class Mistyped:
+            def generate_premises(self, s):
+                return ["C"] if s == "A" else []
+
+            def score_statement(self, s):
+                return bad if query == "statement" else 0.9
+
+            def score_entailment(self, premises, h):
+                return bad if query == "entailment" else 0.9
+
+            def negate(self, s):
+                return "not " + s
+
+        with pytest.raises(ConstructionError, match=f"{query} score must be"):
+            generate_graph(HypothesisSet(("A", "B")), Mistyped(), CalibrationConfig(d_max=1))
 
     def test_chain_at_the_depth_bound_builds(self):
         """A full-depth chain fits the default recursion limit, with room to spare."""

@@ -1,6 +1,7 @@
 """RemoteOracle transport and cache mechanics against loopback stubs."""
 
 import json
+import math
 import socket
 import sys
 import threading
@@ -386,6 +387,13 @@ class TestTransport:
             ("score_entailment", {"score": "0.9"}),
             ("score_statement", {"score": 10**400}),
             ("score_entailment", {"score": 10**400}),
+            ("score_statement", {"score": 1.5}),
+            ("score_entailment", {"score": -0.5}),
+            ("score_statement", {"score": math.nan}),
+            ("generate_premises", {"premises": ["bad \ud800 premise"]}),
+            ("generate_premises", {"premises": [""]}),
+            ("negate", {"statement": " . "}),
+            ("negate", {"statement": "\ud800"}),
         ],
     )
     def test_mistyped_field_raises_decode_error(self, query, document):

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -157,6 +158,22 @@ def test_no_module_imports_another_modules_private_names():
         if alias.name.startswith("_")
     )
     assert private == []
+
+
+def test_field_rules_are_spelt_only_in_errors():
+    """The number, integer and UTF-8 string rules live in `beliefgraph.errors`:
+    no other module spells "a number but not a bool" or a surrogate range,
+    which would make a second copy of a rule."""
+    package = Path(beliefgraph.__file__).parent
+    copy = re.compile(r"isinstance\([^()]*,\s*bool\)\s*(?:or\s+not|and)\s+isinstance\("
+                      r"|\\u[dD][89a-fA-F]|0x[dD][89a-fA-F][0-9a-fA-F]{2}\b")
+    copies = sorted(
+        f"{path.name}:{text.count(chr(10), 0, match.start()) + 1}: {match[0]}"
+        for path in sorted(package.glob("*.py")) if path.name != "errors.py"
+        for text in [path.read_text()]
+        for match in copy.finditer(text)
+    )
+    assert copies == []
 
 
 def test_only_the_package_and_the_standard_library_are_imported():
