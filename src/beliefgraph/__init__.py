@@ -10,19 +10,17 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULE_EXPORTS = {
-    "calibration": (
-        "CalibrationConfig",
-        "calibrate_entailment",
-        "calibrate_statement",
-        "label_from_score",
-        "xor_admissible",
-    ),
     "construction": (
         "BeliefOracle",
+        "CalibrationConfig",
         "HypothesisSet",
         "MockOracle",
+        "calibrate_entailment",
+        "calibrate_statement",
         "canonicalize",
         "generate_graph",
+        "label_from_score",
+        "xor_admissible",
     ),
     "errors": (
         "ConstructionError",

@@ -16,6 +16,7 @@ import gc
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -43,8 +44,7 @@ from .serialize import (
 )
 
 if TYPE_CHECKING:
-    from .calibration import CalibrationConfig
-    from .construction import BeliefOracle
+    from .construction import BeliefOracle, CalibrationConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -98,20 +98,29 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
         raise InputError("give -o/--output or --out-dir, not both")
     from .construction import generate_graph
 
-    cfg = load_config(args.config, {"d_max": args.d_max})
+    cfg = load_config(args.config)
+    if args.d_max is not None:
+        try:
+            cfg = replace(cfg, d_max=args.d_max)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"--d-max: {exc}") from exc
     questions = load_questions(args.input)
     provenance = _provenance(args, cfg)
-    if len(questions) == 1 and args.output:
+    if args.output:
+        if len(questions) != 1:
+            raise InputError(
+                f"{args.input} holds {len(questions)} questions; -o takes exactly one, "
+                "so give --out-dir"
+            )
         paths = [Path(args.output)]
         cache_dir = paths[0].parent
         # A remote oracle's cache goes there too, so check before any query.
         if not cache_dir.is_dir():
             raise InputError(f"cannot write {args.output}: no directory {cache_dir}")
     elif args.out_dir is None:
-        raise InputError(
-            f"{args.input} holds {len(questions)} questions; -o takes exactly one, "
-            "so give --out-dir"
-        )
+        if len(questions) == 1:
+            raise InputError(f"{args.input}: give -o or --out-dir")
+        raise InputError(f"{args.input} holds {len(questions)} questions; give --out-dir")
     else:
         cache_dir = Path(args.out_dir)
         paths = [cache_dir / f"{name}.json" for name in _output_names(questions)]

@@ -29,13 +29,16 @@ def to_dot(
         "  rankdir=BT;",
         '  node [style=filled, fontname="Helvetica"];',
     ]
+    # A DOT ID cannot hold '-', so a negative id's node is quoted, as a rule's is.
+    names = {}
     for sid in sorted(graph.statements):
         node = graph.statements[sid]
         fill = "white" if a[sid] else "grey80"
         attrs = [f"label={_quote(node.text)}", f"fillcolor={fill}", "shape=ellipse"]
         if sid in hypotheses:
             attrs.append("penwidth=2")
-        lines.append(f"  s{sid} [{', '.join(attrs)}];")
+        name = names[sid] = f"s{sid}" if sid >= 0 else f'"s{sid}"'
+        lines.append(f"  {name} [{', '.join(attrs)}];")
     for rule in graph.rules:
         label = rule.rule_type.value
         if not rule.is_hard:
@@ -54,8 +57,8 @@ def to_dot(
         node_id = _quote(f"rule:{rule.id}")
         lines.append(f"  {node_id} [{', '.join(attrs)}];")
         for sid in rule.premise_ids:
-            lines.append(f"  s{sid} -> {node_id};")
+            lines.append(f"  {names[sid]} -> {node_id};")
         for sid in rule.hypothesis_ids:
-            lines.append(f"  {node_id} -> s{sid};")
+            lines.append(f"  {node_id} -> {names[sid]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

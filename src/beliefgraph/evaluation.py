@@ -15,8 +15,7 @@ from .metrics import mc_accuracy, summarize
 from .reasoner import reason
 
 if TYPE_CHECKING:
-    from .calibration import CalibrationConfig
-    from .construction import BeliefOracle, HypothesisSet
+    from .construction import BeliefOracle, CalibrationConfig, HypothesisSet
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,10 @@ from typing import TYPE_CHECKING, Any
 from .errors import InputError, finite_number, integer, utf8_string
 from .model import HARD, BeliefGraph, RuleNode, RuleType, StatementNode
 
-# Construction and calibration are imported by the loaders that need them,
-# so reading and writing graph and outcome documents does not load them.
+# Construction is imported by the loaders of questions, fixtures and
+# configs, so reading and writing graph and outcome documents does not load it.
 if TYPE_CHECKING:
-    from .calibration import CalibrationConfig
-    from .construction import HypothesisSet, MockOracle
+    from .construction import CalibrationConfig, HypothesisSet, MockOracle
     from .reasoner import ReasoningOutcome
 
 SCHEMA_VERSION = 1
@@ -256,7 +255,11 @@ def save_graph(graph: BeliefGraph, path: str | Path, provenance: dict | None = N
 
 
 def load_graph(path: str | Path) -> BeliefGraph:
-    return document_to_graph(read_json(path))
+    document = read_json(path)
+    try:
+        return document_to_graph(document)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_questions(path: str | Path) -> list[HypothesisSet]:
@@ -310,24 +313,23 @@ def config_digest(cfg: CalibrationConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def load_config(path: str | Path | None, overrides: dict | None = None) -> CalibrationConfig:
-    from .calibration import CalibrationConfig
+def load_config(path: str | Path | None) -> CalibrationConfig:
+    """The config file at ``path``, an object of `CalibrationConfig`'s fields
+    checked as it checks them; the defaults for no path."""
+    from .construction import CalibrationConfig
 
-    values: dict = {}
-    if path is not None:
-        raw = read_json(path)
-        if not isinstance(raw, dict):
-            raise InputError(f"{path}: config root must be an object")
-        unknown = set(raw) - set(CalibrationConfig.__dataclass_fields__)
-        if unknown:
-            raise InputError(f"{path}: unknown config keys {sorted(unknown)}")
-        values.update(raw)
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+    if path is None:
+        return CalibrationConfig()
+    raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: config root must be an object")
+    unknown = set(raw) - set(CalibrationConfig.__dataclass_fields__)
+    if unknown:
+        raise InputError(f"{path}: unknown config keys {sorted(unknown)}")
     try:
-        return CalibrationConfig(**values)
+        return CalibrationConfig(**raw)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"config: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
 
 
 # -- oracle fixture files -----------------------------------------------------

@@ -8,8 +8,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from .calibration import CalibrationConfig
-from .construction import multiple_choice_rules
+from .construction import CalibrationConfig, multiple_choice_rules
 from .model import BeliefGraph, RuleNode, RuleType, StatementNode
 
 

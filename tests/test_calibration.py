@@ -17,8 +17,7 @@ from beliefgraph import (
     label_from_score,
     xor_admissible,
 )
-from beliefgraph.calibration import MAX_DEPTH
-from beliefgraph.construction import multiple_choice_rules
+from beliefgraph.construction import MAX_DEPTH, multiple_choice_rules
 from beliefgraph.model import RuleNode
 from conftest import apply_boundary_damping, rule_by_id
 

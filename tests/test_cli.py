@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -31,7 +32,6 @@ from beliefgraph import (
     save_graph,
 )
 from beliefgraph import cli, errors, oracle_client, serialize
-from beliefgraph.calibration import MAX_DEPTH
 from beliefgraph.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -40,7 +40,10 @@ from beliefgraph.cli import (
     EXIT_ORACLE,
     main,
 )
+from beliefgraph.construction import MAX_DEPTH
+from beliefgraph.dot import to_dot
 from beliefgraph.oracle_client import OracleTransportError
+from beliefgraph.reasoner import reason
 from beliefgraph.serialize import InputError, config_digest, dumps
 from beliefgraph.synthetic import synthetic_graph
 from conftest import TRACE_PREMISES, TRACE_SCORES, run_python, serving
@@ -107,6 +110,36 @@ class TestBuildGraph:
         assert code == EXIT_INPUT
         assert f"d_max must be in [0, {MAX_DEPTH}]" in capsys.readouterr().err
         assert not (workdir / "deep.json").exists()
+
+    @pytest.mark.parametrize("count, hint", [(1, "give -o or --out-dir"), (2, "give --out-dir")])
+    def test_no_output_option_is_input_error(self, workdir, capsys, count, hint):
+        questions = [dict(QUESTION, question_id=f"q{i}") for i in range(count)]
+        (workdir / "many.json").write_text(json.dumps(questions))
+        code = main(["build-graph", str(workdir / "many.json"),
+                     "--oracle", f"mock:{workdir / 'oracle.json'}"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {workdir / 'many.json'}")
+        assert err.endswith(f"; {hint}\n" if count > 1 else f": {hint}\n")
+
+    def test_rejected_config_value_names_the_file(self, workdir, capsys):
+        """The file is checked on its own: a ``d_max`` it cannot hold is
+        rejected even when ``--d-max`` would replace it."""
+        (workdir / "config.json").write_text(json.dumps({"d_max": 2 * MAX_DEPTH}))
+        code = run_build(workdir, extra=("--config", str(workdir / "config.json"),
+                                         "--d-max", "5"))
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {workdir / 'config.json'}: "
+            f"d_max must be in [0, {MAX_DEPTH}], got {2 * MAX_DEPTH}\n"
+        )
+        assert not (workdir / "graph.json").exists()
+
+    def test_rejected_d_max_names_the_flag(self, workdir, capsys):
+        assert run_build(workdir, extra=("--d-max", "-1")) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: --d-max: d_max must be in [0, {MAX_DEPTH}], got -1\n"
+        )
 
     def test_multi_question_out_dir(self, workdir):
         questions = [
@@ -831,6 +864,16 @@ class TestReason:
         assert main(["reason", str(workdir / "g.json")]) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
 
+    def test_rejected_graph_document_names_the_file(self, workdir, giraffe_graph, capsys):
+        doc = graph_to_document(giraffe_graph)
+        doc["statements"][0]["label"] = 1
+        (workdir / "g.json").write_text(json.dumps(doc))
+        assert main(["reason", str(workdir / "g.json")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {workdir / 'g.json'}: "
+            "statements[0]: field 'label' must be true or false, got 1\n"
+        )
+
     def test_repeated_hypothesis_id_fails_to_load(self, workdir, giraffe_graph, capsys):
         """With no statement marked, the agreement check passes and the
         graph's own uniqueness check rejects the list."""
@@ -840,7 +883,9 @@ class TestReason:
             statement.pop("is_hypothesis", None)
         (workdir / "g.json").write_text(json.dumps(doc))
         assert main(["reason", str(workdir / "g.json")]) == EXIT_INPUT
-        assert capsys.readouterr().err == "input error: document: hypothesis ids must be unique\n"
+        assert capsys.readouterr().err == (
+            f"input error: {workdir / 'g.json'}: document: hypothesis ids must be unique\n"
+        )
 
     def test_self_negating_statement_fails_to_load(self, workdir, giraffe_graph):
         doc = graph_to_document(giraffe_graph)
@@ -1219,6 +1264,38 @@ class TestResolve:
 
 
 class TestExportDot:
+    # A DOT ID as `to_dot` writes it: a name, or a quoted string with \-escapes.
+    DOT_ID = r'([A-Za-z_][A-Za-z0-9_]*|"(?:[^"\\]|\\.)*")'
+
+    def node_ids(self, text):
+        """The node ids on each node and edge line of ``text``, in order;
+        every line but the three header lines and the closing brace is one."""
+        lines = text.splitlines()
+        assert lines[0] == "digraph belief_graph {" and lines[-1] == "}"
+        ids = []
+        for line in lines[3:-1]:
+            match = re.fullmatch(rf"  {self.DOT_ID} \[.*\];|  {self.DOT_ID} -> {self.DOT_ID};",
+                                 line)
+            assert match, line
+            ids += [node for node in match.groups() if node is not None]
+        return ids
+
+    def test_synthetic_graph_node_ids_are_dot_ids(self):
+        for seed in range(20):
+            graph = synthetic_graph(seed)
+            outcome = reason(graph)
+            assert self.node_ids(to_dot(graph))
+            assert self.node_ids(to_dot(graph, outcome.final_assignment, outcome.discarded_rules))
+
+    def test_negative_statement_id_is_quoted(self, workdir, capsys):
+        statements = {sid: StatementNode(sid, text, True, 0.9) for sid, text in ((-1, "a"), (2, "b"))}
+        rules = (RuleNode("r0", RuleType.ENTAILMENT, (2,), (-1,), 0.5),)
+        save_graph(BeliefGraph(statements, rules, (-1, 2)), workdir / "g.json")
+        assert main(["export-dot", str(workdir / "g.json")]) == EXIT_OK
+        rule = '"rule:r0"'
+        assert self.node_ids(capsys.readouterr().out) == ['"s-1"', "s2", rule, "s2", rule, rule,
+                                                           '"s-1"']
+
     def test_stdout(self, workdir, giraffe_graph, capsys):
         save_graph(giraffe_graph, workdir / "g.json")
         assert main(["export-dot", str(workdir / "g.json")]) == EXIT_OK
@@ -1649,10 +1726,17 @@ class TestDependencies:
     # Loaded by graph construction or the oracle transport only.
     CONSTRUCTION_SIDE = [
         "http.client", "ssl", "email.parser", "concurrent.futures", "hashlib",
-        "beliefgraph.construction", "beliefgraph.calibration", "beliefgraph.oracle_client",
+        "beliefgraph.construction", "beliefgraph.oracle_client",
         "beliefgraph.synthetic", "beliefgraph.evaluation",
     ]
     TRANSPORT = ["http.client", "ssl", "concurrent.futures"]
+
+    def test_listed_modules_exist(self):
+        """A listed module that no longer exists would make its "is not
+        loaded" assertion pass whatever a command imports."""
+        missing = [m for m in self.CONSTRUCTION_SIDE + self.TRANSPORT
+                   if importlib.util.find_spec(m) is None]
+        assert missing == []
 
     def test_cli_import_leaves_numpy_out(self, workdir, giraffe_graph):
         save_graph(giraffe_graph, workdir / "g.json")

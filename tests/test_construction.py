@@ -18,8 +18,7 @@ from beliefgraph import (
     generate_graph,
 )
 from beliefgraph import construction
-from beliefgraph.calibration import MAX_DEPTH
-from beliefgraph.construction import entailment_key
+from beliefgraph.construction import MAX_DEPTH, entailment_key
 from beliefgraph.serialize import dumps, graph_to_document
 from conftest import TRACE_PREMISES, TRACE_SCORES, two_pass_damping
 
