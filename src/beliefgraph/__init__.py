@@ -15,12 +15,8 @@ _SUBMODULE_EXPORTS = {
         "CalibrationConfig",
         "HypothesisSet",
         "MockOracle",
-        "calibrate_entailment",
-        "calibrate_statement",
         "canonicalize",
         "generate_graph",
-        "label_from_score",
-        "xor_admissible",
     ),
     "errors": (
         "ConstructionError",

@@ -2,8 +2,9 @@
 and DOT export.
 
 Exit codes: 0 ok, 2 input error (including a graph beyond the solver's
-limits, an output path or a standard output that cannot be written and an
-oracle cache that cannot be read), 3 oracle error, 4 infeasible, 5 internal.
+limits, an empty output path, an output path or a standard output that
+cannot be written and an oracle cache that cannot be read), 3 oracle error,
+4 infeasible, 5 internal.
 
 A command imports only what it uses: `reason`, `resolve` and `export-dot`
 never load graph construction, the oracle transport or dataset evaluation.
@@ -249,6 +250,14 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _output_path(text: str) -> str:
+    """An output path option's value: an empty one would name no file, and
+    as a directory the current one."""
+    if not text:
+        raise argparse.ArgumentTypeError("an output path must not be empty")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="belief-graph",
@@ -258,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-graph", help="construct a belief graph from hypotheses")
     p.add_argument("input", help="JSON question file (object or list of objects)")
-    p.add_argument("-o", "--output", help="graph document output path")
-    p.add_argument("--out-dir", help="output directory for multi-question input")
+    p.add_argument("-o", "--output", type=_output_path, help="graph document output path")
+    p.add_argument("--out-dir", type=_output_path,
+                   help="output directory for multi-question input")
     p.add_argument("--oracle", required=True, help="mock:<path> or remote:<url>")
     p.add_argument("--config", help="calibration config JSON")
     p.add_argument("--d-max", type=int, default=None, help="max recursion depth override")
@@ -269,20 +279,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reason", help="solve a graph document and emit the outcome")
     p.add_argument("graph", help="graph document path")
-    p.add_argument("-o", "--output", help="outcome document output path")
+    p.add_argument("-o", "--output", type=_output_path, help="outcome document output path")
     p.add_argument("--ablate", action="append", choices=sorted(ABLATABLE), default=[])
-    p.add_argument("--export-dot", help="also write a DOT rendering of the outcome")
+    p.add_argument("--export-dot", type=_output_path,
+                   help="also write a DOT rendering of the outcome")
     p.set_defaults(func=_cmd_reason)
 
     p = sub.add_parser("resolve", help="interactively pin beliefs to resolve conflicts")
     p.add_argument("graph", help="graph document path")
-    p.add_argument("-o", "--output", help="outcome document output path")
+    p.add_argument("-o", "--output", type=_output_path, help="outcome document output path")
     p.add_argument("--budget", type=int, default=DEFAULT_QUERY_BUDGET, help="max user queries")
     p.set_defaults(func=_cmd_resolve)
 
     p = sub.add_parser("export-dot", help="render a graph document as DOT")
     p.add_argument("graph", help="graph document path")
-    p.add_argument("-o", "--output", help="DOT output path (default stdout)")
+    p.add_argument("-o", "--output", type=_output_path, help="DOT output path (default stdout)")
     p.set_defaults(func=_cmd_export_dot)
 
     return parser

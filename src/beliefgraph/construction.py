@@ -7,8 +7,9 @@ XOR pairs, and the multiple-choice constraints over the hypothesis set.
 An entailment rule is damped by ``beta`` when it is made if no entailment
 rule concludes any of its premises.
 
-Raw model scores are heavily skewed towards 0 and 1, so the two scores the
-oracle gives (statement truth and entailment) are squashed with
+A statement is labelled true iff its truth score s is at least 0.5.  Raw
+model scores are heavily skewed towards 0 and 1, so the score of the label
+a statement takes (s or 1 - s) and an entailment score are squashed with
 exp(k * (s - 1)), each with its own k; an entailment also carries an
 importance factor t on top.  XOR and multiple-choice rules are structural:
 their confidence is their importance factor alone.  An XOR pair is kept
@@ -61,37 +62,6 @@ class CalibrationConfig:
             raise ValueError("beta must be in (0, 1]")
         if not 0 <= integer(self.d_max, "d_max") <= MAX_DEPTH:
             raise ValueError(f"d_max must be in [0, {MAX_DEPTH}], got {self.d_max!r}")
-
-
-def calibrate_statement(s_raw: float, cfg: CalibrationConfig) -> float:
-    """exp(k * (s_raw - 1)); strictly increasing, maps 1.0 to 1.0."""
-    s_raw = score(s_raw, "raw statement score")
-    return math.exp(cfg.k * (s_raw - 1.0))
-
-
-def calibrate_entailment(s_raw: float, cfg: CalibrationConfig) -> float:
-    """t_entailment * exp(k_entailment * (s_raw - 1)); may exceed 1, since
-    costs are unnormalized."""
-    s_raw = score(s_raw, "raw entailment score")
-    return cfg.t_entailment * math.exp(cfg.k_entailment * (s_raw - 1.0))
-
-
-def label_from_score(s_d: float) -> tuple[bool, float]:
-    """Map a truth score to (label, raw confidence): (True, s) iff s >= 0.5."""
-    s_d = score(s_d, "truth score")
-    if s_d >= 0.5:
-        return True, s_d
-    return False, 1.0 - s_d
-
-
-def xor_admissible(score_h: float, score_negh: float, cfg: CalibrationConfig) -> bool:
-    """Keep an XOR pair only when the two raw truth scores clearly disagree.
-
-    The margin test is inclusive: a gap of exactly m_xor drops the pair.  A
-    tiny tolerance keeps that boundary stable under float rounding (e.g.
-    0.8 - 0.5 evaluates slightly above 0.3).
-    """
-    return abs(score_h - score_negh) - cfg.m_xor > 1e-12
 
 
 def canonicalize(text: str) -> str:
@@ -264,14 +234,14 @@ class _Builder:
             raise ConstructionError(f"statement budget of {MAX_STATEMENTS} exhausted")
         utf8_string(text, "statement text")
         s_d = score(self.oracle.score_statement(text), "statement score")
-        label, raw_conf = label_from_score(s_d)
+        label = s_d >= 0.5
         sid = len(self.nodes)
         self.ids[canon] = sid
         self.nodes[sid] = StatementNode(
             id=sid,
             text=" ".join(text.split()),
             label=label,
-            confidence=calibrate_statement(raw_conf, self.cfg),
+            confidence=math.exp(self.cfg.k * ((s_d if label else 1.0 - s_d) - 1.0)),
             depth=depth,
             raw_score=s_d,
         )
@@ -286,7 +256,7 @@ class _Builder:
                 self.concluded.add(sid)
                 premise_ids = tuple(dict.fromkeys(self.extend(p, depth + 1) for p in premises))
                 s_e = score(self.oracle.score_entailment(premises, text), "entailment score")
-                confidence = calibrate_entailment(s_e, self.cfg)
+                confidence = self.cfg.t_entailment * math.exp(self.cfg.k_entailment * (s_e - 1.0))
                 if self.concluded.isdisjoint(premise_ids):  # boundary damping
                     confidence *= self.cfg.beta
                 self.rules.append(
@@ -307,7 +277,11 @@ class _Builder:
                 pair = frozenset((sid, neg_id))
                 if pair not in self.xor_pairs:
                     self.xor_pairs.add(pair)
-                    if xor_admissible(s_d, neg_node.raw_score, self.cfg):
+                    # Kept only when the two truth scores clearly disagree.  A
+                    # gap of exactly m_xor drops the pair: the tolerance keeps
+                    # that boundary stable under float rounding (0.8 - 0.5
+                    # evaluates slightly above 0.3).
+                    if abs(s_d - neg_node.raw_score) - self.cfg.m_xor > 1e-12:
                         self.rules.append(
                             RuleNode(
                                 id=self.next_rule_id(),

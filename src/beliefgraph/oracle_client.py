@@ -32,7 +32,9 @@ malformed answer (a score of 1.5 or NaN, an empty text, a lone surrogate) is
 an `OracleDecodeError` and is never stored or replayed.  Each stored miss
 appends one ``[key, document]`` line in a single write, to a handle opened
 on the first stored miss and kept until `close`, and nothing ever rewrites
-the file, so repeated runs never re-query the backend.  On load each
+the file, so repeated runs never re-query the backend.  A write that fails,
+or that a file-size limit or a full disk cuts short, leaves no partial line
+and raises `OSError`, and the answer is not kept.  On load each
 newline-terminated line must hold exactly one ``[key, object]`` record and
 nothing else.  A torn last line (one with no terminating newline, left by an
 interrupted append) is dropped and cut off; any other malformed line raises
@@ -373,7 +375,14 @@ class RemoteOracle:
             if self.cache_path:
                 if self._cache_file is None:
                     self._cache_file = open(self.cache_path, "ab", buffering=0)
-                self._cache_file.write(line)
+                written = self._cache_file.write(line)
+                if written != len(line):
+                    # A file-size limit or a full disk cut the line short: cut
+                    # it off, so that the next append starts a line.
+                    self._cache_file.truncate(self._cache_file.tell() - written)
+                    raise OSError(
+                        f"{self.cache_path}: wrote {written} of the {len(line)} bytes of a line"
+                    )
             self._cache[key] = document
 
     def generate_premises(self, statement: str) -> list[str]:

@@ -8,7 +8,7 @@ import stat
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from .errors import InputError, finite_number, integer, utf8_string
 from .model import HARD, BeliefGraph, RuleNode, RuleType, StatementNode
@@ -21,6 +21,8 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+_T = TypeVar("_T")
 
 
 def read_json(path: str | Path) -> Any:
@@ -262,6 +264,21 @@ def load_graph(path: str | Path) -> BeliefGraph:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _from_object(cls: type[_T], raw: Any, where: str | Path, kind: str, subject: str) -> _T:
+    """``cls(**raw)`` for ``raw`` an object of ``cls``'s fields, checked as
+    ``cls`` checks them; anything else is an InputError naming ``where``, or
+    ``subject`` for a ``raw`` that is not an object."""
+    if not isinstance(raw, dict):
+        raise InputError(f"{subject} must be an object")
+    unknown = set(raw) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise InputError(f"{where}: unknown {kind} keys {sorted(unknown)}")
+    try:
+        return cls(**raw)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
 def load_questions(path: str | Path) -> list[HypothesisSet]:
     """A question file: one question object or a non-empty list of them, each
     an object of `HypothesisSet`'s fields with ``hypotheses`` a list, checked
@@ -274,13 +291,9 @@ def load_questions(path: str | Path) -> list[HypothesisSet]:
     questions = []
     for i, entry in enumerate(raw if isinstance(raw, list) else [raw]):
         where = f"{path}: question [{i}]"
-        if not isinstance(entry, dict):
-            raise InputError(f"{where} must be an object")
-        hypotheses = _list(entry, "hypotheses", where)
-        try:
-            questions.append(HypothesisSet(**dict(entry, hypotheses=tuple(hypotheses))))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{where}: {exc}") from exc
+        if isinstance(entry, dict):  # the file's list is the class's tuple
+            entry = dict(entry, hypotheses=tuple(_list(entry, "hypotheses", where)))
+        questions.append(_from_object(HypothesisSet, entry, where, "question", where))
     return questions
 
 
@@ -320,16 +333,7 @@ def load_config(path: str | Path | None) -> CalibrationConfig:
 
     if path is None:
         return CalibrationConfig()
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise InputError(f"{path}: config root must be an object")
-    unknown = set(raw) - set(CalibrationConfig.__dataclass_fields__)
-    if unknown:
-        raise InputError(f"{path}: unknown config keys {sorted(unknown)}")
-    try:
-        return CalibrationConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return _from_object(CalibrationConfig, read_json(path), path, "config", f"{path}: config root")
 
 
 # -- oracle fixture files -----------------------------------------------------
@@ -338,10 +342,4 @@ def load_mock_oracle(path: str | Path) -> MockOracle:
     """A fixture file: an object of `MockOracle`'s fields, checked as it checks them."""
     from .construction import MockOracle
 
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise InputError(f"{path}: fixture root must be an object")
-    try:
-        return MockOracle(**raw)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return _from_object(MockOracle, read_json(path), path, "fixture", f"{path}: fixture root")

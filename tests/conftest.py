@@ -9,6 +9,7 @@ against it.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -31,7 +32,6 @@ from beliefgraph import (
     RuleNode,
     RuleType,
     StatementNode,
-    calibrate_entailment,
 )
 from beliefgraph.synthetic import synthetic_graph
 
@@ -147,16 +147,25 @@ def apply_boundary_damping(graph, cfg):
 
 
 def two_pass_damping(graph, cfg):
-    """A built graph as the two-pass definition makes it: each entailment
-    rule's confidence calibrated afresh from its raw score, then
-    `apply_boundary_damping` over the whole graph."""
+    """A built graph as the two-pass definition makes it: each statement's
+    label and confidence and each entailment rule's confidence calibrated
+    afresh from its raw score, then `apply_boundary_damping` over the whole
+    graph.  A statement is true iff its score s is at least 0.5, with
+    confidence exp(k * (s - 1)) for the score of the side it takes, s or
+    1 - s; an entailment's confidence is t * exp(k_entailment * (s - 1))."""
+    statements = {}
+    for sid, node in graph.statements.items():
+        label = node.raw_score >= 0.5
+        side = node.raw_score if label else 1.0 - node.raw_score
+        statements[sid] = replace(node, label=label, confidence=math.exp(cfg.k * (side - 1.0)))
     rules = tuple(
-        replace(rule, confidence=calibrate_entailment(rule.raw_score, cfg))
+        replace(rule, confidence=cfg.t_entailment
+                * math.exp(cfg.k_entailment * (rule.raw_score - 1.0)))
         if rule.rule_type is RuleType.ENTAILMENT
         else rule
         for rule in graph.rules
     )
-    return apply_boundary_damping(replace(graph, rules=rules), cfg)
+    return apply_boundary_damping(replace(graph, statements=statements, rules=rules), cfg)
 
 
 def make_graph(statements, rules, hypotheses):

@@ -10,6 +10,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -20,8 +21,6 @@ from beliefgraph import (
     RuleType,
     SolveStatus,
     ablate,
-    calibrate_entailment,
-    calibrate_statement,
     consistency,
     document_to_graph,
     dumps,
@@ -124,8 +123,14 @@ def test_criterion_04_figure_fixtures(
 def test_criterion_05_calibration_exactness():
     with criterion("05 calibration exactness"):
         cfg = CalibrationConfig()
-        assert abs(calibrate_statement(0.5, cfg) - math.exp(-4.5)) <= 1e-12
-        assert calibrate_entailment(1.0, cfg) == 1.02
+        # A lone hypothesis, scored 0.5 by default, and its rule from one
+        # premise, scored 1.0 and left undamped by beta=1.
+        lone = HypothesisSet(("h",))
+        statement = generate_graph(lone, MockOracle(), replace(cfg, d_max=0)).statements[0]
+        assert abs(statement.confidence - math.exp(-4.5)) <= 1e-12
+        oracle = MockOracle(premises={"h": ["p"]}, entailment_scores={"p => h": 1.0})
+        built = generate_graph(lone, oracle, replace(cfg, beta=1, d_max=1))
+        assert [r.confidence for r in built.rules if r.rule_type is RuleType.ENTAILMENT] == [1.02]
         # XOR and MC rules carry their importance factor as built.
         oracle = MockOracle(premises=TRACE_PREMISES, statement_scores=TRACE_SCORES)
         graph = generate_graph(

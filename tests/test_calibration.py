@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from beliefgraph import (
     HARD,
     CalibrationConfig,
+    HypothesisSet,
+    MockOracle,
     RuleType,
-    calibrate_entailment,
-    calibrate_statement,
     dumps,
     generate_graph,
     graph_to_document,
-    label_from_score,
-    xor_admissible,
 )
 from beliefgraph.construction import MAX_DEPTH, multiple_choice_rules
 from beliefgraph.model import RuleNode
@@ -25,33 +23,47 @@ from conftest import apply_boundary_damping, rule_by_id
 CFG = CalibrationConfig()
 
 
+def statement(s):
+    """The node built for a lone hypothesis that the oracle scores ``s``."""
+    oracle = MockOracle(statement_scores={"h": s})
+    graph = generate_graph(HypothesisSet(("h",)), oracle, CalibrationConfig(d_max=0))
+    return graph.statements[graph.hypotheses[0]]
+
+
+def entailment_confidence(s):
+    """The confidence of the rule built from a premise that entails a lone
+    hypothesis with score ``s``; ``beta=1``, so damping leaves it as calibrated."""
+    oracle = MockOracle(premises={"h": ["p"]}, entailment_scores={"p => h": s})
+    graph = generate_graph(HypothesisSet(("h",)), oracle, CalibrationConfig(beta=1, d_max=1))
+    (rule,) = [r for r in graph.rules if r.rule_type is RuleType.ENTAILMENT]
+    return rule.confidence
+
+
+def xor_rules(score_h, score_negation):
+    """The XOR rules built for a lone hypothesis and its negation, scored as given."""
+    oracle = MockOracle(
+        statement_scores={"h": score_h, "it is not the case that h": score_negation}
+    )
+    graph = generate_graph(HypothesisSet(("h",)), oracle, CalibrationConfig(d_max=1))
+    return [r for r in graph.rules if r.rule_type is RuleType.XOR_PAIR]
+
+
 class TestStatementCalibration:
     def test_top_score_maps_to_one(self):
-        assert calibrate_statement(1.0, CFG) == 1.0
+        assert statement(1.0).confidence == 1.0
 
     def test_midpoint(self):
-        assert calibrate_statement(0.5, CFG) == pytest.approx(math.exp(-4.5), abs=1e-12)
-        assert calibrate_statement(0.5, CFG) == pytest.approx(0.011109, abs=1e-6)
+        assert statement(0.5).confidence == pytest.approx(math.exp(-4.5), abs=1e-12)
+        assert statement(0.5).confidence == pytest.approx(0.011109, abs=1e-6)
 
     def test_high_score(self):
-        assert calibrate_statement(0.9, CFG) == pytest.approx(math.exp(-0.9), abs=1e-12)
-        assert calibrate_statement(0.9, CFG) == pytest.approx(0.40657, abs=1e-5)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_statement(1.5, CFG)
-
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    def test_monotone(self, a, b):
-        if a < b:
-            assert calibrate_statement(a, CFG) <= calibrate_statement(b, CFG)
-        if a + 1e-9 < b:  # far enough apart to survive float rounding
-            assert calibrate_statement(a, CFG) < calibrate_statement(b, CFG)
+        assert statement(0.9).confidence == pytest.approx(math.exp(-0.9), abs=1e-12)
+        assert statement(0.9).confidence == pytest.approx(0.40657, abs=1e-5)
 
 
 class TestRuleCalibration:
     def test_entailment_top_score_is_t(self):
-        assert calibrate_entailment(1.0, CFG) == pytest.approx(1.02)
+        assert entailment_confidence(1.0) == 1.02
 
     def test_xor_channel_is_t_xor(self, trace_oracle, trace_hypotheses):
         graph = generate_graph(trace_hypotheses, trace_oracle, CFG)
@@ -63,51 +75,47 @@ class TestRuleCalibration:
         assert [r.confidence for r in pairwise] == [CFG.t_mc] * 3 == [0.98] * 3
 
     def test_entailment_midrange(self):
-        assert calibrate_entailment(0.9, CFG) == pytest.approx(1.02 * math.exp(-3.6), abs=1e-12)
-        assert calibrate_entailment(0.9, CFG) == pytest.approx(0.027870, abs=1e-6)
+        assert entailment_confidence(0.9) == pytest.approx(1.02 * math.exp(-3.6), abs=1e-12)
+        assert entailment_confidence(0.9) == pytest.approx(0.027870, abs=1e-6)
 
     def test_hard_rule_never_calibrated(self):
         for cfg in (CFG, CalibrationConfig(t_mc=5.0)):
             hard, *pairwise = multiple_choice_rules((0, 1), 0, cfg)
             assert hard.rule_type is RuleType.MC_HARD and hard.confidence == HARD
-        with pytest.raises(ValueError):
-            calibrate_entailment(1.5, CFG)
-
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    def test_monotone(self, a, b):
-        if a < b:
-            assert calibrate_entailment(a, CFG) <= calibrate_entailment(b, CFG)
-        if a + 1e-9 < b:
-            assert calibrate_entailment(a, CFG) < calibrate_entailment(b, CFG)
 
 
-class TestLabelFromScore:
+class TestLabel:
     def test_true_side(self):
-        assert label_from_score(0.9) == (True, 0.9)
+        node = statement(0.9)
+        assert (node.label, node.confidence) == (True, math.exp(9 * (0.9 - 1)))
 
     def test_false_side(self):
-        assert label_from_score(0.2) == (False, 0.8)
+        node = statement(0.2)
+        assert (node.label, node.confidence) == (False, math.exp(9 * (0.8 - 1)))
 
     def test_boundary_is_true(self):
-        assert label_from_score(0.5) == (True, 0.5)
+        assert statement(0.5).label is True
 
     @given(st.floats(0.0, 1.0))
-    def test_confidence_raw_at_least_half_and_label_argmax(self, s):
-        label, raw = label_from_score(s)
-        assert raw >= 0.5
-        assert label == (s >= 0.5)
-        assert 0.0 < calibrate_statement(raw, CFG) <= 1.0
+    def test_confidence_of_the_label_side_and_label_argmax(self, s):
+        node = statement(s)
+        assert node.label == (s >= 0.5)
+        # The side the label takes scores at least 0.5.
+        assert math.exp(CFG.k * (0.5 - 1.0)) <= node.confidence <= 1.0
 
 
 class TestXorAdmissibility:
     def test_clear_disagreement_kept(self):
-        assert xor_admissible(0.9, 0.1, CFG)
+        assert len(xor_rules(0.9, 0.1)) == 1
 
     def test_uncertain_pair_dropped(self):
-        assert not xor_admissible(0.6, 0.4, CFG)
+        assert xor_rules(0.6, 0.4) == []
 
     def test_boundary_dropped(self):
-        assert not xor_admissible(0.65, 0.35, CFG)
+        # A gap of exactly m_xor drops the pair, also where the float
+        # difference lands just above 0.3.
+        assert xor_rules(0.65, 0.35) == []
+        assert xor_rules(0.8, 0.5) == []
 
 
 class TestBoundaryDamping:

@@ -393,6 +393,23 @@ class TestBuildGraph:
             assert f"unknown config keys ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "name, document, message",
+        [
+            ("question.json", dict(QUESTION, gold_idx=1),
+             "question.json: question [0]: unknown question keys ['gold_idx']"),
+            ("oracle.json", dict(ORACLE_FIXTURE, statment_scores={}),
+             "oracle.json: unknown fixture keys ['statment_scores']"),
+        ],
+        ids=["question-unknown-key", "fixture-unknown-key"],
+    )
+    def test_unknown_question_or_fixture_key_is_named(self, workdir, capsys, name, document,
+                                                      message):
+        (workdir / name).write_text(json.dumps(document))
+        assert run_build(workdir) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not (workdir / "graph.json").exists()
+
+    @pytest.mark.parametrize(
         "config",
         [{"d_max": 2.5}, {"d_max": True}, {"d_max": "2"}, {"beta": True}, {"k": "9"},
          {"beta": 2}],
@@ -591,6 +608,37 @@ def test_unwritable_output_path_is_input_error(workdir, giraffe_graph, capsys, m
     monkeypatch.chdir(workdir)
     assert main(argv) == EXIT_INPUT
     assert f"input error: cannot write {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reason", "g.json", "-o", ""],
+        ["reason", "g.json", "--export-dot", ""],
+        ["resolve", "g.json", "-o", ""],
+        ["export-dot", "g.json", "-o", ""],
+        ["build-graph", "question.json", "-o", "", "--oracle", "mock:oracle.json"],
+        ["build-graph", "question.json", "--out-dir", "", "--oracle", "mock:oracle.json"],
+    ],
+    ids=["reason-output", "reason-export-dot", "resolve-output", "export-dot-output",
+         "build-output", "build-out-dir"],
+)
+def test_empty_output_path_is_a_usage_error(workdir, giraffe_graph, capsys, monkeypatch, argv):
+    """An empty path names no file, and as a directory the current one: the
+    parser refuses it before any file is read or written."""
+    import io
+
+    save_graph(giraffe_graph, workdir / "g.json")
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "an output path must not be empty" in captured.err
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
 
 
 class _FailingFile:

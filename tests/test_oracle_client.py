@@ -18,7 +18,7 @@ from beliefgraph.oracle_client import (
     OracleTransportError,
     RemoteOracle,
 )
-from conftest import serving
+from conftest import run_python, serving
 
 DEAD_ENDPOINT = "http://127.0.0.1:9/"
 
@@ -112,6 +112,39 @@ class TestCacheFile:
         assert path.read_bytes() == complete
         with pytest.raises(OracleTransportError):
             oracle.score_statement("fact 3")
+
+    def test_short_write_leaves_no_partial_line(self, tmp_path):
+        """A line that a file-size limit cuts short is cut off and its query
+        raises, so the next line starts a line of its own and the file loads.
+        The limit is set in a child process, for that process alone."""
+        path = tmp_path / "cache.jsonl"
+        with serve() as (_, url):
+            out = run_python(
+                "import json, os, resource, signal\n"
+                "from beliefgraph.oracle_client import RemoteOracle\n"
+                f"path = {str(path)!r}\n"
+                f"oracle = RemoteOracle({url!r}, cache_path=path)\n"
+                "oracle.score_statement('fact 1')\n"
+                "limits = resource.getrlimit(resource.RLIMIT_FSIZE)\n"
+                "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                "room = os.path.getsize(path) + 20\n"
+                "resource.setrlimit(resource.RLIMIT_FSIZE, (room, limits[1]))\n"
+                "try:\n"
+                "    error = oracle.score_statement('fact 2')\n"
+                "except OSError as exc:\n"
+                "    error = type(exc).__name__\n"
+                "resource.setrlimit(resource.RLIMIT_FSIZE, limits)\n"
+                "oracle.score_statement('fact 3')\n"
+                "oracle.close()\n"
+                "print(json.dumps([error, oracle.calls]))\n"
+            )
+            assert json.loads(out) == ["OSError", 3]
+            assert path.read_bytes() == _record("fact 1") + _record("fact 3")
+            with closing(RemoteOracle(url, cache_path=path)) as fresh:
+                assert [fresh.score_statement(f"fact {i}") for i in (1, 3)] == [0.001, 0.003]
+                assert fresh.calls == 0
+                assert fresh.score_statement("fact 2") == 0.002
+                assert fresh.calls == 1
 
     @pytest.mark.parametrize("bad", [b'xx{"broken', b'{"k": 1}', b'["k"]', b"",
                                      pytest.param(b"[" * 100000 + b"]" * 100000, id="deep"),

@@ -23,6 +23,21 @@ SUBMODULES = [
 ]
 
 
+def test_public_surface_is_pinned():
+    """A name that joins or leaves the package root shows up as a diff here."""
+    assert sorted(beliefgraph.__all__) == [
+        "Assignment", "BeliefGraph", "BeliefOracle", "CalibrationConfig", "ConsistencyReport",
+        "ConstructionError", "DatasetReport", "ExplanationSubgraph", "HARD", "HypothesisSet",
+        "InputError", "MockOracle", "OracleDecodeError", "OracleTransportError",
+        "ReasoningError", "ReasoningOutcome", "RemoteOracle", "RuleNode", "RuleType",
+        "SCHEMA_VERSION", "SolveResult", "SolveStatus", "SolverLimitError", "StatementNode",
+        "WeightedClauseSet", "ablate", "canonicalize", "consistency", "document_to_graph",
+        "dumps", "encode", "evaluate_dataset", "extract_explanation", "generate_graph",
+        "graph_to_document", "load_graph", "mc_accuracy", "reason", "resolve_interactive",
+        "rule_satisfied", "save_graph", "solve", "total_cost",
+    ]
+
+
 @pytest.mark.parametrize("name", beliefgraph.__all__)
 def test_export_is_the_submodule_object(name):
     exported = getattr(beliefgraph, name)
