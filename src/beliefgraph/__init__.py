@@ -29,6 +29,7 @@ _SUBMODULE_EXPORTS = {
     "evaluation": (
         "DatasetReport",
         "evaluate_dataset",
+        "mc_accuracy",
     ),
     "maxsat": (
         "SolveResult",
@@ -36,12 +37,6 @@ _SUBMODULE_EXPORTS = {
         "WeightedClauseSet",
         "encode",
         "solve",
-    ),
-    "metrics": (
-        "ConsistencyReport",
-        "ablate",
-        "consistency",
-        "mc_accuracy",
     ),
     "model": (
         "HARD",
@@ -55,8 +50,11 @@ _SUBMODULE_EXPORTS = {
     ),
     "oracle_client": ("RemoteOracle",),
     "reasoner": (
+        "ConsistencyReport",
         "ExplanationSubgraph",
         "ReasoningOutcome",
+        "ablate",
+        "consistency",
         "extract_explanation",
         "reason",
         "resolve_interactive",

@@ -30,8 +30,14 @@ from .errors import (
     ReasoningError,
     SolverLimitError,
 )
-from .metrics import ABLATABLE, ablate, summarize
-from .reasoner import DEFAULT_QUERY_BUDGET, reason, resolve_interactive
+from .reasoner import (
+    ABLATABLE,
+    DEFAULT_QUERY_BUDGET,
+    ablate,
+    reason,
+    resolve_interactive,
+    summarize,
+)
 from .serialize import (
     config_digest,
     dumps,

@@ -1,6 +1,6 @@
 """Dataset evaluation: the full pipeline per question, before and after reasoning.
 
-Kept apart from `metrics` so that a per-graph command (`reason`, `resolve`,
+Kept apart from `reasoner` so that a per-graph command (`reason`, `resolve`,
 `export-dot`) does not load it.
 """
 
@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .construction import generate_graph
-from .metrics import mc_accuracy, summarize
-from .reasoner import reason
+from .reasoner import reason, summarize
 
 if TYPE_CHECKING:
     from .construction import BeliefOracle, CalibrationConfig, HypothesisSet
@@ -58,6 +57,21 @@ class DatasetReport:
     consistency_after: float
     accuracy_before: float | None
     accuracy_after: float | None
+
+
+def mc_accuracy(predicted: Iterable[int], gold: int, num_options: int) -> float:
+    """1 for the right singleton, 1/N for N answers including gold,
+    1/k for no prediction, 0 otherwise."""
+    predicted = set(predicted)
+    if not 0 <= gold < num_options:
+        raise ValueError(f"gold index {gold} out of range for {num_options} options")
+    if not predicted <= set(range(num_options)):
+        raise ValueError("predicted indices out of range")
+    if not predicted:
+        return 1.0 / num_options
+    if gold in predicted:
+        return 1.0 / len(predicted)
+    return 0.0
 
 
 def _mean(values: Sequence[float]) -> float:

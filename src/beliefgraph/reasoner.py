@@ -1,20 +1,31 @@
-"""Belief revision: solve the graph, flip beliefs, discard conflicting rules.
+"""Belief revision: solve the graph, flip beliefs, discard conflicting rules,
+and measure the repair.
 
 The output graph keeps every statement (with its post-reasoning label) and
 exactly the rules satisfied by the optimal assignment, so it is
 self-consistent by construction and yields faithful explanation subgraphs.
+`consistency` gives the conditional constraint violation tau of one
+assignment, `summarize` tau before and after reasoning and the repair's
+size, and `ablate` a graph with rule groups removed for ablation studies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import ReasoningError
 from .maxsat import SolveStatus, encode, solve
-from .model import BeliefGraph, RuleNode, RuleType, StatementId
+from .model import Assignment, BeliefGraph, RuleNode, RuleType, StatementId, clause_counts
 
 DEFAULT_QUERY_BUDGET = 5
+
+# Rule-type groups addressable in ablations; "mc" covers both MC rule kinds.
+ABLATABLE = {
+    "entailment": {RuleType.ENTAILMENT},
+    "xor": {RuleType.XOR_PAIR},
+    "mc": {RuleType.MC_HARD, RuleType.MC_PAIRWISE},
+}
 
 
 @dataclass(frozen=True)
@@ -168,3 +179,72 @@ def resolve_interactive(
         queries += 1
         outcome = reason(graph, pins)
     return outcome
+
+
+@dataclass(frozen=True)
+class ConsistencyReport:
+    """Conditional constraint violation of one assignment (see `consistency`).
+
+    Despite their names, ``applicable_rules`` and ``violated_rules`` count
+    clauses: an XOR pair has two.  ``tau`` is ``violated_rules /
+    applicable_rules``, a ratio over *applicable* clauses only, so a change
+    that makes more clauses applicable can raise it with fewer violated; it
+    is 0 when none applies.  ``self_consistency`` is ``1 - tau``.
+    """
+
+    applicable_rules: int
+    violated_rules: int
+    tau: float
+    self_consistency: float
+
+
+def consistency(graph: BeliefGraph, assignment: Assignment | None = None) -> ConsistencyReport:
+    """Conditional constraint violation over the graph's clauses.
+
+    A clause is applicable when every statement on its premise side (its
+    negative literals) is believed true, and violated when additionally no
+    statement on its hypothesis side is believed (see `clause_counts`).
+    With no applicable clauses tau is defined as 0 (nothing is violated).
+    """
+    a = assignment if assignment is not None else graph.initial_assignment()
+    applicable = 0
+    violated = 0
+    for rule in graph.rules:
+        rule_applicable, rule_violated = clause_counts(rule, a)
+        applicable += rule_applicable
+        violated += rule_violated
+    tau = violated / applicable if applicable else 0.0
+    return ConsistencyReport(applicable, violated, tau, 1.0 - tau)
+
+
+def summarize(graph: BeliefGraph, outcome: ReasoningOutcome) -> dict:
+    """Consistency of ``graph`` before and after reasoning, and the repair's size.
+
+    "After" takes the final assignment on ``graph`` itself: the outcome's
+    updated graph keeps only the rules that assignment satisfies."""
+    before = consistency(graph)
+    after = consistency(graph, outcome.final_assignment)
+    return {
+        "tau_before": before.tau,
+        "tau_after": after.tau,
+        "self_consistency_before": before.self_consistency,
+        "self_consistency_after": after.self_consistency,
+        "flips": len(outcome.flipped),
+        "discarded_rules": len(outcome.discarded_rules),
+    }
+
+
+def ablate(graph: BeliefGraph, masked: Iterable[str]) -> BeliefGraph:
+    """The graph with the named rule-type groups removed, for solving.
+
+    Consistency is then measured post hoc on the original, unmasked graph
+    with the post-reasoning beliefs.
+    """
+    masked = set(masked)
+    unknown = masked - set(ABLATABLE)
+    if unknown:
+        raise ValueError(f"unknown rule groups: {sorted(unknown)}")
+    if not masked:
+        raise ValueError("mask at least one rule group")
+    types = {t for name in masked for t in ABLATABLE[name]}
+    return graph.without_rules(r.id for r in graph.rules if r.rule_type in types)

@@ -8,7 +8,7 @@ import stat
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, TypeVar
+from typing import TYPE_CHECKING, Any, Collection, TypeVar
 
 from .errors import InputError, finite_number, integer, utf8_string
 from .model import HARD, BeliefGraph, RuleNode, RuleType, StatementNode
@@ -21,6 +21,12 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The keys `graph_to_document` writes: the only ones a graph document may hold.
+_GRAPH_KEYS = frozenset({"schema_version", "provenance", "hypotheses", "statements", "rules"})
+_STATEMENT_KEYS = frozenset({"id", "text", "label", "confidence", "raw_score", "depth",
+                             "is_hypothesis", "negation_of"})
+_RULE_KEYS = frozenset({"id", "type", "premises", "hypotheses", "raw_score", "hard",
+                        "confidence"})
 
 _T = TypeVar("_T")
 
@@ -123,6 +129,13 @@ def graph_to_document(graph: BeliefGraph, provenance: dict | None = None) -> dic
     }
 
 
+def _known_keys(mapping: dict, known: Collection[str], where: str | Path, kind: str) -> None:
+    """An InputError naming ``where`` and every key of ``mapping`` outside ``known``."""
+    unknown = mapping.keys() - known
+    if unknown:
+        raise InputError(f"{where}: unknown {kind} keys {sorted(unknown)}")
+
+
 def _require(mapping: dict, key: str, where: str) -> Any:
     if key not in mapping:
         raise InputError(f"{where}: missing required field {key!r}")
@@ -158,6 +171,7 @@ def document_to_graph(document: dict) -> BeliefGraph:
         version = integer(_require(document, "schema_version", where), "field 'schema_version'")
         if version != SCHEMA_VERSION:
             raise InputError(f"document: unsupported schema_version {version!r}")
+        _known_keys(document, _GRAPH_KEYS, where, "graph")
         # Not read here, but `graph_to_document` writes an object, so no other value holds.
         provenance = document.get("provenance", {})
         if not isinstance(provenance, dict):
@@ -171,6 +185,7 @@ def document_to_graph(document: dict) -> BeliefGraph:
             where = f"statements[{i}]"
             if not isinstance(entry, dict):
                 raise InputError(f"{where} must be an object")
+            _known_keys(entry, _STATEMENT_KEYS, where, "statement")
             node = StatementNode(
                 id=integer(_require(entry, "id", where), "field 'id'"),
                 text=utf8_string(_require(entry, "text", where), "field 'text'"),
@@ -192,6 +207,7 @@ def document_to_graph(document: dict) -> BeliefGraph:
             where = f"rules[{i}]"
             if not isinstance(entry, dict):
                 raise InputError(f"{where} must be an object")
+            _known_keys(entry, _RULE_KEYS, where, "rule")
             rule_type = RuleType(_require(entry, "type", where))
             if _bool(entry, "hard", where, False):
                 if entry.get("confidence") is not None:
@@ -270,9 +286,7 @@ def _from_object(cls: type[_T], raw: Any, where: str | Path, kind: str, subject:
     ``subject`` for a ``raw`` that is not an object."""
     if not isinstance(raw, dict):
         raise InputError(f"{subject} must be an object")
-    unknown = set(raw) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise InputError(f"{where}: unknown {kind} keys {sorted(unknown)}")
+    _known_keys(raw, cls.__dataclass_fields__, where, kind)
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:

@@ -922,6 +922,28 @@ class TestReason:
             "statements[0]: field 'label' must be true or false, got 1\n"
         )
 
+    @pytest.mark.parametrize(
+        "where, key, typo, message",
+        [
+            ("rules", "premises", "premise", "rules[0]: unknown rule keys ['premise']"),
+            ("statements", "depth", "dpeth", "statements[0]: unknown statement keys ['dpeth']"),
+            ("statements", "negation_of", "negaton_of",
+             "statements[0]: unknown statement keys ['negaton_of']"),
+            ("root", "provenance", "provenence", "document: unknown graph keys ['provenence']"),
+        ],
+        ids=["rule-premise", "statement-dpeth", "statement-negaton-of", "root-provenence"],
+    )
+    def test_misspelt_graph_key_is_named(self, workdir, giraffe_graph, capsys, where, key,
+                                         typo, message):
+        """A misspelt key is not read as its field's default: a rule whose
+        ``premises`` is misspelt would load as a belief in its conclusion."""
+        doc = graph_to_document(giraffe_graph)
+        entry = doc if where == "root" else doc[where][0]
+        entry[typo] = entry.pop(key)
+        (workdir / "g.json").write_text(json.dumps(doc))
+        assert main(["reason", str(workdir / "g.json")]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {workdir / 'g.json'}: {message}\n"
+
     def test_repeated_hypothesis_id_fails_to_load(self, workdir, giraffe_graph, capsys):
         """With no statement marked, the agreement check passes and the
         graph's own uniqueness check rejects the list."""
@@ -1066,11 +1088,14 @@ NOT_A_NUMBER = st.sampled_from(
      2**53 + 1, -(2**64) - 1, 2**64, 10**400, -(10**400)]
 )
 def mutate(draw, entry, key, kind, replacements):
-    """Drop, retype or re-nest ``entry[key]``, or put one of ``replacements``
-    in its place, as ``kind`` says."""
+    """Drop, rename to a misspelling, retype or re-nest ``entry[key]``, or
+    put one of ``replacements`` in its place, as ``kind`` says."""
     value = entry[key]
     if kind == "drop":
         del entry[key]
+    elif kind == "rename":
+        typo = draw(st.sampled_from([key[:-1], key + key[-1], key[1] + key[0] + key[2:]]))
+        entry[typo] = entry.pop(key)
     elif kind == "retype":
         entry[key] = draw(st.sampled_from([json.dumps(value), True, None, 1, 0.25, [], {}, "x"]))
     elif kind == "re-nest":
@@ -1085,15 +1110,16 @@ def mutate(draw, entry, key, kind, replacements):
 @st.composite
 def field_mutations(draw):
     """A base document and one of its fields, at the root, in a statement or
-    in a rule, dropped, retyped, re-nested or given a non-number."""
+    in a rule, dropped, renamed, retyped, re-nested or given a non-number,
+    and the kind of change."""
     doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
     where = draw(st.sampled_from(["root", "statements", "rules"]))
     entry = doc if where == "root" else draw(st.sampled_from(doc[where]))
-    kind = draw(st.sampled_from(["drop", "retype", "re-nest", "not a number"]))
+    kind = draw(st.sampled_from(["drop", "rename", "retype", "re-nest", "not a number"]))
     numbers = sorted(k for k, v in entry.items() if v is None or type(v) in (int, float))
     key = draw(st.sampled_from(numbers if kind == "not a number" else sorted(entry)))
     mutate(draw, entry, key, kind, NOT_A_NUMBER)
-    return doc
+    return doc, kind
 
 
 def with_defaults(doc):
@@ -1111,8 +1137,10 @@ def with_defaults(doc):
 # The working directory is only rewritten whole by each example.
 @settings(max_examples=400, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=field_mutations())
-def test_mutated_graph_document_is_literal_or_exit_2(workdir, doc):
+@given(mutation=field_mutations())
+def test_mutated_graph_document_is_literal_or_exit_2(workdir, mutation):
+    """A renamed key is always exit 2: no graph key is read as its default."""
+    doc, kind = mutation
     text = json.dumps(doc)
     try:
         graph = document_to_graph(json.loads(text))
@@ -1120,6 +1148,7 @@ def test_mutated_graph_document_is_literal_or_exit_2(workdir, doc):
         (workdir / "g.json").write_text(text)
         assert main(["reason", str(workdir / "g.json")]) == EXIT_INPUT
     else:
+        assert kind != "rename"
         expected = with_defaults(doc)
         back = dumps(graph_to_document(graph, expected["provenance"]))
         assert holds(expected, json.loads(back))

@@ -33,7 +33,7 @@ from beliefgraph import (
 from beliefgraph.dot import to_dot
 from beliefgraph.errors import ReasoningError
 from beliefgraph.maxsat import encode, solve
-from beliefgraph.metrics import summarize
+from beliefgraph.reasoner import summarize
 from beliefgraph.serialize import (
     dumps,
     graph_to_document,

@@ -18,7 +18,7 @@ from beliefgraph import (
     total_cost,
 )
 from beliefgraph import reasoner
-from beliefgraph.metrics import summarize
+from beliefgraph.reasoner import summarize
 from beliefgraph.serialize import dumps, outcome_to_document
 from beliefgraph.synthetic import synthetic_graph
 from conftest import acceptance_graphs
