@@ -246,7 +246,8 @@ class _Builder:
             raw_score=s_d,
         )
         if depth < self.cfg.d_max:
-            premises = [p for p in self.oracle.generate_premises(text) if canonicalize(p) != canon]
+            answer = statement_texts(self.oracle.generate_premises(text), "premises")
+            premises = [p for p in answer if canonicalize(p) != canon]
             # A premise with the statement's own text was dropped above, and
             # any other text gets another id, so no premise id is sid.
             if premises:

@@ -9,7 +9,7 @@ large graphs never underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -139,40 +139,16 @@ class BeliefGraph:
 
     def with_labels(self, assignment: Assignment) -> "BeliefGraph":
         """A copy of the graph with the assignment's labels; unchanged nodes are kept."""
-        return _checked_graph(_relabel(self.statements, assignment), self.rules, self.hypotheses)
+        statements = {}
+        for sid, node in self.statements.items():
+            label = bool(assignment[sid])
+            statements[sid] = node if node.label is label else replace(node, label=label)
+        return BeliefGraph(statements, self.rules, self.hypotheses)
 
     def without_rules(self, rule_ids: Iterable[str]) -> "BeliefGraph":
         dropped = set(rule_ids)
         kept = tuple(r for r in self.rules if r.id not in dropped)
-        return _checked_graph(dict(self.statements), kept, self.hypotheses)
-
-
-def _checked_graph(statements: dict, rules: tuple, hypotheses: tuple) -> BeliefGraph:
-    """A graph from the relabelled statements and a subset of the rules of a
-    graph already checked; `BeliefGraph.__post_init__` is not run again."""
-    graph = object.__new__(BeliefGraph)
-    graph.__dict__.update(statements=statements, rules=rules, hypotheses=hypotheses)
-    return graph
-
-
-_STATEMENT_FIELDS = StatementNode.__slots__
-
-
-def _relabel(
-    statements: Mapping[StatementId, StatementNode], assignment: Assignment
-) -> dict[StatementId, StatementNode]:
-    """``statements`` with the assignment's labels; unchanged nodes are kept."""
-    relabelled = {}
-    for sid, node in statements.items():
-        label = bool(assignment[sid])
-        if node.label is not label:
-            # Only the label changes, and `StatementNode` does not check it.
-            flipped = object.__new__(StatementNode)
-            for name in _STATEMENT_FIELDS:
-                object.__setattr__(flipped, name, label if name == "label" else getattr(node, name))
-            node = flipped
-        relabelled[sid] = node
-    return relabelled
+        return BeliefGraph(dict(self.statements), kept, self.hypotheses)
 
 
 def clause_counts(rule: RuleNode, assignment: Assignment) -> tuple[int, int]:

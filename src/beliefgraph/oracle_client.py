@@ -29,7 +29,9 @@ query checks an answer before it is stored, by the rules `MockOracle` applies
 to its tables: a score is a number in [0, 1], not a bool, and a premise or
 negation a string that UTF-8 can encode and `canonicalize` accepts.  So a
 malformed answer (a score of 1.5 or NaN, an empty text, a lone surrogate) is
-an `OracleDecodeError` and is never stored or replayed.  Each stored miss
+an `OracleDecodeError` and is never stored or replayed.  A record read from
+the file is held to the same rules on each hit, and one that breaks them is
+an `OracleDecodeError` naming the file and the request key.  Each stored miss
 appends one ``[key, document]`` line in a single write, to a handle opened
 on the first stored miss and kept until `close`, and nothing ever rewrites
 the file, so repeated runs never re-query the backend.  A write that fails,
@@ -222,14 +224,6 @@ def _statement(document: dict) -> str:
     return statement_text(document.get("statement"), "oracle field 'statement'")
 
 
-def _read(read: Callable[[dict], _T], document: dict) -> _T:
-    """``read(document)``; a field it rejects makes the answer malformed."""
-    try:
-        return read(document)
-    except (TypeError, ValueError) as exc:
-        raise OracleDecodeError(str(exc)) from exc
-
-
 class RemoteOracle:
     """BeliefOracle backed by an HTTP endpoint, with a persistent cache."""
 
@@ -330,7 +324,13 @@ class RemoteOracle:
         # One dict read is atomic; the lock orders the writers in `_store`.
         document = self._cache.get(key)
         if document is not None:
-            return _read(read, document)
+            try:
+                return read(document)
+            except (TypeError, ValueError) as exc:
+                # Only a record loaded from the file can fail: a stored answer passed.
+                raise OracleDecodeError(
+                    f"{self.cache_path}: the answer to {key} read from the cache: {exc}"
+                ) from exc
         body = key.encode()
         last_error: Exception | None = None
         for attempt in range(MAX_ATTEMPTS):
@@ -361,7 +361,10 @@ class RemoteOracle:
                 raise OracleDecodeError(f"non-JSON oracle response: {exc}") from exc
             if not isinstance(document, dict):
                 raise OracleDecodeError("oracle response root must be an object")
-            value = _read(read, document)
+            try:
+                value = read(document)
+            except (TypeError, ValueError) as exc:  # a field it rejects
+                raise OracleDecodeError(str(exc)) from exc
             self._store(key, document, line)
             return value
         raise OracleTransportError(

@@ -1,9 +1,10 @@
 """Belief revision: solve the graph, flip beliefs, discard conflicting rules,
 and measure the repair.
 
-The output graph keeps every statement (with its post-reasoning label) and
-exactly the rules satisfied by the optimal assignment, so it is
-self-consistent by construction and yields faithful explanation subgraphs.
+The repaired graph (`ReasoningOutcome.updated_graph`) keeps every statement
+(with its post-reasoning label) and exactly the rules satisfied by the
+optimal assignment, so it is self-consistent by construction and yields
+faithful explanation subgraphs.
 `consistency` gives the conditional constraint violation tau of one
 assignment, `summarize` tau before and after reasoning and the repair's
 size, and `ablate` a graph with rule groups removed for ablation studies.
@@ -50,32 +51,39 @@ class ReasoningOutcome:
     ``final_assignment`` maps every statement id to its belief in the
     optimum, and ``flipped`` holds the statements whose belief differs from
     their oracle label.  ``discarded_rules`` holds the ids of the rules that
-    belief violates, and ``updated_graph`` is the input graph relabelled by
-    it, without those rules.  ``predictions`` are the hypotheses believed
-    true, and ``explanation_roots`` maps each to its `ExplanationSubgraph`.
+    belief violates, and ``graph`` is the graph that was reasoned about.
+    ``predictions`` are the hypotheses believed true, and
+    ``explanation_roots`` maps each to its `ExplanationSubgraph`.
     ``optimal_cost`` is the optimum's total weight of violated soft clauses.
     """
 
     final_assignment: dict[StatementId, bool]
     flipped: frozenset[StatementId]
     discarded_rules: frozenset[str]
-    updated_graph: BeliefGraph
+    graph: BeliefGraph
     predictions: frozenset[StatementId]
     explanation_roots: dict[StatementId, ExplanationSubgraph]
     optimal_cost: float = 0.0
 
+    @property
+    def updated_graph(self) -> BeliefGraph:
+        """``graph`` relabelled by ``final_assignment``, without the discarded
+        rules; each read builds a new graph."""
+        return self.graph.with_labels(self.final_assignment).without_rules(self.discarded_rules)
 
-def _supports(updated: BeliefGraph) -> dict[StatementId, list[RuleNode]]:
-    """Conclusion id -> the entailment rules concluding it whose premises are
-    all believed in the updated graph, in rule order."""
-    statements = updated.statements
+
+def _supports(
+    graph: BeliefGraph, assignment: Assignment, discarded: frozenset[str]
+) -> dict[StatementId, list[RuleNode]]:
+    """Conclusion id -> the entailment rules of ``graph`` outside ``discarded``
+    concluding it whose premises are all believed, in rule order."""
     entailment = RuleType.ENTAILMENT
     supports: dict[StatementId, list[RuleNode]] = {}
-    for rule in updated.rules:
-        if rule.rule_type is not entailment:
+    for rule in graph.rules:
+        if rule.rule_type is not entailment or rule.id in discarded:
             continue
         for p in rule.premise_ids:
-            if not statements[p].label:
+            if not assignment[p]:
                 break
         else:
             supports.setdefault(rule.hypothesis_ids[0], []).append(rule)
@@ -105,7 +113,8 @@ def _explain(
 def reason(
     graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None
 ) -> ReasoningOutcome:
-    """Compute the optimal belief flips and the self-consistent updated graph."""
+    """Compute the optimal belief flips, the rules they discard and the
+    explanations of the predicted hypotheses."""
     cs = encode(graph, pins)
     result = solve(cs)
     if result.status is SolveStatus.INFEASIBLE:
@@ -117,15 +126,14 @@ def reason(
     # The optimum violates only soft clauses, and each rule clause, a
     # zero-confidence rule's too, names its rule.
     discarded = frozenset(cs.clauses[i][3] for i in result.violated) - {None}
-    updated = graph.with_labels(assignment).without_rules(discarded)
     predictions = frozenset(h for h in graph.hypotheses if assignment[h])
-    supports = _supports(updated)
+    supports = _supports(graph, assignment, discarded)
     explanations = {h: _explain(supports, h) for h in sorted(predictions)}
     return ReasoningOutcome(
-        final_assignment=dict(assignment),
+        final_assignment=assignment,
         flipped=flipped,
         discarded_rules=discarded,
-        updated_graph=updated,
+        graph=graph,
         predictions=predictions,
         explanation_roots=explanations,
         optimal_cost=result.optimal_cost,
@@ -133,12 +141,13 @@ def reason(
 
 
 def extract_explanation(outcome: ReasoningOutcome, root: StatementId) -> ExplanationSubgraph:
-    """Supporting subgraph for a hypothesis believed true in the updated graph."""
+    """Supporting subgraph for a hypothesis believed true after reasoning."""
     if not outcome.final_assignment.get(root, False):
         raise ValueError(f"statement {root} is not believed true after reasoning")
     if root in outcome.explanation_roots:
         return outcome.explanation_roots[root]
-    return _explain(_supports(outcome.updated_graph), root)
+    supports = _supports(outcome.graph, outcome.final_assignment, outcome.discarded_rules)
+    return _explain(supports, root)
 
 
 def resolve_interactive(

@@ -820,6 +820,21 @@ class TestReason:
         assert text.startswith("digraph belief_graph {")
         assert "grey80" in text  # statement 1 flipped to false
 
+    def test_reason_builds_no_repaired_graph(self, workdir, bad_rule_graph, monkeypatch):
+        """The report, the outcome document and the DOT file are drawn from
+        the outcome's beliefs and discarded rules, not from a repaired copy."""
+        save_graph(bad_rule_graph, workdir / "g.json")
+
+        def refuse(self, assignment):
+            raise AssertionError("a repaired graph was built")
+
+        monkeypatch.setattr(BeliefGraph, "with_labels", refuse)
+        argv = ["reason", str(workdir / "g.json"), "-o", str(workdir / "out.json"),
+                "--export-dot", str(workdir / "g.dot")]
+        assert main(argv) == EXIT_OK
+        assert json.loads((workdir / "out.json").read_text())["discarded_rules"] == ["r0"]
+        assert (workdir / "g.dot").read_text().startswith("digraph belief_graph {")
+
     def test_export_dot_dashes_discarded_rules(self, workdir, bad_rule_graph):
         save_graph(bad_rule_graph, workdir / "g.json")
         argv = ["reason", str(workdir / "g.json"), "--export-dot", str(workdir / "g.dot")]
@@ -1585,6 +1600,21 @@ class TestRemoteOracle:
         assert "oracle field 'score' must be in [0, 1], got 1.5" in capsys.readouterr().err
         assert not (workdir / "g.json").exists()
         assert _SCORE_KEY not in _cached(workdir)
+
+    def test_bad_cached_record_names_the_cache(self, workdir, capsys):
+        """A record in the cache file that breaks a field rule is reported as
+        read from that file, not as an answer of the endpoint, which is never
+        asked."""
+        record = json.dumps([_SCORE_KEY, {"score": 1.5}], separators=(",", ":"))
+        (workdir / "oracle_cache.jsonl").write_text(record + "\n")
+        code = main(["build-graph", str(workdir / "question.json"), "--oracle",
+                     "remote:http://127.0.0.1:9/", "-o", str(workdir / "g.json")])
+        assert code == EXIT_ORACLE
+        err = capsys.readouterr().err
+        assert f"oracle_cache.jsonl: the answer to {_SCORE_KEY} read from the cache: " in err
+        assert "oracle field 'score' must be in [0, 1], got 1.5" in err
+        assert "failed after" not in err
+        assert not (workdir / "g.json").exists()
 
     def test_workers_share_one_client(self, tmp_path, trace_server):
         questions = [

@@ -372,6 +372,29 @@ class TestFailureModes:
         with pytest.raises(ConstructionError, match=re.escape(repr(bad))):
             generate_graph(HypothesisSet(("A", "B")), Surrogate(), CalibrationConfig(d_max=1))
 
+    @pytest.mark.parametrize("answer", ["ab", {"a": 1}, ("a", "b"), None],
+                             ids=["str", "dict", "tuple", "none"])
+    def test_premises_answer_that_is_not_a_list_is_rejected(self, answer):
+        """A premises answer is a list of texts, as in a fixture's table: a
+        string is not split into one-character statements."""
+
+        class Mistyped:
+            def generate_premises(self, s):
+                return answer if s == "A" else []
+
+            def score_statement(self, s):
+                return 0.9
+
+            def score_entailment(self, premises, h):
+                return 0.9
+
+            def negate(self, s):
+                return "not " + s
+
+        with pytest.raises(ConstructionError,
+                           match=f"premises must be a list, got {type(answer).__name__}"):
+            generate_graph(HypothesisSet(("A", "B")), Mistyped(), CalibrationConfig(d_max=1))
+
     @pytest.mark.parametrize("query", ["statement", "entailment"])
     @pytest.mark.parametrize("bad", ["0.9", True, 1.5, math.nan])
     def test_score_that_is_not_a_score_is_rejected(self, query, bad):

@@ -478,6 +478,28 @@ class TestTransport:
         with pytest.raises(OracleTransportError):
             ask(RemoteOracle(DEAD_ENDPOINT, cache_path=path))
 
+    @pytest.mark.parametrize(
+        "query, document", test_mistyped_field_raises_decode_error.pytestmark[0].args[1]
+    )
+    def test_mistyped_cached_record_names_the_cache(self, tmp_path, query, document):
+        """A record loaded from the cache file is held to the same rules on a
+        hit, and the error says it came from that file: no request is sent."""
+        if query == "score_entailment":
+            request = {"op": query, "premises": ["fact 1"], "hypothesis": "fact 2"}
+        else:
+            request = {"op": query, "statement": "fact 1"}
+        key = json.dumps(request, sort_keys=True)
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps([key, document]) + "\n")
+        with closing(RemoteOracle(DEAD_ENDPOINT, cache_path=path)) as oracle:
+            method = getattr(oracle, query)
+            with pytest.raises(OracleDecodeError) as raised:
+                method(["fact 1"], "fact 2") if query == "score_entailment" else method("fact 1")
+            assert oracle.calls == 0
+        assert str(raised.value).startswith(
+            f"{path}: the answer to {key} read from the cache: oracle field "
+        )
+
     def test_timeout_applies_to_reads(self, monkeypatch):
         monkeypatch.setattr(oracle_client, "BACKOFF_SECONDS", 0.01)
         # The kernel completes the handshake on a listening socket, but

@@ -238,6 +238,25 @@ def test_only_the_entry_point_touches_the_process():
     assert calls == ["cli.py:run: dup2", "cli.py:run: freeze"]
 
 
+def test_every_record_passes_through_its_constructor():
+    """No package module calls ``object.__new__`` or ``object.__setattr__``,
+    or reaches into an instance ``__dict__``: every node and graph is built
+    by its constructor, so its ``__post_init__`` checks run."""
+    package = Path(beliefgraph.__file__).parent
+    bypasses = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and (
+            isinstance(node.value, ast.Name) and node.value.id == "object"
+            and node.attr in ("__new__", "__setattr__")
+            or node.attr == "__dict__"
+        )
+    )
+    assert bypasses == []
+
+
 def test_a_run_that_would_test_another_tree_stops(tmp_path):
     """With another tree's package on ``PYTHONPATH``, pytest still imports
     this checkout's, so the run stops with a usage error naming both."""

@@ -330,6 +330,48 @@ class TestInteractiveResolution:
         assert outcome == reason(graph)
 
 
+def _refuse_relabelling(monkeypatch):
+    def refuse(self, assignment):
+        raise AssertionError("a repaired graph was built")
+
+    monkeypatch.setattr(BeliefGraph, "with_labels", refuse)
+
+
+class TestOutcomeGraph:
+    """`reason` builds no repaired graph: the outcome keeps the graph it was
+    given, and ``updated_graph`` is derived from it on each read."""
+
+    def test_outcome_keeps_the_graph_it_was_given(self, giraffe_graph):
+        assert reason(giraffe_graph).graph is giraffe_graph
+
+    def test_reason_builds_no_repaired_graph(self, monkeypatch):
+        graphs = acceptance_graphs(20)
+        _refuse_relabelling(monkeypatch)
+        for graph in graphs:
+            assert reason(graph).graph is graph
+
+    def test_explanation_fallback_builds_no_repaired_graph(self, monkeypatch):
+        graphs = acceptance_graphs(20)
+        _refuse_relabelling(monkeypatch)
+        for outcome in map(reason, graphs):
+            bare = replace(outcome, explanation_roots={})
+            for root in outcome.predictions:
+                assert extract_explanation(bare, root) == outcome.explanation_roots[root]
+
+    def test_each_read_builds_a_new_equal_graph(self, bad_rule_graph):
+        outcome = reason(bad_rule_graph)
+        first, second = outcome.updated_graph, outcome.updated_graph
+        assert first == second and first is not second
+        assert outcome.graph is bad_rule_graph
+
+    def test_updated_graph_is_read_only(self, giraffe_graph):
+        outcome = reason(giraffe_graph)
+        with pytest.raises(AttributeError):
+            outcome.updated_graph = giraffe_graph
+        with pytest.raises(TypeError):
+            replace(outcome, updated_graph=giraffe_graph)
+
+
 class TestSyntheticGraphs:
     def test_updated_graph_equals_checked_build(self):
         for graph in acceptance_graphs(50):
