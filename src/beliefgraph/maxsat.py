@@ -12,18 +12,26 @@ the pins.
 
 A statement is settled when one value is cheaper by more than EPSILON
 whatever its neighbours take: a soft statement whose confidence exceeds its
-reach, the summed weights of its rules, by more than EPSILON keeps its
-label, and a pinned statement takes its pin; a statement in a HARD rule has
-infinite reach, so only a pin settles it.  This is node consistency in
-weighted CSP (Larrosa and Schiex, AIJ 2004), or label hardening in MaxSAT
-preprocessing (Korhonen et al., SAT 2017).  Every optimum, and every
-near-tie the solver weighs, gives a settled statement that value (every
-feasible assignment gives a pinned statement its pin), so `encode` builds
-each rule's table conditioned on it as it goes: a rule that a settled value
-satisfies gets no table, the settled statements leave the others' scopes,
-and a pair left with one side becomes a unit cost on it.  Settled
-statements are then in no table.  Pins that no assignment satisfies are
-still found, since the reported cost is summed over every clause.
+reach by more than EPSILON keeps its label, and a pinned statement takes
+its pin.  Its reach is the summed weights of the rules its label can
+violate, those where the label lies on the violating side: a premise's true
+or a conclusion's false in an entailment or MC_HARD rule, either value in
+an XOR pair, true in a pairwise MC rule.  Flipping the statement costs its
+confidence and can lower the cost of those rules only, by at most their
+weights, since a rule its label satisfies can only become violated by the
+flip.  So a HARD rule its label can violate makes its reach infinite, and
+only a pin settles it, while a HARD rule its label satisfies adds nothing.
+This is dead-end elimination for weighted CSP (de Givry, Prestwich and
+O'Sullivan, CP 2013), a sign-aware form of node consistency (Larrosa and
+Schiex, AIJ 2004) and of label hardening in MaxSAT preprocessing (Korhonen
+et al., SAT 2017).  Every optimum, and every near-tie the solver weighs,
+gives a settled statement that value (every feasible assignment gives a
+pinned statement its pin), so `encode` builds each rule's table
+conditioned on it as it goes: a rule that a settled value satisfies gets
+no table, the settled statements leave the others' scopes, and a pair left
+with one side becomes a unit cost on it.  Settled statements are then in
+no table.  Pins that no assignment satisfies are still found, since the
+reported cost is summed over every clause.
 
 The solver is bucket elimination (Dechter, "Bucket elimination: a unifying
 framework for reasoning", AIJ 1999), which eliminates each variable as a
@@ -78,7 +86,9 @@ EPSILON = 1e-9
 MAX_VARIABLES = 2000
 # A bucket's table has 2**(MAX_WIDTH + 1) rows; at 16 that is 131072 rows,
 # a few megabytes.  Under the min-degree order, synthetic graphs of up to
-# 1000 statements measure width 3 and construction graphs 3 to 8.
+# 1000 statements measure width 3 and the tests' shared-premise construction
+# graphs 3 to 5; with three or four premises per fact over 400 facts, 60
+# such graphs measure 3 to 12, and none exceeds the limit.
 MAX_WIDTH = 16
 
 # A clause over variable positions: (scope, the values of the scope's
@@ -170,7 +180,9 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     rule's confidence, read off its premises and hypotheses by rule type.
     A zero-confidence statement adds no clause, and a zero-confidence rule
     adds its clauses at weight 0 and no table.  Pins become hard unit
-    clauses, and a pinned statement takes its pin.  Each rule's table is
+    clauses, and a pinned statement takes its pin.  A soft statement is
+    settled when its confidence exceeds by more than EPSILON the summed
+    weights of the rules its label can violate, and each rule's table is
     built conditioned on the settled statements (see the module
     docstring).  `BeliefGraph` and `RuleNode` have checked everything else
     already, so only the pins are checked here.
@@ -185,15 +197,27 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     position = {sid: i for i, sid in enumerate(order)}
 
     rules = graph.rules
-    # What its rules can add to either value of a statement: their summed
-    # weights, infinite for a statement in a HARD rule.
+    xor_pair, mc_pairwise = RuleType.XOR_PAIR, RuleType.MC_PAIRWISE
+    # What flipping a statement off its label can gain: the summed weights
+    # of the rules its label can violate, infinite if one of them is HARD.
     reach = dict.fromkeys(statements, 0.0)
     for rule in rules:
         weight = rule.confidence
-        for sid in rule.premise_ids:
-            reach[sid] += weight
-        for sid in rule.hypothesis_ids:
-            reach[sid] += weight
+        kind = rule.rule_type
+        if kind is xor_pair:
+            for sid in rule.hypothesis_ids:
+                reach[sid] += weight
+        elif kind is mc_pairwise:
+            for sid in rule.hypothesis_ids:
+                if statements[sid].label:
+                    reach[sid] += weight
+        else:
+            for sid in rule.premise_ids:
+                if statements[sid].label:
+                    reach[sid] += weight
+            for sid in rule.hypothesis_ids:
+                if not statements[sid].label:
+                    reach[sid] += weight
     # settled statement -> the value every optimum gives it
     settled: dict[StatementId, bool] = {}
 
@@ -218,7 +242,6 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     # Each rule's table is conditioned on its settled statements: a rule
     # that a settled value satisfies gets none, and otherwise the settled
     # statements leave its scope.  `clauses` keeps every clause in full.
-    xor_pair, mc_pairwise = RuleType.XOR_PAIR, RuleType.MC_PAIRWISE
     for rule in rules:
         weight = rule.confidence
         kind = rule.rule_type

@@ -986,8 +986,10 @@ class TestReason:
 
 
 def _wide_rule_document():
-    """One entailment rule with 17 premises: elimination width 17."""
-    statements = [{"id": k, "text": f"s{k}", "label": True, "confidence": 0.5}
+    """One entailment rule with 17 premises: elimination width 17.  Every
+    premise is believed true and the conclusion false, so each label can
+    violate the rule and none is settled."""
+    statements = [{"id": k, "text": f"s{k}", "label": k > 0, "confidence": 0.5}
                   for k in range(18)]
     rule = {"id": "r0", "type": "entailment", "premises": list(range(1, 18)),
             "hypotheses": [0], "confidence": 0.9}

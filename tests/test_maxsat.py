@@ -5,7 +5,7 @@ import math
 import random
 import sys
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -25,6 +25,7 @@ from beliefgraph import (
     encode,
     generate_graph,
     reason,
+    rule_satisfied,
     solve,
     total_cost,
 )
@@ -307,17 +308,18 @@ class TestSolve:
         assert sys.getrecursionlimit() == before
 
     def test_nodes_explored_pinned(self):
-        assert solve(encode(synthetic_graph(0))).nodes_explored == 850
+        assert solve(encode(synthetic_graph(0))).nodes_explored == 662
 
     def test_nodes_and_width_pinned_on_outcome_graphs(self):
         """(nodes_explored, width) of every graph the outcome digest covers,
-        as first computed with dominated statements settled in `encode`."""
+        as first computed with sign-aware settling in `encode`: a statement
+        settles on the weights of the rules its label can violate."""
         graphs = [synthetic_graph(seed) for seed in range(100)]
         graphs.append(synthetic_graph(0, 3, 3000, 700))
         pairs = [(r.nodes_explored, r.width) for r in map(solve, map(encode, graphs))]
-        assert sum(nodes for nodes, _ in pairs) == 76130
+        assert sum(nodes for nodes, _ in pairs) == 56646
         assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
-            "4c3870d4e20d7177752290c647e51acf7080ba0fd78a554530b6e7f2f43fb78c"
+            "0236a7da4ead8fd99da53181748f4675e3eff02a86403199c49ff229221eee5c"
         )
 
     def test_width(self):
@@ -570,23 +572,41 @@ class TestDegreeTwoTies:
         assert solve(cs).width == 2
 
 
+def can_violate(rule, sid, value):
+    """Whether ``rule`` is violated by some assignment that gives statement
+    ``sid`` this value, read off `rule_satisfied` over the rule's scope."""
+    others = [v for v in rule.statement_ids() if v != sid]
+    return any(
+        not rule_satisfied(rule, {sid: value, **dict(zip(others, values))})
+        for values in product((False, True), repeat=len(others))
+    )
+
+
+def sign_aware_reach(rules, sid, label):
+    """The summed weights of the ``rules`` that statement ``sid``'s
+    ``label`` can violate: at most what flipping it off its label can
+    gain."""
+    return sum(
+        rule.confidence for rule in rules
+        if sid in rule.statement_ids() and can_violate(rule, sid, label)
+    )
+
+
 @st.composite
 def boundary_graphs(draw):
     """A graph around statement 0, whose confidence is its reach (the summed
-    weights of its positive rules) plus EPSILON plus or minus 1e-12, and
-    whether `encode` should settle it.
+    weights of its soft rules that its label can violate) plus EPSILON plus
+    or minus 1e-12, and whether `encode` should settle it.
 
-    Each of up to four neighbours has one rule with statement 0 that
-    outweighs its own confidence, so no neighbour is settled, and perhaps a
-    second, zero-weight or not, and a rule with the next neighbour.  A pin
-    on statement 0 settles it; otherwise a HARD rule over statement 0 and a
-    neighbour blocks settling.  Weights are dyadic, so every sum is exact
-    but statement 0's confidence."""
+    Each of up to four neighbours has one rule with statement 0 whose
+    weight is at least its own confidence and which its label can violate,
+    so no neighbour is settled, and perhaps a second, zero-weight or not,
+    and a rule with the next neighbour.  A pin on statement 0 settles it;
+    otherwise a HARD rule over statement 0 and a neighbour blocks settling
+    when statement 0's label can violate it, that is when it is false, and
+    adds nothing to its reach when it is true.  Weights are dyadic, so
+    every sum is exact but statement 0's confidence."""
     n = draw(st.integers(1, 4))
-    statements = {
-        v: StatementNode(v, f"s{v}", draw(st.booleans()), draw(st.sampled_from([0.0, 0.03125, 0.0625])))
-        for v in range(1, n + 1)
-    }
     rules = []
 
     def rule(pair, weight):
@@ -594,24 +614,36 @@ def boundary_graphs(draw):
         pair = tuple(draw(st.permutations(pair)))
         premises = pair[:1] if kind is RuleType.ENTAILMENT else ()
         rules.append(RuleNode(f"r{len(rules)}", kind, premises, pair[len(premises):], weight))
+        return rules[-1]
 
+    statements = {}
     for v in range(1, n + 1):
-        rule((0, v), draw(st.sampled_from([0.0625, 0.125])))
+        first = rule((0, v), draw(st.sampled_from([0.0625, 0.125])))
+        label = draw(st.sampled_from([b for b in (False, True) if can_violate(first, v, b)]))
+        statements[v] = StatementNode(v, f"s{v}", label, draw(st.sampled_from([0.0, 0.03125, 0.0625])))
         if draw(st.booleans()):
             rule((0, v), draw(st.sampled_from([0.0, 0.0625])))
         if v > 1 and draw(st.booleans()):
             rule((v - 1, v), draw(st.sampled_from([0.0, 0.0625])))
-    reach = sum(r.confidence for r in rules if 0 in r.statement_ids())
+    label = draw(st.booleans())
+    reach = sign_aware_reach(rules, 0, label)
     above = draw(st.booleans())
-    confidence = reach + maxsat.EPSILON + (1e-12 if above else -1e-12)
-    statements[0] = StatementNode(0, "s0", draw(st.booleans()), confidence)
-    hard = draw(st.booleans())
-    if hard:
-        rules.append(RuleNode("hard", RuleType.MC_HARD, (), (0, draw(st.integers(1, n))), HARD))
+    statements[0] = StatementNode(0, "s0", label, reach + maxsat.EPSILON + (1e-12 if above else -1e-12))
+    blocked = False
+    if draw(st.booleans()):
+        hard = RuleNode("hard", RuleType.MC_HARD, (), (0, draw(st.integers(1, n))), HARD)
+        rules.append(hard)
+        blocked = can_violate(hard, 0, label)
     pins = {0: draw(st.booleans())} if draw(st.booleans()) else {}
     hypotheses = tuple(draw(st.lists(st.integers(0, n), min_size=1, max_size=2, unique=True)))
     graph = BeliefGraph(dict(sorted(statements.items())), tuple(draw(st.permutations(rules))), hypotheses)
-    return graph, pins, bool(pins) or (not hard and above)
+    return graph, pins, bool(pins) or (not blocked and above)
+
+
+def in_no_table(cs, sid):
+    """Whether statement ``sid`` is in none of the compiled tables."""
+    x = cs.variable_order.index(sid)
+    return all(x not in scope for scope, _, _ in cs.tables)
 
 
 class TestSettlingBoundary:
@@ -619,17 +651,96 @@ class TestSettlingBoundary:
     @given(boundary_graphs())
     def test_settles_past_epsilon_only(self, case):
         """Statement 0 is settled, and so in no table, exactly when it is
-        pinned, or when it is in no HARD rule and its confidence exceeds its
-        reach by more than EPSILON; either way the solve agrees with the
-        reference and with the same clauses solved in full."""
+        pinned, or when its label can violate no HARD rule and its
+        confidence exceeds its sign-aware reach by more than EPSILON;
+        either way the solve agrees with the reference and with the same
+        clauses solved in full."""
         graph, pins, settled = case
         cs = encode(graph, pins)
-        x = cs.variable_order.index(0)
-        assert settled == all(x not in scope for scope, _, _ in cs.tables)
+        assert settled == in_no_table(cs, 0)
         check_against_brute_force(cs)
         a, b = solve(cs), solve(rebuilt(cs))
         assert summary(a)[:3] == summary(b)[:3] and a.violated == b.violated
         assert no_more_search(a, b)
+
+    @pytest.mark.parametrize("kind", list(RuleType))
+    def test_a_rule_its_label_satisfies_adds_no_reach(self, kind):
+        """Statement 0's label lies on the safe side of its one rule, a
+        false premise, a true MC_HARD hypothesis or a false pairwise MC
+        side, so a confidence just past EPSILON settles it; by the summed
+        weights of all its rules it would stay.  An XOR pair has no safe
+        side."""
+        weight = HARD if kind is RuleType.MC_HARD else 0.5
+        premises, conclusions = ((0,), (1,)) if kind is RuleType.ENTAILMENT else ((), (0, 1))
+        statements = {
+            0: StatementNode(0, "s0", kind is RuleType.MC_HARD, 2 * maxsat.EPSILON),
+            1: StatementNode(1, "s1", True, 0.25),
+        }
+        graph = BeliefGraph(statements, (RuleNode("r", kind, premises, conclusions, weight),), (0, 1))
+        cs = encode(graph)
+        assert in_no_table(cs, 0) == (kind is not RuleType.XOR_PAIR)
+        check_against_brute_force(cs)
+
+
+@st.composite
+def settling_graphs(draw):
+    """A graph of 2 to 9 statements with rules of every type, soft weights
+    small beside many statements' confidences so that many settle, and up
+    to two pins."""
+    n = draw(st.integers(2, 9))
+    ids = st.integers(0, n - 1)
+    statements = {
+        sid: StatementNode(sid, f"s{sid}", draw(st.booleans()),
+                           draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0])))
+        for sid in range(n)
+    }
+    rules = []
+    for i in range(draw(st.integers(1, 2 * n))):
+        kind = draw(st.sampled_from(list(RuleType)))
+        if kind is RuleType.ENTAILMENT:
+            scope = draw(st.lists(ids, min_size=2, max_size=min(4, n), unique=True))
+            premises, conclusions = tuple(scope[1:]), scope[:1]
+        else:
+            size = draw(st.integers(1, min(3, n))) if kind is RuleType.MC_HARD else 2
+            premises, conclusions = (), draw(st.lists(ids, min_size=size, max_size=size, unique=True))
+        weight = HARD if kind is RuleType.MC_HARD else draw(st.sampled_from([0.0, 0.125, 0.25, 0.5]))
+        rules.append(RuleNode(f"r{i}", kind, premises, tuple(conclusions), weight))
+    hypotheses = tuple(draw(st.lists(ids, min_size=1, max_size=3, unique=True)))
+    pins = draw(st.dictionaries(ids, st.booleans(), max_size=2))
+    return BeliefGraph(statements, tuple(rules), hypotheses), pins
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(settling_graphs())
+def test_settled_statements_keep_their_label_in_every_near_optimum(graph_and_pins):
+    """Every statement whose confidence exceeds its sign-aware reach by more
+    than EPSILON takes its label in every assignment within EPSILON of the
+    optimum, by `total_cost` over all assignments that keep the pins; and
+    `encode` leaves it, like every pinned statement, in no table, and
+    solves to the reference's answer."""
+    graph, pins = graph_and_pins
+    ids = list(graph.statements)
+    dominant = [
+        sid for sid, node in graph.statements.items()
+        if node.confidence > sign_aware_reach(graph.rules, sid, node.label) + maxsat.EPSILON
+    ]
+    cs = encode(graph, pins)
+    for sid in dominant + list(pins):
+        assert in_no_table(cs, sid), sid
+    check_against_brute_force(cs)
+    costs = []
+    for values in product((False, True), repeat=len(ids)):
+        assignment = dict(zip(ids, values))
+        if all(assignment[sid] == value for sid, value in pins.items()):
+            costs.append((total_cost(graph, assignment), assignment))
+    best = min(cost for cost, _ in costs)
+    if math.isinf(best):
+        return
+    for cost, assignment in costs:
+        if cost <= best + maxsat.EPSILON:
+            for sid in dominant:
+                if sid not in pins:
+                    assert assignment[sid] == graph.statements[sid].label, sid
 
 
 def oracle_graphs():

@@ -14,6 +14,7 @@ is checked against the brute-force reference by acceptance criterion 01.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 from scipy import sparse
@@ -29,8 +30,11 @@ from beliefgraph import (
     generate_graph,
     solve,
 )
+from beliefgraph import maxsat
 from beliefgraph.construction import NEGATION_PREFIX, entailment_key
 from beliefgraph.synthetic import synthetic_graph
+from reference_solver import clause_set, literal_clauses
+from test_maxsat import no_more_search
 
 # HiGHS stops once its absolute optimality gap is at most 1e-6 (its default
 # mip_abs_gap, which scipy does not expose), so its optimum may exceed the
@@ -83,12 +87,13 @@ def assert_matches_milp(cs, case):
         )
 
 
-def shared_premise_questions(seed, questions=10, vocabulary=40):
+def shared_premise_questions(seed, questions=10, vocabulary=40, fact_premises=None):
     """MockOracle whose questions draw premises from one shared vocabulary.
 
     Facts entail each other, so construction reaches the same statements
     from several hypotheses and the graphs have more cycles than
-    ``synthetic_graph``'s trees.
+    ``synthetic_graph``'s trees.  Each fact has ``fact_premises`` premises,
+    or 1 or 2 drawn at random by default.
     """
     rng = random.Random(seed)
     facts = [f"shared fact {k}" for k in range(vocabulary)]
@@ -104,7 +109,7 @@ def shared_premise_questions(seed, questions=10, vocabulary=40):
         entailments[entailment_key(chosen, text)] = round(rng.uniform(0.5, 0.99), 4)
 
     for fact in facts:
-        add(fact, rng.random() < 0.8, rng.randint(1, 2))
+        add(fact, rng.random() < 0.8, fact_premises or rng.randint(1, 2))
     hypothesis_sets = []
     for q in range(questions):
         options = tuple(f"question {q} option {j} holds" for j in range(4))
@@ -145,3 +150,54 @@ def test_infeasible_status():
     cs = encode(graph, {h: False for h in graph.hypotheses})
     assert_matches_milp(cs, "every hypothesis pinned false")
     assert solve(cs).status is SolveStatus.INFEASIBLE
+
+
+# (seed, question) of the graphs at 4 premises per fact over 400 facts
+# whose elimination width exceeded MAX_WIDTH when a statement's reach
+# summed every rule it is in: 17 or 18 then, 8 to 12 with sign-aware
+# settling.
+DENSE_OVER_THE_OLD_LIMIT = {(0, 0), (0, 8), (1, 2), (1, 4), (1, 6), (2, 0), (2, 8)}
+
+
+def settled_by_every_rule(graph, cs):
+    """``cs`` with its tables compiled again from its clauses, settling only
+    the statements whose confidence exceeds the summed weights of every rule
+    they are in by more than EPSILON: a clause one of their labels satisfies
+    gets no table, and they leave the others."""
+    reach = dict.fromkeys(graph.statements, 0.0)
+    for rule in graph.rules:
+        for sid in rule.statement_ids():
+            reach[sid] += rule.confidence
+    fixed = {
+        sid: node.label for sid, node in graph.statements.items()
+        if node.confidence > reach[sid] + maxsat.EPSILON
+    }
+    conditioned = []
+    for literals, weight in literal_clauses(cs):
+        kept = tuple((v, pol) for v, pol in literals if v not in fixed)
+        if kept and not any(fixed.get(v) == pol for v, pol in literals):
+            conditioned.append((kept, weight))
+    labels = dict(zip(cs.variable_order, cs.labels))
+    return replace(clause_set(conditioned, cs.variable_order, labels), clauses=cs.clauses)
+
+
+def test_dense_construction_graphs():
+    """Graphs with four premises per fact solve, at the MILP's cost where
+    they once exceeded the width limit.  Seed 0's others solve as they do
+    with only the statements settled that outweigh every rule they are in,
+    with no more search; the same clauses with nothing settled are too wide
+    to solve."""
+    cfg = CalibrationConfig()
+    for seed in range(3):
+        oracle, hypothesis_sets = shared_premise_questions(seed, vocabulary=400, fact_premises=4)
+        for q, hypotheses in enumerate(hypothesis_sets):
+            graph = generate_graph(hypotheses, oracle, cfg)
+            cs = encode(graph)
+            if (seed, q) in DENSE_OVER_THE_OLD_LIMIT:
+                assert_matches_milp(cs, f"dense oracle {seed} question {q}")
+            elif seed == 0:
+                a, b = solve(cs), solve(settled_by_every_rule(graph, cs))
+                assert (a.assignment, a.optimal_cost, a.violated) == (
+                    b.assignment, b.optimal_cost, b.violated
+                ), q
+                assert no_more_search(a, b), q
