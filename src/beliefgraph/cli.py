@@ -186,6 +186,12 @@ def _output_names(questions) -> list[str]:
     return names
 
 
+def _escaped(text: str) -> str:
+    """``text`` with what standard output cannot encode backslash-escaped."""
+    encoding = sys.stdout.encoding or "utf-8"
+    return text.encode(encoding, "backslashreplace").decode(encoding)
+
+
 def _report(graph, outcome, output: str | None) -> None:
     """Write the outcome document when asked, and print the summary."""
     summary = summarize(graph, outcome)
@@ -197,7 +203,7 @@ def _report(graph, outcome, output: str | None) -> None:
     print(f"{summary['flips']} flips, {summary['discarded_rules']} rules discarded")
     answers = [graph.statements[h].text for h in sorted(outcome.predictions)]
     if answers:
-        print("answer: " + "; ".join(answers))
+        print("answer: " + _escaped("; ".join(answers)))
     else:
         print("answer: (no hypothesis believed)")
 
@@ -208,10 +214,8 @@ def _cmd_reason(args: argparse.Namespace) -> int:
     outcome = reason(graph)
     if args.export_dot:
         with _writing(args.export_dot):
-            write_whole(
-                args.export_dot,
-                to_dot(full_graph, outcome.final_assignment, outcome.discarded_rules),
-            )
+            dot = to_dot(full_graph, outcome.final_assignment, outcome.discarded_rules)
+            write_whole(args.export_dot, dot)
     _report(full_graph, outcome, args.output)
     return EXIT_OK
 
@@ -225,7 +229,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 
     def ask(text: str) -> bool:
         nonlocal stream_closed
-        print(f"Is it true that: {text}? [y/n] ", end="", flush=True)
+        print(f"Is it true that: {_escaped(text)}? [y/n] ", end="", flush=True)
         try:
             line = sys.stdin.readline()
         except (OSError, ValueError):  # unreadable or undecodable: treated as closed
@@ -246,13 +250,15 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
-    text = to_dot(graph)
+    text = to_dot(load_graph(args.graph))
     if args.output:
         with _writing(args.output):
             write_whole(args.output, text)
-    else:
+    elif getattr(sys.stdout, "buffer", None) is None:
         print(text, end="")
+    else:  # DOT is UTF-8 whatever the locale, so it goes under the text layer
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode())
     return EXIT_OK
 
 

@@ -223,9 +223,6 @@ class _Builder:
         self.concluded: set[StatementId] = set()
         self.xor_pairs: set[frozenset[StatementId]] = set()
 
-    def next_rule_id(self) -> str:
-        return f"r{len(self.rules)}"
-
     def extend(self, text: str, depth: int) -> StatementId:
         canon = canonicalize(text)
         if canon in self.ids:
@@ -262,7 +259,7 @@ class _Builder:
                     confidence *= self.cfg.beta
                 self.rules.append(
                     RuleNode(
-                        id=self.next_rule_id(),
+                        id=f"r{len(self.rules)}",
                         rule_type=RuleType.ENTAILMENT,
                         premise_ids=premise_ids,
                         hypothesis_ids=(sid,),
@@ -285,7 +282,7 @@ class _Builder:
                     if abs(s_d - neg_node.raw_score) - self.cfg.m_xor > 1e-12:
                         self.rules.append(
                             RuleNode(
-                                id=self.next_rule_id(),
+                                id=f"r{len(self.rules)}",
                                 rule_type=RuleType.XOR_PAIR,
                                 premise_ids=(),
                                 hypothesis_ids=(sid, neg_id),

@@ -53,8 +53,9 @@ then recovers the optimal assignment.  Time and memory grow as 2**width,
 where the width is the number of neighbours a variable has when it is
 eliminated.  Belief graphs are nearly trees, so the width stays small; an
 instance whose width exceeds MAX_WIDTH raises SolverLimitError instead of
-being approximated.  The exhaustive reference the tests compare against
-lives in tests/reference_solver.py.
+being approximated, as is an infinite optimum when the soft weights overflow
+(no proof of infeasibility).  The exhaustive reference the tests compare
+against lives in tests/reference_solver.py.
 
 Tie-breaking among equal-cost optima is deterministic: the flip pattern
 (flipped = 1, kept = 0, read along the variable order) is minimized
@@ -540,6 +541,8 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
     for i in violated:
         cost += clauses[i][2]
     if math.isinf(cost):
+        if math.isinf(sum([clause[2] for clause in clauses if clause[2] != HARD])):
+            raise SolverLimitError("the soft clause weights sum past the largest float")
         return SolveResult({}, math.inf, SolveStatus.INFEASIBLE, nodes, width)
     assignment = dict(zip(cs.variable_order, value))
     return SolveResult(assignment, cost, SolveStatus.OPTIMAL, nodes, width, tuple(violated))

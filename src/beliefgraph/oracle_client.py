@@ -22,28 +22,30 @@ them; a request sent on a kept-alive connection that the server closed
 while idle is re-sent once on a fresh connection, without a pause and
 without using up an attempt.
 
-The cache is a JSONL file keyed by the canonicalized request, whose
-sorted-key JSON text (``json.dumps(request, sort_keys=True)``, written
-directly rather than through an encoder) is also the request body.  Its
-query checks an answer before it is stored, by the rules `MockOracle` applies
-to its tables: a score is a number in [0, 1], not a bool, and a premise or
-negation a string that UTF-8 can encode and `canonicalize` accepts.  So a
-malformed answer (a score of 1.5 or NaN, an empty text, a lone surrogate) is
-an `OracleDecodeError` and is never stored or replayed.  A record read from
-the file is held to the same rules on each hit, and one that breaks them is
-an `OracleDecodeError` naming the file and the request key.  Each stored miss
-appends one ``[key, document]`` line in a single write, to a handle opened
-on the first stored miss and kept until `close`, and nothing ever rewrites
-the file, so repeated runs never re-query the backend.  A write that fails,
-or that a file-size limit or a full disk cuts short, leaves no partial line
-and raises `OSError`, and the answer is not kept.  On load each
-newline-terminated line must hold exactly one ``[key, object]`` record and
-nothing else.  A torn last line (one with no terminating newline, left by an
-interrupted append) is dropped and cut off; any other malformed line raises
-`OracleDecodeError` naming its number.
-One lock guards the writes to the in-memory cache, the counter, the
-connection table and the append, so a client may be shared by threads; the
-HTTP round trip runs outside the lock.
+The cache is a JSONL file keyed by the canonicalized request, whose sorted-key
+JSON text (``json.dumps(request, sort_keys=True)``, written directly rather
+than through an encoder) is also the request body.  It holds checked answers,
+so a hit is one dict read (premises come back as a fresh list).  `_ANSWERS`
+gives each op's answer field and its rule, one that `MockOracle` applies to
+its tables: a score is a number in [0, 1], not a bool, and a premise or
+negation a string that UTF-8 can encode and `canonicalize` accepts.  A miss is
+checked once, so a malformed answer (a score of 1.5 or NaN, an empty text, a
+lone surrogate) is an `OracleDecodeError` and is never stored.  Each stored
+miss appends one ``[key, document]`` line in a single write, to a handle
+opened on the first stored miss and kept until `close`, and nothing ever
+rewrites the file, so repeated runs never re-query the backend.  A write that
+fails, or that a file-size limit or a full disk cuts short, leaves no partial
+line and raises `OSError`, and the answer is not kept.  The file is read when
+the client is made: each newline-terminated line must hold exactly one
+``[key, object]`` record and nothing else, whose key is a request with an op
+in `_ANSWERS` and whose answer passes that op's rule, and the first record of
+a key is kept, as `_store` keeps the first answer.  A torn last line (without
+a terminating newline, left by an interrupted append) is dropped and cut off;
+any other line that breaks these raises `OracleDecodeError` naming its number.
+One lock guards the writes to the in-memory cache, the counter, the connection
+table and the append, so a client may be shared by threads; the HTTP round
+trip runs outside the lock, and threads that miss one key at once all get the
+answer stored first.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import threading
 import time
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 from urllib.parse import urlsplit
 
 from .construction import canonicalize, statement_text, statement_texts
@@ -73,8 +75,6 @@ _CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
 _LINE_BREAKS = (b"\r\n", b"\n")
 # Unlike `json.loads`, it neither skips whitespace nor detects an encoding.
 _raw_decode = json.JSONDecoder().raw_decode
-
-_T = TypeVar("_T")
 
 
 class _BadResponse(Exception):
@@ -187,10 +187,19 @@ def _capped(size: int) -> int:
     return size
 
 
-def _load_cache(path: Path) -> dict[str, dict]:
-    """Read a JSONL cache file, dropping and cutting off a torn last line."""
+# By request op: the answer's field, its rule, and its name in the rule's error.
+_ANSWERS: dict[str, tuple[str, Callable[[object, str], object], str]] = {
+    "generate_premises": ("premises", statement_texts, "oracle field 'premises'"),
+    "score_statement": ("score", score, "oracle field 'score'"),
+    "score_entailment": ("score", score, "oracle field 'score'"),
+    "negate": ("statement", statement_text, "oracle field 'statement'"),
+}
+
+
+def _load_cache(path: Path) -> dict[str, object]:
+    """The checked answers in a JSONL cache file by key; a torn last line is cut off."""
     data = path.read_bytes()
-    cache = {}
+    cache: dict[str, object] = {}
     # `split` leaves the text after the last newline, empty or torn, last.
     for number, line in enumerate(data.split(b"\n")[:-1], 1):
         try:
@@ -203,25 +212,21 @@ def _load_cache(path: Path) -> dict[str, dict]:
             raise OracleDecodeError(
                 f"{path}: line {number}: a line must hold one [key, object] record"
             )
-        cache[record[0]] = record[1]
+        key, document = record
+        try:
+            field, rule, name = _ANSWERS[json.loads(key)["op"]]
+        except (ValueError, RecursionError, TypeError, LookupError) as exc:
+            raise OracleDecodeError(f"{path}: line {number}: the key is not a request") from exc
+        try:  # a later record of a key is checked too, but not kept
+            cache.setdefault(key, rule(document.get(field), name))
+        except (TypeError, ValueError) as exc:
+            raise OracleDecodeError(f"{path}: line {number}: {exc}") from exc
     end = data.rfind(b"\n") + 1
     if end < len(data):
         # Cut the torn line off, so that the next append starts a line.
         with open(path, "r+b") as handle:
             handle.truncate(end)
     return cache
-
-
-def _score(document: dict) -> float:
-    return score(document.get("score"), "oracle field 'score'")
-
-
-def _premises(document: dict) -> list[str]:
-    return statement_texts(document.get("premises"), "oracle field 'premises'")
-
-
-def _statement(document: dict) -> str:
-    return statement_text(document.get("statement"), "oracle field 'statement'")
 
 
 class RemoteOracle:
@@ -275,7 +280,7 @@ class RemoteOracle:
         self._connections: dict[threading.Thread, _Connection] = {}
         # Opened by the first miss that is stored, closed by `close`.
         self._cache_file = None
-        self._cache: dict[str, dict] = {}
+        self._cache: dict[str, object] = {}
         if self.cache_path and self.cache_path.exists():
             self._cache = _load_cache(self.cache_path)
 
@@ -318,19 +323,11 @@ class RemoteOracle:
                 # request: re-send it once on a fresh connection.
                 reused = False
 
-    def _request(self, key: str, read: Callable[[dict], _T]) -> _T:
-        """``read`` applied to the answer to the request whose sorted-key JSON
-        text is ``key``; an answer that ``read`` rejects is not stored."""
+    def _request(self, key: str, op: str):
+        """The checked answer to the ``op`` request whose sorted-key JSON text is ``key``."""
         # One dict read is atomic; the lock orders the writers in `_store`.
-        document = self._cache.get(key)
-        if document is not None:
-            try:
-                return read(document)
-            except (TypeError, ValueError) as exc:
-                # Only a record loaded from the file can fail: a stored answer passed.
-                raise OracleDecodeError(
-                    f"{self.cache_path}: the answer to {key} read from the cache: {exc}"
-                ) from exc
+        if (value := self._cache.get(key)) is not None:
+            return value
         body = key.encode()
         last_error: Exception | None = None
         for attempt in range(MAX_ATTEMPTS):
@@ -361,20 +358,21 @@ class RemoteOracle:
                 raise OracleDecodeError(f"non-JSON oracle response: {exc}") from exc
             if not isinstance(document, dict):
                 raise OracleDecodeError("oracle response root must be an object")
+            field, rule, name = _ANSWERS[op]
             try:
-                value = read(document)
+                value = rule(document.get(field), name)
             except (TypeError, ValueError) as exc:  # a field it rejects
                 raise OracleDecodeError(str(exc)) from exc
-            self._store(key, document, line)
-            return value
+            return self._store(key, value, line)
         raise OracleTransportError(
             f"oracle at {self.endpoint} failed after {MAX_ATTEMPTS} attempts: {last_error}"
         )
 
-    def _store(self, key: str, document: dict, line: bytes) -> None:
+    def _store(self, key: str, value: object, line: bytes) -> object:
+        """Keep ``value`` unless another thread kept an answer first; return the one kept."""
         with self._lock:
             if key in self._cache:  # another thread answered it first
-                return
+                return self._cache[key]
             if self.cache_path:
                 if self._cache_file is None:
                     self._cache_file = open(self.cache_path, "ab", buffering=0)
@@ -386,18 +384,17 @@ class RemoteOracle:
                     raise OSError(
                         f"{self.cache_path}: wrote {written} of the {len(line)} bytes of a line"
                     )
-            self._cache[key] = document
+            self._cache[key] = value
+            return value
 
     def generate_premises(self, statement: str) -> list[str]:
-        return self._request(
-            '{"op": "generate_premises", "statement": ' + _quote(canonicalize(statement)) + "}",
-            _premises,
-        )
+        key = '{"op": "generate_premises", "statement": ' + _quote(canonicalize(statement)) + "}"
+        return list(self._request(key, "generate_premises"))  # a copy, not the cached list
 
     def score_statement(self, statement: str) -> float:
         return self._request(
             '{"op": "score_statement", "statement": ' + _quote(canonicalize(statement)) + "}",
-            _score,
+            "score_statement",
         )
 
     def score_entailment(self, premises: Sequence[str], hypothesis: str) -> float:
@@ -405,11 +402,11 @@ class RemoteOracle:
         return self._request(
             '{"hypothesis": ' + _quote(canonicalize(hypothesis))
             + ', "op": "score_entailment", "premises": [' + quoted + "]}",
-            _score,
+            "score_entailment",
         )
 
     def negate(self, statement: str) -> str:
         return self._request(
             '{"op": "negate", "statement": ' + _quote(canonicalize(statement)) + "}",
-            _statement,
+            "negate",
         )

@@ -92,34 +92,31 @@ def _key(key: Any) -> str:
 
 def graph_to_document(graph: BeliefGraph, provenance: dict | None = None) -> dict:
     hypotheses = set(graph.hypotheses)
-    statements = []
-    for sid in sorted(graph.statements):
-        node = graph.statements[sid]
-        statements.append(
-            {
-                "id": node.id,
-                "text": node.text,
-                "label": node.label,
-                "confidence": node.confidence,
-                "raw_score": node.raw_score,
-                "depth": node.depth,
-                "is_hypothesis": node.id in hypotheses,
-                "negation_of": node.is_negation_of,
-            }
-        )
-    rules = []
-    for rule in graph.rules:
-        rules.append(
-            {
-                "id": rule.id,
-                "type": rule.rule_type.value,
-                "premises": list(rule.premise_ids),
-                "hypotheses": list(rule.hypothesis_ids),
-                "raw_score": rule.raw_score,
-                "hard": rule.is_hard,
-                "confidence": None if rule.is_hard else rule.confidence,
-            }
-        )
+    statements = [
+        {
+            "id": node.id,
+            "text": node.text,
+            "label": node.label,
+            "confidence": node.confidence,
+            "raw_score": node.raw_score,
+            "depth": node.depth,
+            "is_hypothesis": node.id in hypotheses,
+            "negation_of": node.is_negation_of,
+        }
+        for _, node in sorted(graph.statements.items())
+    ]
+    rules = [
+        {
+            "id": rule.id,
+            "type": rule.rule_type.value,
+            "premises": list(rule.premise_ids),
+            "hypotheses": list(rule.hypothesis_ids),
+            "raw_score": rule.raw_score,
+            "hard": rule.is_hard,
+            "confidence": None if rule.is_hard else rule.confidence,
+        }
+        for rule in graph.rules
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "provenance": provenance or {},
@@ -246,22 +243,22 @@ def write_whole(path: str | Path, text: str) -> None:
     may leave a temporary file, but never a partial target.  A symbolic
     link is followed, so its target is replaced.  A path that names
     something other than a regular file, such as a pipe or a device, is
-    written in place.
+    written in place.  The text is written as UTF-8 whatever the locale.
     """
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
         regular = True
     if not regular:
-        Path(path).write_text(text)
+        Path(path).write_bytes(text.encode())
         return
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(descriptor, "w") as file:
-            file.write(text)
+        with open(descriptor, "wb") as file:
+            file.write(text.encode())
         os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)

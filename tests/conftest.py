@@ -193,6 +193,19 @@ def make_graph(statements, rules, hypotheses):
     return BeliefGraph(nodes, rule_nodes, tuple(hypotheses))
 
 
+def overflow_graph(weight):
+    """Three statements labelled true, each held true by a one-hypothesis
+    MC_HARD rule, under a pairwise MC rule of confidence ``weight`` per pair:
+    the optimum violates all three pairwise rules, at three times ``weight``."""
+    return make_graph(
+        statements=[(sid, f"fact {sid}", True, 0.9, {}) for sid in range(3)],
+        rules=[(f"m{a}{b}", RuleType.MC_PAIRWISE, (), (a, b), weight)
+               for a, b in ((0, 1), (0, 2), (1, 2))]
+              + [(f"h{sid}", RuleType.MC_HARD, (), (sid,), HARD) for sid in range(3)],
+        hypotheses=[0, 1, 2],
+    )
+
+
 @pytest.fixture
 def giraffe_graph():
     """Two-option question where an XOR conflict flips the wrong answer away."""

@@ -46,7 +46,7 @@ from beliefgraph.oracle_client import OracleTransportError
 from beliefgraph.reasoner import reason
 from beliefgraph.serialize import InputError, config_digest, dumps
 from beliefgraph.synthetic import synthetic_graph
-from conftest import TRACE_PREMISES, TRACE_SCORES, run_python, serving
+from conftest import TRACE_PREMISES, TRACE_SCORES, overflow_graph, run_python, serving
 
 
 ORACLE_FIXTURE = {
@@ -1021,6 +1021,56 @@ def test_graph_beyond_solver_limits_is_input_error(
     assert "input error" in err and limit in err
 
 
+def test_soft_weights_past_the_largest_float_are_input_error(workdir, capsys):
+    """An optimum of 3e308 overflows to infinity, which is a solver limit and
+    not proof that the hard rules conflict."""
+    save_graph(overflow_graph(1e308), workdir / "g.json")
+    assert main(["reason", str(workdir / "g.json")]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: graph exceeds the solver's limits: "
+        "the soft clause weights sum past the largest float\n"
+    )
+
+
+def test_non_ascii_text_under_an_ascii_locale(tmp_path):
+    """Under a locale whose encoding is ASCII, DOT is written as UTF-8 bytes,
+    to a file or to standard output, and a summary or prompt line escapes
+    what ASCII cannot hold."""
+    (tmp_path / "q.json").write_text(json.dumps({"hypotheses": ["café is open", "日本 is far"]}))
+    (tmp_path / "mock.json").write_text("{}")
+    statements = {0: StatementNode(0, "café is open", True, 0.9),
+                  1: StatementNode(1, "日本 is far", True, 0.8)}
+    rules = (RuleNode("r0", RuleType.MC_PAIRWISE, (), (0, 1), 0.5),)
+    save_graph(BeliefGraph(statements, rules, (0, 1)), tmp_path / "conflict.json")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env.pop("PYTHONIOENCODING", None)
+
+    def run(*argv, stdin=b""):
+        result = subprocess.run(
+            [sys.executable, "-m", "beliefgraph.cli", *argv], cwd=tmp_path, env=env,
+            input=stdin, capture_output=True, timeout=60,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        return result.stdout
+
+    run("build-graph", "q.json", "--oracle", "mock:mock.json", "-o", "g.json")
+    out = run("reason", "g.json", "-o", "o.json", "--export-dot", "r.dot")
+    assert out.endswith(b"answer: caf\\xe9 is open\n")
+    assert json.loads((tmp_path / "o.json").read_bytes())["predictions"] == [0]
+    assert run("export-dot", "g.json", "-o", "g.dot") == b""
+    graph = load_graph(tmp_path / "g.json")
+    assert (tmp_path / "g.dot").read_bytes() == to_dot(graph).encode()
+    assert run("export-dot", "g.json") == to_dot(graph).encode()
+    outcome = reason(graph)
+    dot = to_dot(graph, outcome.final_assignment, outcome.discarded_rules)
+    assert (tmp_path / "r.dot").read_bytes() == dot.encode()
+    assert "café is open" in dot and "日本 is far" in dot
+    out = run("resolve", "conflict.json", stdin=b"y\nn\n")
+    assert out.startswith(b"Is it true that: \\u65e5\\u672c is far? [y/n] "
+                          b"Is it true that: caf\\xe9 is open? [y/n] ")
+
+
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -1397,6 +1447,17 @@ class TestExportDot:
         assert out.startswith("digraph belief_graph {")
         assert out.rstrip().endswith("}")
 
+    def test_stdout_without_a_byte_layer(self, workdir, giraffe_graph):
+        """A standard output replaced by a text stream with no byte layer
+        beneath it still gets the DOT text."""
+        import contextlib
+        import io
+
+        save_graph(giraffe_graph, workdir / "g.json")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["export-dot", str(workdir / "g.json")]) == EXIT_OK
+        assert out.getvalue() == to_dot(giraffe_graph)
+
     def test_file_output(self, workdir, giraffe_graph):
         save_graph(giraffe_graph, workdir / "g.json")
         main(["export-dot", str(workdir / "g.json"), "-o", str(workdir / "g.dot")])
@@ -1565,7 +1626,10 @@ class TestRemoteOracle:
         assert second_doc["rules"] == first_doc["rules"]
 
     def test_corrupt_cache_is_oracle_error(self, workdir, trace_server, capsys):
-        (workdir / "oracle_cache.jsonl").write_text('["k",{}]\nxx{"broken\n["j",{}]\n')
+        (workdir / "oracle_cache.jsonl").write_text(
+            json.dumps([_SCORE_KEY, {"score": 0.5}]) + '\nxx{"broken\n'
+            + json.dumps([_PREMISES_KEY, {"premises": []}]) + "\n"
+        )
         code = main(
             [
                 "build-graph",
@@ -1604,19 +1668,37 @@ class TestRemoteOracle:
         assert _SCORE_KEY not in _cached(workdir)
 
     def test_bad_cached_record_names_the_cache(self, workdir, capsys):
-        """A record in the cache file that breaks a field rule is reported as
-        read from that file, not as an answer of the endpoint, which is never
-        asked."""
+        """A record in the cache file that breaks a field rule is refused when
+        the file is opened, naming the file and the line; the endpoint is
+        never asked."""
         record = json.dumps([_SCORE_KEY, {"score": 1.5}], separators=(",", ":"))
         (workdir / "oracle_cache.jsonl").write_text(record + "\n")
         code = main(["build-graph", str(workdir / "question.json"), "--oracle",
                      "remote:http://127.0.0.1:9/", "-o", str(workdir / "g.json")])
         assert code == EXIT_ORACLE
         err = capsys.readouterr().err
-        assert f"oracle_cache.jsonl: the answer to {_SCORE_KEY} read from the cache: " in err
-        assert "oracle field 'score' must be in [0, 1], got 1.5" in err
+        assert ("oracle_cache.jsonl: line 1: oracle field 'score' must be in [0, 1], got 1.5"
+                in err)
         assert "failed after" not in err
         assert not (workdir / "g.json").exists()
+
+    def test_bad_cached_record_stops_every_question(self, tmp_path, trace_server, capsys):
+        """A bad record that only the second question would read still stops
+        the first: no graph is written and nothing is asked or appended."""
+        questions = [{"question_id": "q0", "hypotheses": ["Beta is a bird.", "Beta is a fish."]},
+                     {"question_id": "q1", "hypotheses": ["Alpha is a mammal.", "Alpha has fur."]}]
+        (tmp_path / "many.json").write_text(json.dumps(questions))
+        cache = tmp_path / "out" / "oracle_cache.jsonl"
+        cache.parent.mkdir()
+        cache.write_text(json.dumps([_PREMISES_KEY, {"premises": []}]) + "\n"
+                         + json.dumps([_SCORE_KEY, {"score": 1.5}]) + "\n")
+        before = cache.read_bytes()
+        code = main(["build-graph", str(tmp_path / "many.json"), "--oracle",
+                     f"remote:{trace_server}", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_ORACLE
+        assert "oracle_cache.jsonl: line 2: oracle field 'score'" in capsys.readouterr().err
+        assert sorted(p.name for p in cache.parent.iterdir()) == ["oracle_cache.jsonl"]
+        assert cache.read_bytes() == before
 
     def test_workers_share_one_client(self, tmp_path, trace_server):
         questions = [

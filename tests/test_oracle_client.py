@@ -156,6 +156,36 @@ class TestCacheFile:
         with pytest.raises(OracleDecodeError, match=rf"cache\.jsonl: line 2\b"):
             RemoteOracle(DEAD_ENDPOINT, cache_path=path)
 
+    @pytest.mark.parametrize("key", ["k", "{}", '{"op": "guess", "statement": "fact 1"}',
+                                     '["op"]', '{"op": ["negate"]}',
+                                     pytest.param("[" * 100000 + "]" * 100000, id="deep")])
+    def test_key_that_is_not_a_request_is_refused(self, tmp_path, key):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(_record("fact 1") + (json.dumps([key, {"score": 0.5}]) + "\n").encode())
+        with pytest.raises(OracleDecodeError, match=r"cache\.jsonl: line 2: the key is not a request"):
+            RemoteOracle(DEAD_ENDPOINT, cache_path=path)
+
+    def test_first_record_of_a_key_is_kept(self, tmp_path):
+        """As `_store` keeps the first answer within a process, the loader
+        keeps the first of two records that one key holds."""
+        path = tmp_path / "cache.jsonl"
+        key = json.dumps({"op": "score_statement", "statement": "fact 1"}, sort_keys=True)
+        path.write_text("".join(json.dumps([key, {"score": s}]) + "\n" for s in (0.9, 0.1)))
+        with closing(RemoteOracle(DEAD_ENDPOINT, cache_path=path)) as oracle:
+            assert oracle.score_statement("fact 1") == 0.9
+        assert oracle.calls == 0
+
+    def test_changing_returned_premises_leaves_the_cache(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        key = json.dumps({"op": "generate_premises", "statement": "fact 1"}, sort_keys=True)
+        path.write_text(json.dumps([key, {"premises": ["fact 2", "fact 3"]}]) + "\n")
+        with closing(RemoteOracle(DEAD_ENDPOINT, cache_path=path)) as oracle:
+            premises = oracle.generate_premises("fact 1")
+            premises.append("fact 4")
+            premises[0] = "changed"
+            assert oracle.generate_premises("fact 1") == ["fact 2", "fact 3"]
+        assert oracle.calls == 0
+
     def test_single_document_cache_is_rejected_untouched(self, tmp_path):
         path = tmp_path / "oracle_cache.json"
         key = json.dumps({"op": "score_statement", "statement": "fact 1"}, sort_keys=True)
@@ -164,6 +194,37 @@ class TestCacheFile:
         with pytest.raises(OracleDecodeError, match="line 1"):
             RemoteOracle(DEAD_ENDPOINT, cache_path=path)
         assert path.read_bytes() == before
+
+    def test_threads_missing_one_key_get_the_answer_kept(self, tmp_path):
+        """Two threads miss one key at once and the endpoint answers them
+        differently: both get the answer stored first, the one a later run
+        replays from the file."""
+        arrived = threading.Barrier(2, timeout=10)
+        scores = iter([0.9, 0.1])
+
+        class Sampling(_ScoreHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                body = json.dumps({"score": next(scores)}).encode()
+                arrived.wait()  # both requests are out before either is answered
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+        path = tmp_path / "cache.jsonl"
+        answers = []
+        with serve(Sampling) as (_, url), closing(RemoteOracle(url, cache_path=path)) as oracle:
+            threads = [threading.Thread(target=lambda: answers.append(
+                oracle.score_statement("fact 1"))) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert oracle.calls == 2
+        assert len(answers) == 2 and answers[0] == answers[1]
+        with closing(RemoteOracle(DEAD_ENDPOINT, cache_path=path)) as replay:
+            assert replay.score_statement("fact 1") == answers[0]
 
     def test_shared_by_threads(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -217,17 +278,39 @@ JSON_VALUE = st.recursive(
 )
 
 
-@given(cache=st.dictionaries(KEY_TEXT, st.dictionaries(KEY_TEXT, JSON_VALUE, max_size=3),
-                             max_size=4))
-def test_cache_lines_read_back_as_written(tmp_path_factory, cache):
-    """Lines written as `RemoteOracle._request` writes them read back as
-    the records they hold."""
+# Texts that a premise or negation in an answer may be.
+ANSWER_TEXT = st.text(
+    alphabet=st.sampled_from('aZ. "\\\x00\x1f\x7f\u00e9\u2028\U0001f600'), max_size=10
+).map("a".__add__)
+SCORE = st.floats(0, 1) | st.sampled_from([0, 1])
+# (request, the field that answers it, a value its rule accepts), for each op.
+RECORD = st.one_of(
+    st.tuples(st.fixed_dictionaries({"op": st.just("generate_premises"), "statement": KEY_TEXT}),
+              st.just("premises"), st.lists(ANSWER_TEXT, max_size=3)),
+    st.tuples(st.fixed_dictionaries({"op": st.just("score_statement"), "statement": KEY_TEXT}),
+              st.just("score"), SCORE),
+    st.tuples(st.fixed_dictionaries({"op": st.just("score_entailment"), "hypothesis": KEY_TEXT,
+                                     "premises": st.lists(KEY_TEXT, max_size=3)}),
+              st.just("score"), SCORE),
+    st.tuples(st.fixed_dictionaries({"op": st.just("negate"), "statement": KEY_TEXT}),
+              st.just("statement"), ANSWER_TEXT),
+)
+
+
+@given(records=st.lists(st.tuples(RECORD, st.dictionaries(KEY_TEXT, JSON_VALUE, max_size=3)),
+                        max_size=4))
+def test_cache_lines_read_back_as_written(tmp_path_factory, records):
+    """Lines written as `RemoteOracle._request` writes them read back as the
+    answers they hold, whatever other fields a document carries; the first
+    record of a key is kept."""
     path = tmp_path_factory.mktemp("lines") / "cache.jsonl"
-    path.write_bytes(b"".join(
-        (json.dumps([key, document], separators=(",", ":")) + "\n").encode()
-        for key, document in cache.items()
-    ))
-    assert oracle_client._load_cache(path) == cache
+    lines, expected = [], {}
+    for (request, field, answer), extra in records:
+        key = json.dumps(request, sort_keys=True)
+        lines.append(json.dumps([key, {**extra, field: answer}], separators=(",", ":")) + "\n")
+        expected.setdefault(key, answer)
+    path.write_bytes("".join(lines).encode())
+    assert oracle_client._load_cache(path) == expected
 
 
 class TestRequestKeys:
@@ -482,23 +565,18 @@ class TestTransport:
         "query, document", test_mistyped_field_raises_decode_error.pytestmark[0].args[1]
     )
     def test_mistyped_cached_record_names_the_cache(self, tmp_path, query, document):
-        """A record loaded from the cache file is held to the same rules on a
-        hit, and the error says it came from that file: no request is sent."""
+        """A record in the cache file is held to the same rules when the
+        client opens the file, and the error names the file and the line."""
         if query == "score_entailment":
             request = {"op": query, "premises": ["fact 1"], "hypothesis": "fact 2"}
         else:
             request = {"op": query, "statement": "fact 1"}
         key = json.dumps(request, sort_keys=True)
         path = tmp_path / "cache.jsonl"
-        path.write_text(json.dumps([key, document]) + "\n")
-        with closing(RemoteOracle(DEAD_ENDPOINT, cache_path=path)) as oracle:
-            method = getattr(oracle, query)
-            with pytest.raises(OracleDecodeError) as raised:
-                method(["fact 1"], "fact 2") if query == "score_entailment" else method("fact 1")
-            assert oracle.calls == 0
-        assert str(raised.value).startswith(
-            f"{path}: the answer to {key} read from the cache: oracle field "
-        )
+        path.write_bytes(_record("fact 0") + (json.dumps([key, document]) + "\n").encode())
+        with pytest.raises(OracleDecodeError) as raised:
+            RemoteOracle(DEAD_ENDPOINT, cache_path=path)
+        assert str(raised.value).startswith(f"{path}: line 2: oracle field ")
 
     def test_timeout_applies_to_reads(self, monkeypatch):
         monkeypatch.setattr(oracle_client, "BACKOFF_SECONDS", 0.01)

@@ -8,6 +8,7 @@ from beliefgraph import (
     BeliefGraph,
     ReasoningError,
     RuleNode,
+    SolverLimitError,
     RuleType,
     StatementNode,
     consistency,
@@ -21,7 +22,7 @@ from beliefgraph import reasoner
 from beliefgraph.reasoner import summarize
 from beliefgraph.serialize import dumps, outcome_to_document
 from beliefgraph.synthetic import synthetic_graph
-from conftest import acceptance_graphs
+from conftest import acceptance_graphs, overflow_graph
 
 # sha256 of the outcome documents, with summaries, of synthetic_graph seeds
 # 0-99 and synthetic_graph(0, 3, 3000, 700).  A change that moves any byte
@@ -122,6 +123,19 @@ class TestReason:
         g = reason_infeasible_graph()
         with pytest.raises(ReasoningError):
             reason(g, pins={0: False, 1: False})
+
+    def test_soft_weights_past_the_largest_float_are_a_solver_limit(self):
+        """An optimum of 3e308 overflows to infinity, which is not proof of
+        infeasibility; at 5e307 the same graph solves, and pinning every
+        hypothesis false still makes it infeasible."""
+        with pytest.raises(SolverLimitError, match="sum past the largest float"):
+            reason(overflow_graph(1e308))
+        graph = overflow_graph(5e307)
+        outcome = reason(graph)
+        assert outcome.optimal_cost == 1.5e308
+        assert outcome.discarded_rules == {"m01", "m02", "m12"}
+        with pytest.raises(ReasoningError):
+            reason(graph, pins=dict.fromkeys(graph.hypotheses, False))
 
     def test_prediction_invariant_under_weight_scaling(self, giraffe_graph):
         base = reason(giraffe_graph)
