@@ -236,20 +236,23 @@ def document_to_graph(document: dict) -> BeliefGraph:
 def write_whole(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` so that the file appears whole or not at all.
 
-    The text goes to a temporary file beside the target, made with the mode
-    `Path.write_text` gives a new file (0o666 less the umask), which then
-    replaces the target.  A write that raises, an interrupt included,
-    leaves the old file, or none, and no temporary file; a killed process
-    may leave a temporary file, but never a partial target.  A symbolic
-    link is followed, so its target is replaced.  A path that names
-    something other than a regular file, such as a pipe or a device, is
-    written in place.  The text is written as UTF-8 whatever the locale.
+    The text goes to a temporary file beside the target, which then
+    replaces the target.  The temporary file takes the permission bits of
+    the file it replaces, or, for a new file, the mode `Path.write_text`
+    gives one (0o666 less the umask); owner and group are not carried over,
+    so the file belongs to the writing process's user.  A write that
+    raises, an interrupt included, leaves the old file, or none, and no
+    temporary file; a killed process may leave a temporary file, but never
+    a partial target.  A symbolic link is followed, so its target is
+    replaced and keeps its own mode.  A path that names something other
+    than a regular file, such as a pipe or a device, is written in place.
+    The text is written as UTF-8 whatever the locale.
     """
     try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
+        mode = os.stat(path).st_mode
     except FileNotFoundError:
-        regular = True
-    if not regular:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         Path(path).write_bytes(text.encode())
         return
     target = os.path.realpath(path)
@@ -258,6 +261,8 @@ def write_whole(path: str | Path, text: str) -> None:
     descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(descriptor, "wb") as file:
+            if mode is not None:
+                os.fchmod(descriptor, stat.S_IMODE(mode))
             file.write(text.encode())
         os.replace(temporary, target)
     except BaseException:

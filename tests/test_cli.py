@@ -718,8 +718,34 @@ def test_written_file_has_write_text_mode(tmp_path, giraffe_graph, umask):
         os.umask(previous)
     mode = (tmp_path / "reference").stat().st_mode
     assert mode & 0o777 == 0o666 & ~umask
-    assert (tmp_path / "g.json").stat().st_mode == (tmp_path / "old").stat().st_mode == mode
+    assert (tmp_path / "g.json").stat().st_mode == mode
+    assert (tmp_path / "old").stat().st_mode & 0o777 == 0o600
     assert (tmp_path / "old").read_text() == "new"
+
+
+def test_replaced_outputs_keep_their_mode(tmp_path, giraffe_graph):
+    """An output that exists keeps its permission bits when `reason -o`,
+    `--export-dot` or `save_graph` replaces it, and a symbolic link's
+    target keeps its own."""
+    save_graph(giraffe_graph, tmp_path / "g.json")
+    names = ["out.json", "out.dot", "saved.json", "target"]
+    for name in names:
+        (tmp_path / name).write_text("old")
+        os.chmod(tmp_path / name, 0o600)
+    (tmp_path / "link").symlink_to("target")
+    (tmp_path / "other").write_text("")
+    os.chmod(tmp_path / "other", 0o640)
+    (tmp_path / "link to other").symlink_to("other")
+    argv = ["reason", str(tmp_path / "g.json"), "-o", str(tmp_path / "out.json"),
+            "--export-dot", str(tmp_path / "out.dot")]
+    assert main(argv) == EXIT_OK
+    save_graph(giraffe_graph, tmp_path / "saved.json")
+    serialize.write_whole(tmp_path / "link", "new")
+    serialize.write_whole(tmp_path / "link to other", "new")
+    for name in names:
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o600, name
+        assert (tmp_path / name).read_text() != "old", name
+    assert (tmp_path / "other").stat().st_mode & 0o777 == 0o640
 
 
 def test_write_follows_a_symbolic_link(tmp_path):

@@ -322,6 +322,13 @@ class TestSolve:
             "0236a7da4ead8fd99da53181748f4675e3eff02a86403199c49ff229221eee5c"
         )
 
+    def test_counts_agree_on_outcome_graphs(self):
+        """The per-degree counts account for the pinned nodes and widths."""
+        graphs = [synthetic_graph(seed) for seed in range(100)]
+        graphs.append(synthetic_graph(0, 3, 3000, 700))
+        for cs in map(encode, graphs):
+            check_counts(cs, solve(cs))
+
     def test_width(self):
         assert 1 <= solve(encode(synthetic_graph(0))).width <= 3
         units = [unit(0, True, 0.5), unit(0, False, 0.7), unit(1, False, HARD)]
@@ -523,12 +530,28 @@ def tie_clause_sets(draw, shapes):
     return clause_set(draw(st.permutations(clauses)), order, initial)
 
 
+def check_counts(cs, result):
+    """The solver's counts agree: each variable with a unit cost or in a
+    table is decided up front or eliminated once, each decided one
+    evaluates 2 rows and each one eliminated with d neighbours 2**(d + 1),
+    and the width is the largest degree of an elimination."""
+    by_degree = result.eliminated_by_degree
+    assert result.nodes_explored == 2 * result.decided + sum(
+        c << (d + 1) for d, c in enumerate(by_degree)
+    )
+    assert result.width == (len(by_degree) - 1 if by_degree else 0)
+    assert not by_degree or by_degree[-1]
+    in_play = set(cs.units).union(*(scope for scope, _, _ in cs.tables))
+    assert result.decided + sum(by_degree) == len(in_play)
+
+
 def check_against_brute_force(cs):
     """`solve` agrees with the reference on assignment, exact cost and
     status, and `violated` lists exactly the violated clauses, whose
-    weights summed in order give the cost."""
+    weights summed in order give the cost; its counts agree."""
     result, slow = solve(cs), brute_force_solve(cs)
     assert summary(result)[:3] == summary(slow)[:3]
+    check_counts(cs, result)
     if result.status is SolveStatus.INFEASIBLE:
         assert result.violated == ()
         return

@@ -9,8 +9,13 @@ HiGHS through ``scipy.optimize.milp``:
 - each hard clause as sum(literals) >= 1;
 - minimize sum(w_c * z_c).
 
-Only the optimal cost is compared.  The tie-break between equal-cost optima
-is checked against the brute-force reference by acceptance criterion 01.
+The optimal cost is compared on every instance.  On 50, the tie-break
+between equal-cost optima is certified too: for each statement the
+returned assignment flips, the MILP with the earlier statements pinned as
+returned and that one pinned to its label must cost more than the optimum
+by more than COST_TOLERANCE, so no optimum has a smaller flip pattern.
+Below 23 variables the tie-break is also checked against the brute-force
+reference in test_maxsat.py.
 """
 
 import random
@@ -87,6 +92,29 @@ def assert_matches_milp(cs, case):
         )
 
 
+def assert_tie_break_certified(graph, case):
+    """For each position i that the optimal flip pattern P flips, the MILP
+    optimum with the earlier positions pinned as in P and position i to its
+    label exceeds the optimal cost C by more than EPSILON, so no assignment
+    within EPSILON of C has a smaller pattern.  A margin within
+    COST_TOLERANCE cannot be told from the MILP's own gap and fails too.  C
+    is solve's cost, which test_acceptance_graphs and
+    test_construction_graphs check against the MILP."""
+    cs = encode(graph)
+    result = solve(cs)
+    pins = {}
+    for i, (sid, label) in enumerate(zip(cs.variable_order, cs.labels)):
+        value = result.assignment[sid]
+        if value != label:
+            status, cost = milp_optimum(encode(graph, {**pins, sid: label}))
+            if status is SolveStatus.OPTIMAL:
+                margin = cost - result.optimal_cost
+                where = f"{case}: position {i} (statement {sid!r}) kept: margin {margin!r}"
+                assert margin > maxsat.EPSILON, f"{where}, not above EPSILON"
+                assert margin > COST_TOLERANCE, f"{where}, within the MILP's tolerance"
+        pins[sid] = value
+
+
 def shared_premise_questions(seed, questions=10, vocabulary=40, fact_premises=None):
     """MockOracle whose questions draw premises from one shared vocabulary.
 
@@ -143,6 +171,15 @@ def test_construction_graphs():
         for q, hypotheses in enumerate(hypothesis_sets):
             graph = generate_graph(hypotheses, oracle, cfg)
             assert_matches_milp(encode(graph), f"oracle {seed} question {q}")
+
+
+def test_tie_break_certified():
+    for seed in range(40):
+        assert_tie_break_certified(synthetic_graph(seed), f"synthetic_graph({seed})")
+    oracle, hypothesis_sets = shared_premise_questions(0)
+    cfg = CalibrationConfig(d_max=5)
+    for q, hypotheses in enumerate(hypothesis_sets):
+        assert_tie_break_certified(generate_graph(hypotheses, oracle, cfg), f"oracle 0 question {q}")
 
 
 def test_infeasible_status():
