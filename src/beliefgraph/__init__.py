@@ -33,7 +33,6 @@ _SUBMODULE_EXPORTS = {
     ),
     "maxsat": (
         "SolveResult",
-        "SolveStatus",
         "WeightedClauseSet",
         "encode",
         "solve",

@@ -1,14 +1,15 @@
 """Weighted partial MaxSAT encoding of a belief graph and an exact solver.
 
 `encode` compiles a graph into the record `solve` reads,
-`WeightedClauseSet`, with five fields: the variables in the tie-break order
+`WeightedClauseSet`: the variables in the tie-break order
 (`variable_order`), their initial labels (`labels`), each statement's pair
-of unit costs (`units`), the rule tables conditioned on the settled
-statements (`tables`), and every clause in order with the id of the rule it
-encodes (`clauses`), for the reported cost and the violated clauses.  A
-zero-confidence rule's clauses are listed at weight 0 but get no table.  The
-graph was validated when it was built, so encoding checks nothing again but
-the pins.
+of unit costs (`units`) and the rule tables conditioned on the settled
+statements (`tables`), plus the `graph` and `pins` they were compiled
+from.  Its `clauses` property expands those two into every clause in order
+with the id of the rule it encodes, a zero-confidence rule's at weight 0,
+on each read; nothing on the way from `encode` through `solve` to `reason`
+reads it.  The graph was validated when it was built, so encoding checks
+nothing again but the pins.
 
 A statement is settled when one value is cheaper by more than EPSILON
 whatever its neighbours take: a soft statement whose confidence exceeds its
@@ -30,8 +31,8 @@ pinned statement its pin), so `encode` builds each rule's table
 conditioned on it as it goes: a rule that a settled value satisfies gets
 no table, the settled statements leave the others' scopes, and a pair left
 with one side becomes a unit cost on it.  Settled statements are then in
-no table.  Pins that no assignment satisfies are still found, since the
-reported cost is summed over every clause.
+no table.  Pins that no assignment satisfies are still found, since
+`reason` scores the assignment against every pin.
 
 The solver is bucket elimination (Dechter, "Bucket elimination: a unifying
 framework for reasoning", AIJ 1999), which eliminates each variable as a
@@ -57,9 +58,10 @@ recovers the optimal assignment.  Time and memory grow as 2**width, where
 the width is the number of neighbours a variable has when it is
 eliminated.  Belief graphs are nearly trees, so the width stays small; an
 instance whose width exceeds MAX_WIDTH raises SolverLimitError instead of
-being approximated, as is an infinite optimum when the soft weights
-overflow (no proof of infeasibility).  The exhaustive reference the tests
-compare against lives in tests/reference_solver.py.
+being approximated; `reason` raises it too for an optimum that scores
+infinite because the soft weights overflow (no proof of infeasibility).
+The exhaustive reference and the clause-by-clause scorer the tests compare
+against live in tests/reference_solver.py.
 
 Tie-breaking among equal-cost optima is deterministic: the flip pattern
 (flipped = 1, kept = 0, read along the variable order) is minimized
@@ -68,17 +70,14 @@ label.  Tables hold (cost, flips) pairs, where flips is an integer with bit
 n-1-pos set for each flipped variable at position pos, so comparing the
 integers compares the patterns.  Both parts add up over disjoint sets of
 variables, which keeps elimination exact.  Cost comparisons use absolute
-epsilon 1e-9.  The reported cost is summed over the clauses in their order
-from the final assignment, so it does not depend on the elimination order;
-the same pass lists the violated clauses (`SolveResult.violated`), weight-0
-ones included.
+epsilon 1e-9.  `solve` returns the assignment and its search counters,
+not a cost: `reason` scores the assignment off the graph (`clause_counts`),
+so the reported cost does not depend on the elimination order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 from operator import add, itemgetter
 from typing import Mapping
 
@@ -105,11 +104,6 @@ _Clause = tuple[tuple[int, ...], tuple[bool, ...], float, str | None]
 _Table = tuple[tuple[int, ...], list[float], list[int] | None]
 
 
-class SolveStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-
-
 @dataclass(frozen=True)
 class WeightedClauseSet:
     """A weighted MaxSAT instance in the compiled form that `solve` reads,
@@ -121,18 +115,49 @@ class WeightedClauseSet:
     true], summed in clause order; ``tables`` holds the cost tables of the
     wider rules conditioned on the settled statements, in clause order,
     where a rule left with one statement adds to ``units`` and one that a
-    settled value satisfies or that has weight 0 adds nothing; ``clauses``
-    lists every clause in full and in order as (scope, the values that
-    violate it, weight, the id of the rule it encodes or None), a
-    zero-confidence rule's at weight 0, which the optimal cost and the
-    violated clauses are read from.
+    settled value satisfies or that has weight 0 adds nothing.  ``graph``
+    and ``pins`` are what it was compiled from; `solve` reads neither.
     """
 
     variable_order: tuple[StatementId, ...]
     labels: list[bool]
     units: dict[int, list[float]]
     tables: list[_Table]
-    clauses: list[_Clause]
+    graph: BeliefGraph
+    pins: dict[StatementId, bool]
+
+    @property
+    def clauses(self) -> list[_Clause]:
+        """Every clause in full and in order, as (scope, the values that
+        violate it, weight, the id of the rule it encodes or None): one soft
+        unit per statement of positive confidence in statement order, each
+        rule's in rule order, a zero-confidence rule's at weight 0 (two for
+        an XOR pair, "a or b" first), then one HARD unit per pin.  Each read
+        builds a new list."""
+        position = {sid: i for i, sid in enumerate(self.variable_order)}
+        clauses: list[_Clause] = [
+            ((position[sid],), (not node.label,), node.confidence, None)
+            for sid, node in self.graph.statements.items() if node.confidence > 0.0
+        ]
+        xor_pair, mc_pairwise = RuleType.XOR_PAIR, RuleType.MC_PAIRWISE
+        for rule in self.graph.rules:
+            weight = rule.confidence
+            kind = rule.rule_type
+            if kind is xor_pair or kind is mc_pairwise:
+                a, b = rule.hypothesis_ids
+                scope = (position[a], position[b])
+                if kind is xor_pair:
+                    clauses.append((scope, (False, False), weight, rule.id))  # a or b
+                clauses.append((scope, (True, True), weight, rule.id))  # not a or not b
+            else:
+                # Entailment and MC_HARD: violated when every premise is
+                # true and every hypothesis false.
+                premises, conclusions = rule.premise_ids, rule.hypothesis_ids
+                scope = tuple(map(position.__getitem__, premises + conclusions))
+                violating = (True,) * len(premises) + (False,) * len(conclusions)
+                clauses.append((scope, violating, weight, rule.id))
+        clauses += [((position[sid],), (not value,), HARD, None) for sid, value in self.pins.items()]
+        return clauses
 
 
 def _add_table(
@@ -158,7 +183,8 @@ def _add_table(
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Optimal assignment and its cost.
+    """An optimal assignment and the search that found it; `reason` scores
+    the assignment, so neither its cost nor the rules it violates are here.
 
     ``decided`` counts the variables decided by their unit costs alone,
     before elimination, and ``eliminated_by_degree[k]`` those eliminated
@@ -166,35 +192,29 @@ class SolveResult:
     ``width`` 0, when none is eliminated).  ``nodes_explored`` counts the
     table rows evaluated: 2 for each variable decided and 2**(k + 1) for
     each variable eliminated with k neighbours.
-    ``violated`` holds the indices, in clause order, of the clauses the
-    optimal assignment violates, weight-0 clauses included; it is empty
-    when the instance is infeasible.
     """
 
     assignment: dict[StatementId, bool]
-    optimal_cost: float
-    status: SolveStatus
-    nodes_explored: int = 0
-    width: int = 0
-    violated: tuple[int, ...] = ()
-    decided: int = 0
-    eliminated_by_degree: tuple[int, ...] = ()
+    nodes_explored: int
+    width: int
+    decided: int
+    eliminated_by_degree: tuple[int, ...]
 
 
 def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -> WeightedClauseSet:
     """Compile the MPE objective over a belief graph into weighted MaxSAT.
 
-    One soft unit clause per statement asserts its initial label at weight
-    equal to its confidence; each rule contributes its clause(s) at the
-    rule's confidence, read off its premises and hypotheses by rule type.
-    A zero-confidence statement adds no clause, and a zero-confidence rule
-    adds its clauses at weight 0 and no table.  Pins become hard unit
-    clauses, and a pinned statement takes its pin.  A soft statement is
-    settled when its confidence exceeds by more than EPSILON the summed
-    weights of the rules its label can violate, and each rule's table is
-    built conditioned on the settled statements (see the module
-    docstring).  `BeliefGraph` and `RuleNode` have checked everything else
-    already, so only the pins are checked here.
+    One soft unit per statement asserts its initial label at a cost equal
+    to its confidence; each rule adds its table at the rule's confidence,
+    read off its premises and hypotheses by rule type.  A zero-confidence
+    statement or rule adds nothing.  A pin becomes a HARD unit cost, and a
+    pinned statement takes its pin.  A soft statement is settled when its
+    confidence exceeds by more than EPSILON the summed weights of the rules
+    its label can violate, and each rule's table is built conditioned on
+    the settled statements (see the module docstring).  Only what `solve`
+    eliminates is built: the clause list is derived from the stored graph
+    and pins when ``clauses`` is read.  `BeliefGraph` and `RuleNode` have
+    checked everything else already, so only the pins are checked here.
     """
     statements = graph.statements
     # The order decides ties: hypotheses first, then descending confidence,
@@ -230,16 +250,13 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     # settled statement -> the value every optimum gives it
     settled: dict[StatementId, bool] = {}
 
-    clauses: list[_Clause] = []
     units: dict[int, list[float]] = {}
     tables: list[_Table] = []
     for sid, node in statements.items():
         weight = node.confidence
         if weight > 0.0:
             # The first unit on its variable: [cost if false, cost if true].
-            v = position[sid]
-            clauses.append(((v,), (not node.label,), weight, None))
-            units[v] = [weight, 0.0] if node.label else [0.0, weight]
+            units[position[sid]] = [weight, 0.0] if node.label else [0.0, weight]
             if weight > reach[sid] + EPSILON:
                 settled[sid] = node.label
     if pins:
@@ -250,7 +267,7 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
             _add_table(units, tables, (position[sid],), (int(not value),), HARD)
     # Each rule's table is conditioned on its settled statements: a rule
     # that a settled value satisfies gets none, and otherwise the settled
-    # statements leave its scope.  `clauses` keeps every clause in full.
+    # statements leave its scope.
     for rule in rules:
         weight = rule.confidence
         kind = rule.rule_type
@@ -258,9 +275,6 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
             a, b = rule.hypothesis_ids
             scope = (position[a], position[b])
             xor = kind is xor_pair
-            if xor:
-                clauses.append((scope, (False, False), weight, rule.id))  # a or b
-            clauses.append((scope, (True, True), weight, rule.id))  # not a or not b
             sa, sb = settled.get(a), settled.get(b)
             if sa is None and sb is None:
                 _add_table(units, tables, scope, (0, 3) if xor else (3,), weight)
@@ -274,9 +288,6 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
             # Entailment and MC_HARD: violated when every premise is true
             # and every hypothesis false.
             premises, conclusions = rule.premise_ids, rule.hypothesis_ids
-            scope = tuple(map(position.__getitem__, premises + conclusions))
-            violating = (True,) * len(premises) + (False,) * len(conclusions)
-            clauses.append((scope, violating, weight, rule.id))
             # A settled premise that is false or a conclusion that is true
             # satisfies the rule.  Otherwise the unsettled statements stay,
             # premises first, and the violated row sets the premises' bits.
@@ -298,10 +309,8 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
                 else:
                     if kept:
                         _add_table(units, tables, tuple(kept), (row,), weight)
-    if pins:  # their clauses come last, after the rules'
-        clauses += [((position[sid],), (not value,), HARD, None) for sid, value in pins.items()]
     labels = [statements[sid].label for sid in order]
-    return WeightedClauseSet(order, labels, units, tables, clauses)
+    return WeightedClauseSet(order, labels, units, tables, graph, dict(pins or ()))
 
 
 def _pick(cache: dict, bits: tuple[int, ...], width: int) -> itemgetter:
@@ -333,7 +342,13 @@ _NO_COST = [0.0, 0.0]
 
 
 def solve(cs: WeightedClauseSet) -> SolveResult:
-    """Exact minimum-cost assignment over all variables; deterministic."""
+    """Exact minimum-cost assignment over all variables; deterministic.
+
+    Reads ``variable_order``, ``labels``, ``units`` and ``tables`` only.
+    When the hard constraints conflict it still returns an assignment, one
+    that violates some of them: only scoring the assignment, as `reason`
+    does, tells an infeasible instance apart.
+    """
     n = len(cs.variable_order)
     if n > MAX_VARIABLES:
         raise SolverLimitError(f"{n} variables exceeds the limit of {MAX_VARIABLES}")
@@ -547,21 +562,4 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
         if flip_x[row]:
             value[x] = not value[x]
 
-    # One comparison settles every unit clause and most others.  Only the
-    # violated clauses are added, in clause order, and not by sum(), which
-    # compensates float rounding from Python 3.12 on.
-    clauses = cs.clauses
-    get = value.__getitem__
-    violated = [
-        i for i, (scope, bad, _, _) in enumerate(clauses)
-        if value[scope[0]] == bad[0] and (len(bad) == 1 or tuple(map(get, scope)) == bad)
-    ]
-    cost = 0.0
-    for i in violated:
-        cost += clauses[i][2]
-    if math.isinf(cost):
-        if math.isinf(sum([clause[2] for clause in clauses if clause[2] != HARD])):
-            raise SolverLimitError("the soft clause weights sum past the largest float")
-        return SolveResult({}, math.inf, SolveStatus.INFEASIBLE, nodes, width, (), decided, by_degree)
-    assignment = dict(zip(cs.variable_order, value))
-    return SolveResult(assignment, cost, SolveStatus.OPTIMAL, nodes, width, tuple(violated), decided, by_degree)
+    return SolveResult(dict(zip(cs.variable_order, value)), nodes, width, decided, by_degree)

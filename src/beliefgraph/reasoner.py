@@ -12,12 +12,13 @@ size, and `ablate` a graph with rule groups removed for ablation studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .errors import ReasoningError
-from .maxsat import SolveStatus, encode, solve
-from .model import Assignment, BeliefGraph, RuleNode, RuleType, StatementId, clause_counts
+from .errors import ReasoningError, SolverLimitError
+from .maxsat import encode, solve
+from .model import HARD, Assignment, BeliefGraph, RuleNode, RuleType, StatementId, clause_counts
 
 DEFAULT_QUERY_BUDGET = 5
 
@@ -54,7 +55,8 @@ class ReasoningOutcome:
     belief violates, and ``graph`` is the graph that was reasoned about.
     ``predictions`` are the hypotheses believed true, and
     ``explanation_roots`` maps each to its `ExplanationSubgraph`.
-    ``optimal_cost`` is the optimum's total weight of violated soft clauses.
+    ``optimal_cost`` is the optimum's cost: the confidences of the flipped
+    statements, then of the discarded rules, summed in graph order.
     """
 
     final_assignment: dict[StatementId, bool]
@@ -114,29 +116,49 @@ def reason(
     graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None
 ) -> ReasoningOutcome:
     """Compute the optimal belief flips, the rules they discard and the
-    explanations of the predicted hypotheses."""
+    explanations of the predicted hypotheses.
+
+    `solve` finds the assignment, and one pass over the statements and one
+    over the rules (`clause_counts`) score it: the flipped statements and
+    the violated rules, a zero-confidence rule's too, with their
+    confidences summed in that order, which is the order of ``clauses``.
+    An infinite cost, from a violated HARD rule or a broken pin, raises
+    `ReasoningError`, unless the soft clause weights themselves sum past
+    the largest float, which raises `SolverLimitError`.
+    """
     cs = encode(graph, pins)
-    result = solve(cs)
-    if result.status is SolveStatus.INFEASIBLE:
+    assignment = solve(cs).assignment
+    cost = 0.0
+    flipped = []
+    for sid, node in graph.statements.items():
+        if assignment[sid] != node.label:
+            flipped.append(sid)
+            cost += node.confidence
+    violated = []
+    for rule in graph.rules:
+        if clause_counts(rule, assignment)[1]:  # an XOR pair violates one clause at most
+            violated.append(rule.id)
+            cost += rule.confidence
+    if pins:
+        for sid, value in pins.items():
+            if assignment[sid] != value:
+                cost += HARD
+    if math.isinf(cost):
+        if math.isinf(sum([clause[2] for clause in cs.clauses if clause[2] != HARD])):
+            raise SolverLimitError("the soft clause weights sum past the largest float")
         raise ReasoningError("hard constraints are jointly unsatisfiable")
-    assignment = result.assignment
-    flipped = frozenset(
-        sid for sid, node in graph.statements.items() if assignment[sid] != node.label
-    )
-    # The optimum violates only soft clauses, and each rule clause, a
-    # zero-confidence rule's too, names its rule.
-    discarded = frozenset(cs.clauses[i][3] for i in result.violated) - {None}
+    discarded = frozenset(violated)
     predictions = frozenset(h for h in graph.hypotheses if assignment[h])
     supports = _supports(graph, assignment, discarded)
     explanations = {h: _explain(supports, h) for h in sorted(predictions)}
     return ReasoningOutcome(
         final_assignment=assignment,
-        flipped=flipped,
+        flipped=frozenset(flipped),
         discarded_rules=discarded,
         graph=graph,
         predictions=predictions,
         explanation_roots=explanations,
-        optimal_cost=result.optimal_cost,
+        optimal_cost=cost,
     )
 
 

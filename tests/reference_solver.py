@@ -1,9 +1,12 @@
 """Exhaustive reference solver the tests check ``beliefgraph.solve`` against,
-the random clause sets they check it on, and the clause-literal form the
-tests build and read clause sets in.
+the clause-by-clause scorer they read its optimum with, the random clause
+sets they check it on, and the clause-literal form the tests build and
+read clause sets in.
 
 The reference enumerates every assignment with numpy bitmasks, so it shares
-no search logic with the solver and is limited to small instances.
+no search logic with the solver and is limited to small instances.  The
+scorer sums an assignment's violated clauses in clause order, independently
+of `reason`, which scores off the graph's rules.
 
 A clause here is a pair (literals, weight): the literals are (variable,
 polarity) pairs, and the clause holds when some variable has its polarity.
@@ -15,18 +18,13 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from beliefgraph import maxsat
-from beliefgraph.maxsat import (
-    EPSILON,
-    SolveResult,
-    SolverLimitError,
-    SolveStatus,
-    WeightedClauseSet,
-)
+from beliefgraph.maxsat import EPSILON, SolverLimitError
 from beliefgraph.model import HARD
 
 BRUTE_FORCE_MAX_VARIABLES = 22
@@ -34,9 +32,70 @@ BRUTE_FORCE_MAX_VARIABLES = 22
 Literals = tuple[tuple[int, bool], ...]
 
 
+@dataclass(frozen=True)
+class ClauseSet:
+    """A clause set built from clause literals: the four fields `solve`
+    reads, as `WeightedClauseSet` has them, plus the clause list itself,
+    as (scope, the values that violate it, weight, rule id or None)."""
+
+    variable_order: tuple[int, ...]
+    labels: list[bool]
+    units: dict[int, list[float]]
+    tables: list
+    clauses: list
+
+
+@dataclass(frozen=True)
+class Scored:
+    """An assignment read against a clause list, as the tests compare
+    optima: ``optimal_cost`` sums the violated clauses' weights in clause
+    order, and ``violated`` lists their indices, weight-0 clauses included.
+    An infeasible assignment, one violating a HARD clause, reads as an
+    empty ``assignment``, an infinite cost and no violated clauses, with
+    ``feasible`` False.  ``nodes_explored`` counts the assignments the
+    brute force enumerated, and is 0 from `score`."""
+
+    assignment: dict
+    optimal_cost: float
+    feasible: bool
+    violated: tuple[int, ...] = ()
+    nodes_explored: int = 0
+
+
+def score(cs, result) -> Scored:
+    """``result.assignment`` scored over ``cs.clauses`` in clause order.
+
+    One comparison settles every unit clause and most others.  The violated
+    clauses' weights are added in clause order, and not by sum(), which
+    compensates float rounding from Python 3.12 on.  An infinite cost
+    raises `SolverLimitError` when the soft weights themselves sum past the
+    largest float, as `reason` does."""
+    clauses = cs.clauses
+    value = [result.assignment[sid] for sid in cs.variable_order]
+    get = value.__getitem__
+    violated = [
+        i for i, (scope, bad, _, _) in enumerate(clauses)
+        if value[scope[0]] == bad[0] and (len(bad) == 1 or tuple(map(get, scope)) == bad)
+    ]
+    cost = 0.0
+    for i in violated:
+        cost += clauses[i][2]
+    if math.isinf(cost):
+        if math.isinf(sum([clause[2] for clause in clauses if clause[2] != HARD])):
+            raise SolverLimitError("the soft clause weights sum past the largest float")
+        return Scored({}, math.inf, False)
+    return Scored(result.assignment, cost, True, tuple(violated))
+
+
+def solve_and_score(cs):
+    """``solve(cs)`` and its `score`."""
+    result = maxsat.solve(cs)
+    return result, score(cs, result)
+
+
 def clause_set(
     clauses: Iterable[tuple[Literals, float]], order: Sequence[int], labels: Mapping[int, bool]
-) -> WeightedClauseSet:
+) -> ClauseSet:
     """The compiled form of ``clauses`` over the variables in ``order``, with
     initial ``labels``; each clause gets its table through the helper
     `encode` uses, and no rule id."""
@@ -50,10 +109,10 @@ def clause_set(
         compiled.append((scope, violating, weight, None))
         row = sum(1 << j for j, bad in enumerate(violating) if bad)
         maxsat._add_table(units, tables, scope, (row,), weight)
-    return WeightedClauseSet(tuple(order), [labels[var] for var in order], units, tables, compiled)
+    return ClauseSet(tuple(order), [labels[var] for var in order], units, tables, compiled)
 
 
-def literal_clauses(cs: WeightedClauseSet) -> list[tuple[Literals, float]]:
+def literal_clauses(cs) -> list[tuple[Literals, float]]:
     """``cs.clauses`` in order, as (literals, weight) over the variables."""
     order = cs.variable_order
     return [
@@ -73,9 +132,7 @@ def _lex_key(positions: Iterable[int]) -> tuple[int, ...]:
     return tuple(-p for p in sorted(positions))
 
 
-def brute_force_solve(
-    cs: WeightedClauseSet, max_variables: int = BRUTE_FORCE_MAX_VARIABLES
-) -> SolveResult:
+def brute_force_solve(cs, max_variables: int = BRUTE_FORCE_MAX_VARIABLES) -> Scored:
     """Exhaustive reference enumeration, independent of the search path."""
     order = cs.variable_order
     n = len(order)
@@ -108,7 +165,7 @@ def brute_force_solve(
             costs += np.where(satisfied, 0.0, weight)
 
     if not feasible.any():
-        return SolveResult({}, math.inf, SolveStatus.INFEASIBLE, 1 << n)
+        return Scored({}, math.inf, False, (), 1 << n)
     costs[~feasible] = np.inf
     best_cost = costs.min()
     candidates = np.nonzero(costs <= best_cost + EPSILON)[0]
@@ -119,14 +176,14 @@ def brute_force_solve(
 
     winner = int(min(candidates, key=key))
     assignment = {var: bool(winner >> i & 1) for i, var in enumerate(order)}
-    return SolveResult(assignment, float(costs[winner]), SolveStatus.OPTIMAL, 1 << n)
+    return Scored(assignment, float(costs[winner]), True, (), 1 << n)
 
 
 def random_clause_set(
     seed: int,
     min_variables: int = 8,
     max_variables: int = 18,
-) -> WeightedClauseSet:
+) -> ClauseSet:
     """A random mixed hard/soft instance for solver cross-checking."""
     rng = random.Random(seed)
     n = rng.randint(min_variables, max_variables)

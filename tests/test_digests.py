@@ -1,6 +1,7 @@
 """The output invariant as digests: graph and outcome documents of the
-construction sweep, pinned and interactive outcomes, compiled clauses and
-DOT text stay byte-identical.
+construction sweep, pinned and interactive outcomes, the outcomes of the
+benchmark's acceptance workload, compiled clauses and DOT text stay
+byte-identical.
 
 The sweep builds 800 graphs from `perfbench/inputs.oracle_tables`: seeds
 1-5, then vocabulary 20 and 100, then `d_max` 1, 2, 3 and 5, with each
@@ -18,6 +19,7 @@ digest names the change and its reason in CHANGES.md.
 import hashlib
 import importlib.util
 import json
+import random
 from http.server import ThreadingHTTPServer
 from pathlib import Path
 
@@ -42,6 +44,7 @@ from beliefgraph.serialize import (
 )
 from beliefgraph.synthetic import synthetic_graph
 from conftest import serving
+from reference_solver import score
 
 PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 
@@ -56,8 +59,13 @@ PINNED_OUTCOME_DIGEST = "46d7d87c320d8476"
 # Every eighth sweep graph: `document(g, o)` with
 # `o = resolve_interactive(g, lambda text: len(text) % 2 == 0)`.
 INTERACTIVE_DIGEST = "dd005040259fd54b"
-# `synthetic_graph` seeds 0-99: `repr((cs.clauses, result.violated))` with
-# `cs = encode(g)` and `result = solve(cs)`.
+# By seed: `document(g, reason(g))` of the 600 graphs of perfbench's
+# `acceptance` workload, `synthetic_graph(s)` for each `s` in
+# `random.Random(seed).sample(range(10**6), 600)`, in that order.
+ACCEPTANCE_DIGESTS = {1: "eab8852a556c700a", 2: "866086c2a80ec8c3", 3: "257d535873f0dbbe"}
+# `synthetic_graph` seeds 0-99: `repr((cs.clauses, scored.violated))` with
+# `cs = encode(g)` and `scored = score(cs, solve(cs))`, the tests' clause
+# scorer.
 CLAUSES_DIGEST = "69417acc6c35ea54"
 # `synthetic_graph` seeds 0-19: `to_dot(g)` then
 # `to_dot(g, o.final_assignment, o.discarded_rules)` with `o = reason(g)`.
@@ -129,11 +137,17 @@ def test_interactive_outcomes_unchanged(sweep_graphs):
     assert digest(texts()) == INTERACTIVE_DIGEST
 
 
+@pytest.mark.parametrize("seed", sorted(ACCEPTANCE_DIGESTS))
+def test_acceptance_outcomes_unchanged(seed):
+    graphs = map(synthetic_graph, random.Random(seed).sample(range(10**6), 600))
+    assert digest(document(g, reason(g)) for g in graphs) == ACCEPTANCE_DIGESTS[seed]
+
+
 def test_clauses_and_dot_unchanged():
     def clauses():
         for seed in range(100):
             cs = encode(synthetic_graph(seed))
-            yield repr((cs.clauses, solve(cs).violated))
+            yield repr((cs.clauses, score(cs, solve(cs)).violated))
 
     def dots():
         for seed in range(20):

@@ -19,7 +19,6 @@ from beliefgraph import (
     MockOracle,
     RuleNode,
     RuleType,
-    SolveStatus,
     SolverLimitError,
     StatementNode,
     encode,
@@ -33,7 +32,14 @@ from beliefgraph import maxsat
 from beliefgraph.maxsat import MAX_WIDTH
 from beliefgraph.synthetic import synthetic_graph
 from conftest import acceptance_graphs, rule_clauses
-from reference_solver import brute_force_solve, clause_set, literal_clauses, random_clause_set
+from reference_solver import (
+    brute_force_solve,
+    clause_set,
+    literal_clauses,
+    random_clause_set,
+    score,
+    solve_and_score,
+)
 
 PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 
@@ -89,7 +95,7 @@ class TestEncoding:
         assert literal_clauses(cs)[0] == unit(0, True, 0.9)
         result = solve(cs)
         assert result.assignment == {0: True}
-        assert result.optimal_cost == 0.0
+        assert score(cs, result).optimal_cost == 0.0
 
     def test_zero_confidence_statement_unconstrained(self):
         g = BeliefGraph(
@@ -119,7 +125,7 @@ class TestEncoding:
         }
         rules = (RuleNode("mc", RuleType.MC_HARD, (), (0, 1), HARD),)
         g = BeliefGraph(statements, rules, (0, 1))
-        result = solve(encode(g))
+        result = solve_and_score(encode(g))[1]
         # brute force over 4 assignments: flip the weaker belief.
         assert result.assignment == {0: False, 1: True}
         assert result.optimal_cost == pytest.approx(0.6)
@@ -130,13 +136,10 @@ class TestEncoding:
         assert result.assignment[0] is True
 
 
-def summary(result):
-    """What must agree between two solves: assignment, exact cost, status,
-    then search nodes and width."""
-    return (
-        result.assignment, repr(result.optimal_cost), result.status,
-        result.nodes_explored, result.width,
-    )
+def summary(scored):
+    """What must agree between two scored solves: assignment, exact cost
+    and feasibility."""
+    return scored.assignment, repr(scored.optimal_cost), scored.feasible
 
 
 def no_more_search(settled, unsettled):
@@ -186,11 +189,11 @@ class TestCompiledForm:
                 direct = encode(graph, pins)
                 again = rebuilt(direct)
                 assert literal_clauses(again) == literal_clauses(direct)
-                a, b = solve(direct), solve(again)
-                assert a.status is b.status, i
-                assert a.assignment == b.assignment, i
-                assert a.optimal_cost == b.optimal_cost, i
-                assert a.violated == b.violated, i
+                (a, sa), (b, sb) = solve_and_score(direct), solve_and_score(again)
+                assert sa.feasible is sb.feasible, i
+                assert sa.assignment == sb.assignment, i
+                assert sa.optimal_cost == sb.optimal_cost, i
+                assert sa.violated == sb.violated, i
                 assert no_more_search(a, b), i
 
     def test_clause_count_unchanged(self):
@@ -213,11 +216,12 @@ class TestCompiledForm:
         for seed in range(150):
             graph, pins = small_pinned_graph(seed)
             direct = encode(graph, pins)
-            a, b, slow = solve(direct), solve(rebuilt(direct)), brute_force_solve(direct)
-            assert summary(a)[:3] == summary(b)[:3] and a.violated == b.violated, seed
+            (a, sa), (b, sb) = solve_and_score(direct), solve_and_score(rebuilt(direct))
+            slow = brute_force_solve(direct)
+            assert summary(sa) == summary(sb) and sa.violated == sb.violated, seed
             assert no_more_search(a, b), seed
-            assert summary(a)[:3] == summary(slow)[:3], seed
-            infeasible += a.status is SolveStatus.INFEASIBLE
+            assert summary(sa) == summary(slow), seed
+            infeasible += not sa.feasible
         assert 10 <= infeasible <= 140
 
     def test_width_limit_through_encode(self):
@@ -245,19 +249,19 @@ class TestSolve:
             (((0, True), (1, True)), HARD),
             (((0, False), (1, False)), HARD),
         ]
-        result = solve(cs_of(clauses, {0: True, 1: True}))
-        assert result.status is SolveStatus.OPTIMAL
+        result = solve_and_score(cs_of(clauses, {0: True, 1: True}))[1]
+        assert result.feasible
         assert result.assignment == {0: True, 1: False}
         assert result.optimal_cost == pytest.approx(0.6)
 
     def test_infeasible(self):
         clauses = [unit(0, True, HARD), unit(0, False, HARD)]
-        result = solve(cs_of(clauses))
-        assert result.status is SolveStatus.INFEASIBLE
+        result = solve_and_score(cs_of(clauses))[1]
+        assert not result.feasible
         assert math.isinf(result.optimal_cost)
 
     def test_supported_statement_flipped_true(self, flip_to_true_graph):
-        result = solve(encode(flip_to_true_graph))
+        result = solve_and_score(encode(flip_to_true_graph))[1]
         assert result.assignment[0] is True
         assert result.optimal_cost == pytest.approx(0.4)
 
@@ -272,7 +276,7 @@ class TestSolve:
         ]
         assert [c[2] for c in zero.clauses if c[3] == "r1"] == [0.0, 0.0]
         assert len(zero.tables) == len(full.tables) - 1
-        assert solve(zero).optimal_cost == pytest.approx(0.55)  # flip statement 1
+        assert solve_and_score(zero)[1].optimal_cost == pytest.approx(0.55)  # flip statement 1
 
     def test_variable_limit(self, monkeypatch):
         monkeypatch.setattr(maxsat, "MAX_VARIABLES", 5)
@@ -370,7 +374,7 @@ class TestBruteForce:
             xor_essential_graph,
         ):
             cs = encode(g)
-            fast = solve(cs)
+            fast = solve_and_score(cs)[1]
             slow = brute_force_solve(cs)
             assert fast.optimal_cost == pytest.approx(slow.optimal_cost, abs=1e-9)
             assert fast.assignment == slow.assignment
@@ -378,10 +382,10 @@ class TestBruteForce:
     def test_matches_solve_on_seeded_instances(self):
         for seed in range(40):
             cs = random_clause_set(seed)
-            fast = solve(cs)
+            fast = solve_and_score(cs)[1]
             slow = brute_force_solve(cs)
-            assert fast.status == slow.status
-            if fast.status is SolveStatus.OPTIMAL:
+            assert fast.feasible == slow.feasible
+            if fast.feasible:
                 assert fast.optimal_cost == pytest.approx(slow.optimal_cost, abs=1e-9)
                 assert fast.assignment == slow.assignment
 
@@ -389,17 +393,17 @@ class TestBruteForce:
     def test_matches_solve_on_unit_edge_cases(self):
         for seed in range(3000):
             cs = unit_edge_clause_set(seed)
-            fast = solve(cs)
+            fast = solve_and_score(cs)[1]
             slow = brute_force_solve(cs)
-            assert fast.status == slow.status, seed
-            if fast.status is SolveStatus.OPTIMAL:
+            assert fast.feasible == slow.feasible, seed
+            if fast.feasible:
                 assert fast.optimal_cost == pytest.approx(slow.optimal_cost, abs=1e-9), seed
                 assert fast.assignment == slow.assignment, seed
 
 
 class TestProperties:
     def test_cost_audit_against_graph(self, giraffe_graph):
-        result = solve(encode(giraffe_graph))
+        result = solve_and_score(encode(giraffe_graph))[1]
         rule_free = total_cost(giraffe_graph, result.assignment)
         assert rule_free == pytest.approx(result.optimal_cost, abs=1e-9)
 
@@ -413,18 +417,18 @@ class TestProperties:
     def test_adding_soft_clause_never_decreases_cost(self):
         for seed in range(10):
             cs = random_clause_set(seed)
-            base = solve(cs)
-            if base.status is not SolveStatus.OPTIMAL:
+            base = solve_and_score(cs)[1]
+            if not base.feasible:
                 continue
             var = cs.variable_order[0]
-            grown = solve(rebuilt(cs, [unit(var, not cs.labels[0], 0.4)]))
+            grown = solve_and_score(rebuilt(cs, [unit(var, not cs.labels[0], 0.4)]))[1]
             assert grown.optimal_cost >= base.optimal_cost - 1e-9
 
     def test_hard_clauses_always_satisfied(self):
         for seed in range(20):
             cs = random_clause_set(seed)
-            result = solve(cs)
-            if result.status is not SolveStatus.OPTIMAL:
+            result = solve_and_score(cs)[1]
+            if not result.feasible:
                 continue
             for literals, weight in literal_clauses(cs):
                 if weight == HARD:
@@ -436,10 +440,10 @@ class TestProperties:
     @given(st.integers(0, 10_000))
     def test_seeded_equivalence_property(self, seed):
         cs = random_clause_set(seed, min_variables=4, max_variables=10)
-        fast = solve(cs)
+        fast = solve_and_score(cs)[1]
         slow = brute_force_solve(cs)
-        assert fast.status == slow.status
-        if fast.status is SolveStatus.OPTIMAL:
+        assert fast.feasible == slow.feasible
+        if fast.feasible:
             assert fast.optimal_cost == pytest.approx(slow.optimal_cost, abs=1e-9)
             assert fast.assignment == slow.assignment
 
@@ -547,12 +551,12 @@ def check_counts(cs, result):
 
 def check_against_brute_force(cs):
     """`solve` agrees with the reference on assignment, exact cost and
-    status, and `violated` lists exactly the violated clauses, whose
+    feasibility, and `score` lists exactly the violated clauses, whose
     weights summed in order give the cost; its counts agree."""
-    result, slow = solve(cs), brute_force_solve(cs)
-    assert summary(result)[:3] == summary(slow)[:3]
-    check_counts(cs, result)
-    if result.status is SolveStatus.INFEASIBLE:
+    (raw, result), slow = solve_and_score(cs), brute_force_solve(cs)
+    assert summary(result) == summary(slow)
+    check_counts(cs, raw)
+    if not result.feasible:
         assert result.violated == ()
         return
     clauses = literal_clauses(cs)
@@ -682,8 +686,8 @@ class TestSettlingBoundary:
         cs = encode(graph, pins)
         assert settled == in_no_table(cs, 0)
         check_against_brute_force(cs)
-        a, b = solve(cs), solve(rebuilt(cs))
-        assert summary(a)[:3] == summary(b)[:3] and a.violated == b.violated
+        (a, sa), (b, sb) = solve_and_score(cs), solve_and_score(rebuilt(cs))
+        assert summary(sa) == summary(sb) and sa.violated == sb.violated
         assert no_more_search(a, b)
 
     @pytest.mark.parametrize("kind", list(RuleType))
@@ -785,6 +789,6 @@ def test_settled_solve_matches_full_solve_beyond_brute_force():
     assert min(len(g.statements) for g in graphs) > 22
     for i, graph in enumerate(graphs):
         cs = encode(graph)
-        a, b = solve(cs), solve(rebuilt(cs))
-        assert summary(a)[:3] == summary(b)[:3] and a.violated == b.violated, i
+        (a, sa), (b, sb) = solve_and_score(cs), solve_and_score(rebuilt(cs))
+        assert summary(sa) == summary(sb) and sa.violated == sb.violated, i
         assert no_more_search(a, b), i

@@ -30,7 +30,7 @@ def test_public_surface_is_pinned():
         "ConstructionError", "DatasetReport", "ExplanationSubgraph", "HARD", "HypothesisSet",
         "InputError", "MockOracle", "OracleDecodeError", "OracleTransportError",
         "ReasoningError", "ReasoningOutcome", "RemoteOracle", "RuleNode", "RuleType",
-        "SCHEMA_VERSION", "SolveResult", "SolveStatus", "SolverLimitError", "StatementNode",
+        "SCHEMA_VERSION", "SolveResult", "SolverLimitError", "StatementNode",
         "WeightedClauseSet", "ablate", "canonicalize", "consistency", "document_to_graph",
         "dumps", "encode", "evaluate_dataset", "extract_explanation", "generate_graph",
         "graph_to_document", "load_graph", "mc_accuracy", "reason", "resolve_interactive",

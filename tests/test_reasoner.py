@@ -2,27 +2,38 @@ import hashlib
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from beliefgraph import (
     HARD,
     BeliefGraph,
+    CalibrationConfig,
     ReasoningError,
     RuleNode,
     SolverLimitError,
     RuleType,
     StatementNode,
+    WeightedClauseSet,
     consistency,
+    encode,
     extract_explanation,
+    generate_graph,
     reason,
     resolve_interactive,
     rule_satisfied,
+    save_graph,
+    solve,
     total_cost,
 )
 from beliefgraph import reasoner
+from beliefgraph.cli import main
 from beliefgraph.reasoner import summarize
 from beliefgraph.serialize import dumps, outcome_to_document
 from beliefgraph.synthetic import synthetic_graph
 from conftest import acceptance_graphs, overflow_graph
+from reference_solver import score
+from test_maxsat import chain_or_star, small_pinned_graph, tie_graphs
+from test_solver_milp import shared_premise_questions
 
 # sha256 of the outcome documents, with summaries, of synthetic_graph seeds
 # 0-99 and synthetic_graph(0, 3, 3000, 700).  A change that moves any byte
@@ -384,6 +395,112 @@ class TestOutcomeGraph:
             outcome.updated_graph = giraffe_graph
         with pytest.raises(TypeError):
             replace(outcome, updated_graph=giraffe_graph)
+
+
+def _refuse_clause_list(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the clause list was built")
+
+    monkeypatch.setattr(WeightedClauseSet, "clauses", property(refuse))
+
+
+def _by_even_length(text):
+    return len(text) % 2 == 0
+
+
+class TestNoClauseList:
+    """Nothing on the way from `encode` to an outcome builds the clause
+    list: ``clauses`` is derived only when read, and `reason` scores the
+    assignment off the graph."""
+
+    def test_reason_builds_no_clause_list(self, monkeypatch):
+        graphs = acceptance_graphs(20)
+        expected = [reason(graph) for graph in graphs]
+        _refuse_clause_list(monkeypatch)
+        assert [reason(graph) for graph in graphs] == expected
+
+    def test_pinned_resolve_builds_no_clause_list(self, monkeypatch):
+        graph = acceptance_graphs(1)[0]
+        expected = resolve_interactive(graph, _by_even_length)
+        assert expected != reason(graph)  # some statement was pinned
+        _refuse_clause_list(monkeypatch)
+        assert resolve_interactive(graph, _by_even_length) == expected
+
+    def test_cli_reason_builds_no_clause_list(self, monkeypatch, tmp_path):
+        save_graph(acceptance_graphs(1)[0], tmp_path / "g.json")
+
+        def run(name):
+            argv = ["reason", str(tmp_path / "g.json"), "-o", str(tmp_path / f"{name}.json"),
+                    "--export-dot", str(tmp_path / f"{name}.dot")]
+            assert main(argv) == 0
+            return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("json", "dot")]
+
+        expected = run("free")
+        _refuse_clause_list(monkeypatch)
+        assert run("guarded") == expected
+
+
+def check_scored_as_the_clauses(graph, pins=None):
+    """`reason`'s cost is bit for bit the tests' clause-order sum over
+    ``encode(graph, pins).clauses``, its discarded rules are the rule ids
+    of the violated clauses, and it raises `ReasoningError` exactly where
+    that sum is infinite.  Returns whether the instance is feasible."""
+    cs = encode(graph, pins)
+    scored = score(cs, solve(cs))
+    if not scored.feasible:
+        with pytest.raises(ReasoningError):
+            reason(graph, pins)
+        return False
+    outcome = reason(graph, pins)
+    clauses = cs.clauses
+    assert outcome.final_assignment == scored.assignment
+    assert repr(outcome.optimal_cost) == repr(scored.optimal_cost)
+    assert outcome.discarded_rules == {clauses[i][3] for i in scored.violated} - {None}
+    return True
+
+
+class TestScoredAsTheClauses:
+    def test_synthetic_graphs(self):
+        for seed in range(100):
+            assert check_scored_as_the_clauses(synthetic_graph(seed)), seed
+
+    def test_dense_construction_graphs(self):
+        """The 60 graphs of three or four premises per fact over 400 facts,
+        with elimination widths of 3 to 12."""
+        cfg = CalibrationConfig()
+        for fact_premises in (3, 4):
+            for seed in range(3):
+                oracle, questions = shared_premise_questions(seed, vocabulary=400,
+                                                              fact_premises=fact_premises)
+                for q, hypotheses in enumerate(questions):
+                    graph = generate_graph(hypotheses, oracle, cfg)
+                    assert check_scored_as_the_clauses(graph), (fact_premises, seed, q)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(tie_graphs(chain_or_star()))
+    def test_pinned_tie_graphs(self, graph_and_pins):
+        check_scored_as_the_clauses(*graph_and_pins)
+
+    def test_a_broken_pin_costs_infinity(self, monkeypatch):
+        """The score reads the pins: an assignment that breaks one raises
+        `ReasoningError`, although it violates no HARD rule."""
+        statements = {sid: StatementNode(sid, f"s{sid}", True, 0.5) for sid in (0, 1)}
+        graph = BeliefGraph(statements, (), (0,))
+        unpinned = reasoner.solve
+
+        def breaking_the_pin(cs):
+            result = unpinned(cs)
+            return replace(result, assignment={**result.assignment, 1: not cs.pins[1]})
+
+        monkeypatch.setattr(reasoner, "solve", breaking_the_pin)
+        with pytest.raises(ReasoningError):
+            reason(graph, {1: True})
+
+    def test_small_pinned_graphs(self):
+        """Rules of every type, zero confidences and pins, some of which
+        no assignment keeps."""
+        feasible = sum(check_scored_as_the_clauses(*small_pinned_graph(seed)) for seed in range(150))
+        assert 10 <= feasible <= 140
 
 
 class TestSyntheticGraphs:

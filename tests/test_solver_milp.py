@@ -30,15 +30,13 @@ from beliefgraph import (
     CalibrationConfig,
     HypothesisSet,
     MockOracle,
-    SolveStatus,
     encode,
     generate_graph,
-    solve,
 )
 from beliefgraph import maxsat
 from beliefgraph.construction import NEGATION_PREFIX, entailment_key
 from beliefgraph.synthetic import synthetic_graph
-from reference_solver import clause_set, literal_clauses
+from reference_solver import clause_set, literal_clauses, solve_and_score
 from test_maxsat import no_more_search
 
 # HiGHS stops once its absolute optimality gap is at most 1e-6 (its default
@@ -47,12 +45,15 @@ from test_maxsat import no_more_search
 # here once; do not loosen it.
 COST_TOLERANCE = 1e-6
 
-MILP_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE}
+# HiGHS status -> whether the MILP is feasible
+MILP_FEASIBLE = {0: True, 2: False}
 
 
 def milp_optimum(cs):
-    """(status, optimal cost) of the clause set as a 0/1 MILP, with the
-    variables in their compiled positions."""
+    """(feasible, optimal cost) of the clause set as a 0/1 MILP, with the
+    variables in their compiled positions.  Its rows are ``cs.clauses``,
+    which `encode`'s record derives from the graph and pins on each read,
+    apart from the ``tables`` that `solve` eliminates."""
     n = len(cs.variable_order)
     rows, cols, values, lower, weights = [], [], [], [], []
     for r, (scope, violating, weight, _) in enumerate(cs.clauses):
@@ -78,15 +79,15 @@ def milp_optimum(cs):
         bounds=Bounds(0, 1),
         options={"mip_rel_gap": 0},
     )
-    status = MILP_STATUS[result.status]
-    return status, result.fun if status is SolveStatus.OPTIMAL else None
+    feasible = MILP_FEASIBLE[result.status]
+    return feasible, result.fun if feasible else None
 
 
 def assert_matches_milp(cs, case):
-    ours = solve(cs)
-    status, cost = milp_optimum(cs)
-    assert ours.status is status, case
-    if status is SolveStatus.OPTIMAL:
+    ours = solve_and_score(cs)[1]
+    feasible, cost = milp_optimum(cs)
+    assert ours.feasible is feasible, case
+    if feasible:
         assert abs(ours.optimal_cost - cost) <= COST_TOLERANCE, (
             f"{case}: solve {ours.optimal_cost!r}, milp {cost!r}"
         )
@@ -101,13 +102,13 @@ def assert_tie_break_certified(graph, case):
     is solve's cost, which test_acceptance_graphs and
     test_construction_graphs check against the MILP."""
     cs = encode(graph)
-    result = solve(cs)
+    result = solve_and_score(cs)[1]
     pins = {}
     for i, (sid, label) in enumerate(zip(cs.variable_order, cs.labels)):
         value = result.assignment[sid]
         if value != label:
-            status, cost = milp_optimum(encode(graph, {**pins, sid: label}))
-            if status is SolveStatus.OPTIMAL:
+            feasible, cost = milp_optimum(encode(graph, {**pins, sid: label}))
+            if feasible:
                 margin = cost - result.optimal_cost
                 where = f"{case}: position {i} (statement {sid!r}) kept: margin {margin!r}"
                 assert margin > maxsat.EPSILON, f"{where}, not above EPSILON"
@@ -186,7 +187,7 @@ def test_infeasible_status():
     graph = synthetic_graph(0)
     cs = encode(graph, {h: False for h in graph.hypotheses})
     assert_matches_milp(cs, "every hypothesis pinned false")
-    assert solve(cs).status is SolveStatus.INFEASIBLE
+    assert not solve_and_score(cs)[1].feasible
 
 
 # (seed, question) of the graphs at 4 premises per fact over 400 facts
@@ -233,8 +234,8 @@ def test_dense_construction_graphs():
             if (seed, q) in DENSE_OVER_THE_OLD_LIMIT:
                 assert_matches_milp(cs, f"dense oracle {seed} question {q}")
             elif seed == 0:
-                a, b = solve(cs), solve(settled_by_every_rule(graph, cs))
-                assert (a.assignment, a.optimal_cost, a.violated) == (
-                    b.assignment, b.optimal_cost, b.violated
+                (a, sa), (b, sb) = solve_and_score(cs), solve_and_score(settled_by_every_rule(graph, cs))
+                assert (sa.assignment, sa.optimal_cost, sa.violated) == (
+                    sb.assignment, sb.optimal_cost, sb.violated
                 ), q
                 assert no_more_search(a, b), q
