@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Collection
 
-from .model import Assignment, BeliefGraph, rule_satisfied
+from .model import Assignment, BeliefGraph, scan_rules
 
 
 def _quote(text: str) -> str:
@@ -23,6 +23,7 @@ def to_dot(
 ) -> str:
     a = assignment if assignment is not None else graph.initial_assignment()
     discarded = set(discarded)
+    violated = {rule.id for rule in scan_rules(graph.rules, a)[2]}
     hypotheses = set(graph.hypotheses)
     lines = [
         "digraph belief_graph {",
@@ -49,7 +50,7 @@ def to_dot(
             "fillcolor=lightyellow",
             "fontsize=9",
         ]
-        if not rule_satisfied(rule, a):
+        if rule.id in violated:
             attrs += ["color=red", "fontcolor=red"]
         if rule.id in discarded:
             attrs.append('style="filled,dashed"')

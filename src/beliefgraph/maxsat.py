@@ -2,14 +2,14 @@
 
 `encode` compiles a graph into the record `solve` reads,
 `WeightedClauseSet`: the variables in the tie-break order
-(`variable_order`), their initial labels (`labels`), each statement's pair
-of unit costs (`units`) and the rule tables conditioned on the settled
-statements (`tables`), plus the `graph` and `pins` they were compiled
-from.  Its `clauses` property expands those two into every clause in order
-with the id of the rule it encodes, a zero-confidence rule's at weight 0,
-on each read; nothing on the way from `encode` through `solve` to `reason`
-reads it.  The graph was validated when it was built, so encoding checks
-nothing again but the pins.
+(`variable_order`), their initial labels (`labels`), the settled values
+(`settled`), the other statements' unit costs (`units`) and the rule
+tables conditioned on the settled statements (`tables`), plus the `graph`
+and `pins` they were compiled from.  Its `clauses` property expands those
+two into every clause in order with the id of the rule it encodes, a
+zero-confidence rule's at weight 0, on each read; nothing on the way from
+`encode` through `solve` to `reason` reads it.  The graph was validated
+when it was built, so encoding checks nothing again but the pins.
 
 A statement is settled when one value is cheaper by more than EPSILON
 whatever its neighbours take: a soft statement whose confidence exceeds its
@@ -31,8 +31,8 @@ pinned statement its pin), so `encode` builds each rule's table
 conditioned on it as it goes: a rule that a settled value satisfies gets
 no table, the settled statements leave the others' scopes, and a pair left
 with one side becomes a unit cost on it.  Settled statements are then in
-no table.  Pins that no assignment satisfies are still found, since
-`reason` scores the assignment against every pin.
+no table and have no unit costs, and `solve` copies their values.  Pins
+that no assignment satisfies are still found, by `reason`'s scoring.
 
 The solver is bucket elimination (Dechter, "Bucket elimination: a unifying
 framework for reasoning", AIJ 1999), which eliminates each variable as a
@@ -41,17 +41,17 @@ smaller position, read off one bit set of variables per degree (one bucket
 per degree, as in Amestoy, Davis and Duff, SIAM J. Matrix Anal. Appl. 1996).
 Unit clauses add up to one pair of costs per variable, [cost if false, cost
 if true]; wider clauses become cost tables.  A violated hard clause costs
-infinity.  A variable with unit costs but in no table, such as a settled
-one, is decided first by one comparison; so is the last variable of each
-connected component, eliminated with no neighbours, from its unit costs plus
-the tables left over it alone, under the tie-break below, since no later
-choice reads it.  Eliminating a variable starts from its unit costs, adds
-the tables that mention it and are not yet used (input tables in clause
-order, then the tables made by earlier eliminations) and minimizes it out,
-which leaves one table over its neighbours, sorted by position; the
-neighbours are joined into a clique.  A variable with one or two
-neighbours has only tables over itself and those neighbours left, so its
-four or eight rows are summed directly, in the same order; the direct
+infinity.  A settled variable keeps `encode`'s value, and one with unit
+costs but in no table is decided first by one comparison; so is the last
+variable of each connected component, eliminated with no neighbours, from
+its unit costs plus the tables left over it alone, under the tie-break
+below, since no later choice reads it.  Eliminating a variable starts from
+its unit costs, adds the tables that mention it and are not yet used (input
+tables in clause order, then the tables made by earlier eliminations) and
+minimizes it out, which leaves one table over its neighbours, sorted by
+position; the neighbours are joined into a clique.  A variable with one or
+two neighbours has only tables over itself and those neighbours left, so
+its four or eight rows are summed directly, in the same order; the direct
 steps at degrees 0 to 2 take about 92% of the eliminations on acceptance
 graphs.  Walking the other eliminated variables back in reverse order then
 recovers the optimal assignment.  Time and memory grow as 2**width, where
@@ -71,7 +71,7 @@ n-1-pos set for each flipped variable at position pos, so comparing the
 integers compares the patterns.  Both parts add up over disjoint sets of
 variables, which keeps elimination exact.  Cost comparisons use absolute
 epsilon 1e-9.  `solve` returns the assignment and its search counters,
-not a cost: `reason` scores the assignment off the graph (`clause_counts`),
+not a cost: `reason` scores the assignment off the graph (`scan_rules`),
 so the reported cost does not depend on the elimination order.
 """
 
@@ -111,9 +111,10 @@ class WeightedClauseSet:
 
     Variables are numbered by their position in ``variable_order``, the
     tie-break order; ``labels`` holds their initial labels by position.
-    ``units`` maps a position to its unit costs [cost if false, cost if
-    true], summed in clause order; ``tables`` holds the cost tables of the
-    wider rules conditioned on the settled statements, in clause order,
+    ``settled`` maps each settled statement, pinned or not, to its value,
+    and ``units`` another's position to its unit costs [cost if false, cost
+    if true], summed in clause order; ``tables`` holds the cost tables of
+    the wider rules conditioned on the settled statements, in clause order,
     where a rule left with one statement adds to ``units`` and one that a
     settled value satisfies or that has weight 0 adds nothing.  ``graph``
     and ``pins`` are what it was compiled from; `solve` reads neither.
@@ -121,6 +122,7 @@ class WeightedClauseSet:
 
     variable_order: tuple[StatementId, ...]
     labels: list[bool]
+    settled: dict[StatementId, bool]
     units: dict[int, list[float]]
     tables: list[_Table]
     graph: BeliefGraph
@@ -186,12 +188,13 @@ class SolveResult:
     """An optimal assignment and the search that found it; `reason` scores
     the assignment, so neither its cost nor the rules it violates are here.
 
-    ``decided`` counts the variables decided by their unit costs alone,
-    before elimination, and ``eliminated_by_degree[k]`` those eliminated
-    with k neighbours, up to ``width``, the largest such k (empty, and
-    ``width`` 0, when none is eliminated).  ``nodes_explored`` counts the
-    table rows evaluated: 2 for each variable decided and 2**(k + 1) for
-    each variable eliminated with k neighbours.
+    ``decided`` counts the variables decided before elimination, the
+    settled ones and those with unit costs in no table, and
+    ``eliminated_by_degree[k]`` those eliminated with k neighbours, up to
+    ``width``, the largest such k (empty, and ``width`` 0, when none is
+    eliminated).  ``nodes_explored`` counts the table rows evaluated: 2 for
+    each variable decided and 2**(k + 1) for each variable eliminated with
+    k neighbours.
     """
 
     assignment: dict[StatementId, bool]
@@ -207,11 +210,11 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     One soft unit per statement asserts its initial label at a cost equal
     to its confidence; each rule adds its table at the rule's confidence,
     read off its premises and hypotheses by rule type.  A zero-confidence
-    statement or rule adds nothing.  A pin becomes a HARD unit cost, and a
-    pinned statement takes its pin.  A soft statement is settled when its
-    confidence exceeds by more than EPSILON the summed weights of the rules
-    its label can violate, and each rule's table is built conditioned on
-    the settled statements (see the module docstring).  Only what `solve`
+    statement or rule adds nothing.  A pinned statement is settled to its
+    pin, and a soft one to its label when its confidence exceeds by more
+    than EPSILON the summed weights of the rules its label can violate;
+    settled statements get no unit costs, and each rule's table is built
+    conditioned on them (see the module docstring).  Only what `solve`
     eliminates is built: the clause list is derived from the stored graph
     and pins when ``clauses`` is read.  `BeliefGraph` and `RuleNode` have
     checked everything else already, so only the pins are checked here.
@@ -255,16 +258,16 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     for sid, node in statements.items():
         weight = node.confidence
         if weight > 0.0:
-            # The first unit on its variable: [cost if false, cost if true].
-            units[position[sid]] = [weight, 0.0] if node.label else [0.0, weight]
             if weight > reach[sid] + EPSILON:
                 settled[sid] = node.label
+            else:  # the first unit on its variable: [cost if false, cost if true]
+                units[position[sid]] = [weight, 0.0] if node.label else [0.0, weight]
     if pins:
         for sid, value in pins.items():
             if sid not in position:
                 raise ValueError(f"variable {sid} missing from variable order")
             settled[sid] = value
-            _add_table(units, tables, (position[sid],), (int(not value),), HARD)
+            units.pop(position[sid], None)
     # Each rule's table is conditioned on its settled statements: a rule
     # that a settled value satisfies gets none, and otherwise the settled
     # statements leave its scope.
@@ -310,7 +313,7 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
                     if kept:
                         _add_table(units, tables, tuple(kept), (row,), weight)
     labels = [statements[sid].label for sid in order]
-    return WeightedClauseSet(order, labels, units, tables, graph, dict(pins or ()))
+    return WeightedClauseSet(order, labels, settled, units, tables, graph, dict(pins or ()))
 
 
 def _pick(cache: dict, bits: tuple[int, ...], width: int) -> itemgetter:
@@ -344,7 +347,7 @@ _NO_COST = [0.0, 0.0]
 def solve(cs: WeightedClauseSet) -> SolveResult:
     """Exact minimum-cost assignment over all variables; deterministic.
 
-    Reads ``variable_order``, ``labels``, ``units`` and ``tables`` only.
+    Reads every field of ``cs`` but ``graph`` and ``pins``.
     When the hard constraints conflict it still returns an assignment, one
     that violates some of them: only scoring the assignment, as `reason`
     does, tells an infeasible instance apart.
@@ -361,6 +364,19 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
     mentions: dict[int, list[int]] = {}
     neighbours: dict[int, set[int]] = {}
     for i, (scope, _, _) in enumerate(cs.tables):
+        if len(scope) == 2:  # each side gains the other, directly
+            x, y = scope
+            if x in neighbours:
+                neighbours[x].add(y)
+                mentions[x].append(i)
+            else:
+                neighbours[x], mentions[x] = {y}, [i]
+            if y in neighbours:
+                neighbours[y].add(x)
+                mentions[y].append(i)
+            else:
+                neighbours[y], mentions[y] = {x}, [i]
+            continue
         for v in scope:
             around = neighbours.get(v)
             if around is None:
@@ -369,10 +385,12 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
             else:
                 mentions[v].append(i)
             around.update(scope)
+            around.discard(v)
     # Variables in no clause keep their initial labels, which is optimal and
-    # flip-minimal.  A variable with unit costs but no table flips only where
-    # that costs less by more than EPSILON, as eliminating it would.
-    decided = 0
+    # flip-minimal; settled ones take encode's value at the end.  A variable
+    # with unit costs but no table flips only where that costs less by more
+    # than EPSILON, as eliminating it would.
+    decided = len(cs.settled)
     for v, costs in unit.items():
         if v not in neighbours:
             decided += 1
@@ -384,7 +402,6 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
     # the first non-empty bucket is eliminated next.
     buckets = [0] * (n + 1)
     for v, around in neighbours.items():
-        around.discard(v)
         buckets[len(around)] |= 1 << v
     # _shared_projections for the wider tables, kept for this call only
     projections: dict[int, dict[tuple[int, ...], itemgetter]] = {}
@@ -515,9 +532,9 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
         size = 2 << k
         cache = _shared_projections[k] if k < _SHARED_WIDTH else projections.setdefault(k, {})
         # Rows alternate x false, x true.  encode puts a statement's soft
-        # unit clause before its rule clauses and its pin, which adds 0 or
-        # infinity, after them; so starting from the unit costs gives the
-        # same sums as one table per unit clause would.
+        # unit clause before its rule clauses, and a pinned statement is
+        # settled; so starting from the unit costs gives the same sums as
+        # one table per unit clause would.
         costs = unit.get(x, _NO_COST) * (size >> 1)
         flips = None  # all 0 until a table with flips is added
         for i in mentions.pop(x):
@@ -562,4 +579,6 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
         if flip_x[row]:
             value[x] = not value[x]
 
-    return SolveResult(dict(zip(cs.variable_order, value)), nodes, width, decided, by_degree)
+    assignment = dict(zip(cs.variable_order, value))
+    assignment.update(cs.settled)
+    return SolveResult(assignment, nodes, width, decided, by_degree)

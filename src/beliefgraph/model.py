@@ -27,7 +27,7 @@ class RuleType(Enum):
 
 # Reading an Enum member off its class is a descriptor call (≈150 ns on
 # CPython 3.11); the per-rule loops test these module names instead.
-_XOR_PAIR, _MC_PAIRWISE = RuleType.XOR_PAIR, RuleType.MC_PAIRWISE
+_ENTAILMENT, _XOR_PAIR, _MC_PAIRWISE = RuleType.ENTAILMENT, RuleType.XOR_PAIR, RuleType.MC_PAIRWISE
 
 StatementId = int
 Assignment = Mapping[StatementId, bool]
@@ -151,41 +151,59 @@ class BeliefGraph:
         return BeliefGraph(dict(self.statements), kept, self.hypotheses)
 
 
-def clause_counts(rule: RuleNode, assignment: Assignment) -> tuple[int, int]:
-    """How many of the rule's clauses are applicable, and how many violated.
+def scan_rules(
+    rules: Iterable[RuleNode],
+    assignment: Assignment,
+    supports: dict[StatementId, list[RuleNode]] | None = None,
+) -> tuple[int, int, list[RuleNode]]:
+    """The rule semantics, in one pass: how many clauses of ``rules`` are
+    applicable, how many violated, and the violated rules in rule order (a
+    rule violates one clause at most).  A clause is applicable when every
+    statement on its premise side (its negative literals) is true, and
+    violated when also none on its hypothesis side is; both are read off
+    each rule by type, without building its clauses.  Given ``supports``,
+    each held entailment rule whose premises are all true joins its
+    conclusion's list.  A statement missing from the assignment raises
+    `KeyError`: every value of a rule is read before any is tested."""
+    applicable = 0
+    violated = []
+    for rule in rules:
+        kind = rule.rule_type
+        if kind is _XOR_PAIR or kind is _MC_PAIRWISE:
+            a, b = rule.hypothesis_ids
+            a, b = assignment[a], assignment[b]
+            if a and b:  # (not a or not b) applies, and fails
+                applicable += 2 if kind is _XOR_PAIR else 1
+                violated.append(rule)
+            elif kind is _XOR_PAIR:  # (a or b) always applies
+                applicable += 1
+                if not (a or b):
+                    violated.append(rule)
+            continue
+        # Entailment and MC_HARD: (not p1 or ... or h1 or ...).
+        applies, held = True, False
+        for sid in rule.premise_ids:
+            if not assignment[sid]:
+                applies = False
+        for sid in rule.hypothesis_ids:
+            if assignment[sid]:
+                held = True
+        if applies:
+            applicable += 1
+            if not held:
+                violated.append(rule)
+            elif supports is not None and kind is _ENTAILMENT:
+                supports.setdefault(rule.hypothesis_ids[0], []).append(rule)
+    return applicable, len(violated), violated
 
-    A clause is applicable when every statement on its premise side (its
-    negative literals) is true, and violated when additionally no
-    statement on its hypothesis side is.  The counts are read off the
-    rule's premises and hypotheses by rule type, without building its
-    clauses.  A statement of the rule missing from the assignment raises
-    `KeyError`; every value is read before any is tested, so it does so
-    whatever the others are.
-    """
-    kind = rule.rule_type
-    if kind is _XOR_PAIR or kind is _MC_PAIRWISE:
-        a, b = rule.hypothesis_ids
-        a, b = assignment[a], assignment[b]
-        both = 1 if a and b else 0
-        if kind is _MC_PAIRWISE:
-            return both, both  # (not a or not b) applies, and fails, when both hold
-        # (a or b) always applies; (not a or not b) applies when both hold.
-        return 1 + both, both + (0 if a or b else 1)
-    # Entailment and MC_HARD: (not p1 or ... or h1 or ...).
-    applicable, held = True, False
-    for sid in rule.premise_ids:
-        if not assignment[sid]:
-            applicable = False
-    for sid in rule.hypothesis_ids:
-        if assignment[sid]:
-            held = True
-    if not applicable:
-        return 0, 0
-    return 1, 0 if held else 1
+
+def clause_counts(rule: RuleNode, assignment: Assignment) -> tuple[int, int]:
+    """How many of the rule's clauses are applicable, and how many violated."""
+    return scan_rules((rule,), assignment)[:2]
 
 
 def rule_satisfied(rule: RuleNode, assignment: Assignment) -> bool:
-    return not clause_counts(rule, assignment)[1]
+    return not scan_rules((rule,), assignment)[1]
 
 
 def total_cost(graph: BeliefGraph, assignment: Assignment) -> float:
@@ -197,7 +215,6 @@ def total_cost(graph: BeliefGraph, assignment: Assignment) -> float:
     for sid, node in graph.statements.items():
         if assignment[sid] != node.label:
             cost += node.confidence
-    for rule in graph.rules:
-        if not rule_satisfied(rule, assignment):
-            cost += rule.confidence
+    for rule in scan_rules(graph.rules, assignment)[2]:
+        cost += rule.confidence
     return cost

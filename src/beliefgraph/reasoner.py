@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import ReasoningError, SolverLimitError
 from .maxsat import encode, solve
-from .model import HARD, Assignment, BeliefGraph, RuleNode, RuleType, StatementId, clause_counts
+from .model import HARD, Assignment, BeliefGraph, RuleNode, RuleType, StatementId, scan_rules
 
 DEFAULT_QUERY_BUDGET = 5
 
@@ -74,29 +74,12 @@ class ReasoningOutcome:
         return self.graph.with_labels(self.final_assignment).without_rules(self.discarded_rules)
 
 
-def _supports(
-    graph: BeliefGraph, assignment: Assignment, discarded: frozenset[str]
-) -> dict[StatementId, list[RuleNode]]:
-    """Conclusion id -> the entailment rules of ``graph`` outside ``discarded``
-    concluding it whose premises are all believed, in rule order."""
-    entailment = RuleType.ENTAILMENT
-    supports: dict[StatementId, list[RuleNode]] = {}
-    for rule in graph.rules:
-        if rule.rule_type is not entailment or rule.id in discarded:
-            continue
-        for p in rule.premise_ids:
-            if not assignment[p]:
-                break
-        else:
-            supports.setdefault(rule.hypothesis_ids[0], []).append(rule)
-    return supports
-
-
 def _explain(
     supports: Mapping[StatementId, list[RuleNode]], root: StatementId
 ) -> ExplanationSubgraph:
-    """Breadth-first walk from the root through ``supports``.  Each statement
-    enters the frontier once and each rule has one conclusion: no rule repeats."""
+    """Breadth-first walk from the root through `scan_rules`' ``supports``.
+    Each statement enters the frontier once and each rule has one
+    conclusion: no rule repeats."""
     statements = {root}
     support: dict[StatementId, tuple[str, ...]] = {}
     frontier = [root]
@@ -119,9 +102,9 @@ def reason(
     explanations of the predicted hypotheses.
 
     `solve` finds the assignment, and one pass over the statements and one
-    over the rules (`clause_counts`) score it: the flipped statements and
-    the violated rules, a zero-confidence rule's too, with their
-    confidences summed in that order, which is the order of ``clauses``.
+    over the rules (`scan_rules`, which also finds the supports) score it:
+    the flipped statements and the violated rules, a zero-confidence rule's
+    too, with their confidences summed in that order, as in ``clauses``.
     An infinite cost, from a violated HARD rule or a broken pin, raises
     `ReasoningError`, unless the soft clause weights themselves sum past
     the largest float, which raises `SolverLimitError`.
@@ -134,11 +117,10 @@ def reason(
         if assignment[sid] != node.label:
             flipped.append(sid)
             cost += node.confidence
-    violated = []
-    for rule in graph.rules:
-        if clause_counts(rule, assignment)[1]:  # an XOR pair violates one clause at most
-            violated.append(rule.id)
-            cost += rule.confidence
+    supports: dict[StatementId, list[RuleNode]] = {}
+    violated = scan_rules(graph.rules, assignment, supports)[2]
+    for rule in violated:
+        cost += rule.confidence
     if pins:
         for sid, value in pins.items():
             if assignment[sid] != value:
@@ -147,14 +129,12 @@ def reason(
         if math.isinf(sum([clause[2] for clause in cs.clauses if clause[2] != HARD])):
             raise SolverLimitError("the soft clause weights sum past the largest float")
         raise ReasoningError("hard constraints are jointly unsatisfiable")
-    discarded = frozenset(violated)
     predictions = frozenset(h for h in graph.hypotheses if assignment[h])
-    supports = _supports(graph, assignment, discarded)
     explanations = {h: _explain(supports, h) for h in sorted(predictions)}
     return ReasoningOutcome(
         final_assignment=assignment,
         flipped=frozenset(flipped),
-        discarded_rules=discarded,
+        discarded_rules=frozenset([rule.id for rule in violated]),
         graph=graph,
         predictions=predictions,
         explanation_roots=explanations,
@@ -168,7 +148,8 @@ def extract_explanation(outcome: ReasoningOutcome, root: StatementId) -> Explana
         raise ValueError(f"statement {root} is not believed true after reasoning")
     if root in outcome.explanation_roots:
         return outcome.explanation_roots[root]
-    supports = _supports(outcome.graph, outcome.final_assignment, outcome.discarded_rules)
+    supports: dict[StatementId, list[RuleNode]] = {}
+    scan_rules(outcome.graph.rules, outcome.final_assignment, supports)
     return _explain(supports, root)
 
 
@@ -234,16 +215,12 @@ def consistency(graph: BeliefGraph, assignment: Assignment | None = None) -> Con
 
     A clause is applicable when every statement on its premise side (its
     negative literals) is believed true, and violated when additionally no
-    statement on its hypothesis side is believed (see `clause_counts`).
-    With no applicable clauses tau is defined as 0 (nothing is violated).
+    statement on its hypothesis side is believed; one pass over the rules
+    counts both (`scan_rules`).  With no applicable clauses tau is defined
+    as 0 (nothing is violated).
     """
     a = assignment if assignment is not None else graph.initial_assignment()
-    applicable = 0
-    violated = 0
-    for rule in graph.rules:
-        rule_applicable, rule_violated = clause_counts(rule, a)
-        applicable += rule_applicable
-        violated += rule_violated
+    applicable, violated, _ = scan_rules(graph.rules, a)
     tau = violated / applicable if applicable else 0.0
     return ConsistencyReport(applicable, violated, tau, 1.0 - tau)
 

@@ -316,7 +316,8 @@ def load_questions(path: str | Path) -> list[HypothesisSet]:
 def outcome_to_document(outcome: ReasoningOutcome, summary: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "assignment": {str(k): v for k, v in sorted(outcome.final_assignment.items())},
+        # dumps sorts every key, so the assignment is built unsorted.
+        "assignment": {str(k): v for k, v in outcome.final_assignment.items()},
         "flipped": sorted(outcome.flipped),
         "discarded_rules": sorted(outcome.discarded_rules),
         "predictions": sorted(outcome.predictions),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,15 +34,17 @@ Literals = tuple[tuple[int, bool], ...]
 
 @dataclass(frozen=True)
 class ClauseSet:
-    """A clause set built from clause literals: the four fields `solve`
-    reads, as `WeightedClauseSet` has them, plus the clause list itself,
-    as (scope, the values that violate it, weight, rule id or None)."""
+    """A clause set built from clause literals: the five fields `solve`
+    reads, as `WeightedClauseSet` has them, with no statement settled
+    unless ``settled`` is given, plus the clause list itself, as (scope,
+    the values that violate it, weight, rule id or None)."""
 
     variable_order: tuple[int, ...]
     labels: list[bool]
     units: dict[int, list[float]]
     tables: list
     clauses: list
+    settled: dict[int, bool] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -535,17 +535,18 @@ def tie_clause_sets(draw, shapes):
 
 
 def check_counts(cs, result):
-    """The solver's counts agree: each variable with a unit cost or in a
-    table is decided up front or eliminated once, each decided one
-    evaluates 2 rows and each one eliminated with d neighbours 2**(d + 1),
-    and the width is the largest degree of an elimination."""
+    """The solver's counts agree: each variable that is settled, has a unit
+    cost or is in a table is decided up front or eliminated once, each
+    decided one evaluates 2 rows and each one eliminated with d neighbours
+    2**(d + 1), and the width is the largest degree of an elimination."""
     by_degree = result.eliminated_by_degree
     assert result.nodes_explored == 2 * result.decided + sum(
         c << (d + 1) for d, c in enumerate(by_degree)
     )
     assert result.width == (len(by_degree) - 1 if by_degree else 0)
     assert not by_degree or by_degree[-1]
-    in_play = set(cs.units).union(*(scope for scope, _, _ in cs.tables))
+    settled = {cs.variable_order.index(sid) for sid in cs.settled}
+    in_play = settled.union(cs.units, *(scope for scope, _, _ in cs.tables))
     assert result.decided + sum(by_degree) == len(in_play)
 
 

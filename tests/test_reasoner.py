@@ -1,4 +1,7 @@
 import hashlib
+import random
+import sys
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -8,6 +11,7 @@ from beliefgraph import (
     HARD,
     BeliefGraph,
     CalibrationConfig,
+    ExplanationSubgraph,
     ReasoningError,
     RuleNode,
     SolverLimitError,
@@ -25,13 +29,13 @@ from beliefgraph import (
     solve,
     total_cost,
 )
-from beliefgraph import reasoner
+from beliefgraph import model, reasoner
 from beliefgraph.cli import main
 from beliefgraph.reasoner import summarize
 from beliefgraph.serialize import dumps, outcome_to_document
 from beliefgraph.synthetic import synthetic_graph
 from conftest import acceptance_graphs, overflow_graph
-from reference_solver import score
+from reference_solver import literal_clauses, score
 from test_maxsat import chain_or_star, small_pinned_graph, tie_graphs
 from test_solver_milp import shared_premise_questions
 
@@ -440,6 +444,146 @@ class TestNoClauseList:
         assert run("guarded") == expected
 
 
+def dense_construction_graphs():
+    """((premises per fact, seed, question), graph) for the 60 construction
+    graphs of three or four premises per fact over 400 shared facts."""
+    cfg = CalibrationConfig()
+    for fact_premises in (3, 4):
+        for seed in range(3):
+            oracle, questions = shared_premise_questions(seed, vocabulary=400,
+                                                          fact_premises=fact_premises)
+            for q, hypotheses in enumerate(questions):
+                yield (fact_premises, seed, q), generate_graph(hypotheses, oracle, cfg)
+
+
+def _refuse_per_rule_reads(monkeypatch):
+    """Make `clause_counts` and `rule_satisfied` raise wherever a package
+    module binds them, the package root included."""
+    per_rule = (model.clause_counts, model.rule_satisfied)
+
+    def refuse(*args):
+        raise AssertionError("a rule was read on its own")
+
+    bound = 0
+    for name, module in list(sys.modules.items()):
+        if name == "beliefgraph" or name.startswith("beliefgraph."):
+            for attribute, value in list(vars(module).items()):
+                if any(value is f for f in per_rule):
+                    monkeypatch.setattr(module, attribute, refuse)
+                    bound += 1
+    assert bound >= 2
+
+
+class TestNoPerRuleReads:
+    """Scoring, explanations, consistency and DOT rendering read the rules
+    in one pass each (`scan_rules`), never one rule at a time."""
+
+    def test_reason_consistency_and_summarize(self, monkeypatch):
+        graphs = acceptance_graphs(20)
+
+        def run():
+            results = []
+            for graph in graphs:
+                outcome = reason(graph)
+                a = outcome.final_assignment
+                results.append((outcome, consistency(graph), consistency(graph, a),
+                                summarize(graph, outcome)))
+            return results
+
+        expected = run()
+        _refuse_per_rule_reads(monkeypatch)
+        assert run() == expected
+
+    def test_pinned_resolve(self, monkeypatch):
+        graphs = acceptance_graphs(20)
+        expected = [resolve_interactive(graph, _by_even_length) for graph in graphs]
+        assert any(e != reason(g) for e, g in zip(expected, graphs))  # some were pinned
+        _refuse_per_rule_reads(monkeypatch)
+        assert [resolve_interactive(graph, _by_even_length) for graph in graphs] == expected
+
+    def test_cli_reason_with_dot(self, monkeypatch, tmp_path):
+        graphs = acceptance_graphs(20)
+        for i, graph in enumerate(graphs):
+            save_graph(graph, tmp_path / f"g{i}.json")
+
+        def run(name):
+            files = []
+            for i in range(len(graphs)):
+                out, dot = tmp_path / f"{name}{i}.json", tmp_path / f"{name}{i}.dot"
+                argv = ["reason", str(tmp_path / f"g{i}.json"), "-o", str(out), "--export-dot", str(dot)]
+                assert main(argv) == 0
+                files += [out.read_bytes(), dot.read_bytes()]
+            return files
+
+        expected = run("free")
+        _refuse_per_rule_reads(monkeypatch)
+        assert run("guarded") == expected
+
+
+def clause_scan(graph, assignment):
+    """(applicable, violated) clauses of ``graph``'s rules, read clause by
+    clause off `encode`'s clause list in the reference's literal form: a
+    clause applies when the statements of its negative literals are all
+    true, and is violated when also none of its positive literals'
+    statements is.  Statement units carry no rule id and are skipped."""
+    cs = encode(graph)
+    applicable = violated = 0
+    for (_, _, _, rule_id), (literals, _) in zip(cs.clauses, literal_clauses(cs)):
+        if rule_id is not None and all(assignment[v] for v, pol in literals if not pol):
+            applicable += 1
+            violated += not any(assignment[v] for v, pol in literals if pol)
+    return applicable, violated
+
+
+def explanation_walk(graph, assignment, root):
+    """The explanation of ``root``, by a breadth-first walk over the
+    entailment rules whose premises and conclusion are all believed."""
+    held = [
+        rule for rule in graph.rules
+        if rule.rule_type is RuleType.ENTAILMENT and all(map(assignment.__getitem__, rule.statement_ids()))
+    ]
+    statements, support, frontier = {root}, {}, deque([root])
+    while frontier:
+        sid = frontier.popleft()
+        concluding = [rule for rule in held if rule.hypothesis_ids == (sid,)]
+        if concluding:
+            support[sid] = tuple(rule.id for rule in concluding)
+        for rule in concluding:
+            for p in rule.premise_ids:
+                if p not in statements:
+                    statements.add(p)
+                    frontier.append(p)
+    return ExplanationSubgraph(root, frozenset(statements), support)
+
+
+def check_against_the_clauses(graph, seed):
+    """`consistency` counts what `clause_scan` counts under the initial,
+    the final and a seeded random assignment, and each prediction's
+    explanation is the breadth-first walk over the held entailment rules,
+    its support in the walk's order."""
+    outcome = reason(graph)
+    rng = random.Random(seed)
+    drawn = {sid: rng.random() < 0.5 for sid in graph.statements}
+    for a in (graph.initial_assignment(), outcome.final_assignment, drawn):
+        report = consistency(graph, a)
+        assert (report.applicable_rules, report.violated_rules) == clause_scan(graph, a)
+    for root in outcome.predictions:
+        walk = explanation_walk(graph, outcome.final_assignment, root)
+        explanation = outcome.explanation_roots[root]
+        assert explanation == walk
+        assert list(explanation.support.items()) == list(walk.support.items())
+
+
+class TestConsistencyAgainstTheClauses:
+    def test_synthetic_graphs(self):
+        for seed in range(100):
+            check_against_the_clauses(synthetic_graph(seed), seed)
+
+    def test_dense_construction_graphs(self):
+        for i, (_, graph) in enumerate(dense_construction_graphs()):
+            check_against_the_clauses(graph, i)
+
+
 def check_scored_as_the_clauses(graph, pins=None):
     """`reason`'s cost is bit for bit the tests' clause-order sum over
     ``encode(graph, pins).clauses``, its discarded rules are the rule ids
@@ -467,14 +611,8 @@ class TestScoredAsTheClauses:
     def test_dense_construction_graphs(self):
         """The 60 graphs of three or four premises per fact over 400 facts,
         with elimination widths of 3 to 12."""
-        cfg = CalibrationConfig()
-        for fact_premises in (3, 4):
-            for seed in range(3):
-                oracle, questions = shared_premise_questions(seed, vocabulary=400,
-                                                              fact_premises=fact_premises)
-                for q, hypotheses in enumerate(questions):
-                    graph = generate_graph(hypotheses, oracle, cfg)
-                    assert check_scored_as_the_clauses(graph), (fact_premises, seed, q)
+        for case, graph in dense_construction_graphs():
+            assert check_scored_as_the_clauses(graph), case
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(tie_graphs(chain_or_star()))
@@ -525,6 +663,18 @@ class TestSyntheticGraphs:
             assert consistency(outcome.updated_graph).tau == 0.0
             assert total_cost(g, outcome.final_assignment) <= total_cost(
                 g, g.initial_assignment()
+            )
+
+    def test_outcome_bytes_ignore_assignment_order(self):
+        """`dumps` is the one sort of the assignment: the outcome bytes do
+        not depend on the order ``final_assignment`` was filled in."""
+        for graph in acceptance_graphs(20):
+            outcome = reason(graph)
+            summary = summarize(graph, outcome)
+            backwards = replace(outcome, final_assignment=dict(reversed(outcome.final_assignment.items())))
+            assert list(backwards.final_assignment) != list(outcome.final_assignment)
+            assert dumps(outcome_to_document(backwards, summary)) == dumps(
+                outcome_to_document(outcome, summary)
             )
 
     def test_outcome_documents_unchanged(self):
