@@ -44,7 +44,6 @@ _SUBMODULE_EXPORTS = {
         "RuleNode",
         "RuleType",
         "StatementNode",
-        "rule_satisfied",
         "total_cost",
     ),
     "oracle_client": ("RemoteOracle",),

@@ -51,7 +51,7 @@ from .serialize import (
 )
 
 if TYPE_CHECKING:
-    from .construction import BeliefOracle, CalibrationConfig
+    from .construction import BeliefOracle
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -90,14 +90,6 @@ def _writing(path: str | Path) -> Iterator[None]:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _provenance(args: argparse.Namespace, cfg: CalibrationConfig) -> dict:
-    return {
-        "oracle": args.oracle,
-        "config_digest": config_digest(cfg),
-        "seed": args.seed,
-    }
-
-
 def _cmd_build_graph(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise InputError(f"--workers must be at least 1, got {args.workers}")
@@ -112,7 +104,7 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
         except (TypeError, ValueError) as exc:
             raise InputError(f"--d-max: {exc}") from exc
     questions = load_questions(args.input)
-    provenance = _provenance(args, cfg)
+    provenance = {"oracle": args.oracle, "config_digest": config_digest(cfg), "seed": args.seed}
     if args.output:
         if len(questions) != 1:
             raise InputError(

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Protocol, Sequence
 
-from .errors import ConstructionError, finite_number, integer, score, utf8_string
+from .errors import ConstructionError, array, finite_number, integer, score, utf8_string
 from .model import (
     HARD,
     BeliefGraph,
@@ -88,9 +88,7 @@ def statement_text(value: object, name: str) -> str:
 
 def statement_texts(value: object, name: str) -> list[str]:
     """A copy of ``value`` if it is a list of `statement_text` strings."""
-    if not isinstance(value, list):
-        raise TypeError(f"{name} must be a list, got {type(value).__name__}")
-    return [statement_text(text, name) for text in value]
+    return [statement_text(text, name) for text in array(value, name)]
 
 
 class BeliefOracle(Protocol):

@@ -3,10 +3,11 @@ of an input, in one module that imports nothing of the package, so a command
 can catch them and a boundary can apply them without loading the code that
 raises them.  Each exception is also importable from the module that raises it.
 
-Each rule returns the value it accepts and raises `ValueError` naming the
-field, built only on failure; a boundary maps that to its own error: a
-document or file is an `InputError`, an oracle answer an `OracleDecodeError`,
-and a duck-typed oracle's answer a `ConstructionError`.
+Each rule (`finite_number`, `integer`, `score`, `utf8_string`, `boolean`,
+`array`) returns the value it accepts and raises `ValueError` naming the field,
+built only on failure (`TypeError` for `array`); a boundary maps that to its
+own error: a document or file is an `InputError`, an oracle answer an
+`OracleDecodeError`, and a duck-typed oracle's answer a `ConstructionError`.
 """
 
 from math import inf, isfinite
@@ -80,3 +81,17 @@ def utf8_string(value: object, name: str) -> str:
         except UnicodeEncodeError:
             pass
     raise ValueError(f"{name} must be a UTF-8 string, got {value!r}")
+
+
+def boolean(value: object, name: str) -> bool:
+    """``value`` if it is true or false: no other value is coerced to one."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def array(value: object, name: str) -> list:
+    """``value`` if it is a list; anything else raises `TypeError` naming its type."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list, got {type(value).__name__}")
+    return value

@@ -7,9 +7,10 @@
 tables conditioned on the settled statements (`tables`), plus the `graph`
 and `pins` they were compiled from.  Its `clauses` property expands those
 two into every clause in order with the id of the rule it encodes, a
-zero-confidence rule's at weight 0, on each read; nothing on the way from
-`encode` through `solve` to `reason` reads it.  The graph was validated
-when it was built, so encoding checks nothing again but the pins.
+zero-confidence rule's at weight 0, on each read; only `reason` reads it,
+when an optimum's cost is infinite, to tell overflowing soft weights from
+conflicting hard rules.  The graph was validated when it was built, so
+encoding checks nothing again but the pins.
 
 A statement is settled when one value is cheaper by more than EPSILON
 whatever its neighbours take: a soft statement whose confidence exceeds its

@@ -197,15 +197,6 @@ def scan_rules(
     return applicable, len(violated), violated
 
 
-def clause_counts(rule: RuleNode, assignment: Assignment) -> tuple[int, int]:
-    """How many of the rule's clauses are applicable, and how many violated."""
-    return scan_rules((rule,), assignment)[:2]
-
-
-def rule_satisfied(rule: RuleNode, assignment: Assignment) -> bool:
-    return not scan_rules((rule,), assignment)[1]
-
-
 def total_cost(graph: BeliefGraph, assignment: Assignment) -> float:
     """The confidences of the statements assigned against their believed
     label plus those of the violated rules, summed in graph order; infinite

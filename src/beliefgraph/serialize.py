@@ -10,7 +10,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Collection, TypeVar
 
-from .errors import InputError, finite_number, integer, utf8_string
+from .errors import InputError, array, boolean, finite_number, integer, utf8_string
 from .model import HARD, BeliefGraph, RuleNode, RuleType, StatementNode
 
 # Construction is imported by the loaders of questions, fixtures and
@@ -133,39 +133,13 @@ def _known_keys(mapping: dict, known: Collection[str], where: str | Path, kind: 
         raise InputError(f"{where}: unknown {kind} keys {sorted(unknown)}")
 
 
-def _require(mapping: dict, key: str, where: str) -> Any:
-    if key not in mapping:
-        raise InputError(f"{where}: missing required field {key!r}")
-    return mapping[key]
-
-
-def _bool(mapping: dict, key: str, where: str, default: bool | None = None) -> bool:
-    """A JSON true/false field; anything else is an InputError, never coerced."""
-    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
-    if not isinstance(value, bool):
-        raise InputError(f"{where}: field {key!r} must be true or false, got {value!r}")
-    return value
-
-
-def _optional(rule, value: Any, name: str) -> Any:
-    """None for an absent or null field, else ``rule(value, name)``."""
-    return None if value is None else rule(value, name)
-
-
-def _list(mapping: dict, key: str, where: str, default: list | None = None) -> list:
-    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
-    if not isinstance(value, list):
-        raise InputError(f"{where}: field {key!r} must be a list, got {type(value).__name__}")
-    return value
-
-
 def document_to_graph(document: dict) -> BeliefGraph:
     if not isinstance(document, dict):
         raise InputError("document root must be an object")
-    # A rule's ValueError names the field; ``where`` names the entry it is in.
+    # A rule's error or a missing key names the field; ``where`` the entry it is in.
     where = "document"
     try:
-        version = integer(_require(document, "schema_version", where), "field 'schema_version'")
+        version = integer(document["schema_version"], "field 'schema_version'")
         if version != SCHEMA_VERSION:
             raise InputError(f"document: unsupported schema_version {version!r}")
         _known_keys(document, _GRAPH_KEYS, where, "graph")
@@ -176,51 +150,53 @@ def document_to_graph(document: dict) -> BeliefGraph:
                 f"document: field 'provenance' must be an object, got {type(provenance).__name__}"
             )
         hypotheses = tuple([integer(v, "an item of field 'hypotheses'")
-                            for v in _list(document, "hypotheses", where)])
+                            for v in array(document["hypotheses"], "field 'hypotheses'")])
         statements: dict[int, StatementNode] = {}
-        for i, entry in enumerate(_list(document, "statements", "document")):
+        for i, entry in enumerate(array(document["statements"], "field 'statements'")):
             where = f"statements[{i}]"
             if not isinstance(entry, dict):
                 raise InputError(f"{where} must be an object")
             _known_keys(entry, _STATEMENT_KEYS, where, "statement")
+            negated, raw = entry.get("negation_of"), entry.get("raw_score")
             node = StatementNode(
-                id=integer(_require(entry, "id", where), "field 'id'"),
-                text=utf8_string(_require(entry, "text", where), "field 'text'"),
-                label=_bool(entry, "label", where),
-                confidence=finite_number(_require(entry, "confidence", where),
-                                         "field 'confidence'"),
+                id=integer(entry["id"], "field 'id'"),
+                text=utf8_string(entry["text"], "field 'text'"),
+                label=boolean(entry["label"], "field 'label'"),
+                confidence=finite_number(entry["confidence"], "field 'confidence'"),
                 depth=integer(entry.get("depth", 0), "field 'depth'"),
-                is_negation_of=_optional(integer, entry.get("negation_of"), "field 'negation_of'"),
-                raw_score=_optional(finite_number, entry.get("raw_score"), "field 'raw_score'"),
+                is_negation_of=None if negated is None else integer(negated, "field 'negation_of'"),
+                raw_score=None if raw is None else finite_number(raw, "field 'raw_score'"),
             )
             if node.id in statements:
                 raise InputError(f"{where}: duplicate statement id {node.id}")
             listed = node.id in hypotheses
-            if _bool(entry, "is_hypothesis", where, listed) is not listed:
+            if boolean(entry.get("is_hypothesis", listed), "field 'is_hypothesis'") is not listed:
                 raise InputError(f"{where}: 'is_hypothesis' disagrees with 'hypotheses'")
             statements[node.id] = node
         rules = []
-        for i, entry in enumerate(_list(document, "rules", "document")):
+        where = "document"
+        for i, entry in enumerate(array(document["rules"], "field 'rules'")):
             where = f"rules[{i}]"
             if not isinstance(entry, dict):
                 raise InputError(f"{where} must be an object")
             _known_keys(entry, _RULE_KEYS, where, "rule")
-            rule_type = RuleType(_require(entry, "type", where))
-            if _bool(entry, "hard", where, False):
+            rule_type = RuleType(entry["type"])
+            if boolean(entry.get("hard", False), "field 'hard'"):
                 if entry.get("confidence") is not None:
                     raise InputError(f"{where}: a hard rule's 'confidence' must be null")
                 confidence = HARD
             else:
-                confidence = finite_number(_require(entry, "confidence", where),
-                                           "field 'confidence'")
+                confidence = finite_number(entry["confidence"], "field 'confidence'")
             rules.append(
                 RuleNode(
-                    id=utf8_string(_require(entry, "id", where), "field 'id'"),
+                    id=utf8_string(entry["id"], "field 'id'"),
                     rule_type=rule_type,
                     premise_ids=tuple([integer(v, "an item of field 'premises'")
-                                       for v in _list(entry, "premises", where, [])]),
+                                       for v in array(entry.get("premises", []),
+                                                      "field 'premises'")]),
                     hypothesis_ids=tuple([integer(v, "an item of field 'hypotheses'")
-                                          for v in _list(entry, "hypotheses", where)]),
+                                          for v in array(entry["hypotheses"],
+                                                         "field 'hypotheses'")]),
                     confidence=confidence,
                     raw_score=finite_number(entry.get("raw_score", 1.0), "field 'raw_score'"),
                 )
@@ -229,6 +205,8 @@ def document_to_graph(document: dict) -> BeliefGraph:
         return BeliefGraph(statements, tuple(rules), hypotheses)
     except InputError:
         raise
+    except KeyError as exc:
+        raise InputError(f"{where}: missing required field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: {exc}") from exc
 
@@ -308,7 +286,13 @@ def load_questions(path: str | Path) -> list[HypothesisSet]:
     for i, entry in enumerate(raw if isinstance(raw, list) else [raw]):
         where = f"{path}: question [{i}]"
         if isinstance(entry, dict):  # the file's list is the class's tuple
-            entry = dict(entry, hypotheses=tuple(_list(entry, "hypotheses", where)))
+            try:
+                entry = dict(entry, hypotheses=tuple(array(entry["hypotheses"],
+                                                           "field 'hypotheses'")))
+            except KeyError:
+                raise InputError(f"{where}: missing required field 'hypotheses'") from None
+            except TypeError as exc:
+                raise InputError(f"{where}: {exc}") from exc
         questions.append(_from_object(HypothesisSet, entry, where, "question", where))
     return questions
 

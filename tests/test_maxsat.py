@@ -24,12 +24,12 @@ from beliefgraph import (
     encode,
     generate_graph,
     reason,
-    rule_satisfied,
     solve,
     total_cost,
 )
 from beliefgraph import maxsat
 from beliefgraph.maxsat import MAX_WIDTH
+from beliefgraph.model import scan_rules
 from beliefgraph.synthetic import synthetic_graph
 from conftest import acceptance_graphs, rule_clauses
 from reference_solver import (
@@ -602,10 +602,10 @@ class TestDegreeTwoTies:
 
 def can_violate(rule, sid, value):
     """Whether ``rule`` is violated by some assignment that gives statement
-    ``sid`` this value, read off `rule_satisfied` over the rule's scope."""
+    ``sid`` this value, read off `scan_rules` over the rule's scope."""
     others = [v for v in rule.statement_ids() if v != sid]
     return any(
-        not rule_satisfied(rule, {sid: value, **dict(zip(others, values))})
+        scan_rules([rule], {sid: value, **dict(zip(others, values))})[1]
         for values in product((False, True), repeat=len(others))
     )
 

@@ -17,9 +17,9 @@ from beliefgraph import (
     RuleType,
     StatementNode,
     consistency,
-    rule_satisfied,
     total_cost,
 )
+from beliefgraph.model import scan_rules
 from beliefgraph.synthetic import synthetic_graph
 from conftest import clause_satisfied, rule_clauses
 
@@ -69,22 +69,22 @@ class TestStatementCost:
 class TestRuleSatisfaction:
     def test_violated_implication(self):
         rule = entailment("r", (0, 1), 2, 0.8)
-        assert not rule_satisfied(rule, {0: True, 1: True, 2: False})
+        assert scan_rules([rule], {0: True, 1: True, 2: False})[1]
 
     def test_falsified_premise_satisfies(self):
         rule = entailment("r", (0, 1), 2, 0.8)
-        assert rule_satisfied(rule, {0: True, 1: False, 2: False})
+        assert not scan_rules([rule], {0: True, 1: False, 2: False})[1]
 
     def test_xor_both_false_violates_first_clause(self):
         rule = RuleNode("r", RuleType.XOR_PAIR, (), (0, 1), 1.1)
-        assert not rule_satisfied(rule, {0: False, 1: False})
-        assert not rule_satisfied(rule, {0: True, 1: True})
-        assert rule_satisfied(rule, {0: True, 1: False})
+        assert scan_rules([rule], {0: False, 1: False})[1]
+        assert scan_rules([rule], {0: True, 1: True})[1]
+        assert not scan_rules([rule], {0: True, 1: False})[1]
 
     def test_missing_id_is_an_error(self):
         rule = entailment("r", (0,), 1, 0.8)
         with pytest.raises(KeyError):
-            rule_satisfied(rule, {0: True})
+            scan_rules([rule], {0: True})
 
     def test_rule_cost(self):
         rule = entailment("r", (0,), 1, 0.8)
@@ -98,7 +98,7 @@ class TestRuleSatisfaction:
     def test_soft_cost_zero_iff_satisfied(self):
         rule = entailment("r", (0,), 1, 0.8)
         for a in ({0: True, 1: True}, {0: True, 1: False}, {0: False, 1: False}):
-            assert (rule_cost(rule, a) == 0.0) == rule_satisfied(rule, a)
+            assert (rule_cost(rule, a) == 0.0) == (not scan_rules([rule], a)[1])
 
 
 # One rule of each type and shape, over statements 0..3.
@@ -120,13 +120,13 @@ def every_assignment(ids):
 
 @pytest.mark.parametrize("rule", EVERY_RULE_SHAPE, ids=lambda r: r.id)
 class TestChecksByRuleType:
-    """`rule_satisfied` and `consistency` read rules by type; each must agree
+    """`scan_rules` and `consistency` read rules by type; each must agree
     with the rule's clauses taken one by one."""
 
-    def test_rule_satisfied_matches_clauses(self, rule):
+    def test_scan_rules_matches_clauses(self, rule):
         for a in every_assignment(rule.statement_ids()):
             expected = all(clause_satisfied(c, a) for c in rule_clauses(rule))
-            assert rule_satisfied(rule, a) is expected, a
+            assert (not scan_rules([rule], a)[1]) is expected, a
 
     def test_consistency_matches_clauses(self, rule):
         statements = {sid: node(sid) for sid in range(4)}
@@ -146,7 +146,7 @@ class TestChecksByRuleType:
             for a in every_assignment(rule.statement_ids()):
                 del a[missing]
                 with pytest.raises(KeyError):
-                    rule_satisfied(rule, a)
+                    scan_rules([rule], a)
                 with pytest.raises(KeyError):
                     consistency(graph, a)
 

@@ -34,7 +34,7 @@ def test_public_surface_is_pinned():
         "WeightedClauseSet", "ablate", "canonicalize", "consistency", "document_to_graph",
         "dumps", "encode", "evaluate_dataset", "extract_explanation", "generate_graph",
         "graph_to_document", "load_graph", "mc_accuracy", "reason", "resolve_interactive",
-        "rule_satisfied", "save_graph", "solve", "total_cost",
+        "save_graph", "solve", "total_cost",
     ]
 
 
@@ -184,12 +184,14 @@ def test_no_module_imports_another_modules_private_names():
 
 
 def test_field_rules_are_spelt_only_in_errors():
-    """The number, integer and UTF-8 string rules live in `beliefgraph.errors`:
-    no other module spells "a number but not a bool" or a surrogate range,
-    which would make a second copy of a rule."""
+    """The number, integer, UTF-8 string, true/false and list rules live in
+    `beliefgraph.errors`: no other module spells "a number but not a bool",
+    a surrogate range, "must be true or false" or "must be a list", which
+    would make a second copy of a rule."""
     package = Path(beliefgraph.__file__).parent
     copy = re.compile(r"isinstance\([^()]*,\s*bool\)\s*(?:or\s+not|and)\s+isinstance\("
-                      r"|\\u[dD][89a-fA-F]|0x[dD][89a-fA-F][0-9a-fA-F]{2}\b")
+                      r"|\\u[dD][89a-fA-F]|0x[dD][89a-fA-F][0-9a-fA-F]{2}\b"
+                      r"|must be true or false|must be a list")
     copies = sorted(
         f"{path.name}:{text.count(chr(10), 0, match.start()) + 1}: {match[0]}"
         for path in sorted(package.glob("*.py")) if path.name != "errors.py"

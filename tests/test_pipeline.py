@@ -20,9 +20,9 @@ from beliefgraph import (
     generate_graph,
     graph_to_document,
     reason,
-    rule_satisfied,
 )
 from beliefgraph.construction import canonicalize
+from beliefgraph.model import scan_rules
 from beliefgraph.serialize import dumps
 from conftest import two_pass_damping
 from reference_solver import BRUTE_FORCE_MAX_VARIABLES, brute_force_solve
@@ -94,7 +94,7 @@ def test_pipeline_properties(case):
             assert a == slow.assignment
             assert outcome.optimal_cost == pytest.approx(slow.optimal_cost, abs=1e-9)
         assert outcome.discarded_rules == {
-            rule.id for rule in graph.rules if not rule.is_hard and not rule_satisfied(rule, a)
+            rule.id for rule in scan_rules(graph.rules, a)[2] if not rule.is_hard
         }
         kept = {rule.id: rule for rule in outcome.updated_graph.rules}
         for explanation in outcome.explanation_roots.values():

@@ -1,7 +1,7 @@
 import hashlib
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -24,13 +24,13 @@ from beliefgraph import (
     generate_graph,
     reason,
     resolve_interactive,
-    rule_satisfied,
     save_graph,
     solve,
     total_cost,
 )
 from beliefgraph import model, reasoner
 from beliefgraph.cli import main
+from beliefgraph.dot import to_dot
 from beliefgraph.reasoner import summarize
 from beliefgraph.serialize import dumps, outcome_to_document
 from beliefgraph.synthetic import synthetic_graph
@@ -128,8 +128,7 @@ class TestReason:
                 outcome = reason(graph, pins)
                 a = outcome.final_assignment
                 assert outcome.discarded_rules == {
-                    rule.id for rule in graph.rules
-                    if not rule.is_hard and not rule_satisfied(rule, a)
+                    rule.id for rule in model.scan_rules(graph.rules, a)[2] if not rule.is_hard
                 }
                 assert not any(rule.is_hard for rule in graph.rules
                                if rule.id in outcome.discarded_rules)
@@ -456,68 +455,72 @@ def dense_construction_graphs():
                 yield (fact_premises, seed, q), generate_graph(hypotheses, oracle, cfg)
 
 
-def _refuse_per_rule_reads(monkeypatch):
-    """Make `clause_counts` and `rule_satisfied` raise wherever a package
-    module binds them, the package root included."""
-    per_rule = (model.clause_counts, model.rule_satisfied)
+def _counting_rule_passes(monkeypatch):
+    """Wrap `scan_rules` wherever a package module binds it, and return a
+    function that makes a call and gives its result and the `scan_rules`
+    passes it made, counted by the function that made each."""
+    scan = model.scan_rules
+    passes = Counter()
 
-    def refuse(*args):
-        raise AssertionError("a rule was read on its own")
+    def counted(*args):
+        passes[sys._getframe(1).f_code.co_name] += 1
+        return scan(*args)
 
-    bound = 0
+    bound = set()
     for name, module in list(sys.modules.items()):
         if name == "beliefgraph" or name.startswith("beliefgraph."):
             for attribute, value in list(vars(module).items()):
-                if any(value is f for f in per_rule):
-                    monkeypatch.setattr(module, attribute, refuse)
-                    bound += 1
-    assert bound >= 2
+                if value is scan:
+                    monkeypatch.setattr(module, attribute, counted)
+                    bound.add(name)
+    assert bound >= {"beliefgraph.model", "beliefgraph.reasoner", "beliefgraph.dot"}
+
+    def count(call, *args):
+        passes.clear()
+        return call(*args), dict(passes)
+
+    return count
 
 
-class TestNoPerRuleReads:
-    """Scoring, explanations, consistency and DOT rendering read the rules
-    in one pass each (`scan_rules`), never one rule at a time."""
+class TestOneRulePass:
+    """Scoring, explanations, consistency and DOT rendering each read the
+    rules in one `scan_rules` pass, never one rule at a time."""
 
-    def test_reason_consistency_and_summarize(self, monkeypatch):
-        graphs = acceptance_graphs(20)
+    def test_reason_consistency_summarize_and_dot(self, monkeypatch):
+        count = _counting_rule_passes(monkeypatch)
+        for graph in acceptance_graphs(20):
+            outcome, passes = count(reason, graph)
+            assert passes == {"reason": 1}
+            a = outcome.final_assignment
+            assert count(consistency, graph)[1] == {"consistency": 1}
+            assert count(consistency, graph, a)[1] == {"consistency": 1}
+            assert count(summarize, graph, outcome)[1] == {"consistency": 2}
+            assert count(to_dot, graph, a, outcome.discarded_rules)[1] == {"to_dot": 1}
 
-        def run():
-            results = []
-            for graph in graphs:
-                outcome = reason(graph)
-                a = outcome.final_assignment
-                results.append((outcome, consistency(graph), consistency(graph, a),
-                                summarize(graph, outcome)))
-            return results
+    def test_pinned_resolve_makes_one_pass_per_solve(self, monkeypatch):
+        count = _counting_rule_passes(monkeypatch)
+        pinned = 0
+        for graph in acceptance_graphs(20):
+            asked = []
 
-        expected = run()
-        _refuse_per_rule_reads(monkeypatch)
-        assert run() == expected
+            def answer(text):
+                asked.append(text)
+                return _by_even_length(text)
 
-    def test_pinned_resolve(self, monkeypatch):
-        graphs = acceptance_graphs(20)
-        expected = [resolve_interactive(graph, _by_even_length) for graph in graphs]
-        assert any(e != reason(g) for e, g in zip(expected, graphs))  # some were pinned
-        _refuse_per_rule_reads(monkeypatch)
-        assert [resolve_interactive(graph, _by_even_length) for graph in graphs] == expected
+            assert count(resolve_interactive, graph, answer)[1] == {"reason": 1 + len(asked)}
+            pinned += bool(asked)
+        assert pinned  # some statements were pinned
 
     def test_cli_reason_with_dot(self, monkeypatch, tmp_path):
         graphs = acceptance_graphs(20)
         for i, graph in enumerate(graphs):
             save_graph(graph, tmp_path / f"g{i}.json")
-
-        def run(name):
-            files = []
-            for i in range(len(graphs)):
-                out, dot = tmp_path / f"{name}{i}.json", tmp_path / f"{name}{i}.dot"
-                argv = ["reason", str(tmp_path / f"g{i}.json"), "-o", str(out), "--export-dot", str(dot)]
-                assert main(argv) == 0
-                files += [out.read_bytes(), dot.read_bytes()]
-            return files
-
-        expected = run("free")
-        _refuse_per_rule_reads(monkeypatch)
-        assert run("guarded") == expected
+        count = _counting_rule_passes(monkeypatch)
+        for i in range(len(graphs)):
+            argv = ["reason", str(tmp_path / f"g{i}.json"), "-o", str(tmp_path / f"o{i}.json"),
+                    "--export-dot", str(tmp_path / f"o{i}.dot")]
+            # One pass to reason, two to summarize, one to render.
+            assert count(main, argv) == (0, {"reason": 1, "consistency": 2, "to_dot": 1})
 
 
 def clause_scan(graph, assignment):
