@@ -50,17 +50,20 @@ below, since no later choice reads it.  Eliminating a variable starts from
 its unit costs, adds the tables that mention it and are not yet used (input
 tables in clause order, then the tables made by earlier eliminations) and
 minimizes it out, which leaves one table over its neighbours, sorted by
-position; the neighbours are joined into a clique.  A variable with one or
-two neighbours has only tables over itself and those neighbours left, so
-its four or eight rows are summed directly, in the same order; the direct
-steps at degrees 0 to 2 take about 92% of the eliminations on acceptance
-graphs.  Walking the other eliminated variables back in reverse order then
-recovers the optimal assignment.  Time and memory grow as 2**width, where
-the width is the number of neighbours a variable has when it is
-eliminated.  Belief graphs are nearly trees, so the width stays small; an
-instance whose width exceeds MAX_WIDTH raises SolverLimitError instead of
-being approximated; `reason` raises it too for an optimum that scores
-infinite because the soft weights overflow (no proof of infeasibility).
+position; the neighbours are joined into a clique.  A variable with one,
+two or three neighbours has only tables over itself and those neighbours
+left, so its 4, 8 or 16 rows are summed directly, in the same order.  The
+direct steps at degrees 0 to 2 take about 92% of the eliminations on
+acceptance graphs and the degree-3 step the other 8% (synthetic graphs have
+width at most 3); on shared-premise construction graphs with three premises
+per fact, degree 3 takes 15% and degrees 4 and up 7%.  Walking the other
+eliminated variables back in reverse order then recovers the optimal
+assignment.  Time and memory grow as 2**width, where the width is the
+number of neighbours a variable has when it is eliminated.  Belief graphs
+are nearly trees, so the width stays small; an instance whose width exceeds
+MAX_WIDTH raises SolverLimitError instead of being approximated; `reason`
+raises it too for an optimum that scores infinite because the soft weights
+overflow (no proof of infeasibility).
 The exhaustive reference and the clause-by-clause scorer the tests compare
 against live in tests/reference_solver.py.
 
@@ -529,6 +532,59 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
             tables.append((scope, costs, flips if any(flips) else None))
             continue
         scope = tuple(sorted(around))
+        if k == 3:
+            # The same for neighbours a < b < c, over the 16 rows of (x, a, b, c).
+            bit = ((x,) + scope).index
+            cache = _shared_projections[3]
+            c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15 = unit.get(x, _NO_COST) * 8
+            f0 = f1 = f2 = f3 = f4 = f5 = f6 = f7 = f8 = f9 = f10 = f11 = f12 = f13 = f14 = f15 = 0
+            for i in mentions.pop(x):
+                table = tables[i]
+                if table is None:
+                    continue
+                tables[i] = None
+                t_scope, t_costs, t_flips = table
+                key = tuple(map(bit, t_scope))
+                pick = cache.get(key) or _pick(cache, key, 4)
+                r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14, r15 = pick(t_costs)
+                c0, c1, c2, c3 = c0 + r0, c1 + r1, c2 + r2, c3 + r3
+                c4, c5, c6, c7 = c4 + r4, c5 + r5, c6 + r6, c7 + r7
+                c8, c9, c10, c11 = c8 + r8, c9 + r9, c10 + r10, c11 + r11
+                c12, c13, c14, c15 = c12 + r12, c13 + r13, c14 + r14, c15 + r15
+                if t_flips is not None:
+                    r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14, r15 = pick(t_flips)
+                    f0, f1, f2, f3 = f0 + r0, f1 + r1, f2 + r2, f3 + r3
+                    f4, f5, f6, f7 = f4 + r4, f5 + r5, f6 + r6, f7 + r7
+                    f8, f9, f10, f11 = f8 + r8, f9 + r9, f10 + r10, f11 + r11
+                    f12, f13, f14, f15 = f12 + r12, f13 + r13, f14 + r14, f15 + r15
+            if keep:
+                c0, c1, c2, c3, c4, c5, c6, c7 = c1, c0, c3, c2, c5, c4, c7, c6
+                c8, c9, c10, c11, c12, c13, c14, c15 = c9, c8, c11, c10, c13, c12, c15, c14
+                f0, f1, f2, f3, f4, f5, f6, f7 = f1, f0, f3, f2, f5, f4, f7, f6
+                f8, f9, f10, f11, f12, f13, f14, f15 = f9, f8, f11, f10, f13, f12, f15, f14
+            f1, f3, f5, f7 = f1 + x_flip, f3 + x_flip, f5 + x_flip, f7 + x_flip
+            f9, f11, f13, f15 = f9 + x_flip, f11 + x_flip, f13 + x_flip, f15 + x_flip
+            flip_x = [
+                c1 < c0 - EPSILON or (c1 <= c0 + EPSILON and f1 < f0),
+                c3 < c2 - EPSILON or (c3 <= c2 + EPSILON and f3 < f2),
+                c5 < c4 - EPSILON or (c5 <= c4 + EPSILON and f5 < f4),
+                c7 < c6 - EPSILON or (c7 <= c6 + EPSILON and f7 < f6),
+                c9 < c8 - EPSILON or (c9 <= c8 + EPSILON and f9 < f8),
+                c11 < c10 - EPSILON or (c11 <= c10 + EPSILON and f11 < f10),
+                c13 < c12 - EPSILON or (c13 <= c12 + EPSILON and f13 < f12),
+                c15 < c14 - EPSILON or (c15 <= c14 + EPSILON and f15 < f14),
+            ]
+            flip0, flip1, flip2, flip3, flip4, flip5, flip6, flip7 = flip_x
+            if True in flip_x:
+                eliminated.append((x, scope, flip_x))
+            costs = [c1 if flip0 else c0, c3 if flip1 else c2, c5 if flip2 else c4, c7 if flip3 else c6,
+                     c9 if flip4 else c8, c11 if flip5 else c10, c13 if flip6 else c12, c15 if flip7 else c14]
+            flips = [f1 if flip0 else f0, f3 if flip1 else f2, f5 if flip2 else f4, f7 if flip3 else f6,
+                     f9 if flip4 else f8, f11 if flip5 else f10, f13 if flip6 else f12, f15 if flip7 else f14]
+            for v in scope:
+                mentions[v].append(len(tables))
+            tables.append((scope, costs, flips if any(flips) else None))
+            continue
         bit = ((x,) + scope).index
         size = 2 << k
         cache = _shared_projections[k] if k < _SHARED_WIDTH else projections.setdefault(k, {})

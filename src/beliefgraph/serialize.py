@@ -75,10 +75,13 @@ def _text(value: Any, newline: str) -> str:
                  else ("true" if v else "false") if t is bool else _text(v, inner) for v in value]
         return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
     if isinstance(value, dict):
+        # Sorting the keys alone gives the order sorting the items would,
+        # since no two keys of one dict compare equal; each value is read by
+        # its key in the type test.
         items = [(_quote(k) if isinstance(k, str) else _key(k)) + ": "
-                 + (("true" if v else "false") if (t := type(v)) is bool else _quote(v) if t is str
-                    else int.__repr__(v) if t is int else _text(v, inner))
-                 for k, v in sorted(value.items())]
+                 + (("true" if v else "false") if (t := type(v := value[k])) is bool
+                    else _quote(v) if t is str else int.__repr__(v) if t is int else _text(v, inner))
+                 for k in sorted(value)]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if items else "{}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

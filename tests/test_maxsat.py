@@ -317,13 +317,23 @@ class TestSolve:
     def test_nodes_and_width_pinned_on_outcome_graphs(self):
         """(nodes_explored, width) of every graph the outcome digest covers,
         as first computed with sign-aware settling in `encode`: a statement
-        settles on the weights of the rules its label can violate."""
+        settles on the weights of the rules its label can violate.  Then
+        (decided, eliminated_by_degree), as computed when only the steps at
+        degrees 0 to 2 were direct, so every direct step counts its
+        eliminations as the general step does."""
         graphs = [synthetic_graph(seed) for seed in range(100)]
         graphs.append(synthetic_graph(0, 3, 3000, 700))
-        pairs = [(r.nodes_explored, r.width) for r in map(solve, map(encode, graphs))]
+        results = [solve(encode(graph)) for graph in graphs]
+        pairs = [(r.nodes_explored, r.width) for r in results]
         assert sum(nodes for nodes, _ in pairs) == 56646
         assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
             "0236a7da4ead8fd99da53181748f4675e3eff02a86403199c49ff229221eee5c"
+        )
+        counts = [(r.decided, r.eliminated_by_degree) for r in results]
+        assert sum(decided for decided, _ in counts) == 8836
+        assert sum(sum(by_degree) for _, by_degree in counts) == 6923
+        assert hashlib.sha256(repr(counts).encode()).hexdigest() == (
+            "d257a8786e61a748d4f39a58f08d754f345629bfdf4baa39b382142768cbc16b"
         )
 
     def test_counts_agree_on_outcome_graphs(self):
@@ -479,10 +489,40 @@ def treewidth_two(draw):
             groups = [(i, (i + 1) % n) for i in range(n)]
         else:
             groups = [(i, i + 1, i + 2) for i in range(n - 2)]
+    return with_pendants(draw, n, groups)
+
+
+def with_pendants(draw, n, groups):
+    """(statement count, groups) with up to three pendants added, each a
+    pair with an earlier statement."""
     pendants = draw(st.integers(0, 3))
     for v in range(n, n + pendants):
         groups.append((draw(st.integers(0, v - 1)), v))
     return n + pendants, groups
+
+
+@st.composite
+def treewidth_three(draw):
+    """(statement count, groups of two or three statements): a strip of
+    four-cliques (each four consecutive statements pairwise joined), a wheel
+    (a hub joined to each edge of a cycle by a triple) or a 3-by-3 grid,
+    plus up to three pendants, at most 12 statements in all.  Every shape has treewidth 3 and its
+    statements at least two neighbours, so min-degree elimination has width
+    exactly 3, whatever the variable order, and eliminates some statements
+    with three neighbours."""
+    shape = draw(st.sampled_from(["strip", "wheel", "grid"]))
+    if shape == "strip":
+        n = draw(st.integers(4, 9))
+        groups = [(i, i + 1, i + 2) for i in range(n - 2)] + [(i, i + 3) for i in range(n - 3)]
+    elif shape == "wheel":
+        m = draw(st.integers(4, 8))
+        n = m + 1
+        groups = [(m, i, (i + 1) % m) for i in range(m)]
+    else:
+        n = 9
+        groups = [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)]
+        groups += [(3 * r + c, 3 * r + c + 3) for r in range(2) for c in range(3)]
+    return with_pendants(draw, n, groups)
 
 
 @st.composite
@@ -598,6 +638,27 @@ class TestDegreeTwoTies:
     def test_constructed_clause_sets_match_brute_force(self, cs):
         check_against_brute_force(cs)
         assert solve(cs).width == 2
+
+
+class TestDegreeThreeTies:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(tie_graphs(treewidth_three()))
+    def test_encoded_graphs_match_brute_force(self, graph_and_pins):
+        cs = encode(*graph_and_pins)
+        check_against_brute_force(cs)
+        # Settled statements leave the tables, so the degree-3 step is
+        # checked on the same clauses in full.
+        full = rebuilt(cs)
+        check_against_brute_force(full)
+        result = solve(full)
+        assert result.width == 3 and result.eliminated_by_degree[3] > 0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(tie_clause_sets(treewidth_three()))
+    def test_constructed_clause_sets_match_brute_force(self, cs):
+        check_against_brute_force(cs)
+        result = solve(cs)
+        assert result.width == 3 and result.eliminated_by_degree[3] > 0
 
 
 def can_violate(rule, sid, value):
