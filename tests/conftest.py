@@ -9,6 +9,7 @@ against it.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import random
@@ -22,6 +23,9 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+if importlib.util.find_spec("beliefgraph") is None:
+    # Nothing installed and nothing on PYTHONPATH: test this checkout.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import beliefgraph
 from beliefgraph import (
     HARD,
@@ -41,34 +45,27 @@ settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
 
 
-def pytest_configure(config):
-    """Stop a run that would test another tree: ``pythonpath = ["src"]`` in
-    pyproject.toml puts this checkout's ``src`` ahead of ``PYTHONPATH``, so a
-    package named there would be shadowed by the one imported here."""
-    imported = Path(beliefgraph.__file__).resolve().parent
-    for entry in filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep)):
-        other = Path(entry, "beliefgraph").resolve()
-        if (other / "__init__.py").is_file() and other != imported:
-            raise pytest.UsageError(
-                f"PYTHONPATH names the package in {other}, but the tests import the one in "
-                f"{imported}; to test {other}, run its own tree's tests"
-            )
-
-
 def pytest_report_header(config):
-    """Name the package under test: ``pythonpath = ["src"]`` in pyproject.toml
-    puts this checkout's ``src`` ahead of ``PYTHONPATH``."""
+    """Name the package under test, the one ``PYTHONPATH`` or an install
+    provides, or else this checkout's."""
     return f"beliefgraph: {Path(beliefgraph.__file__).resolve().parent}"
 
 
-def run_python(code: str, stdin: str = "") -> str:
-    """Run ``code`` in a fresh interpreter that imports this checkout's
-    package; return its standard output."""
+def child_env(**extra):
+    """The environment for a fresh interpreter that imports the package
+    under test: its ``src`` ahead of the inherited ``PYTHONPATH``, and
+    ``extra`` set."""
     src = str(Path(beliefgraph.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def run_python(code: str, stdin: str = "") -> str:
+    """Run ``code`` in a fresh interpreter that imports the package under
+    test; return its standard output."""
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, input=stdin, capture_output=True, text=True,
-        timeout=60,
+        [sys.executable, "-c", code], env=child_env(), input=stdin, capture_output=True,
+        text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout

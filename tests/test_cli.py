@@ -46,7 +46,7 @@ from beliefgraph.oracle_client import OracleTransportError
 from beliefgraph.reasoner import reason
 from beliefgraph.serialize import InputError, config_digest, dumps
 from beliefgraph.synthetic import synthetic_graph
-from conftest import TRACE_PREMISES, TRACE_SCORES, overflow_graph, run_python, serving
+from conftest import TRACE_PREMISES, TRACE_SCORES, child_env, overflow_graph, run_python, serving
 
 
 ORACLE_FIXTURE = {
@@ -1068,8 +1068,7 @@ def test_non_ascii_text_under_an_ascii_locale(tmp_path):
                   1: StatementNode(1, "日本 is far", True, 0.8)}
     rules = (RuleNode("r0", RuleType.MC_PAIRWISE, (), (0, 1), 0.5),)
     save_graph(BeliefGraph(statements, rules, (0, 1)), tmp_path / "conflict.json")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env = child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     env.pop("PYTHONIOENCODING", None)
 
     def run(*argv, stdin=b""):
@@ -1261,10 +1260,9 @@ def test_mutated_graph_document_exits_2_from_the_command_line(tmp_path, mutate):
     doc = json.loads(json.dumps(FUZZ_BASES[0]))
     mutate(doc)
     (tmp_path / "g.json").write_text(json.dumps(doc))
-    src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "beliefgraph.cli", "reason", "g.json"], cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == EXIT_INPUT, result.stderr
     assert result.stderr.startswith("input error: ")
@@ -1816,12 +1814,10 @@ class TestRemoteOracle:
             args = ["two.json", "--out-dir", "out", "--workers", "2"]
         else:
             args = ["one.json", "-o", "one.out.json"]
-        src = str(Path(cli.__file__).resolve().parents[1])
         result = subprocess.run(
             [sys.executable, "-X", "dev", "-m", "beliefgraph.cli", "build-graph", *args,
              "--oracle", f"remote:{trace_server}"],
-            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-            text=True, timeout=60,
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == (EXIT_INPUT if failing else EXIT_OK), result.stderr
         assert (tmp_path / ("out" if failing else ".") / "oracle_cache.jsonl").exists()
@@ -1894,7 +1890,7 @@ class TestExitCodes:
         summary smaller, so the pipe breaks during the command or at the
         final flush; either way the failure is reported once."""
         save_graph(synthetic_graph(3), tmp_path / "g.json")
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        env = child_env()
         env.pop("PYTHONUNBUFFERED", None)
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -2050,10 +2046,9 @@ class TestEntryPoint:
             "sys.argv = ['belief-graph', 'export-dot', 'unused.json']\n"
             "cli.run()\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
         result = subprocess.run(
             [sys.executable, "-X", "dev", "-c", code], cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+            env=child_env(), capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == EXIT_OK, result.stderr
         assert result.stdout == "True\n"

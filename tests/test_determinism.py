@@ -2,21 +2,17 @@
 hash seed: the command line builds and reasons the same files under two."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-from beliefgraph import cli
+from conftest import child_env
 from test_solver_milp import shared_premise_questions
-
-SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def command(hash_seed, *argv):
     subprocess.run(
         [sys.executable, "-m", "beliefgraph.cli", *argv], check=True, capture_output=True,
-        env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(hash_seed)), timeout=60,
+        env=child_env(PYTHONHASHSEED=str(hash_seed)), timeout=60,
     )
 
 

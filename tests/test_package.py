@@ -7,6 +7,7 @@ import json
 import os
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -259,20 +260,27 @@ def test_every_record_passes_through_its_constructor():
     assert bypasses == []
 
 
-def test_a_run_that_would_test_another_tree_stops(tmp_path):
-    """With another tree's package on ``PYTHONPATH``, pytest still imports
-    this checkout's, so the run stops with a usage error naming both."""
-    other = tmp_path / "beliefgraph"
-    other.mkdir()
-    (other / "__init__.py").write_text("")
-    imported = Path(beliefgraph.__file__).resolve().parent
-    root = imported.parents[1]
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "--co", "-q", "-p", "no:cacheprovider",
-         str(root / "tests" / "test_readme.py")],
-        cwd=root, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
-        capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 4, result.stdout + result.stderr
-    assert f"package in {other.resolve()}" in result.stderr
-    assert f"the one in {imported}" in result.stderr
+def test_pythonpath_chooses_the_package_under_test(tmp_path):
+    """The tests import the package that ``PYTHONPATH`` names, and this
+    checkout's when it names none (uninstalled, or installed in editable
+    mode); no pytest option of this checkout puts a path ahead of it."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    options = tomllib.loads((root / "pyproject.toml").read_text())["tool"]["pytest"]
+    assert "pythonpath" not in options["ini_options"]
+    copy = tmp_path / "src" / "beliefgraph"
+    shutil.copytree(root / "src" / "beliefgraph", copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+
+    def header(**pythonpath):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "--co", "-p", "no:cacheprovider",
+             str(root / "tests" / "test_readme.py")],
+            cwd=root, env={**env, **pythonpath}, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        return re.search(r"^beliefgraph: (.*)$", result.stdout, re.M)[1]
+
+    assert header(PYTHONPATH=str(copy.parent)) == str(copy.resolve())
+    assert header() == str(root / "src" / "beliefgraph")

@@ -9,7 +9,7 @@ HiGHS through ``scipy.optimize.milp``:
 - each hard clause as sum(literals) >= 1;
 - minimize sum(w_c * z_c).
 
-The optimal cost is compared on every instance.  On 50, the tie-break
+The optimal cost is compared on every instance.  On 57, the tie-break
 between equal-cost optima is certified too: for each statement the
 returned assignment flips, the MILP with the earlier statements pinned as
 returned and that one pinned to its label must cost more than the optimum
@@ -22,6 +22,7 @@ import random
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -99,8 +100,9 @@ def assert_tie_break_certified(graph, case):
     label exceeds the optimal cost C by more than EPSILON, so no assignment
     within EPSILON of C has a smaller pattern.  A margin within
     COST_TOLERANCE cannot be told from the MILP's own gap and fails too.  C
-    is solve's cost, which test_acceptance_graphs and
-    test_construction_graphs check against the MILP."""
+    is solve's cost, which test_acceptance_graphs,
+    test_construction_graphs and test_dense_construction_graphs check
+    against the MILP."""
     cs = encode(graph)
     result = solve_and_score(cs)[1]
     pins = {}
@@ -174,13 +176,17 @@ def test_construction_graphs():
             assert_matches_milp(encode(graph), f"oracle {seed} question {q}")
 
 
-def test_tie_break_certified():
+def test_tie_break_certified(dense_graphs):
     for seed in range(40):
         assert_tie_break_certified(synthetic_graph(seed), f"synthetic_graph({seed})")
     oracle, hypothesis_sets = shared_premise_questions(0)
     cfg = CalibrationConfig(d_max=5)
     for q, hypotheses in enumerate(hypothesis_sets):
         assert_tie_break_certified(generate_graph(hypotheses, oracle, cfg), f"oracle 0 question {q}")
+    # Widths 8 to 12: the only tier-1 eliminations of degree 6 and above,
+    # which read solve's per-call projection cache.
+    for seed, q in sorted(DENSE_OVER_THE_OLD_LIMIT):
+        assert_tie_break_certified(dense_graphs[seed, q], f"dense oracle {seed} question {q}")
 
 
 def test_infeasible_status():
@@ -195,6 +201,19 @@ def test_infeasible_status():
 # summed every rule it is in: 17 or 18 then, 8 to 12 with sign-aware
 # settling.
 DENSE_OVER_THE_OLD_LIMIT = {(0, 0), (0, 8), (1, 2), (1, 4), (1, 6), (2, 0), (2, 8)}
+
+
+@pytest.fixture(scope="module")
+def dense_graphs():
+    """The 30 construction graphs at four premises per fact over 400 facts,
+    by (seed, question)."""
+    cfg = CalibrationConfig()
+    graphs = {}
+    for seed in range(3):
+        oracle, hypothesis_sets = shared_premise_questions(seed, vocabulary=400, fact_premises=4)
+        for q, hypotheses in enumerate(hypothesis_sets):
+            graphs[seed, q] = generate_graph(hypotheses, oracle, cfg)
+    return graphs
 
 
 def settled_by_every_rule(graph, cs):
@@ -219,23 +238,19 @@ def settled_by_every_rule(graph, cs):
     return replace(clause_set(conditioned, cs.variable_order, labels), clauses=cs.clauses)
 
 
-def test_dense_construction_graphs():
+def test_dense_construction_graphs(dense_graphs):
     """Graphs with four premises per fact solve, at the MILP's cost where
     they once exceeded the width limit.  Seed 0's others solve as they do
     with only the statements settled that outweigh every rule they are in,
     with no more search; the same clauses with nothing settled are too wide
     to solve."""
-    cfg = CalibrationConfig()
-    for seed in range(3):
-        oracle, hypothesis_sets = shared_premise_questions(seed, vocabulary=400, fact_premises=4)
-        for q, hypotheses in enumerate(hypothesis_sets):
-            graph = generate_graph(hypotheses, oracle, cfg)
-            cs = encode(graph)
-            if (seed, q) in DENSE_OVER_THE_OLD_LIMIT:
-                assert_matches_milp(cs, f"dense oracle {seed} question {q}")
-            elif seed == 0:
-                (a, sa), (b, sb) = solve_and_score(cs), solve_and_score(settled_by_every_rule(graph, cs))
-                assert (sa.assignment, sa.optimal_cost, sa.violated) == (
-                    sb.assignment, sb.optimal_cost, sb.violated
-                ), q
-                assert no_more_search(a, b), q
+    for (seed, q), graph in dense_graphs.items():
+        cs = encode(graph)
+        if (seed, q) in DENSE_OVER_THE_OLD_LIMIT:
+            assert_matches_milp(cs, f"dense oracle {seed} question {q}")
+        elif seed == 0:
+            (a, sa), (b, sb) = solve_and_score(cs), solve_and_score(settled_by_every_rule(graph, cs))
+            assert (sa.assignment, sa.optimal_cost, sa.violated) == (
+                sb.assignment, sb.optimal_cost, sb.violated
+            ), q
+            assert no_more_search(a, b), q
