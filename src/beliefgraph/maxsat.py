@@ -7,9 +7,9 @@
 tables conditioned on the settled statements (`tables`), plus the `graph`
 and `pins` they were compiled from.  Its `clauses` property expands those
 two into every clause in order with the id of the rule it encodes, a
-zero-confidence rule's at weight 0, on each read; only `reason` reads it,
-when an optimum's cost is infinite, to tell overflowing soft weights from
-conflicting hard rules.  The graph was validated when it was built, so
+zero-confidence rule's at weight 0, on each read.  No package code reads
+`clauses`, `graph` or `pins`: they are kept for the tests and for the
+benchmark's clause count.  The graph was validated when it was built, so
 encoding checks nothing again but the pins.
 
 A statement is settled when one value is cheaper by more than EPSILON
@@ -82,6 +82,7 @@ so the reported cost does not depend on the elimination order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from operator import add, itemgetter
 from typing import Mapping
 
@@ -121,7 +122,9 @@ class WeightedClauseSet:
     the wider rules conditioned on the settled statements, in clause order,
     where a rule left with one statement adds to ``units`` and one that a
     settled value satisfies or that has weight 0 adds nothing.  ``graph``
-    and ``pins`` are what it was compiled from; `solve` reads neither.
+    and ``pins`` are what it was compiled from, and ``clauses`` expands
+    them; no package code reads these three, which are kept for the tests
+    and for the benchmark's clause count.
     """
 
     variable_order: tuple[StatementId, ...]
@@ -220,8 +223,9 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     settled statements get no unit costs, and each rule's table is built
     conditioned on them (see the module docstring).  Only what `solve`
     eliminates is built: the clause list is derived from the stored graph
-    and pins when ``clauses`` is read.  `BeliefGraph` and `RuleNode` have
-    checked everything else already, so only the pins are checked here.
+    and pins when ``clauses`` is read, which only the tests and the
+    benchmark's clause count do.  `BeliefGraph` and `RuleNode` have checked
+    everything else already, so only the pins are checked here.
     """
     statements = graph.statements
     # The order decides ties: hypotheses first, then descending confidence,
@@ -320,9 +324,9 @@ def encode(graph: BeliefGraph, pins: Mapping[StatementId, bool] | None = None) -
     return WeightedClauseSet(order, labels, settled, units, tables, graph, dict(pins or ()))
 
 
-def _pick(cache: dict, bits: tuple[int, ...], width: int) -> itemgetter:
+def _pick(bits: tuple[int, ...], width: int) -> itemgetter:
     """An itemgetter of the row of a narrower table for each row of a
-    ``width``-bit table, stored in ``cache`` under ``bits``.
+    ``width``-bit table.
 
     Bit j of the narrower table's row number is bit ``bits[j]`` of the
     wider table's row number.
@@ -332,16 +336,19 @@ def _pick(cache: dict, bits: tuple[int, ...], width: int) -> itemgetter:
     for b in range(width):
         s = step.get(b, 0)
         rows += [r + s for r in rows]
-    pick = cache[bits] = itemgetter(*rows)
-    return pick
+    return itemgetter(*rows)
 
 
-# [k][bit positions of a table's scope] -> the _pick of their rows in a
-# (k + 1)-bit table, kept across calls for k up to 5: at most 2371 keys of
-# at most 64 rows.  Each entry is a pure function of its key and is never
-# written to, so sharing them changes no result.
-_SHARED_WIDTH = 6
-_shared_projections: list[dict[tuple[int, ...], itemgetter]] = [{} for _ in range(_SHARED_WIDTH)]
+# [bit positions of a table's scope] -> the _pick of their rows in a 3-bit
+# and in a 4-bit table, for the degree-2 and degree-3 steps: every ordered
+# tuple of distinct positions that contains bit 0, x's, since each table
+# they read mentions x (11 and 49 of them).  Built at import and never
+# written to.
+_PICK_3, _PICK_4 = (
+    {bits: _pick(bits, width)
+     for size in range(1, width + 1) for bits in permutations(range(width), size) if 0 in bits}
+    for width in (3, 4)
+)
 # The rows (x, y) = 00, 10, 01, 11 of x's elimination with one neighbour y,
 # read off a table over (x,), (x, y) or (y, x).
 _PICK_X, _PICK_XY, _PICK_YX = itemgetter(0, 1, 0, 1), itemgetter(*range(4)), itemgetter(0, 2, 1, 3)
@@ -407,7 +414,8 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
     buckets = [0] * (n + 1)
     for v, around in neighbours.items():
         buckets[len(around)] |= 1 << v
-    # _shared_projections for the wider tables, kept for this call only
+    # [k][bit positions of a table's scope] -> their _pick in a (k + 1)-bit
+    # table, for the general step at degree k; kept for this call only
     projections: dict[int, dict[tuple[int, ...], itemgetter]] = {}
     # (variable, remaining scope, whether to flip it for each scope row),
     # for the variables that some row flips
@@ -493,11 +501,10 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
                 buckets[len(near)] |= 1 << a
         if k == 2:
             # The same for neighbours y < z, over the rows (x, y, z) = 000,
-            # 100, 010, 110, 001, 101, 011, 111, reading tables by _pick.
+            # 100, 010, 110, 001, 101, 011, 111, reading tables by _PICK_3.
             y, z = around
             y, z = scope = (y, z) if y < z else (z, y)
             bit = (x, y, z).index
-            cache = _shared_projections[2]
             c0, c1, c2, c3, c4, c5, c6, c7 = unit.get(x, _NO_COST) * 4
             f0 = f1 = f2 = f3 = f4 = f5 = f6 = f7 = 0
             for i in mentions.pop(x):
@@ -506,8 +513,7 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
                     continue
                 tables[i] = None
                 t_scope, t_costs, t_flips = table
-                key = tuple(map(bit, t_scope))
-                pick = cache.get(key) or _pick(cache, key, 3)
+                pick = _PICK_3[tuple(map(bit, t_scope))]
                 r0, r1, r2, r3, r4, r5, r6, r7 = pick(t_costs)
                 c0, c1, c2, c3 = c0 + r0, c1 + r1, c2 + r2, c3 + r3
                 c4, c5, c6, c7 = c4 + r4, c5 + r5, c6 + r6, c7 + r7
@@ -533,9 +539,9 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
             continue
         scope = tuple(sorted(around))
         if k == 3:
-            # The same for neighbours a < b < c, over the 16 rows of (x, a, b, c).
+            # The same for neighbours a < b < c, over the 16 rows of (x, a, b, c),
+            # reading tables by _PICK_4.
             bit = ((x,) + scope).index
-            cache = _shared_projections[3]
             c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15 = unit.get(x, _NO_COST) * 8
             f0 = f1 = f2 = f3 = f4 = f5 = f6 = f7 = f8 = f9 = f10 = f11 = f12 = f13 = f14 = f15 = 0
             for i in mentions.pop(x):
@@ -544,8 +550,7 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
                     continue
                 tables[i] = None
                 t_scope, t_costs, t_flips = table
-                key = tuple(map(bit, t_scope))
-                pick = cache.get(key) or _pick(cache, key, 4)
+                pick = _PICK_4[tuple(map(bit, t_scope))]
                 r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14, r15 = pick(t_costs)
                 c0, c1, c2, c3 = c0 + r0, c1 + r1, c2 + r2, c3 + r3
                 c4, c5, c6, c7 = c4 + r4, c5 + r5, c6 + r6, c7 + r7
@@ -587,7 +592,7 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
             continue
         bit = ((x,) + scope).index
         size = 2 << k
-        cache = _shared_projections[k] if k < _SHARED_WIDTH else projections.setdefault(k, {})
+        cache = projections.setdefault(k, {})
         # Rows alternate x false, x true.  encode puts a statement's soft
         # unit clause before its rule clauses, and a pinned statement is
         # settled; so starting from the unit costs gives the same sums as
@@ -601,7 +606,9 @@ def solve(cs: WeightedClauseSet) -> SolveResult:
             tables[i] = None
             t_scope, t_costs, t_flips = table
             key = tuple(map(bit, t_scope))
-            pick = cache.get(key) or _pick(cache, key, k + 1)
+            pick = cache.get(key)
+            if pick is None:
+                pick = cache[key] = _pick(key, k + 1)
             costs = [*map(add, costs, pick(t_costs))]
             if t_flips is not None:
                 flips = [*pick(t_flips)] if flips is None else [*map(add, flips, pick(t_flips))]

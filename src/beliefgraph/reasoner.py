@@ -104,13 +104,12 @@ def reason(
     `solve` finds the assignment, and one pass over the statements and one
     over the rules (`scan_rules`, which also finds the supports) score it:
     the flipped statements and the violated rules, a zero-confidence rule's
-    too, with their confidences summed in that order, as in ``clauses``.
-    An infinite cost, from a violated HARD rule or a broken pin, raises
-    `ReasoningError`, unless the soft clause weights themselves sum past
-    the largest float, which raises `SolverLimitError`.
+    too, with their confidences summed in that order.  An infinite cost,
+    from a violated HARD rule or a broken pin, raises `ReasoningError`,
+    unless the soft weights themselves, read off the graph, sum past the
+    largest float, which raises `SolverLimitError`.
     """
-    cs = encode(graph, pins)
-    assignment = solve(cs).assignment
+    assignment = solve(encode(graph, pins)).assignment
     cost = 0.0
     flipped = []
     for sid, node in graph.statements.items():
@@ -126,7 +125,14 @@ def reason(
             if assignment[sid] != value:
                 cost += HARD
     if math.isinf(cost):
-        if math.isinf(sum([clause[2] for clause in cs.clauses if clause[2] != HARD])):
+        # The soft weights in clause order: each statement's, then each soft
+        # rule's, twice for an XOR pair.
+        xor_pair = RuleType.XOR_PAIR
+        weights = [node.confidence for node in graph.statements.values()]
+        for rule in graph.rules:
+            if rule.confidence != HARD:
+                weights += [rule.confidence] * (2 if rule.rule_type is xor_pair else 1)
+        if math.isinf(sum(weights)):
             raise SolverLimitError("the soft clause weights sum past the largest float")
         raise ReasoningError("hard constraints are jointly unsatisfiable")
     predictions = frozenset(h for h in graph.hypotheses if assignment[h])

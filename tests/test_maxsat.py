@@ -574,6 +574,27 @@ def tie_clause_sets(draw, shapes):
     return clause_set(draw(st.permutations(clauses)), order, initial)
 
 
+@st.composite
+def tied_cliques(draw):
+    """A multiple-choice question of 7 to 10 options: a pairwise MC rule
+    between every two options, in any order, and perhaps an MC_HARD rule
+    over all of them.  Every confidence and rule weight is the same and at
+    most a third of the labels are false, so keeping one option true costs
+    exactly as much as keeping two, and min-degree elimination meets exact
+    ties with 6 to 9 neighbours."""
+    n = draw(st.integers(7, 10))
+    weight = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    false = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    statements = {sid: StatementNode(sid, f"s{sid}", sid not in false, weight) for sid in range(n)}
+    pairs = draw(st.permutations(list(combinations(range(n), 2))))
+    rules = [RuleNode(f"m{a}{b}", RuleType.MC_PAIRWISE, (), (a, b), weight) for a, b in pairs]
+    if draw(st.booleans()):
+        rules.insert(draw(st.integers(0, len(rules))),
+                     RuleNode("one", RuleType.MC_HARD, (), tuple(range(n)), HARD))
+    hypotheses = tuple(draw(st.permutations(range(n))))
+    return BeliefGraph(statements, tuple(rules), hypotheses)
+
+
 def check_counts(cs, result):
     """The solver's counts agree: each variable that is settled, has a unit
     cost or is in a table is decided up front or eliminated once, each
@@ -659,6 +680,20 @@ class TestDegreeThreeTies:
         check_against_brute_force(cs)
         result = solve(cs)
         assert result.width == 3 and result.eliminated_by_degree[3] > 0
+
+
+class TestWideTies:
+    @settings(derandomize=True, max_examples=160, deadline=None)
+    @given(tied_cliques())
+    def test_tied_cliques_match_brute_force(self, graph):
+        """The general step's tie rule, at degree 6 and up: the encoded
+        clique, whose false options may settle, and the same clauses in
+        full, which keep all 7 to 10 options in one clique."""
+        cs = encode(graph)
+        check_against_brute_force(cs)
+        full = rebuilt(cs)
+        check_against_brute_force(full)
+        assert solve(full).width >= 6
 
 
 def can_violate(rule, sid, value):

@@ -139,6 +139,42 @@ def test_the_benchmark_runs_on_this_library():
     assert json.loads(out) == [True, 0, 218.0]
 
 
+def test_reasoning_changes_no_package_state():
+    """In a fresh interpreter, reasoning the acceptance graphs and a clique
+    of seven options, which `solve` eliminates by its general step, leaves
+    every module-level dict, list and set of the package as it was after
+    import: no call writes state that a later call, or another thread,
+    would read."""
+    out = run_python(
+        "import importlib, json, pkgutil, random, beliefgraph\n"
+        "from beliefgraph import (BeliefGraph, RuleNode, RuleType, StatementNode,\n"
+        "                         encode, reason, solve)\n"
+        "from beliefgraph.synthetic import synthetic_graph\n"
+        "modules = [importlib.import_module(f'beliefgraph.{info.name}')\n"
+        "           for info in pkgutil.iter_modules(beliefgraph.__path__)] + [beliefgraph]\n"
+        "def state():\n"
+        "    return {f'{m.__name__}.{name}': repr(value) for m in modules\n"
+        "            for name, value in vars(m).items()\n"
+        "            if not name.startswith('__') and isinstance(value, (dict, list, set))}\n"
+        "before = state()\n"
+        "graphs = [synthetic_graph(s) for s in random.Random(1).sample(range(10**6), 20)]\n"
+        "options = range(7)\n"
+        "graphs.append(BeliefGraph(\n"
+        "    {v: StatementNode(v, f'option {v}', True, 0.5) for v in options},\n"
+        "    tuple(RuleNode(f'm{a}{b}', RuleType.MC_PAIRWISE, (), (a, b), 0.5)\n"
+        "          for a in options for b in options if a < b),\n"
+        "    tuple(options)))\n"
+        "widths = [solve(encode(graph)).width for graph in graphs]\n"
+        "for graph in graphs:\n"
+        "    reason(graph)\n"
+        "after = state()\n"
+        "print(json.dumps([max(widths), len(before), sorted(k for k in before if before[k] != after[k])]))\n"
+    )
+    width, containers, changed = json.loads(out)
+    assert width >= 4 and containers > 0
+    assert changed == []
+
+
 HOT_MODULES = ["maxsat", "model", "reasoner", "dot"]
 
 

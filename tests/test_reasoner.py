@@ -412,9 +412,9 @@ def _by_even_length(text):
 
 
 class TestNoClauseList:
-    """Nothing on the way from `encode` to an outcome builds the clause
-    list: ``clauses`` is derived only when read, and `reason` scores the
-    assignment off the graph."""
+    """Nothing on the way from `encode` to an outcome or an error builds the
+    clause list: ``clauses`` is derived only when read, and `reason` scores
+    the assignment, and tells overflow from infeasibility, off the graph."""
 
     def test_reason_builds_no_clause_list(self, monkeypatch):
         graphs = acceptance_graphs(20)
@@ -441,6 +441,16 @@ class TestNoClauseList:
         expected = run("free")
         _refuse_clause_list(monkeypatch)
         assert run("guarded") == expected
+
+    def test_overflow_builds_no_clause_list(self, monkeypatch):
+        _refuse_clause_list(monkeypatch)
+        with pytest.raises(SolverLimitError, match="sum past the largest float"):
+            reason(overflow_graph(1e308))
+
+    def test_infeasible_pins_build_no_clause_list(self, monkeypatch):
+        _refuse_clause_list(monkeypatch)
+        with pytest.raises(ReasoningError, match="jointly unsatisfiable"):
+            reason(reason_infeasible_graph(), pins={0: False, 1: False})
 
 
 def dense_construction_graphs():
